@@ -51,7 +51,6 @@ from .physics import (
     path_length_increment,
     path_phase,
     propagation_phase,
-    recoil_frequency,
     resonant_sweep_rate,
     revival_period,
 )
@@ -82,7 +81,7 @@ __all__ = [
     "AtomSpecies", "BeamGeometry", "InterferometerParams", "bragg_resonance",
     "coherence_length", "gravity_from_sweep", "mzi_phase",
     "path_length_increment", "path_phase", "propagation_phase",
-    "recoil_frequency", "resonant_sweep_rate", "revival_period",
+    "resonant_sweep_rate", "revival_period",
     "EnsembleSpec", "GradiometerSpec", "MZISequence", "ShotResult",
     "prepare_sequence", "run_gradiometer", "run_gravity_series", "run_shot",
     "scan_contrast_vs_T", "scan_fringe",

@@ -8,7 +8,7 @@ depth in recoil energies sets the nearest-neighbour ladder coupling to
 depth * w_r / 4 (potential depth*E_r*cos^2(kz)).
 
 The three stages (linear depth ramp up, linear frequency sweep, linear ramp
-down) run through the same interaction-picture integrator as the pulses;
+down) run through the same evolution kernel as the pulses;
 the lattice phase accumulated by the sweep is carried across stage
 boundaries so the lattice never jumps in space.
 """
@@ -25,7 +25,7 @@ from .ladder import (
     EvolutionConfig,
     MomentumLadderState,
     _check_leakage,
-    _integrate_ip,
+    _evolve,
     kinetic_frequencies,
     plane_wave_state,
 )
@@ -105,24 +105,21 @@ def bloch_accelerate(
     t_sweep = ramp.resolved_sweep_duration(species)
     delta_end = 4.0 * ramp.target_momentum * wr  # 2k * target velocity
 
-    def stage(amps, duration, coupling, theta, phi, step_cap):
-        max_step = duration / 8.0 if step_cap is None else step_cap
-        if cfg.max_step is not None:
-            max_step = min(max_step, cfg.max_step)
-        A = _integrate_ip(kin, theta, coupling, phi, duration, amps, cfg, max_step)
-        return A * np.exp(-1j * kin * duration)
+    def stage(amps, duration, coupling, theta, phi=0.0):
+        return _evolve(kin, amps, duration, coupling, theta, phi,
+                       duration / 8.0, cfg)
 
     # 1) adiabatic load: depth 0 -> full, lattice at rest
     amps = stage(
-        state.amplitudes.copy(), t_load,
+        state.amplitudes[:, None], t_load,
         lambda t: g_max * (t / t_load),
-        lambda t: 0.0, 0.0, None,
+        lambda t: 0.0,
     )
     # 2) frequency sweep: delta ramps 0 -> delta_end at constant depth
     amps = stage(
         amps, t_sweep,
         lambda t: g_max,
-        lambda t: 0.5 * delta_end * t * t / t_sweep, 0.0, None,
+        lambda t: 0.5 * delta_end * t * t / t_sweep,
     )
     # 3) release: depth full -> 0, lattice coasting at delta_end; the sweep
     #    left the lattice phase at delta_end*t_sweep/2, carried as phi here
@@ -130,8 +127,8 @@ def bloch_accelerate(
     amps = stage(
         amps, t_load,
         lambda t: g_max * (1.0 - t / t_load),
-        lambda t: delta_end * t, phi_carry, None,
-    )
+        lambda t: delta_end * t, phi_carry,
+    )[:, 0]
 
     _check_leakage(amps)
     out = replace(state, amplitudes=amps,

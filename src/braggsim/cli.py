@@ -3,8 +3,8 @@ emit plot-ready CSV tables plus a deterministic JSON summary.
 
 Subcommands: pulse, bvs, fringe, revivals, gradiometer, gravity-run, allan,
 class-oracle, calibrate. Exit codes: 0 ok, 1 configuration error,
-2 numerical error. Execution is serial; --threads is accepted as a maximum
-parallel-work-units hint and recorded, so outputs never depend on it.
+2 numerical error (including a NaN or infinite result, which never reaches
+summary.json).
 """
 
 from __future__ import annotations
@@ -148,20 +148,12 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
         # scan values are offsets (Hz/s) from the resonant sweep rate
         offsets = _require_scan(cfg, "sweep_rate")
         a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
-        p0 = np.empty(len(offsets))
-        pn = np.empty(len(offsets))
-        norm = np.empty(len(offsets))
-        for i, da in enumerate(offsets):
-            seq_i = dataclasses.replace(seq, sweep_rate=a0 + float(da))
-            shot = sequence.run_shot(species, ens, seq_i, cfg.gravity_m_s2,
-                                     noise, cfg.seed, i, geometry, evolution)
-            p0[i] = shot.measured_ports[0]
-            pn[i] = shot.measured_ports[seq.order]
-            norm[i] = shot.normalized_population
-        scan = analysis.FringeScan(
-            phase_grid=np.asarray(offsets, dtype=float),
-            port_populations={0: p0, seq.order: pn}, normalized=norm,
-            metadata={"x": "sweep_rate_offset_hz_per_s"})
+        shots = [sequence.run_shot(
+                     species, ens, dataclasses.replace(seq, sweep_rate=a0 + float(da)),
+                     cfg.gravity_m_s2, noise, cfg.seed, i, geometry, evolution)
+                 for i, da in enumerate(offsets)]
+        scan = sequence.fringe_from_shots(
+            offsets, shots, seq.order, {"x": "sweep_rate_offset_hz_per_s"})
         x_name = "sweep_rate_offset_hz_per_s"
     else:
         raise ConfigError("scan.target",
@@ -352,9 +344,6 @@ def main(argv=None) -> int:
                         help="override the master seed")
     parser.add_argument("--out-dir", default=None,
                         help="override the output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="maximum parallel work units (hint; execution "
-                             "is serial and outputs do not depend on it)")
     args = parser.parse_args(argv)
 
     try:
@@ -363,10 +352,6 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out_dir is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads", "must be >= 1")
-            cfg = dataclasses.replace(cfg, threads=args.threads)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
@@ -376,6 +361,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         results = _COMMANDS[args.subcommand](cfg, out)
+        # out_dir is execution context, not a physics input: it lives in
+        # run_meta so the summary stays byte-stable across runs
+        summary_config = {k: v for k, v in resolved_dict(cfg).items()
+                          if k != "out_dir"}
+        write_summary(out, {
+            "subcommand": args.subcommand,
+            "config": summary_config,
+            "results": results,
+            "versions": versions(),
+        })
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -384,18 +379,8 @@ def main(argv=None) -> int:
         return 2
 
     (out / "resolved_config.yaml").write_text(echo_config(cfg))
-    # out_dir and threads are execution context, not physics inputs: they
-    # live in run_meta so the summary stays byte-stable across runs
-    summary_config = {k: v for k, v in resolved_dict(cfg).items()
-                      if k not in ("out_dir", "threads")}
-    write_summary(out, {
-        "subcommand": args.subcommand,
-        "config": summary_config,
-        "results": results,
-        "versions": versions(),
-    })
     write_run_meta(out, time.perf_counter() - started,
-                   output_directory=str(out), threads=cfg.threads)
+                   output_directory=str(out))
     return 0
 
 

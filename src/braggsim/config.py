@@ -207,7 +207,6 @@ class ExperimentConfig:
     seed: int = 0
     gravity_m_s2: float = STANDARD_GRAVITY
     out_dir: str = "runs/out"
-    threads: int = 1
     species: SpeciesBlock = field(default_factory=SpeciesBlock)
     geometry: GeometryBlock = field(default_factory=GeometryBlock)
     sequence: SequenceBlock = field(default_factory=SequenceBlock)
@@ -239,7 +238,7 @@ _BLOCK_TYPES = {
     "evolution": EvolutionBlock,
 }
 
-_SCALAR_KEYS = {"seed", "gravity_m_s2", "out_dir", "threads"}
+_SCALAR_KEYS = {"seed", "gravity_m_s2", "out_dir"}
 
 
 def _build_block(cls, data: dict, path: str):

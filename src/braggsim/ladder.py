@@ -18,8 +18,10 @@ Numerically everything is integrated in the interaction picture
 A_n = e^{+i kin_n t} c_n, which removes the fast kinetic phases exactly and
 leaves only the slowly rotating coupling terms; an adaptive high-order
 Runge-Kutta (DOP853) then resolves the pulse with a handful of hundred
-steps. Propagator matrices over the ladder window are produced the same way
-and are exactly consistent with the state path.
+steps. One kernel evolves columns of amplitudes over the ladder window: a
+state is a one-column propagator, and a propagator (or a stack of them over
+quasimomenta) is the evolved identity. Pulses and the Bloch-lattice stages
+all run through it, so states and propagators share one code path.
 """
 
 from __future__ import annotations
@@ -235,59 +237,57 @@ def plane_wave_state(
 
 
 def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
-                        q_tilde: float) -> np.ndarray:
-    """E_n / hbar = 4 w_r (n + q/2hk)^2 (rad/s)."""
-    return 4.0 * species.recoil_frequency * (sites + q_tilde / 2.0) ** 2
+                        q_tilde: float | np.ndarray) -> np.ndarray:
+    """E_n / hbar = 4 w_r (n + q/2hk)^2 (rad/s), shape q_tilde.shape + (W,)."""
+    q = np.asarray(q_tilde, dtype=float)[..., None]
+    return 4.0 * species.recoil_frequency * (sites + q / 2.0) ** 2
 
 
 # ---------------------------------------------------------------------------
-# interaction-picture integration
+# the evolution kernel
 # ---------------------------------------------------------------------------
 
-def _integrate_ip(kin, theta_fn, coupling_fn, phi, duration, y0, cfg, max_step):
-    """Integrate i dA/dt = coupling terms in the kinetic interaction picture.
+def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
+    """Schroedinger-picture evolution e^{-i kin duration} A(duration).
 
-    ``kin``: kinetic frequencies, shape (..., W) broadcastable against ``y0``.
-    ``theta_fn(t)``: accumulated lattice phase integral of delta(t) from 0.
-    ``coupling_fn(t)``: scalar coupling Omega(t)/2.
-    ``y0``: (W,) state, or (..., W, W) propagator stack (rows = out index).
-    Returns A(duration) with the same shape.
+    Integrates i dA/dt = coupling terms in the kinetic interaction picture
+    for amplitude columns ``columns`` of shape (..., W, C); rows are ladder
+    sites, so a state is a one-column propagator and the identity evolves
+    into the propagator. ``kin``: kinetic frequencies (..., W).
+    ``coupling(t)``: Omega(t)/2, or None when the drive is off (free flight,
+    no solve). ``theta(t)``: lattice phase integral of delta from 0.
+    ``phi``: laser phase. ``step_cap``: the drive's own step limit, tightened
+    by ``cfg.max_step``.
     """
-    kin = np.asarray(kin, dtype=float)
+    free = np.exp(-1j * kin * duration)[..., None]
+    if coupling is None:
+        return free * columns
+    shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = kin[..., 1:] - kin[..., :-1]
-    eiphi = np.exp(-1j * phi)
-    is_state = y0.ndim == 1
+    down = -1j * np.exp(-1j * phi)
+    max_step = step_cap if cfg.max_step is None else min(step_cap, cfg.max_step)
 
-    if is_state:
-        def rhs(t, y):
-            A = y.view(complex)
-            g = coupling_fn(t)
-            f = np.exp(1j * (dkin * t - theta_fn(t)))
-            out = np.zeros_like(A)
-            out[1:] += g * eiphi * f * A[:-1]
-            out[:-1] += g * np.conj(eiphi * f) * A[1:]
-            return (-1j * out).ravel().view(float)
-    else:
-        def rhs(t, y):
-            A = y.view(complex).reshape(y0.shape)
-            g = coupling_fn(t)
-            f = np.exp(1j * (dkin * t - theta_fn(t)))
-            out = np.zeros_like(A)
-            out[..., 1:, :] += (g * eiphi * f)[..., :, None] * A[..., :-1, :]
-            out[..., :-1, :] += np.conj(g * eiphi * f)[..., :, None] * A[..., 1:, :]
-            return (-1j * out).ravel().view(float)
+    def rhs(t, y):
+        # site n gains c_n A_{n-1}; site n-1 gains -conj(c_n) A_n
+        A = y.view(complex).reshape(shape)
+        c = (down * coupling(t) * np.exp(1j * (dkin * t - theta(t))))[..., None]
+        out = np.empty_like(A)
+        out[..., -1, :] = 0.0
+        out[..., :-1, :] = -np.conj(c) * A[..., 1:, :]
+        out[..., 1:, :] += c * A[..., :-1, :]
+        return out.ravel().view(float)
 
-    sol = solve_ivp(
-        rhs, (0.0, duration), y0.ravel().view(float), method="DOP853",
-        rtol=cfg.rtol, atol=cfg.atol, max_step=max_step, dense_output=False,
-    )
+    y0 = np.broadcast_to(columns, shape).astype(complex).ravel().view(float)
+    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853", rtol=cfg.rtol,
+                    atol=cfg.atol, max_step=max_step, dense_output=False)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
-    return sol.y[:, -1].view(complex).reshape(y0.shape)
+    return free * sol.y[:, -1].view(complex).reshape(shape)
 
 
 def _pulse_functions(pulse: PulseSpec, species: AtomSpecies):
-    """Envelope Omega(t)/2, lattice phase integral theta(t) and duration."""
+    """Envelope Omega(t)/2 (None for a zero pulse), lattice phase integral
+    theta(t) and duration."""
     dur = pulse.total_duration
     tc = dur / 2.0
     delta_c = pulse.resolve_detuning(species)
@@ -302,7 +302,7 @@ def _pulse_functions(pulse: PulseSpec, species: AtomSpecies):
         # integral of delta_c + ramp*(t' - tc) from 0 to t
         return delta_c * t + 0.5 * ramp * ((t - tc) ** 2 - tc**2)
 
-    return coupling, theta, dur
+    return (coupling if pulse.rabi_peak != 0.0 else None), theta, dur
 
 
 def _required_window(state: MomentumLadderState, pulse: PulseSpec,
@@ -338,16 +338,8 @@ def apply_pulse(
 
     coupling, theta, dur = _pulse_functions(pulse, state.species)
     kin = kinetic_frequencies(state.species, state.sites, state.q_tilde)
-    max_step = pulse.sigma / 2.0
-    if cfg.max_step is not None:
-        max_step = min(max_step, cfg.max_step)
-
-    if pulse.rabi_peak == 0.0:
-        final = state.amplitudes * np.exp(-1j * kin * dur)
-    else:
-        A = _integrate_ip(kin, theta, coupling, pulse.laser_phase, dur,
-                          state.amplitudes.copy(), cfg, max_step)
-        final = A * np.exp(-1j * kin * dur)
+    final = _evolve(kin, state.amplitudes[:, None], dur, coupling, theta,
+                    pulse.laser_phase, pulse.sigma / 2.0, cfg)[:, 0]
     _check_leakage(final)
     return replace(state, amplitudes=final, time=state.time + dur)
 
@@ -379,26 +371,11 @@ def pulse_propagator(
     which is exact because the phase enters only the coupling.
     """
     lo, hi = window
-    sites = np.arange(lo, hi + 1)
-    W = len(sites)
-    q = np.atleast_1d(np.asarray(quasimomentum, dtype=float))
-    qt = q / (HBAR * species.wavevector)
-    kin = 4.0 * species.recoil_frequency * (sites[None, :] + qt[:, None] / 2.0) ** 2
-
+    q_tilde = np.asarray(quasimomentum, dtype=float) / (HBAR * species.wavevector)
+    kin = kinetic_frequencies(species, np.arange(lo, hi + 1), q_tilde)
     coupling, theta, dur = _pulse_functions(pulse, species)
-    max_step = pulse.sigma / 2.0
-    if cfg.max_step is not None:
-        max_step = min(max_step, cfg.max_step)
-
-    eye = np.broadcast_to(np.eye(W, dtype=complex), (len(q), W, W)).copy()
-    if pulse.rabi_peak == 0.0:
-        A = eye
-    else:
-        A = _integrate_ip(kin, theta, coupling, 0.0, dur, eye, cfg, max_step)
-    U = np.exp(-1j * kin * dur)[:, :, None] * A
-    if np.isscalar(quasimomentum) or np.asarray(quasimomentum).ndim == 0:
-        return U[0]
-    return U
+    eye = np.eye(kin.shape[-1], dtype=complex)
+    return _evolve(kin, eye, dur, coupling, theta, 0.0, pulse.sigma / 2.0, cfg)
 
 
 def phase_conjugated(U: np.ndarray, sites: np.ndarray, phi: float) -> np.ndarray:

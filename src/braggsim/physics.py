@@ -110,11 +110,6 @@ class InterferometerParams:
         return p1 - 2.0 * p2 + p3
 
 
-def recoil_frequency(species: AtomSpecies) -> float:
-    """Recoil angular frequency hbar k^2 / 2m (rad/s)."""
-    return species.recoil_frequency
-
-
 def mzi_phase(params: InterferometerParams, geometry: BeamGeometry) -> float:
     """Mach-Zehnder phase Phi = n (k_eff g cos(tilt) - 2 pi alpha + phi_L) T^2.
 

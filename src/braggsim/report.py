@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -18,20 +19,31 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _StableEncoder(json.JSONEncoder):
-    """JSON encoder using the pure-python path with 17-digit floats."""
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-        return json.encoder._make_iterencode(
-            markers, self.default, json.encoder.py_encode_basestring_ascii,
-            self.indent, format_float, self.key_separator, self.item_separator,
-            self.sort_keys, self.skipkeys, _one_shot=False,
-        )(o, 0)
-
-
 def dumps_stable(obj) -> str:
-    return json.dumps(obj, cls=_StableEncoder, sort_keys=True, indent=2)
+    """JSON text with 2-space indent, sorted keys and 17-digit floats.
+
+    A NaN or infinite float raises ValueError naming its key path, so it can
+    never reach a summary.
+    """
+    def encode(value, indent: str, path: str) -> str:
+        inner = indent + "  "
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {value} at {path}")
+            return format_float(value)
+        if isinstance(value, dict) and value:
+            # non-string keys take their JSON text, as in json.dumps
+            items = [inner + json.dumps(k if isinstance(k, str) else encode(k, "", path))
+                     + ": " + encode(v, inner, f"{path}.{k}")
+                     for k, v in sorted(value.items())]
+            return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+        if isinstance(value, (list, tuple)) and value:
+            items = [inner + encode(v, inner, f"{path}[{i}]")
+                     for i, v in enumerate(value)]
+            return "[\n" + ",\n".join(items) + f"\n{indent}]"
+        return json.dumps(value)
+
+    return encode(obj, "", "$")
 
 
 def write_summary(out_dir: str | Path, summary: dict) -> Path:

@@ -14,9 +14,11 @@ Mach-Zehnder emerges here.
 Pulse propagators are computed once per (pulse, detuning, chirp) at laser
 phase zero and batched over the quasimomentum ensemble; commanded phases and
 mirror-phase noise are applied afterwards by the exact diagonal conjugation
-U(phi) = D(phi) U D(phi)*. Scans therefore cost a few matrix solves total,
-and a grid of one point reproduces run_shot exactly because both go through
-the same engine.
+U(phi) = D(phi) U D(phi)* (ladder.phase_conjugated). Scans therefore cost a
+few matrix solves total. Every fringe scan (phase scans, both gradiometer
+clouds) is one engine's ``scan``, and every list of shots becomes a
+FringeScan through ``fringe_from_shots``, so a grid of one point reproduces
+run_shot exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .ladder import (
     PulseSpec,
     TruncationLeakError,
     calibrate_pulse_amplitude,
+    kinetic_frequencies,
+    phase_conjugated,
     pulse_propagator,
 )
 from .physics import (
@@ -237,14 +241,11 @@ class _ShotEngine:
         T = seq.interrogation_time
         tc = [d_bs / 2.0, d_bs / 2.0 + T, d_bs / 2.0 + 2.0 * T]
         starts = [0.0, tc[1] - d_pi / 2.0, tc[2] - d_bs / 2.0]
-        self.gap = T - (d_bs + d_pi) / 2.0
-        self.pulse_centers = tc
-        self.pulse_starts = starts
+        gap = T - (d_bs + d_pi) / 2.0
 
         reach = seq.order + cfg.ladder_guard_sites
         self.window = (-reach, reach)
         self.sites = np.arange(-reach, reach + 1)
-        self.site0 = reach
 
         roles = [seq.beamsplitter, seq.mirror, seq.beamsplitter]
         self.propagators = [
@@ -256,14 +257,9 @@ class _ShotEngine:
         self.beat_phases = [
             self.delta_res * t + 0.5 * self.ramp * t * t for t in starts
         ]
-        qt = self.q / (HBAR * species.wavevector)
-        kin = 4.0 * species.recoil_frequency * \
-            (self.sites[None, :] + qt[:, None] / 2.0) ** 2
-        self.free_phase = np.exp(-1j * kin * self.gap)
-
-        psi0 = np.zeros(len(self.sites), dtype=complex)
-        psi0[self.site0] = 1.0
-        self.psi0 = np.broadcast_to(psi0, (len(self.q), len(self.sites))).copy()
+        kin = kinetic_frequencies(species, self.sites,
+                                  self.q / (HBAR * species.wavevector))
+        self.free_phase = np.exp(-1j * kin * gap)
 
     def _propagator(self, pulse: PulseSpec, delta_c: float) -> np.ndarray:
         eff = replace(pulse, detuning=delta_c, resonant_order=None,
@@ -274,18 +270,9 @@ class _ShotEngine:
                 self.species, eff, self.window, self.q, self.cfg)
         return self.cache[key]
 
-    def _apply(self, psi, U, phi):
-        if phi != 0.0:
-            d = np.exp(-1j * self.sites * phi)
-            psi = np.conj(d) * psi
-            psi = np.einsum("sij,sj->si", U, psi)
-            return d * psi
-        return np.einsum("sij,sj->si", U, psi)
-
     def shot(self, shot_index: int, phase_offset: float | None = None,
              pulse_phase_bias: tuple[float, float, float] = (0.0, 0.0, 0.0),
-             detection_stream: int = STREAM_DETECTION,
-             gravity_override: float | None = None) -> ShotResult:
+             detection_stream: int = STREAM_DETECTION) -> ShotResult:
         """Run one shot: noise draws, three pulses, detection."""
         phi_l = (self.sequence.phase_offset if phase_offset is None
                  else phase_offset)
@@ -296,12 +283,12 @@ class _ShotEngine:
                      phi_l + pulse_phase_bias[2] + mirror[2])
         phis = [c + b for c, b in zip(commanded, self.beat_phases)]
 
-        psi = self.psi0
-        psi = self._apply(psi, self.propagators[0], phis[0])
-        psi = self.free_phase * psi
-        psi = self._apply(psi, self.propagators[1], phis[1])
-        psi = self.free_phase * psi
-        psi = self._apply(psi, self.propagators[2], phis[2])
+        pulses = [phase_conjugated(U, self.sites, phi)
+                  for U, phi in zip(self.propagators, phis)]
+        # the cloud starts in site 0: the first pulse leaves its column
+        psi = pulses[0][:, :, -self.window[0]]
+        for U in pulses[1:]:
+            psi = np.einsum("sij,sj->si", U, self.free_phase * psi)
 
         pops = np.mean(np.abs(psi) ** 2, axis=0)
         edge_leak = float(pops[0] + pops[-1])
@@ -321,13 +308,42 @@ class _ShotEngine:
             mirror_phases=mirror,
             metadata={
                 "shot_index": shot_index,
-                "gravity": self.gravity if gravity_override is None else gravity_override,
+                "gravity": self.gravity,
                 "sweep_rate": self.sweep_rate,
                 "phase_offset": phi_l,
                 "order": self.sequence.order,
                 "interrogation_time": self.sequence.interrogation_time,
             },
         )
+
+    def scan(self, grid, shot_index_offset: int = 0,
+             detection_stream: int = STREAM_DETECTION) -> FringeScan:
+        """One shot per final-pulse phase in ``grid``, shot indices counting
+        up from ``shot_index_offset``, detection noise from one stream."""
+        shots = [self.shot(shot_index_offset + i, phase_offset=float(phi),
+                           detection_stream=detection_stream)
+                 for i, phi in enumerate(grid)]
+        seq = self.sequence
+        return fringe_from_shots(grid, shots, seq.order, {
+            "order": seq.order,
+            "interrogation_time": seq.interrogation_time,
+            "gravity": self.gravity,
+            "sweep_rate": self.sweep_rate,
+            "master_seed": self.master_seed,
+            "samples": len(self.q),
+        })
+
+
+def fringe_from_shots(grid, shots, order: int, metadata: dict) -> FringeScan:
+    """FringeScan of the detected ports 0 and ``order`` and the normalised
+    population of one shot per grid point."""
+    port0, port_n, normalized = np.array(
+        [(s.measured_ports[0], s.measured_ports[order], s.normalized_population)
+         for s in shots], dtype=float).reshape(-1, 3).T
+    return FringeScan(phase_grid=np.asarray(grid, dtype=float),
+                      port_populations={0: port0, order: port_n},
+                      normalized=normalized,
+                      metadata=metadata)
 
 
 def run_shot(
@@ -367,27 +383,7 @@ def scan_fringe(
         raise ValueError("phase grid must be non-empty")
     engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
                          geometry, cfg, master_seed, propagator_cache)
-    port_lo = np.empty(len(grid))
-    port_hi = np.empty(len(grid))
-    normalized = np.empty(len(grid))
-    for i, phi in enumerate(grid):
-        shot = engine.shot(shot_index_offset + i, phase_offset=float(phi))
-        port_lo[i] = shot.measured_ports[0]
-        port_hi[i] = shot.measured_ports[sequence.order]
-        normalized[i] = shot.normalized_population
-    return FringeScan(
-        phase_grid=grid,
-        port_populations={0: port_lo, sequence.order: port_hi},
-        normalized=normalized,
-        metadata={
-            "order": sequence.order,
-            "interrogation_time": sequence.interrogation_time,
-            "gravity": gravity,
-            "sweep_rate": engine.sweep_rate,
-            "master_seed": master_seed,
-            "samples": len(engine.q),
-        },
-    )
+    return engine.scan(grid, shot_index_offset)
 
 
 DEFAULT_SCAN_GRID = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
@@ -486,31 +482,12 @@ def run_gradiometer(
     grid = np.asarray(phase_grid, dtype=float)
     cache: dict = {}
 
-    def scan(tag, g, detection_stream):
-        # same master seed: both clouds see identical mirror draws per shot
-        # (common mode); detection draws use per-cloud streams
-        engine = _ShotEngine(species, ensemble, seq, g, noise,
-                             geometry, cfg, master_seed, cache)
-        port_lo = np.empty(len(grid))
-        port_hi = np.empty(len(grid))
-        normalized = np.empty(len(grid))
-        for i, phi in enumerate(grid):
-            shot = engine.shot(i, phase_offset=float(phi),
-                               detection_stream=detection_stream)
-            port_lo[i] = shot.measured_ports[0]
-            port_hi[i] = shot.measured_ports[seq.order]
-            normalized[i] = shot.normalized_population
-        return FringeScan(
-            phase_grid=grid,
-            port_populations={0: port_lo, seq.order: port_hi},
-            normalized=normalized,
-            metadata={"cloud": tag, "order": seq.order,
-                      "interrogation_time": seq.interrogation_time,
-                      "master_seed": master_seed},
-        )
-
-    lower = scan("lower", g_lower, STREAM_DETECTION)
-    upper = scan("upper", g_upper, STREAM_DETECTION_UPPER)
+    # same master seed: both clouds see identical mirror draws per shot
+    # (common mode); detection draws use per-cloud streams
+    lower = _ShotEngine(species, ensemble, seq, g_lower, noise, geometry, cfg,
+                        master_seed, cache).scan(grid, 0, STREAM_DETECTION)
+    upper = _ShotEngine(species, ensemble, seq, g_upper, noise, geometry, cfg,
+                        master_seed, cache).scan(grid, 0, STREAM_DETECTION_UPPER)
     return GradiometerResult(lower=lower, upper=upper, baseline=baseline,
                              gravity_lower=g_lower, gravity_upper=g_upper)
 

@@ -1,5 +1,6 @@
 """CLI and configuration: validation, determinism, echo round-trip."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from braggsim import cli
 from braggsim.cli import main
 from braggsim.config import (
     ConfigError,
@@ -16,7 +18,9 @@ from braggsim.config import (
     parse_config,
     resolved_dict,
 )
+from braggsim.physics import resonant_sweep_rate
 from braggsim.report import dumps_stable, format_float
+from braggsim.sequence import prepare_sequence, run_shot
 
 FAST_FRINGE = """
 seed: 11
@@ -100,6 +104,19 @@ class TestFloatSerialization:
         assert s.index('"a"') < s.index('"b"')
         assert "0.10000000000000001" in s
 
+    def test_stable_json_exact_text(self):
+        sample = {"b": [1, 2.5, None, True, "s", (), {}],
+                  "a": {"z": 0.1, "y": (False, -3)}}
+        assert dumps_stable(sample) == (
+            '{\n  "a": {\n    "y": [\n      false,\n      -3\n    ],\n'
+            '    "z": 0.10000000000000001\n  },\n  "b": [\n    1,\n    2.5,\n'
+            '    null,\n    true,\n    "s",\n    [],\n    {}\n  ]\n}')
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stable_json_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"\$\.fit\.amplitudes\[1\]"):
+            dumps_stable({"fit": {"amplitudes": [0.5, bad]}})
+
 
 class TestCliRuns:
     def test_fringe_run_and_outputs(self, tmp_path):
@@ -120,7 +137,7 @@ class TestCliRuns:
         cfg = write_config(tmp_path, FAST_FRINGE)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["fringe", cfg, "--out-dir", str(out1)]) == 0
-        assert main(["fringe", cfg, "--out-dir", str(out2), "--threads", "4"]) == 0
+        assert main(["fringe", cfg, "--out-dir", str(out2)]) == 0
         assert (out1 / "fringe.csv").read_bytes() == (out2 / "fringe.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == \
             (out2 / "summary.json").read_bytes()
@@ -141,6 +158,46 @@ class TestCliRuns:
         assert main(["fringe", cfg, "--out-dir", str(out1)]) == 0
         assert main(["fringe", cfg, "--out-dir", str(out2), "--seed", "99"]) == 0
         assert (out1 / "fringe.csv").read_bytes() != (out2 / "fringe.csv").read_bytes()
+
+    def test_non_finite_result_exits_2_without_summary(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, "calibrate",
+                            lambda cfg, out: {"omega0_rad_s": math.nan})
+        out = tmp_path / "nan"
+        assert main(["calibrate", write_config(tmp_path, ""),
+                     "--out-dir", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+        assert "$.results.omega0_rad_s" in capsys.readouterr().err
+
+    def test_fringe_sweep_rate_rows_match_run_shot(self, tmp_path):
+        text = """
+seed: 4
+sequence: {order: 2, interrogation_time_s: 2.0e-3, pulse_sigma_s: 5.0e-6}
+ensemble: {samples: 1, sigma_q_hk: 0.0}
+noise: {mirror_phase_rms_rad: 0.02, detection_snr: 50.0}
+scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
+"""
+        path = write_config(tmp_path, text)
+        out = tmp_path / "sweep"
+        assert main(["fringe", path, "--out-dir", str(out)]) == 0
+        lines = (out / "fringe.csv").read_text().splitlines()
+        assert lines[0] == "sweep_rate_offset_hz_per_s,port0,port2,normalized"
+        assert len(lines) == 1 + 3
+
+        cfg = load_config(path)
+        species = cfg.species.resolve()
+        geometry = cfg.geometry.resolve(species)
+        seq = prepare_sequence(species, order=2, interrogation_time=2.0e-3,
+                               pulse_sigma=5.0e-6)
+        a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
+        for i, offset in enumerate(cfg.scan.grid()):
+            shot = run_shot(species, cfg.ensemble.resolve(),
+                            dataclasses.replace(seq, sweep_rate=a0 + offset),
+                            cfg.gravity_m_s2, cfg.noise.resolve(), cfg.seed,
+                            shot_index=i, geometry=geometry)
+            expected = [offset, shot.measured_ports[0], shot.measured_ports[2],
+                        shot.normalized_population]
+            assert lines[1 + i] == ",".join(format_float(v) for v in expected)
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, "nonsense_key: 1\n")

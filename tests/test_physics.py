@@ -18,7 +18,6 @@ from braggsim.physics import (
     path_length_increment,
     path_phase,
     propagation_phase,
-    recoil_frequency,
     resonant_sweep_rate,
     revival_period,
 )
@@ -39,16 +38,16 @@ class TestRecoilFrequency:
     def test_rb87_value(self):
         # direct evaluation of hbar k^2 / 2m
         expected = HBAR * K * K / (2.0 * M_RB87)
-        assert recoil_frequency(RB) == pytest.approx(expected, rel=1e-12)
-        assert recoil_frequency(RB) / (2 * math.pi) == pytest.approx(3771.0, rel=1e-4)
+        assert RB.recoil_frequency == pytest.approx(expected, rel=1e-12)
+        assert RB.recoil_frequency / (2 * math.pi) == pytest.approx(3771.0, rel=1e-4)
 
     def test_mass_scaling(self):
         heavy = AtomSpecies(mass=2 * RB.mass, wavelength=RB.wavelength)
-        assert recoil_frequency(heavy) == pytest.approx(recoil_frequency(RB) / 2)
+        assert heavy.recoil_frequency == pytest.approx(RB.recoil_frequency / 2)
 
     def test_wavelength_scaling(self):
         red = AtomSpecies(mass=RB.mass, wavelength=2 * RB.wavelength)
-        assert recoil_frequency(red) == pytest.approx(recoil_frequency(RB) / 4)
+        assert red.recoil_frequency == pytest.approx(RB.recoil_frequency / 4)
 
 
 class TestMziPhase:
@@ -156,7 +155,7 @@ class TestAnalyticLengthsAndTimes:
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(33.1e-6, rel=2e-3)
         # algebraic identity: delta_T * 4 omega_r = pi
-        assert got * 4 * recoil_frequency(RB) == pytest.approx(math.pi, rel=1e-12)
+        assert got * 4 * RB.recoil_frequency == pytest.approx(math.pi, rel=1e-12)
 
 
 class TestPathPhase:
