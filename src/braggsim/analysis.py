@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,12 @@ class FitRejectedError(RuntimeError):
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Scanned fringe: phase grid (rad), per-port populations and metadata."""
+    """Scanned fringe: phase grid (rad), per-port populations and the
+    normalised population."""
 
     phase_grid: np.ndarray
     port_populations: dict[int, np.ndarray]
     normalized: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         grid = np.asarray(self.phase_grid, dtype=float)

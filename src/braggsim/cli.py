@@ -144,25 +144,27 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
         scan = sequence.scan_fringe(species, ens, seq, cfg.gravity_m_s2, noise,
                                     grid, cfg.seed, geometry, evolution)
         x_name = "phase_rad"
+        rows = list(zip(scan.phase_grid.tolist(),
+                        scan.port_populations[0].tolist(),
+                        scan.port_populations[seq.order].tolist(),
+                        scan.normalized.tolist()))
     elif cfg.scan.target == "sweep_rate":
-        # scan values are offsets (Hz/s) from the resonant sweep rate
+        # offsets (Hz/s) from the resonant rate; point i is run_shot number i
         offsets = _require_scan(cfg, "sweep_rate")
         a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
-        shots = [sequence.run_shot(
-                     species, ens, dataclasses.replace(seq, sweep_rate=a0 + float(da)),
-                     cfg.gravity_m_s2, noise, cfg.seed, i, geometry, evolution)
-                 for i, da in enumerate(offsets)]
-        scan = sequence.fringe_from_shots(
-            offsets, shots, seq.order, {"x": "sweep_rate_offset_hz_per_s"})
         x_name = "sweep_rate_offset_hz_per_s"
+        rows = []
+        for i, da in enumerate(offsets.tolist()):
+            shot = sequence.run_shot(
+                species, ens, dataclasses.replace(seq, sweep_rate=a0 + da),
+                cfg.gravity_m_s2, noise, cfg.seed, i, geometry, evolution)
+            rows.append((da, shot.measured_ports[0],
+                         shot.measured_ports[seq.order],
+                         shot.normalized_population))
     else:
         raise ConfigError("scan.target",
                           "fringe supports phase or sweep_rate scans")
 
-    rows = list(zip(scan.phase_grid.tolist(),
-                    scan.port_populations[0].tolist(),
-                    scan.port_populations[seq.order].tolist(),
-                    scan.normalized.tolist()))
     write_table(out, "fringe", [x_name, "port0", f"port{seq.order}",
                                 "normalized"], rows)
     summary = {"beamsplitter_omega0": seq.beamsplitter.rabi_peak,
@@ -263,6 +265,7 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
         "bias_phase_rad": series.bias_phase,
         "calibration": _fit_summary(series.calibration),
         "mean_gravity": series.mean_gravity,
+        "saturated_shots": series.saturated_shots,
         "components": [],
     }
     freqs = [c.angular_frequency for c in tide.components]
@@ -298,6 +301,7 @@ def cmd_allan(cfg: ExperimentConfig, out: Path) -> dict:
         "notices": list(curve.notices),
         "last_tau_s": float(curve.taus[-1]),
         "last_value": float(curve.values[-1]),
+        "saturated_shots": series.saturated_shots,
     }
 
 

@@ -79,12 +79,13 @@ class EnsembleBlock:
 @dataclass(frozen=True)
 class NoiseBlock:
     mirror_phase_rms_rad: float = 0.0
-    detection_snr: float = 50.0
+    detection_snr: float | None = 50.0   # null switches detection noise off
     tilt_drift_rad_per_hour: float = 0.0
 
     def resolve(self) -> NoiseModel:
+        snr = math.inf if self.detection_snr is None else self.detection_snr
         return NoiseModel(mirror_phase_rms=self.mirror_phase_rms_rad,
-                          detection_snr=self.detection_snr,
+                          detection_snr=snr,
                           tilt_drift=self.tilt_drift_rad_per_hour)
 
 
@@ -241,6 +242,15 @@ _BLOCK_TYPES = {
 _SCALAR_KEYS = {"seed", "gravity_m_s2", "out_dir"}
 
 
+def _require_finite(value, path: str) -> None:
+    """Reject a NaN or infinite number, list elements included."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value}")
+
+
 def _build_block(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(path, f"expected a mapping, got {type(data).__name__}")
@@ -249,6 +259,7 @@ def _build_block(cls, data: dict, path: str):
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"{path}.{key}", "unknown key")
+        _require_finite(value, f"{path}.{key}")
         if cls is TideBlock and key == "components":
             if value is None:
                 value = []
@@ -272,6 +283,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
         if key in _SCALAR_KEYS:
+            _require_finite(value, key)
             kwargs[key] = value
         elif key in _BLOCK_TYPES:
             kwargs[key] = _build_block(_BLOCK_TYPES[key], value or {}, key)

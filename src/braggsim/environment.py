@@ -67,17 +67,13 @@ def sample_mirror_phases(
 def apply_detection_noise(populations, model: NoiseModel, rng: np.random.Generator):
     """Additive Gaussian port noise with sigma = 1/SNR, clamped to [0, 1].
 
-    Accepts a site -> population dict or an array; returns the same shape.
-    Infinite SNR passes the input through bit-identically.
+    Takes an array of port populations and returns an array of the same
+    shape, one draw per element in order. Infinite SNR returns the input
+    itself.
     """
     if math.isinf(model.detection_snr):
         return populations
     sigma = 1.0 / model.detection_snr
-    if isinstance(populations, dict):
-        keys = sorted(populations)
-        vals = np.array([populations[k] for k in keys], dtype=float)
-        noisy = np.clip(vals + rng.normal(0.0, sigma, size=len(vals)), 0.0, 1.0)
-        return {k: float(v) for k, v in zip(keys, noisy)}
     arr = np.asarray(populations, dtype=float)
     return np.clip(arr + rng.normal(0.0, sigma, size=arr.shape), 0.0, 1.0)
 

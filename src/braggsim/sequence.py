@@ -15,16 +15,16 @@ Pulse propagators are computed once per (pulse, detuning, chirp) at laser
 phase zero and batched over the quasimomentum ensemble; commanded phases and
 mirror-phase noise are applied afterwards by the exact diagonal conjugation
 U(phi) = D(phi) U D(phi)* (ladder.phase_conjugated). Scans therefore cost a
-few matrix solves total. Every fringe scan (phase scans, both gradiometer
-clouds) is one engine's ``scan``, and every list of shots becomes a
-FringeScan through ``fringe_from_shots``, so a grid of one point reproduces
-run_shot exactly.
+few matrix solves total. Every shot runs through ``_ShotEngine.shots`` over
+an array of shot indices, and per-shot noise has one home shared with the
+gravity series: ``_mirror_draws`` and ``_detect``, which build one
+(seed, shot, stream) generator per draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,20 +191,30 @@ class GradiometerSpec:
 @dataclass(frozen=True)
 class ShotResult:
     """One interferometer shot: ensemble-mean populations per ladder site,
-    the detected (noisy) port pair and the applied noise record."""
+    the detected (noisy) port pair and the applied mirror phases."""
 
     port_populations: dict[int, float]
     measured_ports: dict[int, float]
     normalized_population: float
     mirror_phases: tuple[float, float, float]
-    metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        pops = np.array(list(self.port_populations.values()))
-        if np.any(pops < -1e-12):
-            raise ValueError("populations must be >= 0")
-        if pops.sum() > 1.0 + 1e-9:
-            raise ValueError(f"window population sum {pops.sum()} exceeds 1 + 1e-9")
+
+def _mirror_draws(noise: NoiseModel, seed: int, shot_indices) -> np.ndarray:
+    """Mirror phases (rad) of the three pulses per shot, shape (n, 3)."""
+    return np.array([sample_mirror_phases(noise, shot_rng(seed, i, STREAM_MIRROR))
+                     for i in shot_indices], dtype=float).reshape(-1, 3)
+
+
+def _detect(clean_pairs, noise: NoiseModel, seed: int, shot_indices,
+            stream: int) -> tuple[np.ndarray, np.ndarray]:
+    """Detected (lower, upper) port pairs (n, 2) and the normalised population
+    lower / (lower + upper) per shot; a shot detecting no atoms reads 0.5."""
+    measured = np.array([apply_detection_noise(pair, noise, shot_rng(seed, i, stream))
+                         for pair, i in zip(clean_pairs, shot_indices)],
+                        dtype=float).reshape(-1, 2)
+    denom = measured[:, 0] + measured[:, 1]
+    return measured, np.divide(measured[:, 0], denom, where=denom > 0,
+                               out=np.full(len(denom), 0.5))
 
 
 class _ShotEngine:
@@ -216,7 +226,6 @@ class _ShotEngine:
         self.species = species
         self.ensemble = ensemble
         self.sequence = sequence
-        self.gravity = gravity
         self.noise = noise
         self.geometry = geometry or BeamGeometry.vertical(species)
         self.cfg = cfg
@@ -228,11 +237,9 @@ class _ShotEngine:
         if sequence.sweep_rate is None:
             # resonant by construction: keep the residual ramp at exactly 0
             # so pulse propagators carry no absolute-time dependence
-            self.sweep_rate = resonant_sweep_rate(gravity, self.geometry)
             self.ramp = 0.0
         else:
-            self.sweep_rate = sequence.sweep_rate
-            self.ramp = (2.0 * math.pi * self.sweep_rate
+            self.ramp = (2.0 * math.pi * sequence.sweep_rate
                          - self.geometry.k_eff * gravity * self.geometry.projection)
 
         seq = sequence
@@ -270,80 +277,54 @@ class _ShotEngine:
                 self.species, eff, self.window, self.q, self.cfg)
         return self.cache[key]
 
-    def shot(self, shot_index: int, phase_offset: float | None = None,
-             pulse_phase_bias: tuple[float, float, float] = (0.0, 0.0, 0.0),
-             detection_stream: int = STREAM_DETECTION) -> ShotResult:
-        """Run one shot: noise draws, three pulses, detection."""
-        phi_l = (self.sequence.phase_offset if phase_offset is None
-                 else phase_offset)
-        mirror = sample_mirror_phases(
-            self.noise, shot_rng(self.master_seed, shot_index, STREAM_MIRROR))
-        commanded = (pulse_phase_bias[0] + mirror[0],
-                     pulse_phase_bias[1] + mirror[1],
-                     phi_l + pulse_phase_bias[2] + mirror[2])
-        phis = [c + b for c, b in zip(commanded, self.beat_phases)]
-
+    def _populations(self, phis) -> np.ndarray:
+        """Ensemble-mean site populations after pulses at laser phases phis."""
         pulses = [phase_conjugated(U, self.sites, phi)
                   for U, phi in zip(self.propagators, phis)]
         # the cloud starts in site 0: the first pulse leaves its column
         psi = pulses[0][:, :, -self.window[0]]
         for U in pulses[1:]:
             psi = np.einsum("sij,sj->si", U, self.free_phase * psi)
+        return np.mean(np.abs(psi) ** 2, axis=0)
 
-        pops = np.mean(np.abs(psi) ** 2, axis=0)
-        edge_leak = float(pops[0] + pops[-1])
-        if edge_leak > LEAK_BOUND:
-            raise TruncationLeakError(edge_leak, LEAK_BOUND)
+    def shots(self, shot_indices, final_phases,
+              pulse_phase_bias: tuple[float, float, float] = (0.0, 0.0, 0.0),
+              detection_stream: int = STREAM_DETECTION):
+        """Shots ``shot_indices`` at final-pulse phases ``final_phases``:
+        mirror draws, three pulses, detection. Returns the site populations
+        (n, W), mirror draws (n, 3), detected ports 0 and order (n, 2) and
+        normalised populations (n,)."""
+        mirror = _mirror_draws(self.noise, self.master_seed, shot_indices)
+        # commanded phases (the final-pulse phase on pulse 3), bias, mirror
+        # noise and the lattice beat phase, summed in that order
+        commanded = np.zeros((len(shot_indices), 3))
+        commanded[:, 2] = final_phases
+        phases = commanded + pulse_phase_bias + mirror + self.beat_phases
+        pops = np.array([self._populations(phis) for phis in phases])
 
-        port_map = {int(n): float(p) for n, p in zip(self.sites, pops)}
-        monitored = {0: port_map[0], self.sequence.order: port_map[self.sequence.order]}
-        det_rng = shot_rng(self.master_seed, shot_index, detection_stream)
-        measured = apply_detection_noise(monitored, self.noise, det_rng)
-        denom = measured[0] + measured[self.sequence.order]
-        p_norm = measured[0] / denom if denom > 0 else 0.5
-        return ShotResult(
-            port_populations=port_map,
-            measured_ports=dict(measured),
-            normalized_population=float(p_norm),
-            mirror_phases=mirror,
-            metadata={
-                "shot_index": shot_index,
-                "gravity": self.gravity,
-                "sweep_rate": self.sweep_rate,
-                "phase_offset": phi_l,
-                "order": self.sequence.order,
-                "interrogation_time": self.sequence.interrogation_time,
-            },
-        )
+        edge_leak = pops[:, 0] + pops[:, -1]
+        if np.any(edge_leak > LEAK_BOUND):
+            raise TruncationLeakError(float(edge_leak.max()), LEAK_BOUND)
+        if np.any(pops < -1e-12) or np.any(pops.sum(axis=1) > 1.0 + 1e-9):
+            raise ValueError("site populations must be >= 0 with sum <= 1 + 1e-9")
+
+        ports = pops[:, [-self.window[0], self.sequence.order - self.window[0]]]
+        measured, normalized = _detect(ports, self.noise, self.master_seed,
+                                       shot_indices, detection_stream)
+        return pops, mirror, measured, normalized
 
     def scan(self, grid, shot_index_offset: int = 0,
              detection_stream: int = STREAM_DETECTION) -> FringeScan:
         """One shot per final-pulse phase in ``grid``, shot indices counting
         up from ``shot_index_offset``, detection noise from one stream."""
-        shots = [self.shot(shot_index_offset + i, phase_offset=float(phi),
-                           detection_stream=detection_stream)
-                 for i, phi in enumerate(grid)]
-        seq = self.sequence
-        return fringe_from_shots(grid, shots, seq.order, {
-            "order": seq.order,
-            "interrogation_time": seq.interrogation_time,
-            "gravity": self.gravity,
-            "sweep_rate": self.sweep_rate,
-            "master_seed": self.master_seed,
-            "samples": len(self.q),
-        })
-
-
-def fringe_from_shots(grid, shots, order: int, metadata: dict) -> FringeScan:
-    """FringeScan of the detected ports 0 and ``order`` and the normalised
-    population of one shot per grid point."""
-    port0, port_n, normalized = np.array(
-        [(s.measured_ports[0], s.measured_ports[order], s.normalized_population)
-         for s in shots], dtype=float).reshape(-1, 3).T
-    return FringeScan(phase_grid=np.asarray(grid, dtype=float),
-                      port_populations={0: port0, order: port_n},
-                      normalized=normalized,
-                      metadata=metadata)
+        grid = np.asarray(grid, dtype=float)
+        _, _, measured, normalized = self.shots(
+            shot_index_offset + np.arange(len(grid)), grid,
+            detection_stream=detection_stream)
+        return FringeScan(phase_grid=grid,
+                          port_populations={0: measured[:, 0],
+                                            self.sequence.order: measured[:, 1]},
+                          normalized=normalized)
 
 
 def run_shot(
@@ -361,7 +342,15 @@ def run_shot(
     """Single Mach-Zehnder shot averaged over the quasimomentum ensemble."""
     engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
                          geometry, cfg, master_seed)
-    return engine.shot(shot_index, pulse_phase_bias=pulse_phase_bias)
+    pops, mirror, measured, normalized = engine.shots(
+        [shot_index], [sequence.phase_offset], pulse_phase_bias)
+    return ShotResult(
+        port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
+        measured_ports={0: float(measured[0, 0]),
+                        sequence.order: float(measured[0, 1])},
+        normalized_population=float(normalized[0]),
+        mirror_phases=tuple(float(m) for m in mirror[0]),
+    )
 
 
 def scan_fringe(
@@ -494,7 +483,9 @@ def run_gradiometer(
 
 @dataclass(frozen=True)
 class GravitySeries:
-    """Synthetic mid-fringe gravimeter run and its recovered gravity."""
+    """Synthetic mid-fringe gravimeter run and its recovered gravity;
+    ``saturated_shots`` readings fell outside the monotonic inversion segment
+    and were recovered as its end."""
 
     times: np.ndarray
     true_gravity: np.ndarray
@@ -503,6 +494,7 @@ class GravitySeries:
     calibration: HarmonicFit
     bias_phase: float
     mean_gravity: float
+    saturated_shots: int
 
 
 def run_gravity_series(
@@ -560,12 +552,9 @@ def run_gravity_series(
     bias = float(dense[bias_idx])
     # monotonic run of the response around the bias point
     sign = math.copysign(1.0, dresp[bias_idx])
-    lo_idx = bias_idx
-    while lo_idx > 0 and sign * dresp[lo_idx - 1] > 0:
-        lo_idx -= 1
-    hi_idx = bias_idx
-    while hi_idx < len(dense) - 1 and sign * dresp[hi_idx + 1] > 0:
-        hi_idx += 1
+    breaks = np.flatnonzero(sign * dresp <= 0)
+    lo_idx = breaks[breaks < bias_idx].max(initial=-1) + 1
+    hi_idx = breaks[breaks > bias_idx].min(initial=len(dense)) - 1
     seg_arg = dense[lo_idx:hi_idx + 1]
     seg_val = response[lo_idx:hi_idx + 1]
     if sign < 0:
@@ -573,29 +562,25 @@ def run_gravity_series(
 
     keff = geometry.k_eff
     T = seq.interrogation_time
-    times = np.arange(n_shots) * shot_period
+    shots = np.arange(n_shots)
+    times = shots * shot_period
     g_true = synthesize_tide(tide, times)
     proj = tilt_projection_drift(noise, times, base_tilt=geometry.tilt_angle)
     # fringe-argument shift per shot: residual ramp r times T^2, with
     # r = 2 pi alpha - k_eff g(t) cos(tilt(t)); zero at the calibration point
     shift = (2.0 * math.pi * alpha - keff * g_true * proj) * T * T
 
-    p_meas = np.empty(n_shots)
-    for i in range(n_shots):
-        mirror = sample_mirror_phases(
-            noise, shot_rng(master_seed, i, STREAM_MIRROR))
-        combo = mirror[0] - 2.0 * mirror[1] + mirror[2]
-        arg = bias + shift[i] + combo
-        ports = {0: float(np.clip(cal_lo.evaluate(arg), 0.0, 1.0)),
-                 seq.order: float(np.clip(cal_hi.evaluate(arg), 0.0, 1.0))}
-        measured = apply_detection_noise(
-            ports, noise, shot_rng(master_seed, i, STREAM_DETECTION))
-        denom = measured[0] + measured[seq.order]
-        p_meas[i] = measured[0] / denom if denom > 0 else 0.5
+    mirror = _mirror_draws(noise, master_seed, shots)
+    arg = bias + shift + (mirror[:, 0] - 2.0 * mirror[:, 1] + mirror[:, 2])
+    clean = np.clip(np.column_stack([cal_lo.evaluate(arg), cal_hi.evaluate(arg)]),
+                    0.0, 1.0)
+    _, p_meas = _detect(clean, noise, master_seed, shots, STREAM_DETECTION)
 
     # invert through the monotonic segment of the calibrated response,
-    # assuming the nominal vertical alignment
+    # assuming the nominal vertical alignment; np.interp clamps readings
+    # outside it, and those are counted
     args = np.interp(p_meas, seg_val, seg_arg)
+    saturated = int(np.count_nonzero((p_meas < seg_val[0]) | (p_meas > seg_val[-1])))
     recovered = g0 - (args - bias) / (keff * T * T)
     return GravitySeries(
         times=times,
@@ -605,4 +590,5 @@ def run_gravity_series(
         calibration=fit,
         bias_phase=bias,
         mean_gravity=g0,
+        saturated_shots=saturated,
     )

@@ -169,6 +169,36 @@ class TestCliRuns:
         assert not (out / "summary.json").exists()
         assert "$.results.omega0_rad_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, key, value, path", [
+        ("noise", "mirror_phase_rms_rad", math.nan, "noise.mirror_phase_rms_rad"),
+        ("noise", "tilt_drift_rad_per_hour", math.inf,
+         "noise.tilt_drift_rad_per_hour"),
+        ("noise", "detection_snr", math.nan, "noise.detection_snr"),
+        ("noise", "detection_snr", math.inf, "noise.detection_snr"),
+        (None, "gravity_m_s2", math.inf, "gravity_m_s2"),
+        ("ensemble", "quasimomenta_hk", [math.nan], "ensemble.quasimomenta_hk[0]"),
+        ("noise", "detection_snr", None, None),
+    ], ids=["mirror-nan", "tilt-inf", "snr-nan", "snr-inf", "gravity-inf",
+            "quasimomenta-nan", "snr-null"])
+    def test_config_numbers_finite_at_load(self, tmp_path, capsys,
+                                           block, key, value, path):
+        data = yaml.safe_load(FAST_FRINGE)
+        (data if block is None else data[block])[key] = value
+        cfg = write_config(tmp_path, yaml.safe_dump(data))
+        out = tmp_path / "out"
+        code = main(["fringe", cfg, "--out-dir", str(out)])
+        if path is None:
+            # null is how a config switches detection noise off
+            assert code == 0
+            assert load_config(cfg).noise.resolve().detection_snr == math.inf
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"]["noise"]["detection_snr"] is None
+            assert "detection_snr: null" in (out / "resolved_config.yaml").read_text()
+        else:
+            assert code == 1
+            assert f"{path}: must be finite" in capsys.readouterr().err
+            assert not (out / "fringe.csv").exists()
+
     def test_fringe_sweep_rate_rows_match_run_shot(self, tmp_path):
         text = """
 seed: 4
@@ -273,3 +303,4 @@ gravity_run: {shots: 600, shot_period_s: 1.0, bin_size: 38}
         rec = comps[0]["amplitude_recovered"]
         se = comps[0]["amplitude_stderr"]
         assert rec == pytest.approx(2.0e-6, abs=max(3 * se, 2e-7))
+        assert summary["results"]["saturated_shots"] == 0

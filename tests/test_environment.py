@@ -53,7 +53,7 @@ class TestMirrorPhases:
 class TestDetectionNoise:
     def test_infinite_snr_pass_through(self):
         model = NoiseModel(detection_snr=math.inf)
-        pops = {0: 0.4, 2: 0.5}
+        pops = np.array([0.4, 0.5])
         out = apply_detection_noise(pops, model, shot_rng(1))
         assert out is pops
 
@@ -77,13 +77,11 @@ class TestDetectionNoise:
         model = NoiseModel(detection_snr=2.0)  # huge noise to force clamping
         rng = shot_rng(5)
         for _ in range(200):
-            out = apply_detection_noise({0: 0.0, 2: 1.0}, model, rng)
-            assert 0.0 <= out[0] <= 1.0 and 0.0 <= out[2] <= 1.0
+            out = apply_detection_noise(np.array([0.0, 1.0]), model, rng)
+            assert 0.0 <= out[0] <= 1.0 and 0.0 <= out[1] <= 1.0
 
     def test_dict_and_array_paths_agree_in_shape(self):
         model = NoiseModel(detection_snr=50.0)
-        d = apply_detection_noise({0: 0.3, 2: 0.7}, model, shot_rng(9))
-        assert set(d) == {0, 2}
         arr = apply_detection_noise(np.array([0.3, 0.7]), model, shot_rng(9))
         assert arr.shape == (2,)
 

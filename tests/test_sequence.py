@@ -46,6 +46,14 @@ def deep_seq():
 
 
 @pytest.fixture(scope="module")
+def lowfringe_seq():
+    # first order, short T: mirror noise of 0.3 rad sweeps the mid-fringe
+    # operating point across the whole monotonic segment
+    return prepare_sequence(RB, order=1, interrogation_time=1e-3,
+                            pulse_sigma=15e-6)
+
+
+@pytest.fixture(scope="module")
 def qb_seq():
     # quasi-Bragg working point: short pulses couple neighbouring orders
     return prepare_sequence(RB, order=2, interrogation_time=2e-3,
@@ -182,6 +190,60 @@ class TestDeterminism:
         np.testing.assert_array_equal(ens.draw(RB), ens.draw(RB))
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestPinnedShotStreams:
+    """Exact per-shot values of noisy runs: any change to the RNG streams,
+    their order of use or the shot arithmetic shows up here bit for bit."""
+
+    def test_gravity_series_stream(self, lowfringe_seq):
+        series = run_gravity_series(
+            RB, PLANE, lowfringe_seq, TideModel.demo_m2(),
+            NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0),
+            n_shots=8, shot_period=1.0, master_seed=1)
+        assert _hex(series.normalized_population) == [
+            "0x1.03588689392e5p-4", "0x1.dea0e0612db32p-3",
+            "0x1.566dee55a78b3p-2", "0x1.0e45f253e09c0p-5",
+            "0x1.6da70cf670d38p-3", "0x1.a91292d7fa6cap-5",
+            "0x1.6822c819300cdp-1", "0x1.c8cd21382ef2fp-3"]
+
+    def test_fringe_scan_stream(self, qb_seq):
+        ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
+        grid = np.linspace(0.0, 4 * math.pi, 16, endpoint=False)
+        scan = scan_fringe(RB, ens, qb_seq, 9.81,
+                           NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0),
+                           grid, master_seed=3, shot_index_offset=100)
+        assert _hex(scan.port_populations[0]) == [
+            "0x1.f2fa3b1fee40fp-2", "0x1.519a41354a4a0p-3",
+            "0x1.18c820f4b8bb2p-3", "0x1.6105e41957044p-3",
+            "0x1.8c61679be2cbep-7", "0x1.dd4a948a528d6p-5",
+            "0x1.b20e26e9de74ap-7", "0x1.cb4ebf1858fdap-3",
+            "0x1.f19404dc4f496p-2", "0x1.4e4c79c009c93p-3",
+            "0x1.42ce0aa2b0e3bp-3", "0x1.cf6062f2f1477p-4",
+            "0x1.33772d333fc05p-6", "0x1.82072fa807bc6p-4",
+            "0x1.44619fb21a8f8p-7", "0x1.a913926cb9193p-3"]
+        assert _hex(scan.port_populations[2]) == [
+            "0x1.493d6de845984p-4", "0x1.8e89b1748937dp-3",
+            "0x1.c67f039b083afp-5", "0x1.0bb10b131bb1fp-2",
+            "0x1.5d279ad34852cp-2", "0x1.46b003cfd2adfp-4",
+            "0x1.1a86cca0acc68p-3", "0x1.087c5c7dec216p-4",
+            "0x1.7ee87f734f8e6p-4", "0x1.9432028cc603bp-3",
+            "0x1.8c6c8df41e45bp-4", "0x1.8c788f97c9b4ap-2",
+            "0x1.1f9f28f778d4dp-2", "0x1.47f1962f3e0f7p-4",
+            "0x1.2eff14a9310a4p-3", "0x1.8b9e554aee365p-5"]
+        assert _hex(scan.normalized) == [
+            "0x1.b780468d15c0bp-1", "0x1.d59e4967a32abp-2",
+            "0x1.6c7f937e5ba11p-1", "0x1.96e74ad5260acp-2",
+            "0x1.18ab2efdc2bf8p-5", "0x1.b04390e6dc04ep-2",
+            "0x1.66d851882e015p-4", "0x1.8d8a75c77b087p-1",
+            "0x1.ad6424189c1e0p-1", "0x1.cf8a5ce7d488dp-2",
+            "0x1.3d37e228bfeb3p-1", "0x1.cf176f09744cfp-3",
+            "0x1.0085f6e271074p-4", "0x1.14d39b9aa3a0fp-1",
+            "0x1.00e140577fb4dp-4", "0x1.9f5b5c67e9e0dp-1"]
+
+
 class TestContrastVsT:
     def test_step_validation(self, qb_seq):
         times = 0.8e-3 + np.arange(3) * revival_period(RB)  # far too coarse
@@ -274,6 +336,28 @@ class TestGravitySeries:
         # omega ~ 0: constant +dg offset must be recovered with its sign
         np.testing.assert_allclose(series.recovered_gravity - 9.81, dg,
                                    rtol=1e-3)
+
+    @pytest.mark.parametrize("snr, expected", [(50.0, 21), (5.0, 83)])
+    def test_saturated_shots_are_the_clamped_readings(self, lowfringe_seq,
+                                                      snr, expected):
+        series = run_gravity_series(
+            RB, PLANE, lowfringe_seq, TideModel.demo_m2(),
+            NoiseModel(mirror_phase_rms=0.3, detection_snr=snr),
+            n_shots=500, shot_period=1.0, master_seed=1)
+        # the inversion maps every reading beyond an end of the monotonic
+        # segment onto that end, so the readings outside the segment are
+        # the ones sharing the lowest or the highest recovered value
+        rec = series.recovered_gravity
+        ends = [np.count_nonzero(rec == rec.min()),
+                np.count_nonzero(rec == rec.max())]
+        assert min(ends) > 1  # both ends saturate, so the count is exact
+        assert series.saturated_shots == sum(ends) == expected
+
+    def test_quiet_run_has_no_saturated_shots(self, lowfringe_seq):
+        series = run_gravity_series(RB, PLANE, lowfringe_seq,
+                                    TideModel.demo_m2(), QUIET,
+                                    n_shots=500, shot_period=1.0, master_seed=1)
+        assert series.saturated_shots == 0
 
 
 class TestSpecValidation:
