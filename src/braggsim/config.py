@@ -1,16 +1,27 @@
 """Experiment configuration: YAML with nested blocks, strict validation,
 fully resolved echo.
 
-Unknown keys are rejected with their path; every block carries explicit
-defaults so the echoed configuration reproduces the run bit-identically.
-Units are spelled out in the key names.
+One recursive builder, ``_build``, checks each value against its field's
+annotation: a block takes a mapping (null or ``{}`` gives its defaults), a
+``list[X]`` builds each element as ``X`` (null gives ``[]``), ``X | None``
+takes null and ``Literal[...]`` its strings. ``float`` takes a finite float
+or an int, ``int`` and ``str`` only their own type; a bool is no number.
+YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. Blocks build their
+domain objects at load, so range errors fail there too. Errors name the key
+path or the block, and unknown keys are rejected. Every block carries
+explicit defaults so the echo reproduces the run bit-identically. Units are
+spelled out in the key names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+import re
+import sys
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -30,8 +41,16 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+class _CheckedAtLoad:
+    """A block that builds its domain object once when it is created, so
+    that range errors are configuration errors raised at load."""
+
+    def __post_init__(self):
+        self.resolve()
+
+
 @dataclass(frozen=True)
-class SpeciesBlock:
+class SpeciesBlock(_CheckedAtLoad):
     name: str = "Rb87"
     wavelength_m: float = 780.24e-9
     mass_kg: float | None = None
@@ -40,8 +59,7 @@ class SpeciesBlock:
         if self.mass_kg is not None:
             return AtomSpecies(mass=self.mass_kg, wavelength=self.wavelength_m)
         if self.name != "Rb87":
-            raise ConfigError("species.name",
-                              f"unknown species {self.name!r}; give mass_kg")
+            raise ValueError(f"unknown species {self.name!r}; give mass_kg")
         return AtomSpecies.rubidium87(wavelength=self.wavelength_m)
 
 
@@ -59,12 +77,12 @@ class SequenceBlock:
     interrogation_time_s: float = 60e-3
     pulse_sigma_s: float = 15e-6
     mirror_sigma_s: float | None = None
-    sweep_rate_hz_per_s: float | str = "resonant"
+    sweep_rate_hz_per_s: float | Literal["resonant"] = "resonant"
     phase_offset_rad: float = 0.0
 
 
 @dataclass(frozen=True)
-class EnsembleBlock:
+class EnsembleBlock(_CheckedAtLoad):
     samples: int = 200
     sigma_q_hk: float = 0.42
     quasimomenta_hk: list[float] | None = None
@@ -77,7 +95,7 @@ class EnsembleBlock:
 
 
 @dataclass(frozen=True)
-class NoiseBlock:
+class NoiseBlock(_CheckedAtLoad):
     mirror_phase_rms_rad: float = 0.0
     detection_snr: float | None = 50.0   # null switches detection noise off
     tilt_drift_rad_per_hour: float = 0.0
@@ -95,9 +113,13 @@ class TideComponentBlock:
     period_h: float = 12.42
     phase_rad: float = 0.0
 
+    def __post_init__(self):
+        if not self.period_h > 0:
+            raise ValueError(f"period_h must be > 0, got {self.period_h}")
+
 
 @dataclass(frozen=True)
-class TideBlock:
+class TideBlock(_CheckedAtLoad):
     mean_gravity_m_s2: float = STANDARD_GRAVITY
     components: list[TideComponentBlock] = field(default_factory=list)
 
@@ -111,20 +133,16 @@ class TideBlock:
 
 @dataclass(frozen=True)
 class ScanBlock:
-    target: str = "phase"   # phase | sweep_rate | interrogation_time
+    target: Literal["phase", "sweep_rate", "interrogation_time"] = "phase"
     start: float = 0.0
     stop: float = 4.0 * math.pi
     points: int = 32
 
     def __post_init__(self):
-        if self.target not in ("phase", "sweep_rate", "interrogation_time"):
-            raise ConfigError("scan.target",
-                              f"must be phase, sweep_rate or interrogation_time, "
-                              f"got {self.target!r}")
         if self.points < 1:
-            raise ConfigError("scan.points", f"must be >= 1, got {self.points}")
+            raise ValueError(f"points must be >= 1, got {self.points}")
         if self.stop <= self.start and self.points > 1:
-            raise ConfigError("scan.stop", "must exceed scan.start")
+            raise ValueError("stop must exceed start")
 
     def grid(self):
         import numpy as np
@@ -132,7 +150,7 @@ class ScanBlock:
 
 
 @dataclass(frozen=True)
-class BvsBlock:
+class BvsBlock(_CheckedAtLoad):
     depth_er: float = 4.0
     load_duration_s: float = 100e-6
     sweep_duration_s: float | None = None
@@ -151,7 +169,7 @@ class BvsBlock:
 
 
 @dataclass(frozen=True)
-class GradiometerBlock:
+class GradiometerBlock(_CheckedAtLoad):
     lower_momentum_hk: int = 8
     upper_momentum_hk: int = 2
     order: int = 3
@@ -176,7 +194,7 @@ class GravityRunBlock:
 class PulseBlock:
     order: int = 2
     sigma_s: float = 15e-6
-    rabi_peak_rad_s: float | str = "calibrated"
+    rabi_peak_rad_s: float | Literal["calibrated"] = "calibrated"
     transfer_target: float = 0.5
     quasimomentum_hk: float = 0.0
 
@@ -192,7 +210,7 @@ class ClassOracleBlock:
 
 
 @dataclass(frozen=True)
-class EvolutionBlock:
+class EvolutionBlock(_CheckedAtLoad):
     error_tolerance: float = 1e-10
     guard_sites: int = 6
     max_step_s: float | None = None
@@ -223,78 +241,57 @@ class ExperimentConfig:
     evolution: EvolutionBlock = field(default_factory=EvolutionBlock)
 
 
-_BLOCK_TYPES = {
-    "species": SpeciesBlock,
-    "geometry": GeometryBlock,
-    "sequence": SequenceBlock,
-    "ensemble": EnsembleBlock,
-    "noise": NoiseBlock,
-    "tide": TideBlock,
-    "scan": ScanBlock,
-    "bvs": BvsBlock,
-    "gradiometer": GradiometerBlock,
-    "gravity_run": GravityRunBlock,
-    "pulse": PulseBlock,
-    "class_oracle": ClassOracleBlock,
-    "evolution": EvolutionBlock,
-}
-
-_SCALAR_KEYS = {"seed", "gravity_m_s2", "out_dir"}
+def _describe(tp) -> str:
+    """How an error message names an annotation."""
+    if get_origin(tp) is Literal:
+        return " or ".join(map(repr, get_args(tp)))
+    if get_origin(tp) in (Union, UnionType):
+        return " or ".join(map(_describe, get_args(tp)))
+    return "a mapping" if is_dataclass(tp) else {type(None): "null"}.get(tp, tp.__name__)
 
 
-def _require_finite(value, path: str) -> None:
-    """Reject a NaN or infinite number, list elements included."""
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
+def _fits(tp, value) -> bool:
+    """Whether ``value`` has the type ``tp`` asks for; a bool is no number."""
+    if get_origin(tp) is Literal:
+        return type(value) is str and value in get_args(tp)
+    kind = dict if is_dataclass(tp) else get_origin(tp) or tp
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _build(tp, value, path: str):
+    """Check ``value`` against annotation ``tp``; build a block from a mapping."""
+    if get_origin(tp) in (Union, UnionType):
+        # float | None is a UnionType, float | Literal[...] a typing.Union
+        tp = next((arm for arm in get_args(tp) if _fits(arm, value)), tp)
+    elif value is None and (is_dataclass(tp) or get_origin(tp) is list):
+        value = {} if is_dataclass(tp) else []
+    if not _fits(tp, value):
+        got = "null" if value is None else f"{type(value).__name__} {value!r}"
+        if type(value) is str and re.fullmatch(r"[-+]?[\d.]+[eE][-+]?\d+", value):
+            got += "; YAML 1.1 reads that as a string: write 2.0e-3, not 2e-3"
+        raise ConfigError(path or "<root>", f"expected {_describe(tp)}, got {got}")
+    if tp is float and not abs(value) <= sys.float_info.max:   # NaN fails too
         raise ConfigError(path, f"must be finite, got {value}")
-
-
-def _build_block(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(path, f"expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-        _require_finite(value, f"{path}.{key}")
-        if cls is TideBlock and key == "components":
-            if value is None:
-                value = []
-            if not isinstance(value, list):
-                raise ConfigError(f"{path}.components", "expected a list")
-            value = [_build_block(TideComponentBlock, c, f"{path}.components[{i}]")
-                     for i, c in enumerate(value)]
-        kwargs[key] = value
+    if get_origin(tp) is list:
+        return [_build(get_args(tp)[0], v, f"{path}[{i}]")
+                for i, v in enumerate(value)]
+    if not is_dataclass(tp):
+        return value
+    hints, kwargs = get_type_hints(tp), {}
+    for key, item in value.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in hints:
+            raise ConfigError(where, "unknown key")
+        kwargs[key] = _build(hints[key], item, where)
     try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return tp(**kwargs)
+    except ValueError as exc:   # a block's range check
+        raise ConfigError(path or "<root>", str(exc)) from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw mapping into a fully defaulted ExperimentConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "configuration must be a mapping")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _SCALAR_KEYS:
-            _require_finite(value, key)
-            kwargs[key] = value
-        elif key in _BLOCK_TYPES:
-            kwargs[key] = _build_block(_BLOCK_TYPES[key], value or {}, key)
-        else:
-            raise ConfigError(key, "unknown key")
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("<root>", str(exc)) from exc
+    return _build(ExperimentConfig, data, "")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -303,8 +300,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
-    if data is None:
-        data = {}
     return parse_config(data)
 
 

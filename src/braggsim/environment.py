@@ -42,12 +42,14 @@ class NoiseModel:
     tilt_drift: float = 0.0            # rad per hour
 
     def __post_init__(self):
-        if self.mirror_phase_rms < 0:
-            raise ValueError(
-                f"mirror_phase_rms must be >= 0, got {self.mirror_phase_rms}"
-            )
+        # written so that NaN fails every check
+        if not 0 <= self.mirror_phase_rms < math.inf:
+            raise ValueError(f"mirror_phase_rms must be finite and >= 0, "
+                             f"got {self.mirror_phase_rms}")
         if not self.detection_snr > 0:
             raise ValueError(f"detection_snr must be > 0, got {self.detection_snr}")
+        if not math.isfinite(self.tilt_drift):
+            raise ValueError(f"tilt_drift must be finite, got {self.tilt_drift}")
 
 
 def sample_mirror_phases(

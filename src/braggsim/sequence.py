@@ -74,13 +74,18 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sample_count < 1:
+        # written so that NaN fails every check
+        if not self.sample_count >= 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.sigma_q < 0:
-            raise ValueError(f"sigma_q must be >= 0, got {self.sigma_q}")
+        if not 0 <= self.sigma_q < math.inf:
+            raise ValueError(f"sigma_q must be finite and >= 0, got {self.sigma_q}")
         if self.quasimomenta is not None:
-            if np.any(np.abs(np.asarray(self.quasimomenta)) > 1.0):
+            if not np.all(np.abs(np.asarray(self.quasimomenta)) <= 1.0):
                 raise ValueError("explicit quasimomenta must lie within +-1 hbar k")
+            if len(self.quasimomenta) != self.sample_count:
+                raise ValueError(
+                    f"{len(self.quasimomenta)} explicit quasimomenta for "
+                    f"sample_count {self.sample_count}")
 
     def draw(self, species: AtomSpecies) -> np.ndarray:
         """Quasimomenta (kg m/s), truncated to the first band by redraw."""

@@ -3,16 +3,20 @@
 import dataclasses
 import json
 import math
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from braggsim import cli
 from braggsim.cli import main
 from braggsim.config import (
     ConfigError,
     ExperimentConfig,
+    TideComponentBlock,
     echo_config,
     load_config,
     parse_config,
@@ -41,6 +45,54 @@ scan:
   stop: 12.566370614359172
   points: 16
 """
+
+
+_HINTS = get_type_hints(ExperimentConfig)
+_BLOCKS = {key: tp for key, tp in _HINTS.items() if is_dataclass(tp)}
+_KEYS = sorted({*_HINTS, *(key for tp in [*_BLOCKS.values(), TideComponentBlock]
+                           for key in get_type_hints(tp))})
+_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
+         | st.text(max_size=6)
+         | st.sampled_from(["2e-3", "resonant", "calibrated", "phase", "Rb87"]))
+_VALUE = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3), max_leaves=6)
+
+
+def mappings(hints, max_size):
+    """Mappings over the keys of ``hints``. A block key mostly takes a
+    mapping over the block's own keys, a scalar key often a value of its own
+    annotated type (floats include NaN and inf)."""
+    def entry(key):
+        tp = hints[key]
+        if is_dataclass(tp):
+            value = mappings(get_type_hints(tp), 3) | _VALUE
+        elif key == "components":
+            value = st.lists(mappings(get_type_hints(TideComponentBlock), 3),
+                             max_size=2) | _VALUE
+        else:
+            value = st.from_type(tp) | _VALUE
+        return st.tuples(st.just(key), value)
+    return st.lists(st.sampled_from(sorted(hints)).flatmap(entry),
+                    max_size=max_size).map(dict)
+
+
+def has_annotated_type(tp, value) -> bool:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Literal:
+        return value in args
+    if origin is list:
+        return type(value) is list and all(has_annotated_type(args[0], v)
+                                           for v in value)
+    if args:
+        return any(has_annotated_type(arm, value) for arm in args)
+    if is_dataclass(tp):
+        return type(value) is tp and all(
+            has_annotated_type(t, getattr(value, key))
+            for key, t in get_type_hints(tp).items())
+    if tp is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is tp
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -78,6 +130,21 @@ class TestConfigParsing:
     def test_bad_scan_target(self):
         with pytest.raises(ConfigError, match=r"scan\.target"):
             parse_config({"scan": {"target": "banana"}})
+
+    def test_unknown_sweep_rate_word_fails_at_load(self):
+        with pytest.raises(ConfigError, match=r"sequence\.sweep_rate_hz_per_s: "
+                           r"expected float or 'resonant', got str 'fast'"):
+            parse_config({"sequence": {"sweep_rate_hz_per_s": "fast"}})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mappings(_HINTS, 4))
+    def test_random_mappings_parse_typed_or_fail_cleanly(self, data):
+        try:
+            cfg = parse_config(data)
+        except ConfigError:
+            return
+        assert has_annotated_type(ExperimentConfig, cfg)
+        assert parse_config(yaml.safe_load(echo_config(cfg))) == cfg
 
     def test_comments_supported(self, tmp_path):
         path = write_config(tmp_path, "# a comment\nseed: 3  # inline\n")
@@ -198,6 +265,35 @@ class TestCliRuns:
             assert code == 1
             assert f"{path}: must be finite" in capsys.readouterr().err
             assert not (out / "fringe.csv").exists()
+
+    @pytest.mark.parametrize("block, values, message", [
+        # safe_dump writes the string unquoted, as a user would: 2e-3
+        ("sequence", {"interrogation_time_s": "2e-3"},
+         "sequence.interrogation_time_s: expected float, got str '2e-3'; "
+         "YAML 1.1 reads that as a string: write 2.0e-3"),
+        ("scan", {"points": True}, "scan.points: expected int, got bool True"),
+        ("gravity_run", {"shots": 2000.0},
+         "gravity_run.shots: expected int, got float 2000.0"),
+        (None, {"seed": None}, "seed: expected int, got null"),
+        ("ensemble", {"samples": 0}, "ensemble: sample_count must be >= 1"),
+        ("noise", {"detection_snr": -1}, "noise: detection_snr must be > 0"),
+        ("bvs", {"target_momentum_hk": 3}, "bvs: target_momentum must be"),
+        ("evolution", {"guard_sites": 2},
+         "evolution: ladder_guard_sites must be >= 4"),
+        ("ensemble", {"samples": 3, "quasimomenta_hk": [0.1]},
+         "ensemble: 1 explicit quasimomenta for sample_count 3"),
+    ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
+            "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
+            "samples-mismatch"])
+    def test_bad_input_exits_1_at_load(self, tmp_path, capsys,
+                                       block, values, message):
+        data = yaml.safe_load(FAST_FRINGE)
+        (data if block is None else data.setdefault(block, {})).update(values)
+        cfg = write_config(tmp_path, yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main(["fringe", cfg, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "fringe.csv").exists()
 
     def test_fringe_sweep_rate_rows_match_run_shot(self, tmp_path):
         text = """

@@ -144,6 +144,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(detection_snr=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mirror_phase_rms", math.nan), ("mirror_phase_rms", math.inf),
+        ("tilt_drift", math.nan), ("tilt_drift", math.inf),
+    ], ids=["mirror-nan", "mirror-inf", "tilt-nan", "tilt-inf"])
+    def test_noise_model_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: value})
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             synthesize_tide(TideModel(), -1.0)

@@ -383,6 +383,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EnsembleSpec(quasimomenta=(0.0, 1.5))
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"sample_count": math.nan}, "sample_count"),
+        ({"sigma_q": math.nan}, "sigma_q"),
+        ({"sigma_q": math.inf}, "sigma_q"),
+        ({"sample_count": 1, "quasimomenta": (math.nan,)}, "quasimomenta"),
+    ], ids=["sample_count-nan", "sigma_q-nan", "sigma_q-inf", "quasimomenta-nan"])
+    def test_ensemble_rejects_non_finite(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            EnsembleSpec(**kwargs)
+
+    def test_ensemble_quasimomenta_count_must_match(self):
+        with pytest.raises(ValueError, match="sample_count 3"):
+            EnsembleSpec(sample_count=3, quasimomenta=(0.1,))
+        ens = EnsembleSpec(sample_count=2, quasimomenta=(0.1, -0.1))
+        assert len(ens.draw(RB)) == 2
+
     def test_gradiometer_spec_validation(self):
         with pytest.raises(ValueError):
             GradiometerSpec(lower_momentum=8, upper_momentum=5)
