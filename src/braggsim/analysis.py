@@ -111,6 +111,27 @@ class AllanCurve:
             raise ValueError("Allan deviations must be >= 0")
 
 
+def _harmonic_lstsq(x, y, frequencies, sigma=None):
+    """Least squares of ``y`` on the columns [1, cos(w x), sin(w x), ...],
+    one cos/sin pair per frequency w; rows are divided by ``sigma`` if given.
+    Returns the (weighted) design matrix, coefficients, rank and residual."""
+    cols = [np.ones_like(x)]
+    for w in frequencies:
+        cols += [np.cos(w * x), np.sin(w * x)]
+    design = np.column_stack(cols)
+    if sigma is not None:
+        design, y = design / sigma[:, None], y / sigma
+    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return design, coeffs, rank, y - design @ coeffs
+
+
+def _amplitude_phase(a, b) -> tuple[float, float]:
+    """a cos(x) + b sin(x) as c cos(x + theta), c >= 0, theta in (-pi, pi]."""
+    c = math.hypot(a, b)
+    th = math.atan2(-b, a) if c > 0 else 0.0
+    return c, (th + 2 * math.pi if th <= -math.pi else th)
+
+
 def fit_harmonics(scan: FringeScan, n_harmonics: int = 3) -> HarmonicFit:
     """Linear least-squares decomposition of the normalized fringe.
 
@@ -127,31 +148,18 @@ def fit_harmonics(scan: FringeScan, n_harmonics: int = 3) -> HarmonicFit:
         raise FitRejectedError(
             f"grid spans {span:.3f} rad, below 1.5 fringe periods ({3 * math.pi:.3f})"
         )
-    cols = [np.ones_like(phi)]
-    for m in range(1, n_harmonics + 1):
-        cols.append(np.cos(m * phi))
-        cols.append(np.sin(m * phi))
-    design = np.column_stack(cols)
+    design, coeffs, rank, residual = _harmonic_lstsq(
+        phi, y, range(1, n_harmonics + 1))
     if len(phi) < design.shape[1]:
         raise FitRejectedError(
             f"{len(phi)} points cannot constrain {design.shape[1]} parameters"
         )
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise FitRejectedError(f"design matrix rank {rank} < {design.shape[1]}")
-    offset = float(coeffs[0])
-    amplitudes, phases = [], []
-    for m in range(1, n_harmonics + 1):
-        a, b = coeffs[2 * m - 1], coeffs[2 * m]
-        c = math.hypot(a, b)
-        th = math.atan2(-b, a) if c > 0 else 0.0
-        if th <= -math.pi:
-            th += 2 * math.pi
-        amplitudes.append(c)
-        phases.append(th)
-    residual = y - design @ coeffs
-    return HarmonicFit(offset=offset, amplitudes=tuple(amplitudes),
-                       phases=tuple(phases),
+    amplitudes, phases = zip(*(_amplitude_phase(coeffs[2 * m - 1], coeffs[2 * m])
+                               for m in range(1, n_harmonics + 1)))
+    return HarmonicFit(offset=float(coeffs[0]), amplitudes=amplitudes,
+                       phases=phases,
                        residual_rms=float(np.sqrt(np.mean(residual**2))))
 
 
@@ -325,12 +333,8 @@ def fit_revival_period(times, contrasts, period_lo: float, period_hi: float,
     best = None
     for period in np.linspace(period_lo, period_hi, candidates):
         w = 2.0 * math.pi / period
-        design = np.column_stack([
-            np.ones_like(t), np.cos(w * t), np.sin(w * t),
-            np.cos(2 * w * t), np.sin(2 * w * t),
-        ])
-        coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        res = float(np.sum((y - design @ coeffs) ** 2))
+        _, coeffs, _, resid = _harmonic_lstsq(t, y, (w, 2 * w))
+        res = float(np.sum(resid ** 2))
         if best is None or res < best[0]:
             best = (res, period, coeffs)
     _, period, coeffs = best
@@ -352,29 +356,19 @@ def fit_harmonic_components(times, values, angular_frequencies,
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     ws = np.asarray(angular_frequencies, dtype=float)
-    cols = [np.ones_like(t)]
-    for w in ws:
-        cols.append(np.cos(w * t))
-        cols.append(np.sin(w * t))
-    design = np.column_stack(cols)
-    if weights is not None:
-        sig = np.asarray(weights, dtype=float)
-        if np.any(sig <= 0):
-            raise ValueError("weights (standard deviations) must be positive")
-        design = design / sig[:, None]
-        y = y / sig
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    sig = None if weights is None else np.asarray(weights, dtype=float)
+    if sig is not None and np.any(sig <= 0):
+        raise ValueError("weights (standard deviations) must be positive")
+    design, coeffs, rank, resid = _harmonic_lstsq(t, y, ws, sig)
     if rank < design.shape[1]:
         raise FitRejectedError("harmonic recovery design is rank deficient")
     dof = max(len(t) - design.shape[1], 1)
-    resid = y - design @ coeffs
     scale = float(np.sum(resid**2)) / dof if weights is None else 1.0
     cov = scale * np.linalg.inv(design.T @ design)
     out = []
     for i in range(len(ws)):
         a, b = coeffs[1 + 2 * i], coeffs[2 + 2 * i]
-        amp = math.hypot(a, b)
-        phase = math.atan2(-b, a) if amp > 0 else 0.0
+        amp, phase = _amplitude_phase(a, b)
         va = cov[1 + 2 * i, 1 + 2 * i]
         vb = cov[2 + 2 * i, 2 + 2 * i]
         if amp > 0:

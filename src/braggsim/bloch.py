@@ -8,14 +8,16 @@ depth in recoil energies sets the nearest-neighbour ladder coupling to
 depth * w_r / 4 (potential depth*E_r*cos^2(kz)).
 
 The three stages (linear depth ramp up, linear frequency sweep, linear ramp
-down) run through the same evolution kernel as the pulses;
-the lattice phase accumulated by the sweep is carried across stage
-boundaries so the lattice never jumps in space.
+down) are one ``ladder.drive`` call, the driver that also runs Bragg pulses:
+it checks the norm, sizes the window, runs each stage through the evolution
+kernel and checks edge leakage. The lattice phase accumulated by the sweep
+is carried across stage boundaries so the lattice never jumps in space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +26,7 @@ from .ladder import (
     DEFAULT_CONFIG,
     EvolutionConfig,
     MomentumLadderState,
-    _check_leakage,
-    _evolve,
-    kinetic_frequencies,
+    drive,
     plane_wave_state,
 )
 from .physics import AtomSpecies
@@ -49,16 +49,13 @@ class LatticeRamp:
     target_momentum: int = 8
 
     def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.load_duration <= 0:
-            raise ValueError(f"load_duration must be positive, got {self.load_duration}")
-        if self.sweep_duration is not None and self.sweep_duration <= 0:
-            raise ValueError(
-                f"sweep_duration must be positive, got {self.sweep_duration}"
-            )
-        if self.acceleration <= 0:
-            raise ValueError(f"acceleration must be positive, got {self.acceleration}")
+        # written so that NaN fails every check
+        if not 0 <= self.depth < math.inf:
+            raise ValueError(f"depth must be finite and >= 0, got {self.depth}")
+        for name in ("load_duration", "sweep_duration", "acceleration"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.target_momentum <= 0 or self.target_momentum % 2 != 0:
             raise ValueError(
                 f"target_momentum must be a positive even integer, "
@@ -82,57 +79,34 @@ def bloch_accelerate(
 
     The returned state has ladder site 0 relabelled to the target momentum
     (a Galilean boost; populations preserved). Leakage into the window edge
-    is signalled exactly as for pulses.
+    is signalled exactly as for pulses. A zero-depth ramp returns the state
+    unchanged.
     """
-    if abs(state.norm - 1.0) > 1e-6:
-        raise ValueError(f"state norm {state.norm} is not 1 within 1e-6")
+    if ramp.depth == 0.0:
+        return state
     species = state.species
     wr = species.recoil_frequency
-    target_site = ramp.target_momentum // 2
-    if ramp.depth == 0.0:
-        return state.reindexed(0) if target_site == 0 else state
-
-    guard = cfg.ladder_guard_sites
-    pops = np.abs(state.amplitudes) ** 2
-    occupied = state.sites[pops > 1e-12]
-    lo = int(occupied.min()) - guard
-    hi = int(occupied.max()) + target_site + guard
-    state = state.expanded(lo, hi)
-    kin = kinetic_frequencies(species, state.sites, state.q_tilde)
-
     g_max = ramp.depth * wr / 4.0
     t_load = ramp.load_duration
     t_sweep = ramp.resolved_sweep_duration(species)
     delta_end = 4.0 * ramp.target_momentum * wr  # 2k * target velocity
-
-    def stage(amps, duration, coupling, theta, phi=0.0):
-        return _evolve(kin, amps, duration, coupling, theta, phi,
-                       duration / 8.0, cfg)
-
-    # 1) adiabatic load: depth 0 -> full, lattice at rest
-    amps = stage(
-        state.amplitudes[:, None], t_load,
-        lambda t: g_max * (t / t_load),
-        lambda t: 0.0,
-    )
-    # 2) frequency sweep: delta ramps 0 -> delta_end at constant depth
-    amps = stage(
-        amps, t_sweep,
-        lambda t: g_max,
-        lambda t: 0.5 * delta_end * t * t / t_sweep,
-    )
-    # 3) release: depth full -> 0, lattice coasting at delta_end; the sweep
-    #    left the lattice phase at delta_end*t_sweep/2, carried as phi here
+    # the sweep leaves the lattice phase at delta_end*t_sweep/2, carried as
+    # the release stage's phi so the lattice never jumps in space
     phi_carry = 0.5 * delta_end * t_sweep
-    amps = stage(
-        amps, t_load,
-        lambda t: g_max * (1.0 - t / t_load),
-        lambda t: delta_end * t, phi_carry,
-    )[:, 0]
-
-    _check_leakage(amps)
-    out = replace(state, amplitudes=amps,
-                  time=state.time + t_load + t_sweep + t_load)
+    stages = [
+        # 1) adiabatic load: depth 0 -> full, lattice at rest
+        (t_load, lambda t: g_max * (t / t_load), lambda t: 0.0, 0.0,
+         t_load / 8.0),
+        # 2) frequency sweep: delta ramps 0 -> delta_end at constant depth
+        (t_sweep, lambda t: g_max, lambda t: 0.5 * delta_end * t * t / t_sweep,
+         0.0, t_sweep / 8.0),
+        # 3) release: depth full -> 0, lattice coasting at delta_end
+        (t_load, lambda t: g_max * (1.0 - t / t_load), lambda t: delta_end * t,
+         phi_carry, t_load / 8.0),
+    ]
+    target_site = ramp.target_momentum // 2
+    guard = cfg.ladder_guard_sites
+    out = drive(state, stages, (guard, target_site + guard), cfg)
     return out.reindexed(target_site)
 
 

@@ -27,16 +27,15 @@ from .report import versions, write_run_meta, write_summary, write_table
 
 def _resolve_sequence(cfg: ExperimentConfig, species, evolution,
                       order: int | None = None):
-    blk = cfg.sequence
-    sweep = blk.sweep_rate_hz_per_s
+    plan = cfg.sequence.resolve()   # the schedule before calibration
     return sequence.prepare_sequence(
         species,
-        order=blk.order if order is None else order,
-        interrogation_time=blk.interrogation_time_s,
-        pulse_sigma=blk.pulse_sigma_s,
-        mirror_sigma=blk.mirror_sigma_s,
-        sweep_rate=None if sweep == "resonant" else float(sweep),
-        phase_offset=blk.phase_offset_rad,
+        order=plan.order if order is None else order,
+        interrogation_time=plan.interrogation_time,
+        pulse_sigma=plan.beamsplitter.sigma,
+        mirror_sigma=plan.mirror.sigma,
+        sweep_rate=plan.sweep_rate,
+        phase_offset=plan.phase_offset,
         cfg=evolution,
     )
 

@@ -28,9 +28,9 @@ import yaml
 from .bloch import LatticeRamp
 from .constants import STANDARD_GRAVITY
 from .environment import NoiseModel, TideComponent, TideModel
-from .ladder import EvolutionConfig
+from .ladder import EvolutionConfig, PulseSpec
 from .physics import AtomSpecies, BeamGeometry
-from .sequence import EnsembleSpec, GradiometerSpec
+from .sequence import EnsembleSpec, GradiometerSpec, MZISequence
 
 
 class ConfigError(ValueError):
@@ -72,13 +72,25 @@ class GeometryBlock:
 
 
 @dataclass(frozen=True)
-class SequenceBlock:
+class SequenceBlock(_CheckedAtLoad):
     order: int = 2
     interrogation_time_s: float = 60e-3
     pulse_sigma_s: float = 15e-6
     mirror_sigma_s: float | None = None
     sweep_rate_hz_per_s: float | Literal["resonant"] = "resonant"
     phase_offset_rad: float = 0.0
+
+    def resolve(self) -> MZISequence:
+        """The schedule with zero-amplitude pulses; the run calibrates them."""
+        ms = self.pulse_sigma_s if self.mirror_sigma_s is None else self.mirror_sigma_s
+        bs, mirror = (PulseSpec(rabi_peak=0.0, sigma=s, resonant_order=self.order)
+                      for s in (self.pulse_sigma_s, ms))
+        sweep = self.sweep_rate_hz_per_s
+        return MZISequence(order=self.order,
+                           interrogation_time=self.interrogation_time_s,
+                           beamsplitter=bs, mirror=mirror,
+                           sweep_rate=None if sweep == "resonant" else float(sweep),
+                           phase_offset=self.phase_offset_rad)
 
 
 @dataclass(frozen=True)
@@ -189,14 +201,31 @@ class GravityRunBlock:
     shot_period_s: float = 1.0
     bin_size: int = 38
 
+    def __post_init__(self):
+        if self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not self.shot_period_s > 0:
+            raise ValueError(f"shot_period_s must be > 0, got {self.shot_period_s}")
+        if self.bin_size < 1:
+            raise ValueError(f"bin_size must be >= 1, got {self.bin_size}")
+
 
 @dataclass(frozen=True)
-class PulseBlock:
+class PulseBlock(_CheckedAtLoad):
     order: int = 2
     sigma_s: float = 15e-6
     rabi_peak_rad_s: float | Literal["calibrated"] = "calibrated"
     transfer_target: float = 0.5
     quasimomentum_hk: float = 0.0
+
+    def resolve(self) -> PulseSpec:
+        """The pulse, at zero amplitude until calibrated."""
+        if not 0 < self.transfer_target <= 1:
+            raise ValueError(
+                f"transfer_target must lie in (0, 1], got {self.transfer_target}")
+        peak = self.rabi_peak_rad_s
+        return PulseSpec(rabi_peak=0.0 if peak == "calibrated" else peak,
+                         sigma=self.sigma_s, resonant_order=self.order)
 
 
 @dataclass(frozen=True)
@@ -239,6 +268,15 @@ class ExperimentConfig:
     pulse: PulseBlock = field(default_factory=PulseBlock)
     class_oracle: ClassOracleBlock = field(default_factory=ClassOracleBlock)
     evolution: EvolutionBlock = field(default_factory=EvolutionBlock)
+
+    def __post_init__(self):
+        # numpy seeds its generators from non-negative integers only
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        try:   # the beam geometry is built from the species
+            self.geometry.resolve(self.species.resolve())
+        except ValueError as exc:
+            raise ConfigError("geometry", str(exc)) from exc
 
 
 def _describe(tp) -> str:
@@ -285,6 +323,8 @@ def _build(tp, value, path: str):
         kwargs[key] = _build(hints[key], item, where)
     try:
         return tp(**kwargs)
+    except ConfigError:   # already names its key
+        raise
     except ValueError as exc:   # a block's range check
         raise ConfigError(path or "<root>", str(exc)) from exc
 

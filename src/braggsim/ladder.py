@@ -20,12 +20,15 @@ leaves only the slowly rotating coupling terms; an adaptive high-order
 Runge-Kutta (DOP853) then resolves the pulse with a handful of hundred
 steps. One kernel evolves columns of amplitudes over the ladder window: a
 state is a one-column propagator, and a propagator (or a stack of them over
-quasimomenta) is the evolved identity. Pulses and the Bloch-lattice stages
-all run through it, so states and propagators share one code path.
+quasimomenta) is the evolved identity. States go through one driver,
+``drive``: it checks the norm, grows the window beyond the occupied sites,
+runs each drive stage through the kernel and checks the edge leakage with
+``check_leakage``. A Bragg pulse is one stage and the Bloch lattice three.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -112,18 +115,23 @@ class PulseSpec:
     chirp: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.rabi_peak < 0:
-            raise ValueError(f"rabi_peak must be >= 0, got {self.rabi_peak}")
-        if self.duration is not None and self.duration < 6 * self.sigma:
+        # written so that NaN fails every check
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0 <= self.rabi_peak < math.inf:
+            raise ValueError(f"rabi_peak must be finite and >= 0, got {self.rabi_peak}")
+        if self.duration is not None and not 6 * self.sigma <= self.duration < math.inf:
             raise ValueError(
-                f"duration {self.duration} is below the 6 sigma minimum "
-                f"{6 * self.sigma}"
+                f"duration {self.duration} must be finite and at least the "
+                f"6 sigma minimum {6 * self.sigma}"
             )
+        for name in ("detuning", "laser_phase", "chirp"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if (self.detuning is None) == (self.resonant_order is None):
             raise ValueError("set exactly one of detuning and resonant_order")
-        if self.resonant_order is not None and self.resonant_order < 1:
+        if self.resonant_order is not None and not self.resonant_order >= 1:
             raise ValueError(f"resonant_order must be >= 1, got {self.resonant_order}")
 
     @property
@@ -305,20 +313,31 @@ def _pulse_functions(pulse: PulseSpec, species: AtomSpecies):
     return (coupling if pulse.rabi_peak != 0.0 else None), theta, dur
 
 
-def _required_window(state: MomentumLadderState, pulse: PulseSpec,
-                     cfg: EvolutionConfig) -> tuple[int, int]:
-    reach = pulse.coupling_order(state.species) + cfg.ladder_guard_sites
-    pops = np.abs(state.amplitudes) ** 2
-    occupied = state.sites[pops > 1e-12]
-    if occupied.size == 0:
-        occupied = np.array([0])
-    return int(occupied.min() - reach), int(occupied.max() + reach)
-
-
-def _check_leakage(amplitudes: np.ndarray) -> None:
-    leak = float(abs(amplitudes[0]) ** 2 + abs(amplitudes[-1]) ** 2)
+def check_leakage(populations) -> None:
+    """Raise TruncationLeakError, reporting the worst row, if the outermost
+    two sites of any row of ``populations`` (..., W) exceed LEAK_BOUND."""
+    leak = np.max(np.asarray(populations)[..., [0, -1]].sum(axis=-1))
     if leak > LEAK_BOUND:
-        raise TruncationLeakError(leak, LEAK_BOUND)
+        raise TruncationLeakError(float(leak), LEAK_BOUND)
+
+
+def drive(state: MomentumLadderState, stages, reach: tuple[int, int],
+          cfg: EvolutionConfig = DEFAULT_CONFIG) -> MomentumLadderState:
+    """Evolve a normalised state through ``stages`` of ``(duration, coupling,
+    theta, phi, step_cap)`` (see ``_evolve``) on a window grown to ``reach =
+    (below, above)`` sites beyond the occupied ones, advancing its time."""
+    if abs(state.norm - 1.0) > 1e-6:
+        raise ValueError(f"state norm {state.norm} is not 1 within 1e-6")
+    occupied = state.sites[np.abs(state.amplitudes) ** 2 > 1e-12]
+    state = state.expanded(int(occupied.min()) - reach[0],
+                           int(occupied.max()) + reach[1])
+    kin = kinetic_frequencies(state.species, state.sites, state.q_tilde)
+    amps, time = state.amplitudes[:, None], state.time
+    for duration, coupling, theta, phi, step_cap in stages:
+        amps = _evolve(kin, amps, duration, coupling, theta, phi, step_cap, cfg)
+        time += duration
+    check_leakage(np.abs(amps[:, 0]) ** 2)
+    return replace(state, amplitudes=amps[:, 0], time=time)
 
 
 def apply_pulse(
@@ -331,17 +350,10 @@ def apply_pulse(
     The window is grown to cover the targeted order plus guard sites; norm
     reaching the outermost sites above 1e-4 raises TruncationLeakError.
     """
-    if abs(state.norm - 1.0) > 1e-6:
-        raise ValueError(f"state norm {state.norm} is not 1 within 1e-6")
-    lo, hi = _required_window(state, pulse, cfg)
-    state = state.expanded(lo, hi)
-
+    reach = pulse.coupling_order(state.species) + cfg.ladder_guard_sites
     coupling, theta, dur = _pulse_functions(pulse, state.species)
-    kin = kinetic_frequencies(state.species, state.sites, state.q_tilde)
-    final = _evolve(kin, state.amplitudes[:, None], dur, coupling, theta,
-                    pulse.laser_phase, pulse.sigma / 2.0, cfg)[:, 0]
-    _check_leakage(final)
-    return replace(state, amplitudes=final, time=state.time + dur)
+    return drive(state, [(dur, coupling, theta, pulse.laser_phase,
+                          pulse.sigma / 2.0)], (reach, reach), cfg)
 
 
 def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadderState:
@@ -388,7 +400,10 @@ def phase_conjugated(U: np.ndarray, sites: np.ndarray, phi: float) -> np.ndarray
 # amplitude calibration
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
 def _transfer(species, order, sigma, quasimomentum, cfg, omega0) -> float:
+    # memoised: a pi search evaluates the same Omega_0 grid and lobe-peak
+    # refinement as the pi/2 search that precedes it
     pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, resonant_order=order)
     psi = plane_wave_state(species, site=0, quasimomentum=quasimomentum,
                            guard=order + cfg.ladder_guard_sites)

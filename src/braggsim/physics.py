@@ -31,10 +31,12 @@ class AtomSpecies:
     wavelength: float
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        # written so that NaN fails every check
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        if not 0 < self.wavelength < math.inf:
+            raise ValueError(
+                f"wavelength must be finite and positive, got {self.wavelength}")
 
     @property
     def wavevector(self) -> float:

@@ -45,11 +45,10 @@ from .environment import (
 )
 from .ladder import (
     DEFAULT_CONFIG,
-    LEAK_BOUND,
     EvolutionConfig,
     PulseSpec,
-    TruncationLeakError,
     calibrate_pulse_amplitude,
+    check_leakage,
     kinetic_frequencies,
     phase_conjugated,
     pulse_propagator,
@@ -79,6 +78,8 @@ class EnsembleSpec:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if not 0 <= self.sigma_q < math.inf:
             raise ValueError(f"sigma_q must be finite and >= 0, got {self.sigma_q}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.quasimomenta is not None:
             if not np.all(np.abs(np.asarray(self.quasimomenta)) <= 1.0):
                 raise ValueError("explicit quasimomenta must lie within +-1 hbar k")
@@ -120,14 +121,19 @@ class MZISequence:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.order < 1:
+        # written so that NaN fails every check
+        if not self.order >= 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         half = 0.5 * (self.beamsplitter.total_duration + self.mirror.total_duration)
-        if self.interrogation_time <= half:
+        if not half < self.interrogation_time < math.inf:
             raise ValueError(
-                f"interrogation_time {self.interrogation_time} must exceed the "
-                f"half pulse windows {half}"
+                f"interrogation_time {self.interrogation_time} must be finite "
+                f"and exceed the half pulse windows {half}"
             )
+        for name in ("sweep_rate", "phase_offset"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for pulse in (self.beamsplitter, self.mirror):
             if pulse.resonant_order is not None and pulse.resonant_order != self.order:
                 raise ValueError("pulses must reference the sequence order")
@@ -177,10 +183,11 @@ class GradiometerSpec:
             raise ValueError("cloud momentum difference must be a multiple of 2 hbar k")
         if self.lower_momentum == self.upper_momentum:
             raise ValueError("clouds must have distinct momenta")
-        if self.order < 1:
+        if not self.order >= 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.bvs_separation <= 0:
-            raise ValueError(f"bvs_separation must be positive, got {self.bvs_separation}")
+        if not 0 < self.bvs_separation < math.inf:
+            raise ValueError(f"bvs_separation must be finite and positive, "
+                             f"got {self.bvs_separation}")
 
     def baseline(self, species: AtomSpecies) -> float:
         """Vertical separation (m): faster-cloud speed times BVS delay."""
@@ -307,9 +314,7 @@ class _ShotEngine:
         phases = commanded + pulse_phase_bias + mirror + self.beat_phases
         pops = np.array([self._populations(phis) for phis in phases])
 
-        edge_leak = pops[:, 0] + pops[:, -1]
-        if np.any(edge_leak > LEAK_BOUND):
-            raise TruncationLeakError(float(edge_leak.max()), LEAK_BOUND)
+        check_leakage(pops)
         if np.any(pops < -1e-12) or np.any(pops.sum(axis=1) > 1.0 + 1e-9):
             raise ValueError("site populations must be >= 0 with sum <= 1 + 1e-9")
 

@@ -1,10 +1,12 @@
 """Bloch velocity selection: band transport, selectivity and bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
 from braggsim.bloch import LatticeRamp, bloch_accelerate, selection_profile
-from braggsim.ladder import plane_wave_state
+from braggsim.ladder import EvolutionConfig, TruncationLeakError, plane_wave_state
 from braggsim.physics import AtomSpecies
 
 RB = AtomSpecies.rubidium87()
@@ -28,6 +30,15 @@ class TestBlochAccelerate:
         out = bloch_accelerate(psi, ramp)
         assert out.population(0) == pytest.approx(1.0)
         assert out.time == psi.time
+
+    def test_leakage_signalled(self):
+        # a deep, fast lattice drives population out to the window edge
+        cfg = EvolutionConfig(ladder_guard_sites=4)
+        ramp = LatticeRamp(depth=200.0, load_duration=5e-6,
+                           sweep_duration=20e-6, target_momentum=2)
+        with pytest.raises(TruncationLeakError) as err:
+            bloch_accelerate(plane_wave_state(RB), ramp, cfg)
+        assert err.value.leakage > err.value.bound
 
     def test_first_band_center_transfer(self):
         out = accelerate_momentum(0.0)
@@ -119,3 +130,15 @@ class TestLatticeRampValidation:
             LatticeRamp(target_momentum=0)
         with pytest.raises(ValueError):
             LatticeRamp(acceleration=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", math.nan), ("depth", math.inf),
+        ("load_duration", math.nan), ("load_duration", math.inf),
+        ("sweep_duration", math.nan), ("sweep_duration", math.inf),
+        ("acceleration", math.nan), ("acceleration", math.inf),
+    ], ids=["depth-nan", "depth-inf", "load_duration-nan", "load_duration-inf",
+            "sweep_duration-nan", "sweep_duration-inf", "acceleration-nan",
+            "acceleration-inf"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LatticeRamp(**{field: value})

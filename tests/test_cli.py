@@ -282,9 +282,27 @@ class TestCliRuns:
          "evolution: ladder_guard_sites must be >= 4"),
         ("ensemble", {"samples": 3, "quasimomenta_hk": [0.1]},
          "ensemble: 1 explicit quasimomenta for sample_count 3"),
+        (None, {"seed": -1}, "seed: must be >= 0, got -1"),
+        ("ensemble", {"seed": -1}, "ensemble: seed must be >= 0"),
+        ("sequence", {"order": 0}, "sequence: resonant_order must be >= 1"),
+        ("sequence", {"interrogation_time_s": -1.0},
+         "sequence: interrogation_time -1.0 must be finite and exceed"),
+        ("sequence", {"pulse_sigma_s": -1.0},
+         "sequence: sigma must be finite and positive"),
+        ("geometry", {"tilt_deg": 95.0}, "geometry: tilt_angle must lie in"),
+        ("gravity_run", {"shots": 0}, "gravity_run: shots must be >= 1"),
+        ("gravity_run", {"bin_size": 0}, "gravity_run: bin_size must be >= 1"),
+        ("gravity_run", {"shot_period_s": 0.0},
+         "gravity_run: shot_period_s must be > 0"),
+        ("pulse", {"order": 0}, "pulse: resonant_order must be >= 1"),
+        ("pulse", {"transfer_target": 1.5},
+         "pulse: transfer_target must lie in (0, 1]"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
-            "samples-mismatch"])
+            "samples-mismatch", "seed-negative", "ensemble-seed-negative",
+            "sequence-order-0", "interrogation-time-negative",
+            "pulse-sigma-negative", "tilt-95", "shots-0", "bin-size-0",
+            "shot-period-0", "pulse-order-0", "transfer-target-1.5"])
     def test_bad_input_exits_1_at_load(self, tmp_path, capsys,
                                        block, values, message):
         data = yaml.safe_load(FAST_FRINGE)
@@ -293,6 +311,13 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert main(["fringe", cfg, "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not (out / "fringe.csv").exists()
+
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_FRINGE)
+        out = tmp_path / "out"
+        assert main(["fringe", cfg, "--seed", "-1", "--out-dir", str(out)]) == 1
+        assert "seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (out / "fringe.csv").exists()
 
     def test_fringe_sweep_rate_rows_match_run_shot(self, tmp_path):

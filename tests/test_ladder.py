@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, jv
 
+from braggsim import ladder
 from braggsim.ladder import (
     CalibrationError,
     EvolutionConfig,
@@ -21,6 +22,7 @@ from braggsim.ladder import (
     pulse_propagator,
 )
 from braggsim.physics import AtomSpecies, bragg_resonance
+from braggsim.sequence import prepare_sequence
 
 RB = AtomSpecies.rubidium87()
 HBAR = 1.054571817e-34
@@ -236,6 +238,25 @@ class TestCalibration:
         out = apply_pulse(apply_pulse(plane_wave_state(RB), pulse), pulse)
         assert out.population(0) >= 0.96
 
+    def test_pi_search_repeats_no_pi_half_solve(self, monkeypatch):
+        # the pi search revisits every Rabi frequency of the pi/2 search, so
+        # with the transfer memo a sequence costs one calibration's solves
+        solves = []
+        real = ladder.solve_ivp
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ladder, "solve_ivp", counted)
+        ladder._transfer.cache_clear()
+        prepare_sequence(RB, order=1, interrogation_time=1e-3, pulse_sigma=5e-6)
+        in_sequence = len(solves)
+        ladder._transfer.cache_clear()
+        solves.clear()
+        calibrate_pulse_amplitude(RB, 0.5, 1, 5e-6)
+        assert in_sequence == len(solves) > 0
+
     def test_unreachable_target_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_pulse_amplitude(RB, target=0.9, order=1, sigma=200e-6,
@@ -254,6 +275,23 @@ class TestSpecValidation:
             PulseSpec(rabi_peak=1e5, sigma=1e-5)  # no detuning at all
         with pytest.raises(ValueError):
             PulseSpec(rabi_peak=1e5, sigma=1e-5, detuning=0.0, resonant_order=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rabi_peak", math.nan), ("rabi_peak", math.inf),
+        ("sigma", math.nan), ("sigma", math.inf),
+        ("duration", math.nan), ("duration", math.inf),
+        ("detuning", math.nan), ("detuning", math.inf),
+        ("resonant_order", math.nan),
+        ("laser_phase", math.nan), ("chirp", math.inf),
+    ], ids=["rabi_peak-nan", "rabi_peak-inf", "sigma-nan", "sigma-inf",
+            "duration-nan", "duration-inf", "detuning-nan", "detuning-inf",
+            "resonant_order-nan", "laser_phase-nan", "chirp-inf"])
+    def test_pulse_spec_rejects_non_finite(self, field, value):
+        kwargs = {"rabi_peak": 1e5, "sigma": 1e-5, field: value}
+        if field != "detuning":
+            kwargs.setdefault("resonant_order", 1)
+        with pytest.raises(ValueError, match=field):
+            PulseSpec(**kwargs)
 
     def test_resonant_marker_resolution(self):
         pulse = PulseSpec(rabi_peak=1e5, sigma=1e-5, resonant_order=3)

@@ -226,6 +226,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             AtomSpecies(mass=M_RB87, wavelength=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mass", math.nan), ("mass", math.inf),
+        ("wavelength", math.nan), ("wavelength", math.inf),
+    ], ids=["mass-nan", "mass-inf", "wavelength-nan", "wavelength-inf"])
+    def test_species_rejects_non_finite(self, field, value):
+        kwargs = {"mass": M_RB87, "wavelength": LAMBDA, field: value}
+        with pytest.raises(ValueError, match=field):
+            AtomSpecies(**kwargs)
+
     def test_params_invariants(self):
         with pytest.raises(ValueError):
             InterferometerParams(order=0, interrogation_time=0.04, sweep_rate=0.0)

@@ -10,6 +10,7 @@ from braggsim.analysis import extract_shot_phases, fit_harmonics, fringe_contras
 from braggsim.environment import NoiseModel, TideComponent, TideModel
 from braggsim.ladder import (
     EvolutionConfig,
+    PulseSpec,
     apply_pulse,
     free_propagate,
     plane_wave_state,
@@ -375,6 +376,22 @@ class TestSpecValidation:
             MZISequence(order=1, interrogation_time=2e-3,
                         beamsplitter=seq.beamsplitter, mirror=seq.mirror)
 
+    @pytest.mark.parametrize("field, value", [
+        ("order", math.nan),
+        ("interrogation_time", math.nan), ("interrogation_time", math.inf),
+        ("sweep_rate", math.nan), ("sweep_rate", math.inf),
+        ("phase_offset", math.nan), ("phase_offset", math.inf),
+    ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf",
+            "sweep_rate-nan", "sweep_rate-inf", "phase_offset-nan",
+            "phase_offset-inf"])
+    def test_mzi_sequence_rejects_non_finite(self, field, value):
+        # a detuned pulse, so that no pulse-order check can catch the order
+        pulse = PulseSpec(rabi_peak=1e5, sigma=5e-6, detuning=1e5)
+        kwargs = {"order": 1, "interrogation_time": 1e-3, "beamsplitter": pulse,
+                  "mirror": pulse, field: value}
+        with pytest.raises(ValueError, match=field):
+            MZISequence(**kwargs)
+
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(sample_count=0)
@@ -404,3 +421,11 @@ class TestSpecValidation:
             GradiometerSpec(lower_momentum=8, upper_momentum=5)
         with pytest.raises(ValueError):
             GradiometerSpec(lower_momentum=8, upper_momentum=8)
+
+    @pytest.mark.parametrize("field, value", [
+        ("order", math.nan),
+        ("bvs_separation", math.nan), ("bvs_separation", math.inf),
+    ], ids=["order-nan", "bvs_separation-nan", "bvs_separation-inf"])
+    def test_gradiometer_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GradiometerSpec(**{field: value})
