@@ -50,8 +50,8 @@ class LatticeRamp:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not 0 <= self.depth < math.inf:
-            raise ValueError(f"depth must be finite and >= 0, got {self.depth}")
+        if not 0 < self.depth < math.inf:
+            raise ValueError(f"depth must be finite and positive, got {self.depth}")
         for name in ("load_duration", "sweep_duration", "acceleration"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -79,11 +79,8 @@ def bloch_accelerate(
 
     The returned state has ladder site 0 relabelled to the target momentum
     (a Galilean boost; populations preserved). Leakage into the window edge
-    is signalled exactly as for pulses. A zero-depth ramp returns the state
-    unchanged.
+    is signalled exactly as for pulses.
     """
-    if ramp.depth == 0.0:
-        return state
     species = state.species
     wr = species.recoil_frequency
     g_max = ramp.depth * wr / 4.0

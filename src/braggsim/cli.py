@@ -294,8 +294,6 @@ def cmd_allan(cfg: ExperimentConfig, out: Path) -> dict:
 def cmd_class_oracle(cfg: ExperimentConfig, out: Path) -> dict:
     species = cfg.species.resolve()
     blk = cfg.class_oracle
-    if blk.a_max < blk.a_min:
-        raise ConfigError("class_oracle.a_max", "must be >= a_min")
     times = np.linspace(blk.time_min_s, blk.time_max_s, blk.time_points)
     rows = []
     for t in times:

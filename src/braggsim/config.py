@@ -173,6 +173,8 @@ class BvsBlock(_CheckedAtLoad):
     profile_points: int = 21
 
     def resolve(self) -> LatticeRamp:
+        if max(abs(self.profile_min_hk), abs(self.profile_max_hk)) > 2:
+            raise ValueError("profile_min_hk and profile_max_hk must lie in [-2, 2]")
         return LatticeRamp(depth=self.depth_er,
                            load_duration=self.load_duration_s,
                            sweep_duration=self.sweep_duration_s,
@@ -223,6 +225,8 @@ class PulseBlock(_CheckedAtLoad):
         if not 0 < self.transfer_target <= 1:
             raise ValueError(
                 f"transfer_target must lie in (0, 1], got {self.transfer_target}")
+        if not abs(self.quasimomentum_hk) <= 1:
+            raise ValueError(f"|quasimomentum_hk| {self.quasimomentum_hk} exceeds 1")
         peak = self.rabi_peak_rad_s
         return PulseSpec(rabi_peak=0.0 if peak == "calibrated" else peak,
                          sigma=self.sigma_s, resonant_order=self.order)
@@ -237,16 +241,22 @@ class ClassOracleBlock:
     time_max_s: float = 120e-6
     time_points: int = 121
 
+    def __post_init__(self):
+        if self.a_max < self.a_min:
+            raise ValueError(f"a_max {self.a_max} must be >= a_min {self.a_min}")
+        if not 0 <= self.time_min_s <= self.time_max_s:
+            raise ValueError("time_min_s must lie in [0, time_max_s]")
+        if self.time_points < 1:
+            raise ValueError(f"time_points must be >= 1, got {self.time_points}")
+
 
 @dataclass(frozen=True)
 class EvolutionBlock(_CheckedAtLoad):
     error_tolerance: float = 1e-10
     guard_sites: int = 6
-    max_step_s: float | None = None
 
     def resolve(self) -> EvolutionConfig:
-        return EvolutionConfig(max_step=self.max_step_s,
-                               error_tolerance=self.error_tolerance,
+        return EvolutionConfig(error_tolerance=self.error_tolerance,
                                ladder_guard_sites=self.guard_sites)
 
 

@@ -90,8 +90,11 @@ class TideComponent:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if not 0 <= self.amplitude < math.inf:  # NaN fails every check
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        for name in ("angular_frequency", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ quasimomenta) is the evolved identity. States go through one driver,
 ``drive``: it checks the norm, grows the window beyond the occupied sites,
 runs each drive stage through the kernel and checks the edge leakage with
 ``check_leakage``. A Bragg pulse is one stage and the Bloch lattice three.
+Calibration probes are batched: one solve evolves a plane-wave column per
+probed Omega_0 through the kernel, as ``pulse_propagator`` evolves its own.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .constants import HBAR
 from .physics import AtomSpecies, bragg_resonance
@@ -66,9 +67,8 @@ LEAK_BOUND = 1e-4
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Integrator knobs: step cap (s), error tolerance and guard sites."""
+    """Integrator knobs: error tolerance and guard sites."""
 
-    max_step: float | None = None
     error_tolerance: float = 1e-10
     ladder_guard_sites: int = 6
 
@@ -264,8 +264,7 @@ def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
     into the propagator. ``kin``: kinetic frequencies (..., W).
     ``coupling(t)``: Omega(t)/2, or None when the drive is off (free flight,
     no solve). ``theta(t)``: lattice phase integral of delta from 0.
-    ``phi``: laser phase. ``step_cap``: the drive's own step limit, tightened
-    by ``cfg.max_step``.
+    ``phi``: laser phase. ``step_cap``: the drive's step limit (s).
     """
     free = np.exp(-1j * kin * duration)[..., None]
     if coupling is None:
@@ -273,7 +272,6 @@ def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = kin[..., 1:] - kin[..., :-1]
     down = -1j * np.exp(-1j * phi)
-    max_step = step_cap if cfg.max_step is None else min(step_cap, cfg.max_step)
 
     def rhs(t, y):
         # site n gains c_n A_{n-1}; site n-1 gains -conj(c_n) A_n
@@ -287,7 +285,7 @@ def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
 
     y0 = np.broadcast_to(columns, shape).astype(complex).ravel().view(float)
     sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853", rtol=cfg.rtol,
-                    atol=cfg.atol, max_step=max_step, dense_output=False)
+                    atol=cfg.atol, max_step=step_cap, dense_output=False)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
     return free * sol.y[:, -1].view(complex).reshape(shape)
@@ -400,15 +398,24 @@ def phase_conjugated(U: np.ndarray, sites: np.ndarray, phi: float) -> np.ndarray
 # amplitude calibration
 # ---------------------------------------------------------------------------
 
+# probes per solve: a sweep batch spans 1.25**8 < 6, a zoom round narrows 8-fold
+_SWEEP_BATCH, _ZOOM_PROBES = 9, 17
+
+
 @functools.lru_cache
-def _transfer(species, order, sigma, quasimomentum, cfg, omega0) -> float:
-    # memoised: a pi search evaluates the same Omega_0 grid and lobe-peak
-    # refinement as the pi/2 search that precedes it
-    pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, resonant_order=order)
-    psi = plane_wave_state(species, site=0, quasimomentum=quasimomentum,
+def _transfer(species, order, sigma, quasimomentum, cfg, omegas) -> tuple:
+    # |0> -> |order> per Omega_0 in one solve; memoised: pi searches reprobe pi/2 batches
+    psi = plane_wave_state(species, quasimomentum=quasimomentum,
                            guard=order + cfg.ladder_guard_sites)
-    out = apply_pulse(psi, pulse, cfg)
-    return out.population(order)
+    unit, theta, dur = _pulse_functions(
+        PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
+    om = np.array(omegas)[:, None]
+    kin = kinetic_frequencies(species, psi.sites, psi.q_tilde)
+    column = np.broadcast_to(psi.amplitudes[:, None], (len(om), len(kin), 1))
+    amps = _evolve(kin, column, dur, lambda t: om * unit(t), theta, 0.0, sigma / 2, cfg)
+    pops = np.abs(amps[..., 0]) ** 2
+    check_leakage(pops)
+    return tuple(pops[:, order - psi.n_min].tolist())
 
 
 def calibrate_pulse_amplitude(
@@ -426,72 +433,56 @@ def calibrate_pulse_amplitude(
     simulated transfer equals the target within 1e-4. A target at or above
     the lobe maximum (notably target = 1 in the quasi-Bragg regime, where
     perfect transfer does not exist) returns the lobe-peak amplitude.
+    Probes are batched, one solve per batch: a 1.25x sweep finds the lobe,
+    then one zoom loop refines its peak and the first crossing below it.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target transfer must lie in (0, 1], got {target}")
 
-    transfer = lambda om: _transfer(species, order, sigma, quasimomentum, cfg, om)
-    # two-level pulse-area guess for the first-order pi pulse
-    omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))
-    ceiling = ceiling_factor * omega_pi
+    transfer = functools.partial(_transfer, species, order, sigma, quasimomentum, cfg)
 
-    sweep: list[tuple[float, float]] = []
-    om = omega_pi / 8.0
-    best_om, best_p = om, -1.0
-    while om <= ceiling:
-        p = transfer(om)
+    def sweep_probe(batch):
+        try:
+            return transfer(batch)
+        except TruncationLeakError:  # a probe past the lobe may leak: go one by one
+            return (transfer((om,))[0] for om in batch)
+
+    def zoom(lo, hi, width, pick):  # one solve per round, keeps the pick's neighbours
+        while True:
+            grid = np.linspace(lo, hi, _ZOOM_PROBES)
+            values = np.array(transfer(tuple(grid.tolist())))
+            i = pick(values)
+            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_PROBES - 1)]
+            if hi - lo <= width:
+                return grid, values, i
+
+    omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))  # two-level first-order pi
+    grid = omega_pi / 8.0 * 1.25 ** np.arange(
+        1 + math.floor(math.log(8.0 * ceiling_factor, 1.25)) if ceiling_factor > 0 else 0)
+    batches = (tuple(grid[i:i + _SWEEP_BATCH].tolist())
+               for i in range(0, len(grid), _SWEEP_BATCH))
+    sweep, best_p = [], -1.0
+    for om, p in ((o, p) for b in batches for o, p in zip(b, sweep_probe(b))):
         sweep.append((om, p))
-        if p > best_p:
-            best_om, best_p = om, p
-        elif best_p > 0.05 and p < 0.8 * best_p:
+        best_om, best_p = max(sweep, key=lambda s: s[1])
+        if best_p > 0.05 and p < 0.8 * best_p:
             break  # past the first lobe peak
-        om *= 1.25
     else:
         if best_p < target and best_p < 0.05:
-            raise CalibrationError(
-                f"no Rabi lobe reaching transfer {target} below the search ceiling",
-                sweep,
-            )
+            raise CalibrationError(f"no Rabi lobe reaching transfer {target} "
+                                   "below the search ceiling", sweep)
 
-    # refine the lobe peak (golden-section on the bracketing grid points)
-    i = next(j for j, (o, _) in enumerate(sweep) if o == best_om)
-    lo = sweep[i - 1][0] if i > 0 else best_om / 1.25
-    hi = sweep[i + 1][0] if i + 1 < len(sweep) else best_om * 1.25
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = transfer(c), transfer(d)
-    while b - a > 1e-4 * best_om:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = transfer(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = transfer(d)
-    peak_om = 0.5 * (a + b)
-    peak_p = transfer(peak_om)
-
+    probes, values, i = zoom(best_om / 1.25, best_om * 1.25, 1e-4 * best_om, np.argmax)
+    peak_om, peak_p = float(probes[i]), values[i]
     if target >= peak_p - 1e-9:
         return peak_om
 
-    # smallest crossing on the rising flank
-    rising = [(o, p) for o, p in sweep if o <= peak_om]
-    lo_om = None
-    for o, p in rising:
-        if p < target:
-            lo_om = o
-        elif lo_om is not None:
-            break
-    if lo_om is None:
-        lo_om = rising[0][0] / 4.0 if rising else peak_om / 100.0
-    root = brentq(lambda om_: transfer(om_) - target, lo_om, peak_om,
-                  xtol=1e-8 * peak_om, rtol=1e-12)
-    achieved = transfer(root)
+    # the first crossing below the peak; i >= 1 keeps a probe below it
+    probes, values, i = zoom(0.0, peak_om, 1e-6 * peak_om,
+                             lambda v: np.argmax(v >= target) or 1)
+    root = float(np.interp(target, values[i - 1:i + 1], probes[i - 1:i + 1]))
+    achieved = transfer((root,))[0]
     if abs(achieved - target) > 1e-4:
-        raise CalibrationError(
-            f"calibration converged to transfer {achieved:.6f}, not {target}",
-            sweep,
-        )
-    return float(root)
+        raise CalibrationError(f"calibration converged to transfer "
+                               f"{achieved:.6f}, not {target}", sweep)
+    return root

@@ -24,12 +24,10 @@ def accelerate_momentum(p_hk, ramp=RAMP):
 
 
 class TestBlochAccelerate:
-    def test_zero_depth_is_identity(self):
-        psi = plane_wave_state(RB)
-        ramp = LatticeRamp(depth=0.0, target_momentum=8)
-        out = bloch_accelerate(psi, ramp)
-        assert out.population(0) == pytest.approx(1.0)
-        assert out.time == psi.time
+    def test_zero_depth_rejected(self):
+        # a zero-depth lattice moves no atom to the target, so it is no ramp
+        with pytest.raises(ValueError, match="depth must be finite and positive"):
+            LatticeRamp(depth=0.0, target_momentum=8)
 
     def test_leakage_signalled(self):
         # a deep, fast lattice drives population out to the window edge

@@ -297,12 +297,26 @@ class TestCliRuns:
         ("pulse", {"order": 0}, "pulse: resonant_order must be >= 1"),
         ("pulse", {"transfer_target": 1.5},
          "pulse: transfer_target must lie in (0, 1]"),
+        ("bvs", {"depth_er": 0}, "bvs: depth must be finite and positive"),
+        ("pulse", {"quasimomentum_hk": 1.5},
+         "pulse: |quasimomentum_hk| 1.5 exceeds 1"),
+        ("bvs", {"profile_min_hk": -2.5},
+         "bvs: profile_min_hk and profile_max_hk must lie in [-2, 2]"),
+        ("class_oracle", {"time_points": 0},
+         "class_oracle: time_points must be >= 1"),
+        ("class_oracle", {"time_min_s": -1.0e-6},
+         "class_oracle: time_min_s must lie in [0, time_max_s]"),
+        ("class_oracle", {"a_min": 2, "a_max": 1},
+         "class_oracle: a_max 1 must be >= a_min 2"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
             "samples-mismatch", "seed-negative", "ensemble-seed-negative",
             "sequence-order-0", "interrogation-time-negative",
             "pulse-sigma-negative", "tilt-95", "shots-0", "bin-size-0",
-            "shot-period-0", "pulse-order-0", "transfer-target-1.5"])
+            "shot-period-0", "pulse-order-0", "transfer-target-1.5",
+            "bvs-depth-0", "pulse-quasimomentum-1.5", "bvs-profile-beyond-2",
+            "class-oracle-points-0", "class-oracle-time-negative",
+            "class-oracle-a-reversed"])
     def test_bad_input_exits_1_at_load(self, tmp_path, capsys,
                                        block, values, message):
         data = yaml.safe_load(FAST_FRINGE)

@@ -117,6 +117,17 @@ class TestTide:
         with pytest.raises(ValueError):
             TideComponent(-1e-6, 1e-4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", math.nan), ("amplitude", math.inf),
+        ("angular_frequency", math.nan), ("angular_frequency", math.inf),
+        ("phase", math.nan), ("phase", -math.inf),
+    ], ids=["amplitude-nan", "amplitude-inf", "frequency-nan", "frequency-inf",
+            "phase-nan", "phase-inf"])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"amplitude": 1e-6, "angular_frequency": 1e-4, field: value}
+        with pytest.raises(ValueError, match=field):
+            TideComponent(**kwargs)
+
 
 class TestTiltDrift:
     def test_no_drift_constant(self):

@@ -257,6 +257,32 @@ class TestCalibration:
         calibrate_pulse_amplitude(RB, 0.5, 1, 5e-6)
         assert in_sequence == len(solves) > 0
 
+    @pytest.mark.parametrize("q_hk", [0.0, 0.3])
+    def test_batched_transfer_matches_apply_pulse(self, q_hk):
+        # one solve evolves a plane-wave column per Omega_0 across the first
+        # lobe (peak near 6.1e5 rad/s); each row must match a lone pulse
+        omegas = (1e5, 3e5, 5e5, 6.1e5, 8e5)
+        q = q_hk * HBAR * RB.wavevector
+        batched = ladder._transfer(RB, 2, 5e-6, q, EvolutionConfig(), omegas)
+        for om, p in zip(omegas, batched):
+            out = apply_pulse(plane_wave_state(RB, quasimomentum=q, guard=8),
+                              PulseSpec(rabi_peak=om, sigma=5e-6, resonant_order=2))
+            assert p == pytest.approx(out.population(2), abs=1e-10)
+
+    @pytest.mark.parametrize("order, sigma, guard", [(2, 5e-6, 6), (1, 3e-6, 4)],
+                             ids=["order2-5us", "leak-past-lobe"])
+    def test_sequence_solve_budget(self, monkeypatch, order, sigma, guard):
+        # a sweep batch or a zoom round is one solve; the serial sweep,
+        # golden-section search and root finder took 45 and 31. On the narrow
+        # window a sweep batch leaks past the lobe and is reprobed one by one
+        real, solves = ladder.solve_ivp, []
+        monkeypatch.setattr(ladder, "solve_ivp",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        ladder._transfer.cache_clear()
+        prepare_sequence(RB, order=order, interrogation_time=2e-3, pulse_sigma=sigma,
+                         cfg=EvolutionConfig(ladder_guard_sites=guard))
+        assert 0 < len(solves) <= 20
+
     def test_unreachable_target_raises(self):
         with pytest.raises(CalibrationError):
             calibrate_pulse_amplitude(RB, target=0.9, order=1, sigma=200e-6,

@@ -205,10 +205,10 @@ class TestPinnedShotStreams:
             NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
-            "0x1.03588689392e5p-4", "0x1.dea0e0612db32p-3",
-            "0x1.566dee55a78b3p-2", "0x1.0e45f253e09c0p-5",
-            "0x1.6da70cf670d38p-3", "0x1.a91292d7fa6cap-5",
-            "0x1.6822c819300cdp-1", "0x1.c8cd21382ef2fp-3"]
+            "0x1.035855bb248e2p-4", "0x1.dea0db1791da2p-3",
+            "0x1.566df08090b85p-2", "0x1.0e4543d393203p-5",
+            "0x1.6da702065bfc6p-3", "0x1.a912180493b3ep-5",
+            "0x1.6822d0a96fcaap-1", "0x1.c8cd1a79df391p-3"]
 
     def test_fringe_scan_stream(self, qb_seq):
         ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
@@ -217,32 +217,32 @@ class TestPinnedShotStreams:
                            NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
-            "0x1.f2fa3b1fee40fp-2", "0x1.519a41354a4a0p-3",
-            "0x1.18c820f4b8bb2p-3", "0x1.6105e41957044p-3",
-            "0x1.8c61679be2cbep-7", "0x1.dd4a948a528d6p-5",
-            "0x1.b20e26e9de74ap-7", "0x1.cb4ebf1858fdap-3",
-            "0x1.f19404dc4f496p-2", "0x1.4e4c79c009c93p-3",
-            "0x1.42ce0aa2b0e3bp-3", "0x1.cf6062f2f1477p-4",
-            "0x1.33772d333fc05p-6", "0x1.82072fa807bc6p-4",
-            "0x1.44619fb21a8f8p-7", "0x1.a913926cb9193p-3"]
+            "0x1.f2fa99b310a13p-2", "0x1.519a6d047b6c2p-3",
+            "0x1.18c6e86227028p-3", "0x1.61064cc3939d7p-3",
+            "0x1.8c5e004a90b2cp-7", "0x1.dd4d984db2392p-5",
+            "0x1.b218c0493b2a4p-7", "0x1.cb4ea85f52f3ep-3",
+            "0x1.f19488a922629p-2", "0x1.4e4cbe8335250p-3",
+            "0x1.42cccbda8e7f7p-3", "0x1.cf61220d5c011p-4",
+            "0x1.33758281febf4p-6", "0x1.82089cb025aa1p-4",
+            "0x1.446fe5a87e174p-7", "0x1.a9137c9a441aap-3"]
         assert _hex(scan.port_populations[2]) == [
-            "0x1.493d6de845984p-4", "0x1.8e89b1748937dp-3",
-            "0x1.c67f039b083afp-5", "0x1.0bb10b131bb1fp-2",
-            "0x1.5d279ad34852cp-2", "0x1.46b003cfd2adfp-4",
-            "0x1.1a86cca0acc68p-3", "0x1.087c5c7dec216p-4",
-            "0x1.7ee87f734f8e6p-4", "0x1.9432028cc603bp-3",
-            "0x1.8c6c8df41e45bp-4", "0x1.8c788f97c9b4ap-2",
-            "0x1.1f9f28f778d4dp-2", "0x1.47f1962f3e0f7p-4",
-            "0x1.2eff14a9310a4p-3", "0x1.8b9e554aee365p-5"]
+            "0x1.493def79f195ep-4", "0x1.8e8861416147fp-3",
+            "0x1.c67f91026df31p-5", "0x1.0bb12124d0f5cp-2",
+            "0x1.5d27865cb2082p-2", "0x1.46afd111d5355p-4",
+            "0x1.1a86f1ef575f1p-3", "0x1.087bf6615b575p-4",
+            "0x1.7ee8af425be1ap-4", "0x1.9430afc3b89ccp-3",
+            "0x1.8c6c8d1a527b9p-4", "0x1.8c7891ca473d3p-2",
+            "0x1.1f9f1b1bdd636p-2", "0x1.47f149573e943p-4",
+            "0x1.2eff481e32de7p-3", "0x1.8b9d96272b543p-5"]
         assert _hex(scan.normalized) == [
-            "0x1.b780468d15c0bp-1", "0x1.d59e4967a32abp-2",
-            "0x1.6c7f937e5ba11p-1", "0x1.96e74ad5260acp-2",
-            "0x1.18ab2efdc2bf8p-5", "0x1.b04390e6dc04ep-2",
-            "0x1.66d851882e015p-4", "0x1.8d8a75c77b087p-1",
-            "0x1.ad6424189c1e0p-1", "0x1.cf8a5ce7d488dp-2",
-            "0x1.3d37e228bfeb3p-1", "0x1.cf176f09744cfp-3",
-            "0x1.0085f6e271074p-4", "0x1.14d39b9aa3a0fp-1",
-            "0x1.00e140577fb4dp-4", "0x1.9f5b5c67e9e0dp-1"]
+            "0x1.b78039dafd904p-1", "0x1.d59f40e0595aap-2",
+            "0x1.6c7efdeca2806p-1", "0x1.96e77f516069dp-2",
+            "0x1.18a8eb0d5823ep-5", "0x1.b0454b998122dp-2",
+            "0x1.66e024f833502p-4", "0x1.8d8a93b19b6d9p-1",
+            "0x1.ad642dcc11c2fp-1", "0x1.cf8b65be07c92p-2",
+            "0x1.3d376b3da303ap-1", "0x1.cf1800d9cd601p-3",
+            "0x1.0084b4c4b8817p-4", "0x1.14d431a26cfd0p-1",
+            "0x1.00ebaf8b664cfp-4", "0x1.9f5b7e428c504p-1"]
 
 
 class TestContrastVsT:
