@@ -67,10 +67,6 @@ class HarmonicFit:
             raise ValueError("need matching non-empty amplitude and phase lists")
 
     @property
-    def n_harmonics(self) -> int:
-        return len(self.amplitudes)
-
-    @property
     def dominant_harmonic(self) -> int:
         """1-based index of the largest fitted amplitude."""
         return 1 + int(np.argmax(self.amplitudes))
@@ -163,13 +159,14 @@ def fit_harmonics(scan: FringeScan, n_harmonics: int = 3) -> HarmonicFit:
                        residual_rms=float(np.sqrt(np.mean(residual**2))))
 
 
-def fringe_contrast(fit: HarmonicFit, samples: int = 2048) -> float:
-    """(max - min)/(max + min) of the fitted curve over one 2 pi period.
+def fringe_contrast(fit: HarmonicFit) -> float:
+    """(max - min)/(max + min) of the fitted curve, sampled at 2048 points
+    over one 2 pi period.
 
     A curve dipping below zero (offset smaller than the harmonic sum) is
     clamped at zero and reported, since populations cannot be negative.
     """
-    phi = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+    phi = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
     curve = fit.evaluate(phi)
     hi, lo = float(curve.max()), float(curve.min())
     if lo < 0.0:
@@ -317,12 +314,12 @@ def bin_timeseries(series, bin_size: int):
     return means, errs
 
 
-def fit_revival_period(times, contrasts, period_lo: float, period_hi: float,
-                       candidates: int = 2001):
+def fit_revival_period(times, contrasts, period_lo: float, period_hi: float):
     """Dominant periodicity of a contrast-vs-T curve by least squares.
 
-    For each candidate period the curve is fit linearly with a fundamental
-    plus second harmonic; the period minimizing the residual wins. Returns
+    For each of 2001 candidate periods spanning [period_lo, period_hi] the
+    curve is fit linearly with a fundamental plus second harmonic; the
+    period minimizing the residual wins. Returns
     (period, first_maximum_time) where the maximum refers to the fitted
     fundamental component.
     """
@@ -331,7 +328,7 @@ def fit_revival_period(times, contrasts, period_lo: float, period_hi: float,
     if len(t) < 8:
         raise ValueError("need at least 8 points to fit a period")
     best = None
-    for period in np.linspace(period_lo, period_hi, candidates):
+    for period in np.linspace(period_lo, period_hi, 2001):
         w = 2.0 * math.pi / period
         _, coeffs, _, resid = _harmonic_lstsq(t, y, (w, 2 * w))
         res = float(np.sum(resid ** 2))

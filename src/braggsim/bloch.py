@@ -12,6 +12,7 @@ down) are one ``ladder.drive`` call, the driver that also runs Bragg pulses:
 it checks the norm, sizes the window, runs each stage through the evolution
 kernel and checks edge leakage. The lattice phase accumulated by the sweep
 is carried across stage boundaries so the lattice never jumps in space.
+Momenta are in units of hbar*k, as on the ladder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR
 from .ladder import (
     DEFAULT_CONFIG,
     EvolutionConfig,
@@ -66,8 +66,7 @@ class LatticeRamp:
         """Sweep time (s): explicit value, or target/(m*a) if omitted."""
         if self.sweep_duration is not None:
             return self.sweep_duration
-        dv = self.target_momentum * HBAR * species.wavevector / species.mass
-        return dv / self.acceleration
+        return self.target_momentum * species.recoil_velocity / self.acceleration
 
 
 def bloch_accelerate(
@@ -115,18 +114,16 @@ def selection_profile(
 ) -> np.ndarray:
     """Transfer efficiency into the target +-1 hbar*k window per input momentum.
 
-    ``momenta`` are initial plane-wave momenta (kg m/s) within +-2 hbar*k;
+    ``momenta`` are initial plane-wave momenta (units of hbar*k) within +-2;
     values beyond the first band start on ladder site +-1.
     """
-    hk = HBAR * species.wavevector
     momenta = np.asarray(momenta, dtype=float)
-    if np.any(np.abs(momenta) > 2 * hk * (1 + 1e-12)):
+    if not np.all(np.abs(momenta) <= 2 * (1 + 1e-12)):   # NaN fails too
         raise ValueError("input momenta must lie within +-2 hbar*k")
     out = np.empty(len(momenta))
     for i, p in enumerate(momenta):
-        site = round(p / (2 * hk))
-        q = p - 2 * site * hk
-        psi = plane_wave_state(species, site=site, quasimomentum=q,
+        site = round(p / 2)
+        psi = plane_wave_state(species, site=site, quasimomentum=p - 2 * site,
                                guard=cfg.ladder_guard_sites)
         final = bloch_accelerate(psi, ramp, cfg)
         out[i] = final.population(0)

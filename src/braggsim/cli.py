@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bloch, sequence
-from .constants import HBAR
 from .config import ConfigError, ExperimentConfig, echo_config, load_config, resolved_dict
 from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse, PulseSpec
 from .physics import resonant_sweep_rate, revival_period
@@ -84,8 +83,7 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> dict:
         omega0 = float(blk.rabi_peak_rad_s)
     pulse = PulseSpec(rabi_peak=omega0, sigma=blk.sigma_s,
                       resonant_order=blk.order)
-    hk = HBAR * species.wavevector
-    psi = plane_wave_state(species, quasimomentum=blk.quasimomentum_hk * hk,
+    psi = plane_wave_state(species, quasimomentum=blk.quasimomentum_hk,
                            guard=blk.order + evolution.ladder_guard_sites)
     final = apply_pulse(psi, pulse, evolution)
     rows = [(int(n), float(p)) for n, p in sorted(final.populations().items())]
@@ -101,10 +99,9 @@ def cmd_bvs(cfg: ExperimentConfig, out: Path) -> dict:
     species = cfg.species.resolve()
     evolution = cfg.evolution.resolve()
     ramp = cfg.bvs.resolve()
-    hk = species.mass * species.recoil_velocity
     momenta_hk = np.linspace(cfg.bvs.profile_min_hk, cfg.bvs.profile_max_hk,
                              cfg.bvs.profile_points)
-    eff = bloch.selection_profile(species, ramp, momenta_hk * hk, evolution)
+    eff = bloch.selection_profile(species, ramp, momenta_hk, evolution)
     write_table(out, "bvs_profile", ["momentum_hk", "transfer"],
                 [(float(p), float(e)) for p, e in zip(momenta_hk, eff)])
     center = float(eff[np.argmin(np.abs(momenta_hk))])

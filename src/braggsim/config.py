@@ -175,6 +175,8 @@ class BvsBlock(_CheckedAtLoad):
     def resolve(self) -> LatticeRamp:
         if max(abs(self.profile_min_hk), abs(self.profile_max_hk)) > 2:
             raise ValueError("profile_min_hk and profile_max_hk must lie in [-2, 2]")
+        if self.profile_points < 1:
+            raise ValueError(f"profile_points must be >= 1, got {self.profile_points}")
         return LatticeRamp(depth=self.depth_er,
                            load_duration=self.load_duration_s,
                            sweep_duration=self.sweep_duration_s,

@@ -1,7 +1,8 @@
 """Schroedinger dynamics on the 2*hbar*k momentum ladder.
 
 The atom is expanded over plane waves |p = 2n*hbar*k + q> with integer site
-index n and continuous quasimomentum q (|q| <= hbar*k). In the frame falling
+index n and continuous quasimomentum q (|q| <= hbar*k). Momenta and
+quasimomenta are in units of hbar*k throughout. In the frame falling
 with the cloud and co-chirped with the lattice, a two-frequency pulse of
 envelope Omega(t), beam frequency difference delta(t) and laser phase phi
 drives
@@ -37,7 +38,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .constants import HBAR
 from .physics import AtomSpecies, bragg_resonance
 
 
@@ -153,26 +153,23 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class MomentumLadderState:
-    """Amplitudes over ladder sites n_min..n_min+len-1 at a reference time.
+    """Amplitudes over ladder sites n_min..n_min+len-1.
 
     Site n is the plane wave with momentum p = 2n*hbar*k + q in the freely
-    falling frame.
+    falling frame; the quasimomentum q is in units of hbar*k.
     """
 
     species: AtomSpecies
     amplitudes: np.ndarray
     n_min: int
     quasimomentum: float = 0.0
-    time: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        hk = HBAR * self.species.wavevector
-        if abs(self.quasimomentum) > hk * (1 + 1e-12):
-            raise ValueError(
-                f"|quasimomentum| {abs(self.quasimomentum):.3e} exceeds hbar*k {hk:.3e}"
-            )
+        if not abs(self.quasimomentum) <= 1 + 1e-12:   # NaN fails too
+            raise ValueError(f"quasimomentum {self.quasimomentum} must lie "
+                             "within +-1 hbar*k")
 
     @property
     def n_max(self) -> int:
@@ -181,11 +178,6 @@ class MomentumLadderState:
     @property
     def sites(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
-
-    @property
-    def q_tilde(self) -> float:
-        """Quasimomentum in units of hbar*k."""
-        return self.quasimomentum / (HBAR * self.species.wavevector)
 
     @property
     def norm(self) -> float:
@@ -201,9 +193,8 @@ class MomentumLadderState:
                 for n, p in zip(self.sites, np.abs(self.amplitudes) ** 2)}
 
     def mean_momentum(self) -> float:
-        """Ensemble mean momentum (kg m/s) in the current frame."""
-        hk = HBAR * self.species.wavevector
-        p = 2.0 * hk * self.sites + self.quasimomentum
+        """Ensemble mean momentum (units of hbar*k) in the current frame."""
+        p = 2.0 * self.sites + self.quasimomentum
         return float(np.sum(np.abs(self.amplitudes) ** 2 * p))
 
     def expanded(self, n_min: int, n_max: int) -> "MomentumLadderState":
@@ -230,24 +221,21 @@ def plane_wave_state(
     species: AtomSpecies,
     site: int = 0,
     quasimomentum: float = 0.0,
-    n_min: int | None = None,
-    n_max: int | None = None,
     guard: int = 6,
-    time: float = 0.0,
 ) -> MomentumLadderState:
-    """Single ladder-site state with a window of ``guard`` sites each side."""
-    lo = site - guard if n_min is None else n_min
-    hi = site + guard if n_max is None else n_max
-    amps = np.zeros(hi - lo + 1, dtype=complex)
-    amps[site - lo] = 1.0
-    return MomentumLadderState(species=species, amplitudes=amps, n_min=lo,
-                               quasimomentum=quasimomentum, time=time)
+    """Single ladder-site state (quasimomentum in units of hbar*k) with a
+    window of ``guard`` sites each side."""
+    amps = np.zeros(2 * guard + 1, dtype=complex)
+    amps[guard] = 1.0
+    return MomentumLadderState(species=species, amplitudes=amps, n_min=site - guard,
+                               quasimomentum=quasimomentum)
 
 
 def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
-                        q_tilde: float | np.ndarray) -> np.ndarray:
-    """E_n / hbar = 4 w_r (n + q/2hk)^2 (rad/s), shape q_tilde.shape + (W,)."""
-    q = np.asarray(q_tilde, dtype=float)[..., None]
+                        quasimomentum: float | np.ndarray) -> np.ndarray:
+    """E_n / hbar = 4 w_r (n + q/2)^2 (rad/s) for q in units of hbar*k,
+    shape quasimomentum.shape + (W,)."""
+    q = np.asarray(quasimomentum, dtype=float)[..., None]
     return 4.0 * species.recoil_frequency * (sites + q / 2.0) ** 2
 
 
@@ -323,19 +311,18 @@ def drive(state: MomentumLadderState, stages, reach: tuple[int, int],
           cfg: EvolutionConfig = DEFAULT_CONFIG) -> MomentumLadderState:
     """Evolve a normalised state through ``stages`` of ``(duration, coupling,
     theta, phi, step_cap)`` (see ``_evolve``) on a window grown to ``reach =
-    (below, above)`` sites beyond the occupied ones, advancing its time."""
+    (below, above)`` sites beyond the occupied ones."""
     if abs(state.norm - 1.0) > 1e-6:
         raise ValueError(f"state norm {state.norm} is not 1 within 1e-6")
     occupied = state.sites[np.abs(state.amplitudes) ** 2 > 1e-12]
     state = state.expanded(int(occupied.min()) - reach[0],
                            int(occupied.max()) + reach[1])
-    kin = kinetic_frequencies(state.species, state.sites, state.q_tilde)
-    amps, time = state.amplitudes[:, None], state.time
+    kin = kinetic_frequencies(state.species, state.sites, state.quasimomentum)
+    amps = state.amplitudes[:, None]
     for duration, coupling, theta, phi, step_cap in stages:
         amps = _evolve(kin, amps, duration, coupling, theta, phi, step_cap, cfg)
-        time += duration
     check_leakage(np.abs(amps[:, 0]) ** 2)
-    return replace(state, amplitudes=amps[:, 0], time=time)
+    return replace(state, amplitudes=amps[:, 0])
 
 
 def apply_pulse(
@@ -360,9 +347,8 @@ def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadde
         raise ValueError(f"duration must be >= 0, got {duration}")
     if duration == 0.0:
         return state
-    kin = kinetic_frequencies(state.species, state.sites, state.q_tilde)
-    amps = state.amplitudes * np.exp(-1j * kin * duration)
-    return replace(state, amplitudes=amps, time=state.time + duration)
+    kin = kinetic_frequencies(state.species, state.sites, state.quasimomentum)
+    return replace(state, amplitudes=state.amplitudes * np.exp(-1j * kin * duration))
 
 
 def pulse_propagator(
@@ -374,15 +360,15 @@ def pulse_propagator(
 ) -> np.ndarray:
     """Full-pulse propagator over the ladder window, at laser phase zero.
 
-    ``quasimomentum`` may be an array of q values (kg m/s), in which case a
-    stack of propagators with shape (len(q), W, W) is returned; all members
-    integrate in one adaptive solve. A commanded laser phase phi is applied
-    afterwards by conjugation: U(phi) = D U D* with D = diag(e^{-i n phi}),
-    which is exact because the phase enters only the coupling.
+    ``quasimomentum`` may be an array of q values (units of hbar*k), in
+    which case a stack of propagators with shape (len(q), W, W) is returned;
+    all members integrate in one adaptive solve. A commanded laser phase phi
+    is applied afterwards by conjugation: U(phi) = D U D* with
+    D = diag(e^{-i n phi}), which is exact because the phase enters only the
+    coupling.
     """
     lo, hi = window
-    q_tilde = np.asarray(quasimomentum, dtype=float) / (HBAR * species.wavevector)
-    kin = kinetic_frequencies(species, np.arange(lo, hi + 1), q_tilde)
+    kin = kinetic_frequencies(species, np.arange(lo, hi + 1), quasimomentum)
     coupling, theta, dur = _pulse_functions(pulse, species)
     eye = np.eye(kin.shape[-1], dtype=complex)
     return _evolve(kin, eye, dur, coupling, theta, 0.0, pulse.sigma / 2.0, cfg)
@@ -410,7 +396,7 @@ def _transfer(species, order, sigma, quasimomentum, cfg, omegas) -> tuple:
     unit, theta, dur = _pulse_functions(
         PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
     om = np.array(omegas)[:, None]
-    kin = kinetic_frequencies(species, psi.sites, psi.q_tilde)
+    kin = kinetic_frequencies(species, psi.sites, quasimomentum)
     column = np.broadcast_to(psi.amplitudes[:, None], (len(om), len(kin), 1))
     amps = _evolve(kin, column, dur, lambda t: om * unit(t), theta, 0.0, sigma / 2, cfg)
     pops = np.abs(amps[..., 0]) ** 2
@@ -427,7 +413,8 @@ def calibrate_pulse_amplitude(
     cfg: EvolutionConfig = DEFAULT_CONFIG,
     ceiling_factor: float = 400.0,
 ) -> float:
-    """Peak Rabi frequency transferring ``target`` of |0> into |2n hbar k>.
+    """Peak Rabi frequency transferring ``target`` of |0> into |2n hbar k>
+    for a plane wave at ``quasimomentum`` (units of hbar*k).
 
     Searches the first Rabi lobe; returns the smallest Omega_0 whose
     simulated transfer equals the target within 1e-4. A target at or above

@@ -18,7 +18,8 @@ U(phi) = D(phi) U D(phi)* (ladder.phase_conjugated). Scans therefore cost a
 few matrix solves total. Every shot runs through ``_ShotEngine.shots`` over
 an array of shot indices, and per-shot noise has one home shared with the
 gravity series: ``_mirror_draws`` and ``_detect``, which build one
-(seed, shot, stream) generator per draw.
+(seed, shot, stream) generator per draw. Momenta and quasimomenta are in
+units of hbar*k, from the ensemble draw to the kinetic diagonal.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import FringeScan, HarmonicFit, fit_harmonics, fringe_contrast
-from .constants import HBAR
 from .environment import (
     STREAM_DETECTION,
     STREAM_DETECTION_UPPER,
@@ -88,11 +88,10 @@ class EnsembleSpec:
                     f"{len(self.quasimomenta)} explicit quasimomenta for "
                     f"sample_count {self.sample_count}")
 
-    def draw(self, species: AtomSpecies) -> np.ndarray:
-        """Quasimomenta (kg m/s), truncated to the first band by redraw."""
-        hk = HBAR * species.wavevector
+    def draw(self) -> np.ndarray:
+        """Quasimomenta (units of hbar k), truncated to the first band by redraw."""
         if self.quasimomenta is not None:
-            return np.asarray(self.quasimomenta, dtype=float) * hk
+            return np.asarray(self.quasimomenta, dtype=float)
         if self.sigma_q == 0.0:
             return np.zeros(self.sample_count)
         rng = shot_rng(self.seed, 0, STREAM_QUASIMOMENTUM)
@@ -104,7 +103,7 @@ class EnsembleSpec:
             take = min(len(draws), self.sample_count - filled)
             out[filled:filled + take] = draws[:take]
             filled += take
-        return out * hk
+        return out
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,7 @@ class GradiometerSpec:
 
     def baseline(self, species: AtomSpecies) -> float:
         """Vertical separation (m): faster-cloud speed times BVS delay."""
-        v = abs(self.lower_momentum) * HBAR * species.wavevector / species.mass
-        return v * self.bvs_separation
+        return abs(self.lower_momentum) * species.recoil_velocity * self.bvs_separation
 
     def resonance_separation(self, species: AtomSpecies) -> float:
         """Doppler gap 2k * dv between the clouds' Bragg resonances (rad/s)."""
@@ -244,7 +242,7 @@ class _ShotEngine:
         self.master_seed = master_seed
         self.cache = {} if propagator_cache is None else propagator_cache
 
-        self.q = ensemble.draw(species)
+        self.q = ensemble.draw()
         self.delta_res = bragg_resonance(sequence.order, species)
         if sequence.sweep_rate is None:
             # resonant by construction: keep the residual ramp at exactly 0
@@ -276,8 +274,7 @@ class _ShotEngine:
         self.beat_phases = [
             self.delta_res * t + 0.5 * self.ramp * t * t for t in starts
         ]
-        kin = kinetic_frequencies(species, self.sites,
-                                  self.q / (HBAR * species.wavevector))
+        kin = kinetic_frequencies(species, self.sites, self.q)
         self.free_phase = np.exp(-1j * kin * gap)
 
     def _propagator(self, pulse: PulseSpec, delta_c: float) -> np.ndarray:
@@ -385,9 +382,6 @@ def scan_fringe(
     return engine.scan(grid, shot_index_offset)
 
 
-DEFAULT_SCAN_GRID = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
-
-
 def scan_contrast_vs_T(
     species: AtomSpecies,
     ensemble: EnsembleSpec,
@@ -396,12 +390,11 @@ def scan_contrast_vs_T(
     gravity: float,
     noise: NoiseModel,
     master_seed: int = 0,
-    phase_grid=None,
-    n_harmonics: int = 3,
     geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> list[tuple[float, float]]:
-    """Fringe contrast versus interrogation time (the revival curve).
+    """Fringe contrast versus interrogation time (the revival curve), from
+    a three-harmonic fit to 24 phases over 4 pi at each T.
 
     Requires the T grid step to resolve the revival period (step <= dT/8).
     With a resonant sweep the pulse propagators carry no absolute-time
@@ -416,7 +409,7 @@ def scan_contrast_vs_T(
             f"T step {step:.3g}s exceeds revival_period/8 "
             f"({revival_period(species) / 8:.3g}s)"
         )
-    grid = DEFAULT_SCAN_GRID if phase_grid is None else np.asarray(phase_grid)
+    grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
     cache: dict = {}
     out = []
     for k, T in enumerate(times):
@@ -425,7 +418,7 @@ def scan_contrast_vs_T(
                            master_seed, geometry, cfg,
                            shot_index_offset=k * len(grid),
                            propagator_cache=cache)
-        fit = fit_harmonics(scan, n_harmonics=n_harmonics)
+        fit = fit_harmonics(scan, n_harmonics=3)
         out.append((float(T), fringe_contrast(fit)))
     return out
 
@@ -518,17 +511,16 @@ def run_gravity_series(
     master_seed: int = 0,
     geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
-    calibration_points: int = 48,
 ) -> GravitySeries:
     """Mid-fringe gravity monitoring against a tide model.
 
     The fringe shape is calibrated once with the full ladder simulation
-    (noiseless scan at the mean gravity, resonant chirp); each subsequent
-    shot then enters through the linearized phase response of the closed
-    Mach-Zehnder: a gravity change dg translates the fringe argument by
-    -k_eff*dg*T^2*cos(tilt), mirror noise adds phi1 - 2*phi2 + phi3, and
-    detection noise is applied per port. Recovery inverts the calibrated
-    curve around the bias point.
+    (noiseless 48-point scan over 4 pi at the mean gravity, resonant chirp);
+    each subsequent shot then enters through the linearized phase response
+    of the closed Mach-Zehnder: a gravity change dg translates the fringe
+    argument by -k_eff*dg*T^2*cos(tilt), mirror noise adds
+    phi1 - 2*phi2 + phi3, and detection noise is applied per port. Recovery
+    inverts the calibrated curve around the bias point.
     """
     geometry = geometry or BeamGeometry.vertical(species)
     g0 = tide.mean_gravity
@@ -536,7 +528,7 @@ def run_gravity_series(
     seq = replace(sequence, sweep_rate=None)  # resonant chirp at g0
     quiet = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf,
                        tilt_drift=noise.tilt_drift)
-    grid = np.linspace(0.0, 4.0 * math.pi, calibration_points, endpoint=False)
+    grid = np.linspace(0.0, 4.0 * math.pi, 48, endpoint=False)
     cal_scan = scan_fringe(species, ensemble, seq, g0, quiet, grid,
                            master_seed, geometry, cfg)
     fit = fit_harmonics(cal_scan, n_harmonics=3)

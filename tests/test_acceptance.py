@@ -55,8 +55,6 @@ from braggsim.sequence import (
 RB = AtomSpecies.rubidium87()
 GEOM = BeamGeometry.vertical(RB)
 QUIET = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf)
-HBAR = 1.054571817e-34
-HK = HBAR * RB.wavevector
 TRUNC = erf(3.0 / math.sqrt(2.0))
 
 _t0 = {}
@@ -149,7 +147,7 @@ def test_criterion_05_unitarity_truncation(qb_sequence):
         om = qb_sequence.mirror.rabi_peak if sigma == 5e-6 else 1.2e5
         pulse = PulseSpec(rabi_peak=om, sigma=sigma, resonant_order=order)
         for qt in (0.0, -0.37, 0.61):
-            out = apply_pulse(plane_wave_state(RB, quasimomentum=qt * HK,
+            out = apply_pulse(plane_wave_state(RB, quasimomentum=qt,
                                                guard=8), pulse)
             drift = max(drift, abs(out.norm - 1.0))
     pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, resonant_order=2)
@@ -366,13 +364,13 @@ def test_criterion_13_bvs_selection():
     out_band = []
     for p_hk in (-2.0, -1.75, -1.5, -1.3, 1.3, 1.5, 1.75, 2.0):
         site = round(p_hk / 2)
-        q = (p_hk - 2 * site) * HK
+        q = p_hk - 2 * site
         psi = plane_wave_state(RB, site=site, quasimomentum=q)
         out_band.append(bloch_accelerate(psi, ramp).population(0))
-    momenta = np.linspace(-2.0, 2.0, 21) * HK
+    momenta = np.linspace(-2.0, 2.0, 21)
     eff = selection_profile(RB, ramp, momenta)
     half = eff.max() / 2
-    above = momenta[eff >= half] / HK
+    above = momenta[eff >= half]
     fwhm = above.max() - above.min()
     ok = q0 >= 0.95 and max(out_band) < 0.1 and 1.5 <= fwhm <= 2.5
     _report(13, "bvs-selection", ok,

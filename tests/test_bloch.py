@@ -19,7 +19,7 @@ RAMP = LatticeRamp()  # depth 4 E_r, 30 m/s^2, 8 hbar k
 def accelerate_momentum(p_hk, ramp=RAMP):
     """Run a plane wave of momentum p (units hbar k) through the BVS stage."""
     site = round(p_hk / 2)
-    q = (p_hk - 2 * site) * HK
+    q = p_hk - 2 * site
     return bloch_accelerate(plane_wave_state(RB, site=site, quasimomentum=q), ramp)
 
 
@@ -54,7 +54,7 @@ class TestBlochAccelerate:
     def test_momentum_bookkeeping(self):
         out = accelerate_momentum(0.0)
         # the re-indexing boosts site 0 to the target momentum
-        gain_hk = out.mean_momentum() / HK + RAMP.target_momentum
+        gain_hk = out.mean_momentum() + RAMP.target_momentum
         assert gain_hk == pytest.approx(RAMP.target_momentum, rel=0.02)
 
     def test_adiabatic_limit_load_doubling(self):
@@ -84,7 +84,7 @@ class TestBlochAccelerate:
 
 @pytest.fixture(scope="module")
 def profile():
-    momenta = np.linspace(-2.0, 2.0, 21) * HK
+    momenta = np.linspace(-2.0, 2.0, 21)
     return momenta, selection_profile(RB, RAMP, momenta)
 
 
@@ -95,7 +95,7 @@ class TestSelectionProfile:
         # beyond the band edge the directional sweep breaks the symmetry
         # because +|p| and -|p| states meet different crossing sequences.
         momenta, eff = profile
-        band = np.abs(momenta) <= HK * (1 + 1e-9)
+        band = np.abs(momenta) <= 1 + 1e-9
         np.testing.assert_allclose(eff[band], eff[band][::-1], atol=1e-6)
 
     def test_band_edge_below_center(self, profile):
@@ -107,13 +107,18 @@ class TestSelectionProfile:
     def test_acceptance_fwhm_about_2hk(self, profile):
         momenta, eff = profile
         half = eff.max() / 2
-        above = momenta[eff >= half] / HK
+        above = momenta[eff >= half]
         fwhm = above.max() - above.min()
         assert 1.5 <= fwhm <= 2.5
 
     def test_momenta_outside_two_hk_rejected(self):
         with pytest.raises(ValueError):
-            selection_profile(RB, RAMP, np.array([2.5 * HK]))
+            selection_profile(RB, RAMP, np.array([2.5]))
+
+    def test_nan_momentum_rejected(self):
+        # a NaN must fail the bound rather than reach the solver
+        with pytest.raises(ValueError, match=r"within \+-2 hbar\*k"):
+            selection_profile(RB, LatticeRamp(), [math.nan])
 
 
 class TestLatticeRampValidation:

@@ -302,6 +302,7 @@ class TestCliRuns:
          "pulse: |quasimomentum_hk| 1.5 exceeds 1"),
         ("bvs", {"profile_min_hk": -2.5},
          "bvs: profile_min_hk and profile_max_hk must lie in [-2, 2]"),
+        ("bvs", {"profile_points": 0}, "bvs: profile_points must be >= 1, got 0"),
         ("class_oracle", {"time_points": 0},
          "class_oracle: time_points must be >= 1"),
         ("class_oracle", {"time_min_s": -1.0e-6},
@@ -315,6 +316,7 @@ class TestCliRuns:
             "pulse-sigma-negative", "tilt-95", "shots-0", "bin-size-0",
             "shot-period-0", "pulse-order-0", "transfer-target-1.5",
             "bvs-depth-0", "pulse-quasimomentum-1.5", "bvs-profile-beyond-2",
+            "bvs-profile-points-0",
             "class-oracle-points-0", "class-oracle-time-negative",
             "class-oracle-a-reversed"])
     def test_bad_input_exits_1_at_load(self, tmp_path, capsys,

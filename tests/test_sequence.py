@@ -188,7 +188,13 @@ class TestDeterminism:
 
     def test_ensemble_draw_deterministic(self):
         ens = EnsembleSpec(sample_count=32, sigma_q=0.42, seed=5)
-        np.testing.assert_array_equal(ens.draw(RB), ens.draw(RB))
+        np.testing.assert_array_equal(ens.draw(), ens.draw())
+
+    def test_ensemble_draw_in_hk(self):
+        ens = EnsembleSpec(sample_count=8, sigma_q=0.42)
+        draws = ens.draw()
+        assert len(draws) == 8 and np.all(np.abs(draws) <= 1.0)
+        np.testing.assert_array_equal(draws, ens.draw())
 
 
 def _hex(values):
@@ -414,7 +420,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sample_count 3"):
             EnsembleSpec(sample_count=3, quasimomenta=(0.1,))
         ens = EnsembleSpec(sample_count=2, quasimomenta=(0.1, -0.1))
-        assert len(ens.draw(RB)) == 2
+        assert len(ens.draw()) == 2
 
     def test_gradiometer_spec_validation(self):
         with pytest.raises(ValueError):
