@@ -78,6 +78,11 @@ class HarmonicFit:
             out = out + c * np.cos(m * phi + th)
         return out
 
+    def extrema(self) -> tuple[float, float]:
+        """(max, min) of the curve sampled at 2048 points over one 2 pi period."""
+        curve = self.evaluate(np.linspace(0.0, 2 * math.pi, 2048, endpoint=False))
+        return float(curve.max()), float(curve.min())
+
     def derivative(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
         out = np.zeros(phi.shape)
@@ -160,15 +165,12 @@ def fit_harmonics(scan: FringeScan, n_harmonics: int = 3) -> HarmonicFit:
 
 
 def fringe_contrast(fit: HarmonicFit) -> float:
-    """(max - min)/(max + min) of the fitted curve, sampled at 2048 points
-    over one 2 pi period.
+    """(max - min)/(max + min) of the fitted curve's ``extrema``.
 
     A curve dipping below zero (offset smaller than the harmonic sum) is
     clamped at zero and reported, since populations cannot be negative.
     """
-    phi = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
-    curve = fit.evaluate(phi)
-    hi, lo = float(curve.max()), float(curve.min())
+    hi, lo = fit.extrema()
     if lo < 0.0:
         logger.warning("fitted fringe dips to %.3g; clamping to 0 for contrast", lo)
         lo = 0.0

@@ -55,6 +55,7 @@ def _fit_summary(fit):
         "residual_rms": fit.residual_rms,
         "dominant_harmonic": fit.dominant_harmonic,
         "contrast": analysis.fringe_contrast(fit),
+        "contrast_clamped": fit.extrema()[1] < 0.0,
     }
 
 
@@ -232,6 +233,7 @@ def _gravity_series(cfg: ExperimentConfig):
 
 def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
     species, tide, series = _gravity_series(cfg)
+    g0 = series.mean_gravity
     rows = list(zip(series.times.tolist(), series.true_gravity.tolist(),
                     series.normalized_population.tolist(),
                     series.recovered_gravity.tolist()))
@@ -239,15 +241,15 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
                 ["time_s", "gravity_true", "normalized_population",
                  "gravity_recovered"], rows)
     bin_size = cfg.gravity_run.bin_size
-    means, errs = analysis.bin_timeseries(series.recovered_gravity, bin_size)
+    means, errs = analysis.bin_timeseries(series.recovered_shift, bin_size)
     t_bins, _ = analysis.bin_timeseries(series.times, bin_size)
     write_table(out, "gravity_binned",
                 ["time_s", "gravity_mean", "gravity_stderr"],
-                list(zip(t_bins.tolist(), means.tolist(), errs.tolist())))
+                list(zip(t_bins.tolist(), (g0 + means).tolist(), errs.tolist())))
     summary = {
         "bias_phase_rad": series.bias_phase,
         "calibration": _fit_summary(series.calibration),
-        "mean_gravity": series.mean_gravity,
+        "mean_gravity": g0,
         "saturated_shots": series.saturated_shots,
         "components": [],
     }
@@ -271,7 +273,7 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
 
 def cmd_allan(cfg: ExperimentConfig, out: Path) -> dict:
     species, tide, series = _gravity_series(cfg)
-    frac = (series.recovered_gravity - series.mean_gravity) / series.mean_gravity
+    frac = series.recovered_shift / series.mean_gravity
     curve = analysis.allan_deviation(frac, cfg.gravity_run.shot_period_s)
     write_table(out, "allan", ["tau_s", "allan_deviation"],
                 list(zip(curve.taus.tolist(), curve.values.tolist())))

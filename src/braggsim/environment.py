@@ -8,8 +8,9 @@ per port signal at sigma = 1/SNR (photon-shot-noise-like). Tides are a
 configurable sum of gravity harmonics, a stand-in for a published
 solid-Earth-tide model.
 
-All randomness is reproducible from (master seed, shot index, stream id);
-there is no hidden global state.
+All randomness is reproducible from (master seed, stream id): one generator
+per noise stream, and shot i takes row i of its stream in any batch of
+shots. There is no hidden global state.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ STREAM_DETECTION = 2
 STREAM_DETECTION_UPPER = 3
 
 
-def shot_rng(master_seed: int, shot_index: int = 0, stream: int = 0) -> np.random.Generator:
-    """Independent deterministic generator for one (shot, stream) pair."""
-    return np.random.default_rng(
-        np.random.SeedSequence((int(master_seed), int(shot_index), int(stream)))
-    )
+def shot_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """The generator of one noise stream; row i of its draws is shot i's."""
+    return np.random.default_rng((int(master_seed), 0, int(stream)))
 
 
 @dataclass(frozen=True)
@@ -52,18 +51,17 @@ class NoiseModel:
             raise ValueError(f"tilt_drift must be finite, got {self.tilt_drift}")
 
 
-def sample_mirror_phases(
-    model: NoiseModel, rng: np.random.Generator
-) -> tuple[float, float, float]:
-    """Three independent Gaussian pulse-phase draws (rad).
+def sample_mirror_phases(model: NoiseModel, rng: np.random.Generator,
+                         shots: int) -> np.ndarray:
+    """Independent Gaussian pulse-phase draws (rad), one row per shot and one
+    column per pulse.
 
-    The combination phi1 - 2*phi2 + phi3 has variance 6*rms^2. Zero rms is a
-    bit-identical pass-through that consumes no randomness.
+    The combination phi1 - 2*phi2 + phi3 has variance 6*rms^2. Zero rms
+    returns zeros and consumes no randomness.
     """
     if model.mirror_phase_rms == 0.0:
-        return (0.0, 0.0, 0.0)
-    draws = rng.normal(0.0, model.mirror_phase_rms, size=3)
-    return (float(draws[0]), float(draws[1]), float(draws[2]))
+        return np.zeros((shots, 3))
+    return rng.normal(0.0, model.mirror_phase_rms, size=(shots, 3))
 
 
 def apply_detection_noise(populations, model: NoiseModel, rng: np.random.Generator):

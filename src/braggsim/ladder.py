@@ -374,12 +374,6 @@ def pulse_propagator(
     return _evolve(kin, eye, dur, coupling, theta, 0.0, pulse.sigma / 2.0, cfg)
 
 
-def phase_conjugated(U: np.ndarray, sites: np.ndarray, phi: float) -> np.ndarray:
-    """Apply a laser phase to a phase-zero propagator: D(phi) U D(phi)^dag."""
-    d = np.exp(-1j * sites * phi)
-    return d[..., :, None] * U * np.conj(d)[..., None, :]
-
-
 # ---------------------------------------------------------------------------
 # amplitude calibration
 # ---------------------------------------------------------------------------

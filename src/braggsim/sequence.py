@@ -13,13 +13,13 @@ Mach-Zehnder emerges here.
 
 Pulse propagators are computed once per (pulse, detuning, chirp) at laser
 phase zero and batched over the quasimomentum ensemble; commanded phases and
-mirror-phase noise are applied afterwards by the exact diagonal conjugation
-U(phi) = D(phi) U D(phi)* (ladder.phase_conjugated). Scans therefore cost a
-few matrix solves total. Every shot runs through ``_ShotEngine.shots`` over
-an array of shot indices, and per-shot noise has one home shared with the
-gravity series: ``_mirror_draws`` and ``_detect``, which build one
-(seed, shot, stream) generator per draw. Momenta and quasimomenta are in
-units of hbar*k, from the ensemble draw to the kinetic diagonal.
+mirror-phase noise enter through the exact conjugation U(phi) psi =
+D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}). ``_ShotEngine.shots`` evolves
+every shot of a batch as one (shots, samples, sites) array, so scans cost a
+few matrix solves total. Per-shot noise has one home shared with the gravity
+series: ``_mirror_draws`` and ``_detect`` build one generator per (seed,
+stream) and give shot i row i of it. Momenta and quasimomenta are in units
+of hbar*k, from the ensemble draw to the kinetic diagonal.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .ladder import (
     calibrate_pulse_amplitude,
     check_leakage,
     kinetic_frequencies,
-    phase_conjugated,
     pulse_propagator,
 )
 from .physics import (
@@ -94,7 +93,7 @@ class EnsembleSpec:
             return np.asarray(self.quasimomenta, dtype=float)
         if self.sigma_q == 0.0:
             return np.zeros(self.sample_count)
-        rng = shot_rng(self.seed, 0, STREAM_QUASIMOMENTUM)
+        rng = shot_rng(self.seed, STREAM_QUASIMOMENTUM)
         out = np.empty(self.sample_count)
         filled = 0
         while filled < self.sample_count:
@@ -211,17 +210,21 @@ class ShotResult:
 
 def _mirror_draws(noise: NoiseModel, seed: int, shot_indices) -> np.ndarray:
     """Mirror phases (rad) of the three pulses per shot, shape (n, 3)."""
-    return np.array([sample_mirror_phases(noise, shot_rng(seed, i, STREAM_MIRROR))
-                     for i in shot_indices], dtype=float).reshape(-1, 3)
+    idx = np.asarray(shot_indices, dtype=int)
+    if np.any(idx < 0):
+        raise ValueError(f"shot indices must be >= 0, got {idx.min()}")
+    return sample_mirror_phases(noise, shot_rng(seed, STREAM_MIRROR),
+                                int(idx.max(initial=-1)) + 1)[idx]
 
 
 def _detect(clean_pairs, noise: NoiseModel, seed: int, shot_indices,
             stream: int) -> tuple[np.ndarray, np.ndarray]:
     """Detected (lower, upper) port pairs (n, 2) and the normalised population
     lower / (lower + upper) per shot; a shot detecting no atoms reads 0.5."""
-    measured = np.array([apply_detection_noise(pair, noise, shot_rng(seed, i, stream))
-                         for pair, i in zip(clean_pairs, shot_indices)],
-                        dtype=float).reshape(-1, 2)
+    idx = np.asarray(shot_indices, dtype=int)
+    rows = np.zeros((int(idx.max(initial=-1)) + 1, 2))
+    rows[idx] = clean_pairs
+    measured = apply_detection_noise(rows, noise, shot_rng(seed, stream))[idx]
     denom = measured[:, 0] + measured[:, 1]
     return measured, np.divide(measured[:, 0], denom, where=denom > 0,
                                out=np.full(len(denom), 0.5))
@@ -286,16 +289,6 @@ class _ShotEngine:
                 self.species, eff, self.window, self.q, self.cfg)
         return self.cache[key]
 
-    def _populations(self, phis) -> np.ndarray:
-        """Ensemble-mean site populations after pulses at laser phases phis."""
-        pulses = [phase_conjugated(U, self.sites, phi)
-                  for U, phi in zip(self.propagators, phis)]
-        # the cloud starts in site 0: the first pulse leaves its column
-        psi = pulses[0][:, :, -self.window[0]]
-        for U in pulses[1:]:
-            psi = np.einsum("sij,sj->si", U, self.free_phase * psi)
-        return np.mean(np.abs(psi) ** 2, axis=0)
-
     def shots(self, shot_indices, final_phases,
               pulse_phase_bias: tuple[float, float, float] = (0.0, 0.0, 0.0),
               detection_stream: int = STREAM_DETECTION):
@@ -309,7 +302,13 @@ class _ShotEngine:
         commanded = np.zeros((len(shot_indices), 3))
         commanded[:, 2] = final_phases
         phases = commanded + pulse_phase_bias + mirror + self.beat_phases
-        pops = np.array([self._populations(phis) for phis in phases])
+        # D(phi) per pulse and shot, (3, n, 1, W); the cloud starts in site
+        # 0, where D is 1, so the first pulse leaves its column times D
+        d = np.exp(-1j * self.sites * phases.T[:, :, None, None])
+        psi = d[0] * self.propagators[0][:, :, -self.window[0]]
+        for U, dk in zip(self.propagators[1:], d[1:]):
+            psi = dk * np.einsum("sij,nsj->nsi", U, np.conj(dk) * self.free_phase * psi)
+        pops = np.mean(np.abs(psi) ** 2, axis=1)
 
         check_leakage(pops)
         if np.any(pops < -1e-12) or np.any(pops.sum(axis=1) > 1.0 + 1e-9):
@@ -486,18 +485,22 @@ def run_gradiometer(
 
 @dataclass(frozen=True)
 class GravitySeries:
-    """Synthetic mid-fringe gravimeter run and its recovered gravity;
-    ``saturated_shots`` readings fell outside the monotonic inversion segment
-    and were recovered as its end."""
+    """Synthetic mid-fringe gravimeter run; recovered gravity is kept as its
+    shift from ``mean_gravity``. ``saturated_shots`` readings fell outside
+    the monotonic inversion segment and were recovered as its end."""
 
     times: np.ndarray
     true_gravity: np.ndarray
     normalized_population: np.ndarray
-    recovered_gravity: np.ndarray
+    recovered_shift: np.ndarray
     calibration: HarmonicFit
     bias_phase: float
     mean_gravity: float
     saturated_shots: int
+
+    @property
+    def recovered_gravity(self) -> np.ndarray:
+        return self.mean_gravity + self.recovered_shift
 
 
 def run_gravity_series(
@@ -583,12 +586,12 @@ def run_gravity_series(
     # outside it, and those are counted
     args = np.interp(p_meas, seg_val, seg_arg)
     saturated = int(np.count_nonzero((p_meas < seg_val[0]) | (p_meas > seg_val[-1])))
-    recovered = g0 - (args - bias) / (keff * T * T)
+    recovered_shift = -(args - bias) / (keff * T * T)
     return GravitySeries(
         times=times,
         true_gravity=np.asarray(g_true, dtype=float),
         normalized_population=p_meas,
-        recovered_gravity=recovered,
+        recovered_shift=recovered_shift,
         calibration=fit,
         bias_phase=bias,
         mean_gravity=g0,

@@ -7,11 +7,13 @@ from dataclasses import is_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from braggsim import cli
+from braggsim.analysis import HarmonicFit
 from braggsim.cli import main
 from braggsim.config import (
     ConfigError,
@@ -441,3 +443,42 @@ gravity_run: {shots: 600, shot_period_s: 1.0, bin_size: 38}
         se = comps[0]["amplitude_stderr"]
         assert rec == pytest.approx(2.0e-6, abs=max(3 * se, 2e-7))
         assert summary["results"]["saturated_shots"] == 0
+
+    def test_gravity_run_fits_the_tide_on_the_shift_from_g0(self, tmp_path,
+                                                           monkeypatch):
+        text = """
+seed: 5
+sequence: {order: 2, interrogation_time_s: 20.0e-3, pulse_sigma_s: 15.0e-6}
+ensemble: {samples: 1, sigma_q_hk: 0.0}
+noise: {mirror_phase_rms_rad: 0.01, detection_snr: 100.0}
+tide:
+  mean_gravity_m_s2: 9.81
+  components:
+    - {amplitude_m_s2: 2.0e-6, period_h: 0.05, phase_rad: 0.0}
+gravity_run: {shots: 200, shot_period_s: 1.0, bin_size: 38}
+"""
+        fitted = []
+        fit = cli.analysis.fit_harmonic_components
+
+        def captured(t, values, *args, **kwargs):
+            fitted.append(np.asarray(values))
+            return fit(t, values, *args, **kwargs)
+
+        monkeypatch.setattr(cli.analysis, "fit_harmonic_components", captured)
+        out = tmp_path / "grun"
+        assert main(["gravity-run", write_config(tmp_path, text),
+                     "--out-dir", str(out)]) == 0
+        assert len(fitted) == 1 and len(fitted[0]) == 5
+        assert np.all(np.abs(fitted[0]) < 1e-3)
+        means = [float(line.split(",")[1]) for line in
+                 (out / "gravity_binned.csv").read_text().splitlines()[1:]]
+        assert means == pytest.approx(9.81 + fitted[0], abs=1e-12)
+
+
+class TestFitSummary:
+    @pytest.mark.parametrize("offset, amplitude, clamped",
+                             [(0.4, 0.5, True), (0.5, 0.4, False)])
+    def test_contrast_clamp_reported(self, offset, amplitude, clamped):
+        fit = HarmonicFit(offset=offset, amplitudes=(amplitude,), phases=(0.0,),
+                          residual_rms=0.0)
+        assert cli._fit_summary(fit)["contrast_clamped"] is clamped

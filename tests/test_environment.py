@@ -22,39 +22,43 @@ from braggsim.environment import (
 class TestMirrorPhases:
     def test_zero_rms_is_exact_zero(self):
         model = NoiseModel(mirror_phase_rms=0.0)
-        assert sample_mirror_phases(model, shot_rng(1)) == (0.0, 0.0, 0.0)
+        rng = shot_rng(1, STREAM_MIRROR)
+        state = rng.bit_generator.state
+        out = sample_mirror_phases(model, rng, 4)
+        assert out.shape == (4, 3) and np.all(out == 0.0)
+        assert rng.bit_generator.state == state  # no draw was made
 
     def test_combination_variance(self):
         # var(phi1 - 2 phi2 + phi3) = 6 rms^2; 3 sigma statistical band
         rms = 0.1
         model = NoiseModel(mirror_phase_rms=rms)
         n = 20000
-        combos = np.empty(n)
-        for i in range(n):
-            p1, p2, p3 = sample_mirror_phases(model, shot_rng(42, i, STREAM_MIRROR))
-            combos[i] = p1 - 2 * p2 + p3
+        p = sample_mirror_phases(model, shot_rng(42, STREAM_MIRROR), n)
+        combos = p[:, 0] - 2 * p[:, 1] + p[:, 2]
         expected = 6 * rms**2
         tol = 3 * expected * math.sqrt(2.0 / n)
         assert abs(np.var(combos) - expected) < tol
 
     def test_same_seed_same_triple(self):
+        # shot 3 reads row 3 of its stream, whichever batch draws it
         model = NoiseModel(mirror_phase_rms=0.2)
-        a = sample_mirror_phases(model, shot_rng(7, 3, STREAM_MIRROR))
-        b = sample_mirror_phases(model, shot_rng(7, 3, STREAM_MIRROR))
-        assert a == b
+        a = sample_mirror_phases(model, shot_rng(7, STREAM_MIRROR), 4)[3]
+        b = sample_mirror_phases(model, shot_rng(7, STREAM_MIRROR), 10)[3]
+        np.testing.assert_array_equal(a, b)
 
     def test_streams_independent(self):
         model = NoiseModel(mirror_phase_rms=0.2)
-        a = sample_mirror_phases(model, shot_rng(7, 3, STREAM_MIRROR))
-        b = sample_mirror_phases(model, shot_rng(7, 4, STREAM_MIRROR))
-        assert a != b
+        rows = sample_mirror_phases(model, shot_rng(7, STREAM_MIRROR), 5)
+        other = sample_mirror_phases(model, shot_rng(7, STREAM_DETECTION), 5)
+        assert np.all(rows[3] != rows[4])
+        assert np.all(rows != other)
 
 
 class TestDetectionNoise:
     def test_infinite_snr_pass_through(self):
         model = NoiseModel(detection_snr=math.inf)
         pops = np.array([0.4, 0.5])
-        out = apply_detection_noise(pops, model, shot_rng(1))
+        out = apply_detection_noise(pops, model, shot_rng(1, STREAM_DETECTION))
         assert out is pops
 
     def test_normalized_population_rms(self):
@@ -64,26 +68,46 @@ class TestDetectionNoise:
         a, b = 0.5, 0.5
         model = NoiseModel(detection_snr=snr)
         n = 20000
-        ps = np.empty(n)
-        for i in range(n):
-            noisy = apply_detection_noise(
-                np.array([a, b]), model, shot_rng(3, i, STREAM_DETECTION))
-            ps[i] = noisy[0] / (noisy[0] + noisy[1])
+        noisy = apply_detection_noise(np.tile([a, b], (n, 1)), model,
+                                      shot_rng(3, STREAM_DETECTION))
+        ps = noisy[:, 0] / (noisy[:, 0] + noisy[:, 1])
         expected = (1 / snr) * math.sqrt(a * a + b * b) / (a + b) ** 2
         got = np.std(ps)
         assert got == pytest.approx(expected, rel=0.1)
 
     def test_clamping_keeps_populations_physical(self):
         model = NoiseModel(detection_snr=2.0)  # huge noise to force clamping
-        rng = shot_rng(5)
+        rng = shot_rng(5, STREAM_DETECTION)
         for _ in range(200):
             out = apply_detection_noise(np.array([0.0, 1.0]), model, rng)
             assert 0.0 <= out[0] <= 1.0 and 0.0 <= out[1] <= 1.0
 
     def test_dict_and_array_paths_agree_in_shape(self):
         model = NoiseModel(detection_snr=50.0)
-        arr = apply_detection_noise(np.array([0.3, 0.7]), model, shot_rng(9))
+        arr = apply_detection_noise(np.array([0.3, 0.7]), model,
+                                    shot_rng(9, STREAM_DETECTION))
         assert arr.shape == (2,)
+
+
+class TestStreams:
+    def test_stream_statistics(self):
+        # one draw of n shots per stream: Gaussian rows with the model's
+        # variance, uncorrelated across shots, pulses, ports and streams
+        rms, snr, n = 0.1, 50.0, 20000
+        mirror = sample_mirror_phases(NoiseModel(mirror_phase_rms=rms),
+                                      shot_rng(11, STREAM_MIRROR), n)
+        assert np.all(np.abs(mirror.mean(axis=0)) < 4 * rms / math.sqrt(n))
+        assert np.all(np.abs(mirror.var(axis=0) - rms**2)
+                      < 3 * math.sqrt(2.0 / n) * rms**2)
+        detection = apply_detection_noise(
+            np.full((n, 2), 0.5), NoiseModel(detection_snr=snr),
+            shot_rng(11, STREAM_DETECTION)) - 0.5
+        columns = np.column_stack([mirror, detection]).T
+        bound = 4 / math.sqrt(n)
+        for col in columns:
+            assert abs(np.corrcoef(col[:-1], col[1:])[0, 1]) < bound
+        corr = np.corrcoef(columns)
+        assert np.all(np.abs(corr[np.triu_indices(len(columns), 1)]) < bound)
 
 
 class TestTide:
