@@ -8,11 +8,12 @@ depth in recoil energies sets the nearest-neighbour ladder coupling to
 depth * w_r / 4 (potential depth*E_r*cos^2(kz)).
 
 The three stages (linear depth ramp up, linear frequency sweep, linear ramp
-down) are one ``ladder.drive`` call, the driver that also runs Bragg pulses:
-it checks the norm, sizes the window, runs each stage through the evolution
-kernel and checks edge leakage. The lattice phase accumulated by the sweep
-is carried across stage boundaries so the lattice never jumps in space.
-Momenta are in units of hbar*k, as on the ladder.
+down) are one ``ladder.drive`` call for any number of input states, so a
+selection profile makes one solve per stage. The driver, which also runs
+Bragg pulses, checks the norms, sizes the windows and checks edge leakage.
+The lattice phase accumulated by the sweep is carried across stage
+boundaries so the lattice never jumps in space. Momenta are in units of
+hbar*k, as on the ladder.
 """
 
 from __future__ import annotations
@@ -70,17 +71,18 @@ class LatticeRamp:
 
 
 def bloch_accelerate(
-    state: MomentumLadderState,
+    states: list[MomentumLadderState],
     ramp: LatticeRamp,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
-) -> MomentumLadderState:
-    """Load, accelerate and release the lattice; re-index to the target.
+) -> list[MomentumLadderState]:
+    """Load, accelerate and release the lattice on states of one species;
+    re-index each to the target.
 
-    The returned state has ladder site 0 relabelled to the target momentum
+    The returned states have ladder site 0 relabelled to the target momentum
     (a Galilean boost; populations preserved). Leakage into the window edge
     is signalled exactly as for pulses.
     """
-    species = state.species
+    species = states[0].species
     wr = species.recoil_frequency
     g_max = ramp.depth * wr / 4.0
     t_load = ramp.load_duration
@@ -102,8 +104,8 @@ def bloch_accelerate(
     ]
     target_site = ramp.target_momentum // 2
     guard = cfg.ladder_guard_sites
-    out = drive(state, stages, (guard, target_site + guard), cfg)
-    return out.reindexed(target_site)
+    out = drive(states, stages, (guard, target_site + guard), cfg)
+    return [final.reindexed(target_site) for final in out]
 
 
 def selection_profile(
@@ -120,11 +122,8 @@ def selection_profile(
     momenta = np.asarray(momenta, dtype=float)
     if not np.all(np.abs(momenta) <= 2 * (1 + 1e-12)):   # NaN fails too
         raise ValueError("input momenta must lie within +-2 hbar*k")
-    out = np.empty(len(momenta))
-    for i, p in enumerate(momenta):
-        site = round(p / 2)
-        psi = plane_wave_state(species, site=site, quasimomentum=p - 2 * site,
-                               guard=cfg.ladder_guard_sites)
-        final = bloch_accelerate(psi, ramp, cfg)
-        out[i] = final.population(0)
-    return out
+    states = [plane_wave_state(species, site=round(p / 2),
+                               quasimomentum=p - 2 * round(p / 2),
+                               guard=cfg.ladder_guard_sites) for p in momenta]
+    finals = bloch_accelerate(states, ramp, cfg) if states else []
+    return np.array([final.population(0) for final in finals])

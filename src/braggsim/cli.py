@@ -24,12 +24,11 @@ from .physics import resonant_sweep_rate, revival_period
 from .report import versions, write_run_meta, write_summary, write_table
 
 
-def _resolve_sequence(cfg: ExperimentConfig, species, evolution,
-                      order: int | None = None):
+def _resolve_sequence(cfg: ExperimentConfig, species, evolution):
     plan = cfg.sequence.resolve()   # the schedule before calibration
     return sequence.prepare_sequence(
         species,
-        order=plan.order if order is None else order,
+        order=plan.order,
         interrogation_time=plan.interrogation_time,
         pulse_sigma=plan.beamsplitter.sigma,
         mirror_sigma=plan.mirror.sigma,
@@ -39,10 +38,10 @@ def _resolve_sequence(cfg: ExperimentConfig, species, evolution,
     )
 
 
-def _require_scan(cfg: ExperimentConfig, target: str):
-    if cfg.scan.target != target:
-        raise ConfigError("scan.target",
-                          f"subcommand requires target {target!r}, "
+def _require_scan(cfg: ExperimentConfig, *targets: str):
+    if cfg.scan.target not in targets:
+        raise ConfigError("scan.target", "subcommand requires target "
+                          f"{' or '.join(map(repr, targets))}, "
                           f"got {cfg.scan.target!r}")
     return cfg.scan.grid()
 
@@ -116,6 +115,7 @@ def cmd_bvs(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
+    grid = _require_scan(cfg, "phase", "sweep_rate")
     species = cfg.species.resolve()
     evolution = cfg.evolution.resolve()
     geometry = cfg.geometry.resolve(species)
@@ -124,7 +124,6 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
     seq = _resolve_sequence(cfg, species, evolution)
 
     if cfg.scan.target == "phase":
-        grid = _require_scan(cfg, "phase")
         scan = sequence.scan_fringe(species, ens, seq, cfg.gravity_m_s2, noise,
                                     grid, cfg.seed, geometry, evolution)
         x_name = "phase_rad"
@@ -132,22 +131,18 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
                         scan.port_populations[0].tolist(),
                         scan.port_populations[seq.order].tolist(),
                         scan.normalized.tolist()))
-    elif cfg.scan.target == "sweep_rate":
+    else:
         # offsets (Hz/s) from the resonant rate; point i is run_shot number i
-        offsets = _require_scan(cfg, "sweep_rate")
         a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
         x_name = "sweep_rate_offset_hz_per_s"
         rows = []
-        for i, da in enumerate(offsets.tolist()):
+        for i, da in enumerate(grid.tolist()):
             shot = sequence.run_shot(
                 species, ens, dataclasses.replace(seq, sweep_rate=a0 + da),
                 cfg.gravity_m_s2, noise, cfg.seed, i, geometry, evolution)
             rows.append((da, shot.measured_ports[0],
                          shot.measured_ports[seq.order],
                          shot.normalized_population))
-    else:
-        raise ConfigError("scan.target",
-                          "fringe supports phase or sweep_rate scans")
 
     write_table(out, "fringe", [x_name, "port0", f"port{seq.order}",
                                 "normalized"], rows)
@@ -160,13 +155,16 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_revivals(cfg: ExperimentConfig, out: Path) -> dict:
+    times = _require_scan(cfg, "interrogation_time")
+    if len(times) < 8:
+        raise ConfigError("scan.points", "revivals fits a period to at least "
+                          f"8 interrogation times, got {len(times)}")
     species = cfg.species.resolve()
     evolution = cfg.evolution.resolve()
     geometry = cfg.geometry.resolve(species)
     ens = cfg.ensemble.resolve()
     noise = cfg.noise.resolve()
     seq = _resolve_sequence(cfg, species, evolution)
-    times = _require_scan(cfg, "interrogation_time")
     curve = sequence.scan_contrast_vs_T(species, ens, seq, times,
                                         cfg.gravity_m_s2, noise, cfg.seed,
                                         geometry=geometry, cfg=evolution)
@@ -184,13 +182,13 @@ def cmd_revivals(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_gradiometer(cfg: ExperimentConfig, out: Path) -> dict:
+    grid = _require_scan(cfg, "phase")
     species = cfg.species.resolve()
     evolution = cfg.evolution.resolve()
     ens = cfg.ensemble.resolve()
     noise = cfg.noise.resolve()
     gspec = cfg.gradiometer.resolve()
-    seq = _resolve_sequence(cfg, species, evolution, order=gspec.order)
-    grid = _require_scan(cfg, "phase")
+    seq = _resolve_sequence(cfg, species, evolution)
     res = sequence.run_gradiometer(species, gspec, ens, seq, cfg.gravity_m_s2,
                                    cfg.gradiometer.gradient_per_s2, noise,
                                    grid, cfg.seed, evolution)
@@ -232,6 +230,10 @@ def _gravity_series(cfg: ExperimentConfig):
 
 
 def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
+    bin_size = cfg.gravity_run.bin_size
+    if bin_size > cfg.gravity_run.shots:
+        raise ConfigError("gravity_run.bin_size", f"bin of {bin_size} shots "
+                          f"exceeds the {cfg.gravity_run.shots} shots of the run")
     species, tide, series = _gravity_series(cfg)
     g0 = series.mean_gravity
     rows = list(zip(series.times.tolist(), series.true_gravity.tolist(),
@@ -240,7 +242,6 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
     write_table(out, "gravity_series",
                 ["time_s", "gravity_true", "normalized_population",
                  "gravity_recovered"], rows)
-    bin_size = cfg.gravity_run.bin_size
     means, errs = analysis.bin_timeseries(series.recovered_shift, bin_size)
     t_bins, _ = analysis.bin_timeseries(series.times, bin_size)
     write_table(out, "gravity_binned",

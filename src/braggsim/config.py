@@ -188,14 +188,12 @@ class BvsBlock(_CheckedAtLoad):
 class GradiometerBlock(_CheckedAtLoad):
     lower_momentum_hk: int = 8
     upper_momentum_hk: int = 2
-    order: int = 3
     bvs_separation_s: float = 50e-3
     gradient_per_s2: float = 3.0e-6
 
     def resolve(self) -> GradiometerSpec:
         return GradiometerSpec(lower_momentum=self.lower_momentum_hk,
                                upper_momentum=self.upper_momentum_hk,
-                               order=self.order,
                                bvs_separation=self.bvs_separation_s)
 
 

@@ -22,11 +22,10 @@ Runge-Kutta (DOP853) then resolves the pulse with a handful of hundred
 steps. One kernel evolves columns of amplitudes over the ladder window: a
 state is a one-column propagator, and a propagator (or a stack of them over
 quasimomenta) is the evolved identity. States go through one driver,
-``drive``: it checks the norm, grows the window beyond the occupied sites,
-runs each drive stage through the kernel and checks the edge leakage with
-``check_leakage``. A Bragg pulse is one stage and the Bloch lattice three.
-Calibration probes are batched: one solve evolves a plane-wave column per
-probed Omega_0 through the kernel, as ``pulse_propagator`` evolves its own.
+``drive``: one solve per stage evolves a batch of states, each on its own
+window with its own kinetic row, and ``check_leakage`` checks every state's
+edges. A Bragg pulse is one stage and the Bloch lattice three; a calibration
+batch drives copies of a plane wave, one per probed Omega_0.
 """
 
 from __future__ import annotations
@@ -250,9 +249,10 @@ def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
     for amplitude columns ``columns`` of shape (..., W, C); rows are ladder
     sites, so a state is a one-column propagator and the identity evolves
     into the propagator. ``kin``: kinetic frequencies (..., W).
-    ``coupling(t)``: Omega(t)/2, or None when the drive is off (free flight,
-    no solve). ``theta(t)``: lattice phase integral of delta from 0.
-    ``phi``: laser phase. ``step_cap``: the drive's step limit (s).
+    ``coupling(t)``: Omega(t)/2, a scalar or one value per batch row (..., 1),
+    or None when the drive is off (free flight, no solve). ``theta(t)``: lattice
+    phase integral of delta from 0. ``phi``: laser phase. ``step_cap``: the
+    drive's step limit (s).
     """
     free = np.exp(-1j * kin * duration)[..., None]
     if coupling is None:
@@ -307,22 +307,31 @@ def check_leakage(populations) -> None:
         raise TruncationLeakError(float(leak), LEAK_BOUND)
 
 
-def drive(state: MomentumLadderState, stages, reach: tuple[int, int],
-          cfg: EvolutionConfig = DEFAULT_CONFIG) -> MomentumLadderState:
-    """Evolve a normalised state through ``stages`` of ``(duration, coupling,
-    theta, phi, step_cap)`` (see ``_evolve``) on a window grown to ``reach =
-    (below, above)`` sites beyond the occupied ones."""
-    if abs(state.norm - 1.0) > 1e-6:
-        raise ValueError(f"state norm {state.norm} is not 1 within 1e-6")
-    occupied = state.sites[np.abs(state.amplitudes) ** 2 > 1e-12]
-    state = state.expanded(int(occupied.min()) - reach[0],
-                           int(occupied.max()) + reach[1])
-    kin = kinetic_frequencies(state.species, state.sites, state.quasimomentum)
-    amps = state.amplitudes[:, None]
+def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
+          cfg: EvolutionConfig = DEFAULT_CONFIG) -> list[MomentumLadderState]:
+    """Evolve normalised states through ``stages`` of
+    ``(duration, coupling, theta, phi, step_cap)``, one solve per stage (see
+    ``_evolve``; row b of ``coupling(t)`` may drive state b alone), each on its
+    own window of ``reach = (below, above)`` sites beyond its occupied ones,
+    padded at the top to the widest."""
+    grown = []
+    for psi in states:
+        if abs(psi.norm - 1.0) > 1e-6:
+            raise ValueError(f"state norm {psi.norm} is not 1 within 1e-6")
+        occupied = psi.sites[np.abs(psi.amplitudes) ** 2 > 1e-12]
+        grown.append(psi.expanded(int(occupied.min()) - reach[0],
+                                  int(occupied.max()) + reach[1]))
+    width = max(len(psi.amplitudes) for psi in grown)
+    states = [psi.expanded(psi.n_min, psi.n_min + width - 1) for psi in grown]
+    kin = np.stack([kinetic_frequencies(psi.species, psi.sites, psi.quasimomentum)
+                    for psi in states])
+    if np.all(kin == kin[0]):   # one shared row: B-fold fewer exps per RHS call
+        kin = kin[:1]
+    amps = np.stack([psi.amplitudes for psi in states])[..., None]
     for duration, coupling, theta, phi, step_cap in stages:
         amps = _evolve(kin, amps, duration, coupling, theta, phi, step_cap, cfg)
-    check_leakage(np.abs(amps[:, 0]) ** 2)
-    return replace(state, amplitudes=amps[:, 0])
+    check_leakage(np.abs(amps[..., 0]) ** 2)
+    return [replace(psi, amplitudes=a) for psi, a in zip(states, amps[..., 0])]
 
 
 def apply_pulse(
@@ -337,8 +346,8 @@ def apply_pulse(
     """
     reach = pulse.coupling_order(state.species) + cfg.ladder_guard_sites
     coupling, theta, dur = _pulse_functions(pulse, state.species)
-    return drive(state, [(dur, coupling, theta, pulse.laser_phase,
-                          pulse.sigma / 2.0)], (reach, reach), cfg)
+    return drive([state], [(dur, coupling, theta, pulse.laser_phase,
+                            pulse.sigma / 2.0)], (reach, reach), cfg)[0]
 
 
 def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadderState:
@@ -385,17 +394,14 @@ _SWEEP_BATCH, _ZOOM_PROBES = 9, 17
 @functools.lru_cache
 def _transfer(species, order, sigma, quasimomentum, cfg, omegas) -> tuple:
     # |0> -> |order> per Omega_0 in one solve; memoised: pi searches reprobe pi/2 batches
-    psi = plane_wave_state(species, quasimomentum=quasimomentum,
-                           guard=order + cfg.ladder_guard_sites)
+    reach = order + cfg.ladder_guard_sites
     unit, theta, dur = _pulse_functions(
         PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
     om = np.array(omegas)[:, None]
-    kin = kinetic_frequencies(species, psi.sites, quasimomentum)
-    column = np.broadcast_to(psi.amplitudes[:, None], (len(om), len(kin), 1))
-    amps = _evolve(kin, column, dur, lambda t: om * unit(t), theta, 0.0, sigma / 2, cfg)
-    pops = np.abs(amps[..., 0]) ** 2
-    check_leakage(pops)
-    return tuple(pops[:, order - psi.n_min].tolist())
+    psi = plane_wave_state(species, quasimomentum=quasimomentum, guard=reach)
+    out = drive([psi] * len(omegas), [(dur, lambda t: om * unit(t), theta, 0.0,
+                                       sigma / 2)], (reach, reach), cfg)
+    return tuple(final.population(order) for final in out)
 
 
 def calibrate_pulse_amplitude(

@@ -168,12 +168,11 @@ def prepare_sequence(
 
 @dataclass(frozen=True)
 class GradiometerSpec:
-    """Two simultaneous clouds: momenta (units hbar k), shared coupling order
-    and the BVS pulse separation setting the baseline."""
+    """Two simultaneous clouds: momenta (units hbar k) and the BVS pulse
+    separation setting the baseline. Both clouds run at the sequence order."""
 
     lower_momentum: int = 8     # the first-launched, faster, lower cloud
     upper_momentum: int = 2
-    order: int = 3
     bvs_separation: float = 50e-3
 
     def __post_init__(self):
@@ -181,8 +180,6 @@ class GradiometerSpec:
             raise ValueError("cloud momentum difference must be a multiple of 2 hbar k")
         if self.lower_momentum == self.upper_momentum:
             raise ValueError("clouds must have distinct momenta")
-        if not self.order >= 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
         if not 0 < self.bvs_separation < math.inf:
             raise ValueError(f"bvs_separation must be finite and positive, "
                              f"got {self.bvs_separation}")
@@ -453,8 +450,6 @@ def run_gradiometer(
     angular frequency (Gaussian spectral overlap below ~3e-4), else the
     configuration is rejected.
     """
-    if sequence.order != gspec.order:
-        raise ValueError("sequence order must match the gradiometer coupling order")
     sep = gspec.resonance_separation(species)
     sigma = sequence.beamsplitter.sigma
     if sep * sigma < 4.0:

@@ -283,7 +283,7 @@ def test_criterion_10_gradiometer_common_mode(qb_sequence):
     _start(10)
     # 2 pi-periodic quasi-Bragg fringes (as in the measured gradiometer);
     # momenta chosen to keep the Bragg resonances resolvable at sigma = 5 us
-    gspec = GradiometerSpec(lower_momentum=12, upper_momentum=2, order=2)
+    gspec = GradiometerSpec(lower_momentum=12, upper_momentum=2)
     ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
     grid = np.linspace(0, 4 * math.pi, 160, endpoint=False)
 
@@ -360,13 +360,13 @@ def test_criterion_12_mid_fringe_conversion():
 def test_criterion_13_bvs_selection():
     _start(13)
     ramp = LatticeRamp()   # depth 4 E_r, 30 m/s^2, 8 hbar k
-    q0 = bloch_accelerate(plane_wave_state(RB), ramp).population(0)
+    q0 = bloch_accelerate([plane_wave_state(RB)], ramp)[0].population(0)
     out_band = []
     for p_hk in (-2.0, -1.75, -1.5, -1.3, 1.3, 1.5, 1.75, 2.0):
         site = round(p_hk / 2)
         q = p_hk - 2 * site
         psi = plane_wave_state(RB, site=site, quasimomentum=q)
-        out_band.append(bloch_accelerate(psi, ramp).population(0))
+        out_band.append(bloch_accelerate([psi], ramp)[0].population(0))
     momenta = np.linspace(-2.0, 2.0, 21)
     eff = selection_profile(RB, ramp, momenta)
     half = eff.max() / 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from braggsim import ladder
 from braggsim.bloch import LatticeRamp, bloch_accelerate, selection_profile
 from braggsim.ladder import EvolutionConfig, TruncationLeakError, plane_wave_state
 from braggsim.physics import AtomSpecies
@@ -20,7 +21,8 @@ def accelerate_momentum(p_hk, ramp=RAMP):
     """Run a plane wave of momentum p (units hbar k) through the BVS stage."""
     site = round(p_hk / 2)
     q = p_hk - 2 * site
-    return bloch_accelerate(plane_wave_state(RB, site=site, quasimomentum=q), ramp)
+    return bloch_accelerate([plane_wave_state(RB, site=site, quasimomentum=q)],
+                            ramp)[0]
 
 
 class TestBlochAccelerate:
@@ -35,7 +37,7 @@ class TestBlochAccelerate:
         ramp = LatticeRamp(depth=200.0, load_duration=5e-6,
                            sweep_duration=20e-6, target_momentum=2)
         with pytest.raises(TruncationLeakError) as err:
-            bloch_accelerate(plane_wave_state(RB), ramp, cfg)
+            bloch_accelerate([plane_wave_state(RB)], ramp, cfg)
         assert err.value.leakage > err.value.bound
 
     def test_first_band_center_transfer(self):
@@ -61,14 +63,14 @@ class TestBlochAccelerate:
         # deep in the adiabatic loading regime the transfer is converged
         slow = LatticeRamp(load_duration=300e-6)
         slower = LatticeRamp(load_duration=600e-6)
-        p1 = bloch_accelerate(plane_wave_state(RB), slow).population(0)
-        p2 = bloch_accelerate(plane_wave_state(RB), slower).population(0)
+        p1 = bloch_accelerate([plane_wave_state(RB)], slow)[0].population(0)
+        p2 = bloch_accelerate([plane_wave_state(RB)], slower)[0].population(0)
         assert abs(p2 - p1) < 1e-3
 
     def test_sweep_speed_convergence(self):
         halved = LatticeRamp(acceleration=RAMP.acceleration / 2)
-        p_fast = bloch_accelerate(plane_wave_state(RB), RAMP).population(0)
-        p_slow = bloch_accelerate(plane_wave_state(RB), halved).population(0)
+        p_fast = bloch_accelerate([plane_wave_state(RB)], RAMP)[0].population(0)
+        p_slow = bloch_accelerate([plane_wave_state(RB)], halved)[0].population(0)
         assert p_slow >= p_fast - 1e-3
         assert abs(p_slow - p_fast) < 0.02
 
@@ -77,8 +79,8 @@ class TestBlochAccelerate:
         implied = LatticeRamp(acceleration=dv / 1.5e-3)
         explicit = LatticeRamp(sweep_duration=1.5e-3)
         assert implied.resolved_sweep_duration(RB) == pytest.approx(1.5e-3)
-        p1 = bloch_accelerate(plane_wave_state(RB), implied).population(0)
-        p2 = bloch_accelerate(plane_wave_state(RB), explicit).population(0)
+        p1 = bloch_accelerate([plane_wave_state(RB)], implied)[0].population(0)
+        p2 = bloch_accelerate([plane_wave_state(RB)], explicit)[0].population(0)
         assert p1 == pytest.approx(p2, abs=1e-9)
 
 
@@ -110,6 +112,24 @@ class TestSelectionProfile:
         above = momenta[eff >= half]
         fwhm = above.max() - above.min()
         assert 1.5 <= fwhm <= 2.5
+
+    def test_matches_lone_accelerations(self):
+        # one batched solve per stage against each momentum on its own
+        momenta = np.array([-2.0, -1.3, 0.0, 0.7, 2.0])
+        lone = [accelerate_momentum(p).population(0) for p in momenta]
+        np.testing.assert_allclose(selection_profile(RB, RAMP, momenta), lone,
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("points", [5, 21])
+    def test_one_solve_per_stage(self, monkeypatch, points):
+        real, solves = ladder.solve_ivp, []
+        monkeypatch.setattr(ladder, "solve_ivp",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        selection_profile(RB, RAMP, np.linspace(-2.0, 2.0, points))
+        assert len(solves) == 3
+
+    def test_no_momenta_no_profile(self):
+        assert selection_profile(RB, RAMP, []).shape == (0,)
 
     def test_momenta_outside_two_hk_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from braggsim import cli
+from braggsim import cli, ladder
 from braggsim.analysis import HarmonicFit
 from braggsim.cli import main
 from braggsim.config import (
@@ -311,6 +311,7 @@ class TestCliRuns:
          "class_oracle: time_min_s must lie in [0, time_max_s]"),
         ("class_oracle", {"a_min": 2, "a_max": 1},
          "class_oracle: a_max 1 must be >= a_min 2"),
+        ("gradiometer", {"order": 2}, "gradiometer.order: unknown key"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
             "samples-mismatch", "seed-negative", "ensemble-seed-negative",
@@ -320,7 +321,7 @@ class TestCliRuns:
             "bvs-depth-0", "pulse-quasimomentum-1.5", "bvs-profile-beyond-2",
             "bvs-profile-points-0",
             "class-oracle-points-0", "class-oracle-time-negative",
-            "class-oracle-a-reversed"])
+            "class-oracle-a-reversed", "gradiometer-order"])
     def test_bad_input_exits_1_at_load(self, tmp_path, capsys,
                                        block, values, message):
         data = yaml.safe_load(FAST_FRINGE)
@@ -381,6 +382,37 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         assert main(["fringe", cfg, "--out-dir", str(out)]) == 1
         assert not (out / "fringe.csv").exists()
 
+    @pytest.mark.parametrize("command, block, values, message", [
+        ("fringe", "scan", {"target": "interrogation_time"},
+         "scan.target: subcommand requires target 'phase' or 'sweep_rate', "
+         "got 'interrogation_time'"),
+        ("revivals", "scan", {"target": "phase"},
+         "scan.target: subcommand requires target 'interrogation_time'"),
+        ("revivals", "scan", {"target": "interrogation_time", "start": 1e-3,
+                              "stop": 1.0125e-3, "points": 4},
+         "scan.points: revivals fits a period to at least 8 interrogation "
+         "times, got 4"),
+        ("gradiometer", "scan", {"target": "interrogation_time"},
+         "scan.target: subcommand requires target 'phase'"),
+        ("gravity-run", "gravity_run", {"shots": 10, "bin_size": 38},
+         "gravity_run.bin_size: bin of 38 shots exceeds the 10 shots"),
+    ], ids=["fringe-target", "revivals-target", "revivals-4-points",
+            "gradiometer-target", "gravity-run-bin-beyond-shots"])
+    def test_rejected_before_calibration(self, tmp_path, monkeypatch, capsys,
+                                         command, block, values, message):
+        # a warm transfer memo would hide a calibration, so start cold
+        ladder._transfer.cache_clear()
+        real, solves = ladder.solve_ivp, []
+        monkeypatch.setattr(ladder, "solve_ivp",
+                            lambda *a, **k: solves.append(1) or real(*a, **k))
+        bad = yaml.safe_load(FAST_FRINGE)
+        bad.setdefault(block, {}).update(values)
+        cfg = write_config(tmp_path, yaml.safe_dump(bad))
+        out = tmp_path / "x"
+        assert main([command, cfg, "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert solves == [] and not list(out.glob("*.csv"))
+
     def test_wrong_scan_target_for_subcommand(self, tmp_path):
         bad = yaml.safe_load(FAST_FRINGE)
         bad["scan"]["target"] = "interrogation_time"
@@ -388,11 +420,11 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         assert main(["fringe", cfg, "--out-dir", str(tmp_path / "x")]) == 1
 
     def test_numerical_error_exit_code(self, tmp_path):
-        # unachievable calibration target under a tiny search ceiling is a
-        # numerical failure, not a config failure
+        # a ValueError raised while the pipeline runs exits 2: here the
+        # T scan rejects its 12.5 us step, wider than revival_period/8
         bad = yaml.safe_load(FAST_FRINGE)
         bad["scan"] = {"target": "interrogation_time", "start": 1e-4,
-                       "stop": 2e-4, "points": 3}
+                       "stop": 2e-4, "points": 8}
         cfg = write_config(tmp_path, yaml.safe_dump(bad))
         assert main(["revivals", cfg, "--out-dir", str(tmp_path / "x")]) == 2
 

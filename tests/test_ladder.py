@@ -1,5 +1,6 @@
 """Ladder dynamics against analytic oracles and unitarity contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,27 @@ class TestCalibration:
             out = apply_pulse(plane_wave_state(RB, quasimomentum=q, guard=8),
                               PulseSpec(rabi_peak=om, sigma=5e-6, resonant_order=2))
             assert p == pytest.approx(out.population(2), abs=1e-10)
+
+    def test_batched_drive_matches_lone_drives(self):
+        # states on different sites, spans, q and species share one solve;
+        # each keeps its own window, padded at the top to the widest, and
+        # must match a drive of it alone on that window
+        pulse = PulseSpec(rabi_peak=3e5, sigma=5e-6, resonant_order=1)
+        coupling, theta, dur = ladder._pulse_functions(pulse, RB)
+        stages = [(dur, coupling, theta, 0.4, pulse.sigma / 2)]
+        heavy = dataclasses.replace(RB, mass=2 * RB.mass)
+        pair = MomentumLadderState(RB, np.array([1, 1j]) / math.sqrt(2), n_min=0,
+                                   quasimomentum=0.1)
+        states = [plane_wave_state(RB, site=-1, quasimomentum=0.3),
+                  plane_wave_state(heavy, site=2, quasimomentum=-0.6), pair]
+        batch = ladder.drive(states, stages, (6, 6))
+        assert [(out.n_min, out.n_max) for out in batch] == [(-7, 6), (-4, 9), (-6, 7)]
+        for psi, out in zip(states, batch):
+            alone = ladder.drive([psi.expanded(out.n_min, out.n_max)], stages,
+                                 (6, 6))[0]
+            assert (alone.n_min, alone.n_max) == (out.n_min, out.n_max)
+            np.testing.assert_allclose(out.amplitudes, alone.amplitudes,
+                                       rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("order, sigma, guard", [(2, 5e-6, 6), (1, 3e-6, 4)],
                              ids=["order2-5us", "leak-past-lobe"])

@@ -326,7 +326,7 @@ class TestGradiometer:
     def test_zero_gradient_no_noise_identical_fringes(self):
         seq = prepare_sequence(RB, order=3, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
-        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2, order=3)
+        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
         ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
         grid = np.linspace(0, 4 * math.pi, 16, endpoint=False)
         res = run_gradiometer(RB, gspec, ens, seq, 9.81, 0.0, QUIET, grid)
@@ -336,27 +336,20 @@ class TestGradiometer:
     def test_overlapping_resonances_rejected(self):
         seq = prepare_sequence(RB, order=1, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
-        gspec = GradiometerSpec(lower_momentum=4, upper_momentum=2, order=1)
+        gspec = GradiometerSpec(lower_momentum=4, upper_momentum=2)
         with pytest.raises(ValueError, match="overlap"):
             run_gradiometer(RB, gspec, EnsembleSpec(sample_count=1, sigma_q=0.0),
                             seq, 9.81, 0.0, QUIET, GRID)
 
-    def test_order_mismatch_rejected(self):
-        seq = prepare_sequence(RB, order=2, interrogation_time=2e-3,
-                               pulse_sigma=15e-6)
-        gspec = GradiometerSpec(order=3)
-        with pytest.raises(ValueError, match="order"):
-            run_gradiometer(RB, gspec, PLANE, seq, 9.81, 0.0, QUIET, GRID)
-
     def test_paper_scale_baseline(self):
-        gspec = GradiometerSpec(lower_momentum=80, upper_momentum=74, order=3,
+        gspec = GradiometerSpec(lower_momentum=80, upper_momentum=74,
                                 bvs_separation=50e-3)
         assert gspec.baseline(RB) == pytest.approx(2.4e-2, rel=0.03)
 
     def test_common_mode_correlation(self):
         seq = prepare_sequence(RB, order=3, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
-        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2, order=3)
+        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
         ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
         noise = NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0)
         grid = np.linspace(0, 4 * math.pi, 96, endpoint=False)
@@ -478,9 +471,8 @@ class TestSpecValidation:
             GradiometerSpec(lower_momentum=8, upper_momentum=8)
 
     @pytest.mark.parametrize("field, value", [
-        ("order", math.nan),
         ("bvs_separation", math.nan), ("bvs_separation", math.inf),
-    ], ids=["order-nan", "bvs_separation-nan", "bvs_separation-inf"])
+    ], ids=["bvs_separation-nan", "bvs_separation-inf"])
     def test_gradiometer_spec_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             GradiometerSpec(**{field: value})
