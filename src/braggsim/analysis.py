@@ -191,6 +191,12 @@ def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
     return delta_phi / (harmonic * k_eff * interrogation_time**2)
 
 
+def check_allan_length(n: int) -> None:
+    """ValueError unless a series of ``n`` samples has an Allan deviation."""
+    if n < 4:
+        raise ValueError(f"need at least 4 samples, got {n}")
+
+
 def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     """Overlapping Allan deviation of a per-shot series.
 
@@ -200,8 +206,7 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     """
     y = np.asarray(series, dtype=float)
     n = len(y)
-    if n < 4:
-        raise ValueError(f"need at least 4 samples, got {n}")
+    check_allan_length(n)
     if shot_period <= 0:
         raise ValueError(f"shot_period must be positive, got {shot_period}")
     if taus is None:
@@ -284,13 +289,9 @@ def enumerate_interferometer_class(
         if np.any(w < 0) or w.sum() == 0:
             raise ValueError("weights must be non-negative and not all zero")
     j = class_index
-    entries = []
-    phases = np.empty(len(a_vals))
-    for i, a in enumerate(a_vals):
-        ph = path_phase(j, a, interrogation_time, species)
-        phases[i] = ph
-        entries.append((a, j - a, ph))
-    proxy = float(np.abs(np.sum(w * np.exp(1j * phases))) / np.sum(w))
+    phases = [path_phase(j, a, interrogation_time, species) for a in a_vals]
+    entries = [(a, j - a, ph) for a, ph in zip(a_vals, phases)]
+    proxy = float(np.abs(np.sum(w * np.exp(1j * np.array(phases)))) / np.sum(w))
     return ClassEnumeration(class_index=j, interrogation_time=interrogation_time,
                             entries=tuple(entries), contrast_proxy=proxy)
 

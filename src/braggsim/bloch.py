@@ -82,25 +82,27 @@ def bloch_accelerate(
     (a Galilean boost; populations preserved). Leakage into the window edge
     is signalled exactly as for pulses.
     """
+    if not states:
+        return []
     species = states[0].species
+    if any(psi.species != species for psi in states):
+        raise ValueError("bloch_accelerate takes states of one species")
     wr = species.recoil_frequency
     g_max = ramp.depth * wr / 4.0
     t_load = ramp.load_duration
     t_sweep = ramp.resolved_sweep_duration(species)
     delta_end = 4.0 * ramp.target_momentum * wr  # 2k * target velocity
-    # the sweep leaves the lattice phase at delta_end*t_sweep/2, carried as
-    # the release stage's phi so the lattice never jumps in space
+    # the sweep leaves the lattice phase at delta_end*t_sweep/2; the release
+    # continues it from there so the lattice never jumps in space
     phi_carry = 0.5 * delta_end * t_sweep
     stages = [
         # 1) adiabatic load: depth 0 -> full, lattice at rest
-        (t_load, lambda t: g_max * (t / t_load), lambda t: 0.0, 0.0,
-         t_load / 8.0),
+        (t_load, lambda t: g_max * (t / t_load), lambda t: 0.0),
         # 2) frequency sweep: delta ramps 0 -> delta_end at constant depth
-        (t_sweep, lambda t: g_max, lambda t: 0.5 * delta_end * t * t / t_sweep,
-         0.0, t_sweep / 8.0),
+        (t_sweep, lambda t: g_max, lambda t: 0.5 * delta_end * t * t / t_sweep),
         # 3) release: depth full -> 0, lattice coasting at delta_end
-        (t_load, lambda t: g_max * (1.0 - t / t_load), lambda t: delta_end * t,
-         phi_carry, t_load / 8.0),
+        (t_load, lambda t: g_max * (1.0 - t / t_load),
+         lambda t: delta_end * t + phi_carry),
     ]
     target_site = ramp.target_momentum // 2
     guard = cfg.ladder_guard_sites
@@ -125,5 +127,5 @@ def selection_profile(
     states = [plane_wave_state(species, site=round(p / 2),
                                quasimomentum=p - 2 * round(p / 2),
                                guard=cfg.ladder_guard_sites) for p in momenta]
-    finals = bloch_accelerate(states, ramp, cfg) if states else []
+    finals = bloch_accelerate(states, ramp, cfg)
     return np.array([final.population(0) for final in finals])

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bloch, sequence
-from .config import ConfigError, ExperimentConfig, echo_config, load_config, resolved_dict
-from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse, PulseSpec
+from .config import (ConfigError, ExperimentConfig, at_key, echo_config, load_config,
+                     resolved_dict)
+from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse
 from .physics import resonant_sweep_rate, revival_period
 from .report import versions, write_run_meta, write_summary, write_table
 
@@ -81,8 +82,7 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> dict:
             species, blk.transfer_target, blk.order, blk.sigma_s, cfg=evolution)
     else:
         omega0 = float(blk.rabi_peak_rad_s)
-    pulse = PulseSpec(rabi_peak=omega0, sigma=blk.sigma_s,
-                      resonant_order=blk.order)
+    pulse = dataclasses.replace(blk.resolve(), rabi_peak=omega0)
     psi = plane_wave_state(species, quasimomentum=blk.quasimomentum_hk,
                            guard=blk.order + evolution.ladder_guard_sites)
     final = apply_pulse(psi, pulse, evolution)
@@ -160,6 +160,8 @@ def cmd_revivals(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError("scan.points", "revivals fits a period to at least "
                           f"8 interrogation times, got {len(times)}")
     species = cfg.species.resolve()
+    with at_key("scan.points"):
+        sequence.interrogation_grid(species, times)
     evolution = cfg.evolution.resolve()
     geometry = cfg.geometry.resolve(species)
     ens = cfg.ensemble.resolve()
@@ -273,6 +275,8 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_allan(cfg: ExperimentConfig, out: Path) -> dict:
+    with at_key("gravity_run.shots"):
+        analysis.check_allan_length(cfg.gravity_run.shots)
     species, tide, series = _gravity_series(cfg)
     frac = series.recovered_shift / series.mean_gravity
     curve = analysis.allan_deviation(frac, cfg.gravity_run.shot_period_s)

@@ -15,6 +15,7 @@ spelled out in the key names.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import sys
@@ -39,6 +40,17 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+@contextlib.contextmanager
+def at_key(path: str):
+    """Report a ValueError raised inside as a ConfigError naming ``path``."""
+    try:
+        yield
+    except ConfigError:   # already names its key
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 class _CheckedAtLoad:
@@ -283,10 +295,8 @@ class ExperimentConfig:
         # numpy seeds its generators from non-negative integers only
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        try:   # the beam geometry is built from the species
+        with at_key("geometry"):   # the beam geometry is built from the species
             self.geometry.resolve(self.species.resolve())
-        except ValueError as exc:
-            raise ConfigError("geometry", str(exc)) from exc
 
 
 def _describe(tp) -> str:
@@ -331,12 +341,8 @@ def _build(tp, value, path: str):
         if key not in hints:
             raise ConfigError(where, "unknown key")
         kwargs[key] = _build(hints[key], item, where)
-    try:
+    with at_key(path or "<root>"):   # a block's range check
         return tp(**kwargs)
-    except ConfigError:   # already names its key
-        raise
-    except ValueError as exc:   # a block's range check
-        raise ConfigError(path or "<root>", str(exc)) from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:

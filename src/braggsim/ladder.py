@@ -21,11 +21,14 @@ leaves only the slowly rotating coupling terms; an adaptive high-order
 Runge-Kutta (DOP853) then resolves the pulse with a handful of hundred
 steps. One kernel evolves columns of amplitudes over the ladder window: a
 state is a one-column propagator, and a propagator (or a stack of them over
-quasimomenta) is the evolved identity. States go through one driver,
-``drive``: one solve per stage evolves a batch of states, each on its own
-window with its own kinetic row, and ``check_leakage`` checks every state's
-edges. A Bragg pulse is one stage and the Bloch lattice three; a calibration
-batch drives copies of a plane wave, one per probed Omega_0.
+quasimomenta) is the evolved identity. A stage is (duration, coupling(t),
+theta(t)): phi couples only through e^{-i (theta + phi)}, so a pulse's laser
+phase is a constant inside its theta, and one step rule serves every stage.
+States go through one driver, ``drive``: one solve per stage evolves a batch
+of states, each on its own window with its own kinetic row, and
+``check_leakage`` checks every state's edges. A Bragg pulse is one stage and
+the Bloch lattice three; a calibration batch drives copies of a plane wave,
+one per probed Omega_0.
 """
 
 from __future__ import annotations
@@ -80,14 +83,6 @@ class EvolutionConfig:
             raise ValueError(
                 f"ladder_guard_sites must be >= 4, got {self.ladder_guard_sites}"
             )
-
-    @property
-    def rtol(self) -> float:
-        return 0.1 * self.error_tolerance
-
-    @property
-    def atol(self) -> float:
-        return 0.01 * self.error_tolerance
 
 
 DEFAULT_CONFIG = EvolutionConfig()
@@ -242,29 +237,25 @@ def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
 # the evolution kernel
 # ---------------------------------------------------------------------------
 
-def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
-    """Schroedinger-picture evolution e^{-i kin duration} A(duration).
+def _evolve(kin, columns, duration, coupling, theta, cfg):
+    """Schroedinger-picture evolution e^{-i kin duration} A(duration) through
+    the stage ``(duration, coupling, theta)``.
 
     Integrates i dA/dt = coupling terms in the kinetic interaction picture
     for amplitude columns ``columns`` of shape (..., W, C); rows are ladder
     sites, so a state is a one-column propagator and the identity evolves
     into the propagator. ``kin``: kinetic frequencies (..., W).
-    ``coupling(t)``: Omega(t)/2, a scalar or one value per batch row (..., 1),
-    or None when the drive is off (free flight, no solve). ``theta(t)``: lattice
-    phase integral of delta from 0. ``phi``: laser phase. ``step_cap``: the
-    drive's step limit (s).
+    ``coupling(t)``: Omega(t)/2, a scalar or one value per batch row (..., 1);
+    zero gives free flight. ``theta(t)``: integral of delta from 0 plus the
+    laser phase; each up-step imprints e^{-i theta}.
     """
-    free = np.exp(-1j * kin * duration)[..., None]
-    if coupling is None:
-        return free * columns
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = kin[..., 1:] - kin[..., :-1]
-    down = -1j * np.exp(-1j * phi)
 
     def rhs(t, y):
         # site n gains c_n A_{n-1}; site n-1 gains -conj(c_n) A_n
         A = y.view(complex).reshape(shape)
-        c = (down * coupling(t) * np.exp(1j * (dkin * t - theta(t))))[..., None]
+        c = (-1j * coupling(t) * np.exp(1j * (dkin * t - theta(t))))[..., None]
         out = np.empty_like(A)
         out[..., -1, :] = 0.0
         out[..., :-1, :] = -np.conj(c) * A[..., 1:, :]
@@ -272,16 +263,21 @@ def _evolve(kin, columns, duration, coupling, theta, phi, step_cap, cfg):
         return out.ravel().view(float)
 
     y0 = np.broadcast_to(columns, shape).astype(complex).ravel().view(float)
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853", rtol=cfg.rtol,
-                    atol=cfg.atol, max_step=step_cap, dense_output=False)
+    tol = cfg.error_tolerance
+    # one step rule for every stage: at most a twelfth of it, sigma/2 for a
+    # 6 sigma pulse, so steps grown on a weak envelope tail cannot stride
+    # over the peak
+    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853", rtol=0.1 * tol,
+                    atol=0.01 * tol, max_step=duration / 12.0, dense_output=False)
     if not sol.success:
         raise RuntimeError(f"pulse integration failed: {sol.message}")
-    return free * sol.y[:, -1].view(complex).reshape(shape)
+    final = sol.y[:, -1].view(complex).reshape(shape)
+    return np.exp(-1j * kin * duration)[..., None] * final
 
 
-def _pulse_functions(pulse: PulseSpec, species: AtomSpecies):
-    """Envelope Omega(t)/2 (None for a zero pulse), lattice phase integral
-    theta(t) and duration."""
+def _pulse_stage(pulse: PulseSpec, species: AtomSpecies):
+    """The pulse as a stage ``(duration, coupling, theta)``: envelope
+    Omega(t)/2 and lattice phase integral theta(t) plus the laser phase."""
     dur = pulse.total_duration
     tc = dur / 2.0
     delta_c = pulse.resolve_detuning(species)
@@ -294,9 +290,9 @@ def _pulse_functions(pulse: PulseSpec, species: AtomSpecies):
 
     def theta(t):
         # integral of delta_c + ramp*(t' - tc) from 0 to t
-        return delta_c * t + 0.5 * ramp * ((t - tc) ** 2 - tc**2)
+        return delta_c * t + 0.5 * ramp * ((t - tc) ** 2 - tc**2) + pulse.laser_phase
 
-    return (coupling if pulse.rabi_peak != 0.0 else None), theta, dur
+    return dur, coupling, theta
 
 
 def check_leakage(populations) -> None:
@@ -309,11 +305,11 @@ def check_leakage(populations) -> None:
 
 def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
           cfg: EvolutionConfig = DEFAULT_CONFIG) -> list[MomentumLadderState]:
-    """Evolve normalised states through ``stages`` of
-    ``(duration, coupling, theta, phi, step_cap)``, one solve per stage (see
-    ``_evolve``; row b of ``coupling(t)`` may drive state b alone), each on its
-    own window of ``reach = (below, above)`` sites beyond its occupied ones,
-    padded at the top to the widest."""
+    """Evolve normalised states through ``stages`` of ``(duration, coupling,
+    theta)``, any laser phase inside theta, one solve per stage under the
+    kernel's one step rule (see ``_evolve``; row b of ``coupling(t)`` may
+    drive state b alone), each on its own window of ``reach = (below, above)``
+    sites beyond its occupied ones, padded at the top to the widest."""
     grown = []
     for psi in states:
         if abs(psi.norm - 1.0) > 1e-6:
@@ -328,8 +324,8 @@ def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
     if np.all(kin == kin[0]):   # one shared row: B-fold fewer exps per RHS call
         kin = kin[:1]
     amps = np.stack([psi.amplitudes for psi in states])[..., None]
-    for duration, coupling, theta, phi, step_cap in stages:
-        amps = _evolve(kin, amps, duration, coupling, theta, phi, step_cap, cfg)
+    for duration, coupling, theta in stages:
+        amps = _evolve(kin, amps, duration, coupling, theta, cfg)
     check_leakage(np.abs(amps[..., 0]) ** 2)
     return [replace(psi, amplitudes=a) for psi, a in zip(states, amps[..., 0])]
 
@@ -345,9 +341,8 @@ def apply_pulse(
     reaching the outermost sites above 1e-4 raises TruncationLeakError.
     """
     reach = pulse.coupling_order(state.species) + cfg.ladder_guard_sites
-    coupling, theta, dur = _pulse_functions(pulse, state.species)
-    return drive([state], [(dur, coupling, theta, pulse.laser_phase,
-                            pulse.sigma / 2.0)], (reach, reach), cfg)[0]
+    return drive([state], [_pulse_stage(pulse, state.species)], (reach, reach),
+                 cfg)[0]
 
 
 def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadderState:
@@ -367,20 +362,19 @@ def pulse_propagator(
     quasimomentum: float | np.ndarray = 0.0,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """Full-pulse propagator over the ladder window, at laser phase zero.
+    """Full-pulse propagator over the ladder window, laser phase included.
 
     ``quasimomentum`` may be an array of q values (units of hbar*k), in
     which case a stack of propagators with shape (len(q), W, W) is returned;
-    all members integrate in one adaptive solve. A commanded laser phase phi
-    is applied afterwards by conjugation: U(phi) = D U D* with
-    D = diag(e^{-i n phi}), which is exact because the phase enters only the
-    coupling.
+    all members integrate in one adaptive solve. The pulse is one stage
+    ``(duration, coupling, theta)`` whose theta carries the laser phase phi,
+    so U(phi) = D U(0) D* with D = diag(e^{-i n phi}); a caller that builds
+    U(0) once may apply other phases by that conjugation.
     """
     lo, hi = window
     kin = kinetic_frequencies(species, np.arange(lo, hi + 1), quasimomentum)
-    coupling, theta, dur = _pulse_functions(pulse, species)
     eye = np.eye(kin.shape[-1], dtype=complex)
-    return _evolve(kin, eye, dur, coupling, theta, 0.0, pulse.sigma / 2.0, cfg)
+    return _evolve(kin, eye, *_pulse_stage(pulse, species), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +389,12 @@ _SWEEP_BATCH, _ZOOM_PROBES = 9, 17
 def _transfer(species, order, sigma, quasimomentum, cfg, omegas) -> tuple:
     # |0> -> |order> per Omega_0 in one solve; memoised: pi searches reprobe pi/2 batches
     reach = order + cfg.ladder_guard_sites
-    unit, theta, dur = _pulse_functions(
+    dur, unit, theta = _pulse_stage(
         PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
     om = np.array(omegas)[:, None]
     psi = plane_wave_state(species, quasimomentum=quasimomentum, guard=reach)
-    out = drive([psi] * len(omegas), [(dur, lambda t: om * unit(t), theta, 0.0,
-                                       sigma / 2)], (reach, reach), cfg)
+    out = drive([psi] * len(omegas), [(dur, lambda t: om * unit(t), theta)],
+                (reach, reach), cfg)
     return tuple(final.population(order) for final in out)
 
 

@@ -137,10 +137,7 @@ def gravity_from_sweep(sweep_rate: float, geometry: BeamGeometry) -> float:
     """Invert the resonance condition: g = 2 pi alpha_0 / (k_eff cos(tilt))."""
     if sweep_rate < 0:
         raise ValueError(f"sweep_rate must be >= 0, got {sweep_rate}")
-    proj = geometry.projection
-    if proj == 0.0:
-        raise ValueError("tilt of pi/2 makes the gravity projection degenerate")
-    return 2.0 * math.pi * sweep_rate / (geometry.k_eff * proj)
+    return 2.0 * math.pi * sweep_rate / (geometry.k_eff * geometry.projection)
 
 
 def bragg_resonance(order: int, species: AtomSpecies) -> float:

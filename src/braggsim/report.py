@@ -71,10 +71,8 @@ def write_table(out_dir: str | Path, name: str, header: list[str],
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                format_float(v) if isinstance(v, float) else v for v in row
-            ])
+        writer.writerows([format_float(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
     return path
 
 

@@ -12,14 +12,15 @@ commanded laser phase, which is how the T^2 gravity phase of the closed
 Mach-Zehnder emerges here.
 
 Pulse propagators are computed once per (pulse, detuning, chirp) at laser
-phase zero and batched over the quasimomentum ensemble; commanded phases and
-mirror-phase noise enter through the exact conjugation U(phi) psi =
-D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}). ``_ShotEngine.shots`` evolves
-every shot of a batch as one (shots, samples, sites) array, so scans cost a
-few matrix solves total. Per-shot noise has one home shared with the gravity
-series: ``_mirror_draws`` and ``_detect`` build one generator per (seed,
-stream) and give shot i row i of it. Momenta and quasimomenta are in units
-of hbar*k, from the ensemble draw to the kinetic diagonal.
+phase zero and batched over the quasimomentum ensemble; the pulses' own laser
+phases, commanded phases and mirror-phase noise enter through the exact
+conjugation U(phi) psi = D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}).
+``_ShotEngine.shots`` evolves every shot of a batch as one (shots, samples,
+sites) array, so scans cost a few matrix solves total. Per-shot noise has one
+home shared with the gravity series: ``_mirror_draws`` and ``_detect`` build
+one generator per (seed, stream) and give shot i row i of it. Momenta and
+quasimomenta are in units of hbar*k, from the ensemble draw to the kinetic
+diagonal.
 """
 
 from __future__ import annotations
@@ -94,15 +95,11 @@ class EnsembleSpec:
         if self.sigma_q == 0.0:
             return np.zeros(self.sample_count)
         rng = shot_rng(self.seed, STREAM_QUASIMOMENTUM)
-        out = np.empty(self.sample_count)
-        filled = 0
-        while filled < self.sample_count:
+        kept = np.empty(0)
+        while len(kept) < self.sample_count:
             draws = rng.normal(0.0, self.sigma_q, size=2 * self.sample_count)
-            draws = draws[np.abs(draws) <= 1.0]
-            take = min(len(draws), self.sample_count - filled)
-            out[filled:filled + take] = draws[:take]
-            filled += take
-        return out
+            kept = np.concatenate([kept, draws[np.abs(draws) <= 1.0]])
+        return kept[:self.sample_count]
 
 
 @dataclass(frozen=True)
@@ -269,10 +266,11 @@ class _ShotEngine:
             self._propagator(pulse, self.delta_res + self.ramp * t_c)
             for pulse, t_c in zip(roles, tc)
         ]
-        # lattice beat phase theta(t) at each pulse start, added to the
-        # commanded pulse phase (phase continuity of the chirped beat)
+        # lattice beat phase theta(t) at each pulse start (phase continuity of
+        # the chirped beat) plus the pulse's laser phase, absent from U(0)
         self.beat_phases = [
-            self.delta_res * t + 0.5 * self.ramp * t * t for t in starts
+            self.delta_res * t + 0.5 * self.ramp * t * t + pulse.laser_phase
+            for pulse, t in zip(roles, starts)
         ]
         kin = kinetic_frequencies(species, self.sites, self.q)
         self.free_phase = np.exp(-1j * kin * gap)
@@ -287,18 +285,17 @@ class _ShotEngine:
         return self.cache[key]
 
     def shots(self, shot_indices, final_phases,
-              pulse_phase_bias: tuple[float, float, float] = (0.0, 0.0, 0.0),
               detection_stream: int = STREAM_DETECTION):
         """Shots ``shot_indices`` at final-pulse phases ``final_phases``:
-        mirror draws, three pulses, detection. Returns the site populations
-        (n, W), mirror draws (n, 3), detected ports 0 and order (n, 2) and
-        normalised populations (n,)."""
+        mirror draws, three pulses, detection. Pulse k is U(0) conjugated by
+        D(phi_k), phi_k the sum of the commanded phase (``final_phases`` on
+        pulse 3), mirror noise, beat phase and the pulse's laser phase.
+        Returns the site populations (n, W), mirror draws (n, 3), detected
+        ports 0 and order (n, 2) and normalised populations (n,)."""
         mirror = _mirror_draws(self.noise, self.master_seed, shot_indices)
-        # commanded phases (the final-pulse phase on pulse 3), bias, mirror
-        # noise and the lattice beat phase, summed in that order
         commanded = np.zeros((len(shot_indices), 3))
         commanded[:, 2] = final_phases
-        phases = commanded + pulse_phase_bias + mirror + self.beat_phases
+        phases = commanded + mirror + self.beat_phases
         # D(phi) per pulse and shot, (3, n, 1, W); the cloud starts in site
         # 0, where D is 1, so the first pulse leaves its column times D
         d = np.exp(-1j * self.sites * phases.T[:, :, None, None])
@@ -340,13 +337,12 @@ def run_shot(
     shot_index: int = 0,
     geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
-    pulse_phase_bias: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> ShotResult:
     """Single Mach-Zehnder shot averaged over the quasimomentum ensemble."""
     engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
                          geometry, cfg, master_seed)
     pops, mirror, measured, normalized = engine.shots(
-        [shot_index], [sequence.phase_offset], pulse_phase_bias)
+        [shot_index], [sequence.phase_offset])
     return ShotResult(
         port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
         measured_ports={0: float(measured[0, 0]),
@@ -378,6 +374,17 @@ def scan_fringe(
     return engine.scan(grid, shot_index_offset)
 
 
+def interrogation_grid(species: AtomSpecies, interrogation_times) -> np.ndarray:
+    """Revival-scan times as an array: at least two, no step above dT/8."""
+    times = np.asarray(interrogation_times, dtype=float)
+    if len(times) < 2:
+        raise ValueError("need at least two interrogation times")
+    step, limit = np.max(np.diff(times)), revival_period(species) / 8.0
+    if step > limit + 1e-12:
+        raise ValueError(f"T step {step:.3g}s exceeds revival_period/8 ({limit:.3g}s)")
+    return times
+
+
 def scan_contrast_vs_T(
     species: AtomSpecies,
     ensemble: EnsembleSpec,
@@ -390,21 +397,11 @@ def scan_contrast_vs_T(
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> list[tuple[float, float]]:
     """Fringe contrast versus interrogation time (the revival curve), from
-    a three-harmonic fit to 24 phases over 4 pi at each T.
-
-    Requires the T grid step to resolve the revival period (step <= dT/8).
-    With a resonant sweep the pulse propagators carry no absolute-time
-    dependence and are shared across the whole scan.
+    a three-harmonic fit to 24 phases over 4 pi at each T, on the grid of
+    ``interrogation_grid``. With a resonant sweep the pulse propagators
+    carry no absolute-time dependence and are shared across the whole scan.
     """
-    times = np.asarray(interrogation_times, dtype=float)
-    if len(times) < 2:
-        raise ValueError("need at least two interrogation times")
-    step = np.max(np.diff(times))
-    if step > revival_period(species) / 8.0 + 1e-12:
-        raise ValueError(
-            f"T step {step:.3g}s exceeds revival_period/8 "
-            f"({revival_period(species) / 8:.3g}s)"
-        )
+    times = interrogation_grid(species, interrogation_times)
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
     cache: dict = {}
     out = []

@@ -1,5 +1,6 @@
 """Bloch velocity selection: band transport, selectivity and bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,16 @@ class TestBlochAccelerate:
         with pytest.raises(TruncationLeakError) as err:
             bloch_accelerate([plane_wave_state(RB)], ramp, cfg)
         assert err.value.leakage > err.value.bound
+
+    def test_no_states_no_solve(self, monkeypatch):
+        monkeypatch.setattr(ladder, "solve_ivp", None)
+        assert bloch_accelerate([], RAMP) == []
+
+    def test_mixed_species_rejected(self):
+        # the lattice depth, sweep time and target are sized from one recoil
+        heavy = dataclasses.replace(RB, mass=2 * RB.mass)
+        with pytest.raises(ValueError, match="one species"):
+            bloch_accelerate([plane_wave_state(RB), plane_wave_state(heavy)], RAMP)
 
     def test_first_band_center_transfer(self):
         out = accelerate_momentum(0.0)

@@ -394,10 +394,16 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
          "times, got 4"),
         ("gradiometer", "scan", {"target": "interrogation_time"},
          "scan.target: subcommand requires target 'phase'"),
+        ("revivals", "scan", {"target": "interrogation_time", "start": 1.0e-4,
+                              "stop": 2.0e-4, "points": 8},
+         "scan.points: T step 1.25e-05s exceeds revival_period/8"),
         ("gravity-run", "gravity_run", {"shots": 10, "bin_size": 38},
          "gravity_run.bin_size: bin of 38 shots exceeds the 10 shots"),
+        ("allan", "gravity_run", {"shots": 3},
+         "gravity_run.shots: need at least 4 samples, got 3"),
     ], ids=["fringe-target", "revivals-target", "revivals-4-points",
-            "gradiometer-target", "gravity-run-bin-beyond-shots"])
+            "gradiometer-target", "revivals-T-step",
+            "gravity-run-bin-beyond-shots", "allan-3-shots"])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, capsys,
                                          command, block, values, message):
         # a warm transfer memo would hide a calibration, so start cold
@@ -419,14 +425,18 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         cfg = write_config(tmp_path, yaml.safe_dump(bad))
         assert main(["fringe", cfg, "--out-dir", str(tmp_path / "x")]) == 1
 
-    def test_numerical_error_exit_code(self, tmp_path):
-        # a ValueError raised while the pipeline runs exits 2: here the
-        # T scan rejects its 12.5 us step, wider than revival_period/8
-        bad = yaml.safe_load(FAST_FRINGE)
-        bad["scan"] = {"target": "interrogation_time", "start": 1e-4,
-                       "stop": 2e-4, "points": 8}
-        cfg = write_config(tmp_path, yaml.safe_dump(bad))
-        assert main(["revivals", cfg, "--out-dir", str(tmp_path / "x")]) == 2
+    def test_numerical_error_exit_code(self, tmp_path, capsys):
+        # an error raised while the pipeline runs exits 2: here a strong,
+        # short pulse drives norm out to the edge of a 4-site guard window
+        text = """
+pulse: {order: 1, sigma_s: 5.0e-6, rabi_peak_rad_s: 5000000.0}
+evolution: {guard_sites: 4}
+"""
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "x"
+        assert main(["pulse", cfg, "--out-dir", str(out)]) == 2
+        assert "TruncationLeakError" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_calibrate_subcommand(self, tmp_path):
         text = """

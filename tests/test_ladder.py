@@ -196,6 +196,18 @@ class TestPropagatorConsistency:
         via = d * (U0 @ (np.conj(d) * psi.expanded(out.n_min, out.n_max).amplitudes))
         np.testing.assert_allclose(via, out.amplitudes, atol=5e-10)
 
+    def test_propagator_honours_laser_phase(self):
+        phi = 0.917
+        base = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, resonant_order=2)
+        phased = dataclasses.replace(base, laser_phase=phi)
+        qs = np.array([-0.3, 0.2])
+        U0 = pulse_propagator(RB, base, (-8, 8), qs)
+        U = pulse_propagator(RB, phased, (-8, 8), qs)
+        # U(phi) = D U(0) D*, D = diag(e^{-i n phi})
+        d = np.exp(-1j * np.arange(-8, 9) * phi)
+        np.testing.assert_allclose(U, d[:, None] * U0 * np.conj(d), atol=5e-10)
+        assert np.abs(U - U0).max() > 0.1
+
     def test_time_reversal_round_trip(self):
         pulse = PulseSpec(rabi_peak=1.3e5, sigma=15e-6, resonant_order=2)
         U = pulse_propagator(RB, pulse, (-8, 8), 0.0)
@@ -269,9 +281,9 @@ class TestCalibration:
         # states on different sites, spans, q and species share one solve;
         # each keeps its own window, padded at the top to the widest, and
         # must match a drive of it alone on that window
-        pulse = PulseSpec(rabi_peak=3e5, sigma=5e-6, resonant_order=1)
-        coupling, theta, dur = ladder._pulse_functions(pulse, RB)
-        stages = [(dur, coupling, theta, 0.4, pulse.sigma / 2)]
+        pulse = PulseSpec(rabi_peak=3e5, sigma=5e-6, resonant_order=1,
+                          laser_phase=0.4)
+        stages = [ladder._pulse_stage(pulse, RB)]
         heavy = dataclasses.replace(RB, mass=2 * RB.mass)
         pair = MomentumLadderState(RB, np.array([1, 1j]) / math.sqrt(2), n_min=0,
                                    quasimomentum=0.1)

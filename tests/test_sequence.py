@@ -62,39 +62,47 @@ def qb_seq():
                             pulse_sigma=5e-6)
 
 
+def manual_pulse_chain(seq):
+    """Port populations of a plane wave through the public ladder operations
+    with the engine's timing, beat phases and the pulses' own laser phases."""
+    delta_res = 4 * seq.order * RB.recoil_frequency
+    d_bs = seq.beamsplitter.total_duration
+    d_pi = seq.mirror.total_duration
+    T = seq.interrogation_time
+    gap = T - (d_bs + d_pi) / 2
+    starts = [0.0, d_bs / 2 + T - d_pi / 2, d_bs / 2 + 2 * T - d_bs / 2]
+    roles = [seq.beamsplitter, seq.mirror, seq.beamsplitter]
+    psi = plane_wave_state(RB, guard=seq.order + 6)
+    for k, (pulse, t) in enumerate(zip(roles, starts)):
+        if k:
+            psi = free_propagate(psi, gap)
+        psi = apply_pulse(psi, dataclasses.replace(
+            pulse, detuning=delta_res, resonant_order=None,
+            laser_phase=delta_res * t + pulse.laser_phase))
+    return {port: psi.population(port) for port in (0, seq.order)}
+
+
 class TestShotComposition:
     def test_run_shot_matches_manual_pulse_chain(self, qb_seq):
         """The engine's cached-propagator path must equal composing the
         public ladder operations with the same timing and beat phases."""
-        seq = qb_seq
-        g = 9.81
-        shot = run_shot(RB, PLANE, seq, g, QUIET, master_seed=3)
+        shot = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=3)
+        for port, pop in manual_pulse_chain(qb_seq).items():
+            assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
 
-        geom = BeamGeometry.vertical(RB)
-        delta_res = 4 * seq.order * RB.recoil_frequency
-        d_bs = seq.beamsplitter.total_duration
-        d_pi = seq.mirror.total_duration
-        T = seq.interrogation_time
-        gap = T - (d_bs + d_pi) / 2
-        starts = [0.0, d_bs / 2 + T - d_pi / 2, d_bs / 2 + 2 * T - d_bs / 2]
-        beat = [delta_res * t for t in starts]
-
-        psi = plane_wave_state(RB, guard=seq.order + 6)
-        psi = apply_pulse(psi, dataclasses.replace(
-            seq.beamsplitter, detuning=delta_res, resonant_order=None,
-            laser_phase=beat[0]))
-        psi = free_propagate(psi, gap)
-        psi = apply_pulse(psi, dataclasses.replace(
-            seq.mirror, detuning=delta_res, resonant_order=None,
-            laser_phase=beat[1]))
-        psi = free_propagate(psi, gap)
-        psi = apply_pulse(psi, dataclasses.replace(
-            seq.beamsplitter, detuning=delta_res, resonant_order=None,
-            laser_phase=beat[2]))
-
-        for port in (0, seq.order):
-            assert shot.port_populations[port] == pytest.approx(
-                psi.population(port), abs=5e-9)
+    def test_run_shot_honours_laser_phases(self, qb_seq):
+        # each pulse's laser phase adds to its beat phase; the phase-zero
+        # propagators are shared with the unphased shot
+        seq = dataclasses.replace(
+            qb_seq,
+            beamsplitter=dataclasses.replace(qb_seq.beamsplitter, laser_phase=0.4),
+            mirror=dataclasses.replace(qb_seq.mirror, laser_phase=1.1))
+        shot = run_shot(RB, PLANE, seq, 9.81, QUIET, master_seed=3)
+        for port, pop in manual_pulse_chain(seq).items():
+            assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
+        # phi1 - 2 phi2 + phi3 = -1.4 rad moves the fringe
+        unphased = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=3)
+        assert abs(shot.port_populations[0] - unphased.port_populations[0]) > 0.01
 
     def test_single_point_scan_equals_run_shot(self, qb_seq):
         shot = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=4)
@@ -117,10 +125,14 @@ class TestMachZehnderClosure:
         assert fringe_contrast(fit) > 0.98
 
     def test_global_pulse_phase_shift_invariance(self, deep_seq):
-        base = run_shot(RB, PLANE, deep_seq, 9.81, QUIET,
-                        pulse_phase_bias=(0.0, 0.0, 0.0))
-        shifted = run_shot(RB, PLANE, deep_seq, 9.81, QUIET,
-                           pulse_phase_bias=(0.73, 0.73, 0.73))
+        # the same laser phase on all three pulses cancels in
+        # phi1 - 2 phi2 + phi3
+        base = run_shot(RB, PLANE, deep_seq, 9.81, QUIET)
+        shifted = run_shot(RB, PLANE, dataclasses.replace(
+            deep_seq,
+            beamsplitter=dataclasses.replace(deep_seq.beamsplitter, laser_phase=0.73),
+            mirror=dataclasses.replace(deep_seq.mirror, laser_phase=0.73)),
+            9.81, QUIET)
         for port, pop in base.port_populations.items():
             assert shifted.port_populations[port] == pytest.approx(pop, abs=1e-11)
 
