@@ -191,10 +191,15 @@ def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
     return delta_phi / (harmonic * k_eff * interrogation_time**2)
 
 
-def check_allan_length(n: int) -> None:
-    """ValueError unless a series of ``n`` samples has an Allan deviation."""
-    if n < 4:
-        raise ValueError(f"need at least 4 samples, got {n}")
+ALLAN_MIN_SAMPLES = 4    # the shortest series with an Allan deviation
+REVIVAL_MIN_TIMES = 8    # the fewest interrogation times a period is fitted to
+
+
+def check_count(n: int, minimum: int, what: str) -> None:
+    """ValueError unless there are at least ``minimum`` ``what``. The CLI
+    checks a fit's rule on the configured count before any solve."""
+    if n < minimum:
+        raise ValueError(f"need at least {minimum} {what}, got {n}")
 
 
 def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
@@ -206,7 +211,7 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     """
     y = np.asarray(series, dtype=float)
     n = len(y)
-    check_allan_length(n)
+    check_count(n, ALLAN_MIN_SAMPLES, "samples")
     if shot_period <= 0:
         raise ValueError(f"shot_period must be positive, got {shot_period}")
     if taus is None:
@@ -243,8 +248,7 @@ def gradiometer_correlation(phases_low, phases_up):
     b = np.asarray(phases_up, dtype=float)
     if len(a) != len(b):
         raise ValueError("phase series lengths differ")
-    if len(a) < 10:
-        raise ValueError(f"need at least 10 shots, got {len(a)}")
+    check_count(len(a), 10, "shots")
     sa, sb = np.std(a), np.std(b)
     if sa == 0.0 or sb == 0.0:
         raise ValueError("zero-variance phase series cannot be correlated")
@@ -305,9 +309,8 @@ def bin_timeseries(series, bin_size: int):
     if bin_size < 1:
         raise ValueError(f"bin_size must be >= 1, got {bin_size}")
     y = np.asarray(series, dtype=float)
+    check_count(len(y), bin_size, "samples for one bin")
     nbins = len(y) // bin_size
-    if nbins == 0:
-        raise ValueError(f"series of {len(y)} is shorter than one bin ({bin_size})")
     trimmed = y[: nbins * bin_size].reshape(nbins, bin_size)
     means = trimmed.mean(axis=1)
     if bin_size == 1:
@@ -328,8 +331,7 @@ def fit_revival_period(times, contrasts, period_lo: float, period_hi: float):
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(contrasts, dtype=float)
-    if len(t) < 8:
-        raise ValueError("need at least 8 points to fit a period")
+    check_count(len(t), REVIVAL_MIN_TIMES, "interrogation times")
     best = None
     for period in np.linspace(period_lo, period_hi, 2001):
         w = 2.0 * math.pi / period

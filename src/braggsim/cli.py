@@ -18,33 +18,29 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bloch, sequence
-from .config import (ConfigError, ExperimentConfig, at_key, echo_config, load_config,
+from .config import (ConfigError, Run, at_key, echo_config, load_config, resolve,
                      resolved_dict)
 from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse
 from .physics import resonant_sweep_rate, revival_period
 from .report import versions, write_run_meta, write_summary, write_table
 
 
-def _resolve_sequence(cfg: ExperimentConfig, species, evolution):
-    plan = cfg.sequence.resolve()   # the schedule before calibration
+def _calibrated(run: Run):
+    """The run's schedule with calibrated pulse amplitudes."""
+    plan = run.plan
     return sequence.prepare_sequence(
-        species,
-        order=plan.order,
-        interrogation_time=plan.interrogation_time,
-        pulse_sigma=plan.beamsplitter.sigma,
-        mirror_sigma=plan.mirror.sigma,
-        sweep_rate=plan.sweep_rate,
-        phase_offset=plan.phase_offset,
-        cfg=evolution,
-    )
+        run.species, order=plan.order, interrogation_time=plan.interrogation_time,
+        pulse_sigma=plan.beamsplitter.sigma, mirror_sigma=plan.mirror.sigma,
+        sweep_rate=plan.sweep_rate, phase_offset=plan.phase_offset,
+        cfg=run.evolution)
 
 
-def _require_scan(cfg: ExperimentConfig, *targets: str):
-    if cfg.scan.target not in targets:
+def _require_scan(scan, *targets: str):
+    if scan.target not in targets:
         raise ConfigError("scan.target", "subcommand requires target "
                           f"{' or '.join(map(repr, targets))}, "
-                          f"got {cfg.scan.target!r}")
-    return cfg.scan.grid()
+                          f"got {scan.target!r}")
+    return scan.grid()
 
 
 def _fit_summary(fit):
@@ -59,12 +55,10 @@ def _fit_summary(fit):
     }
 
 
-def cmd_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
-    species = cfg.species.resolve()
-    evolution = cfg.evolution.resolve()
-    blk = cfg.pulse
+def cmd_calibrate(run: Run, out: Path) -> dict:
+    blk = run.config.pulse
     omega0 = calibrate_pulse_amplitude(
-        species, blk.transfer_target, blk.order, blk.sigma_s, cfg=evolution)
+        run.species, blk.transfer_target, blk.order, blk.sigma_s, cfg=run.evolution)
     return {
         "omega0_rad_s": omega0,
         "order": blk.order,
@@ -73,19 +67,16 @@ def cmd_calibrate(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def cmd_pulse(cfg: ExperimentConfig, out: Path) -> dict:
-    species = cfg.species.resolve()
-    evolution = cfg.evolution.resolve()
-    blk = cfg.pulse
+def cmd_pulse(run: Run, out: Path) -> dict:
+    blk = run.config.pulse
     if blk.rabi_peak_rad_s == "calibrated":
-        omega0 = calibrate_pulse_amplitude(
-            species, blk.transfer_target, blk.order, blk.sigma_s, cfg=evolution)
+        omega0 = cmd_calibrate(run, out)["omega0_rad_s"]
     else:
         omega0 = float(blk.rabi_peak_rad_s)
-    pulse = dataclasses.replace(blk.resolve(), rabi_peak=omega0)
-    psi = plane_wave_state(species, quasimomentum=blk.quasimomentum_hk,
-                           guard=blk.order + evolution.ladder_guard_sites)
-    final = apply_pulse(psi, pulse, evolution)
+    psi = plane_wave_state(run.species, quasimomentum=blk.quasimomentum_hk,
+                           guard=blk.order + run.evolution.ladder_guard_sites)
+    final = apply_pulse(psi, dataclasses.replace(run.pulse, rabi_peak=omega0),
+                        run.evolution)
     rows = [(int(n), float(p)) for n, p in sorted(final.populations().items())]
     write_table(out, "pulse_populations", ["site", "population"], rows)
     return {
@@ -95,37 +86,31 @@ def cmd_pulse(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def cmd_bvs(cfg: ExperimentConfig, out: Path) -> dict:
-    species = cfg.species.resolve()
-    evolution = cfg.evolution.resolve()
-    ramp = cfg.bvs.resolve()
-    momenta_hk = np.linspace(cfg.bvs.profile_min_hk, cfg.bvs.profile_max_hk,
-                             cfg.bvs.profile_points)
-    eff = bloch.selection_profile(species, ramp, momenta_hk, evolution)
+def cmd_bvs(run: Run, out: Path) -> dict:
+    blk = run.config.bvs
+    momenta_hk = np.linspace(blk.profile_min_hk, blk.profile_max_hk,
+                             blk.profile_points)
+    eff = bloch.selection_profile(run.species, run.ramp, momenta_hk, run.evolution)
     write_table(out, "bvs_profile", ["momentum_hk", "transfer"],
                 [(float(p), float(e)) for p, e in zip(momenta_hk, eff)])
     center = float(eff[np.argmin(np.abs(momenta_hk))])
-    half = eff.max() / 2.0
-    above = momenta_hk[eff >= half]
+    above = momenta_hk[eff >= eff.max() / 2.0]
     return {
         "center_transfer": center,
         "profile_fwhm_hk": float(above.max() - above.min()) if len(above) else 0.0,
-        "sweep_duration_s": ramp.resolved_sweep_duration(species),
+        "sweep_duration_s": run.ramp.resolved_sweep_duration(run.species),
     }
 
 
-def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
-    grid = _require_scan(cfg, "phase", "sweep_rate")
-    species = cfg.species.resolve()
-    evolution = cfg.evolution.resolve()
-    geometry = cfg.geometry.resolve(species)
-    ens = cfg.ensemble.resolve()
-    noise = cfg.noise.resolve()
-    seq = _resolve_sequence(cfg, species, evolution)
+def cmd_fringe(run: Run, out: Path) -> dict:
+    cfg = run.config
+    grid = _require_scan(cfg.scan, "phase", "sweep_rate")
+    seq = _calibrated(run)
 
     if cfg.scan.target == "phase":
-        scan = sequence.scan_fringe(species, ens, seq, cfg.gravity_m_s2, noise,
-                                    grid, cfg.seed, geometry, evolution)
+        scan = sequence.scan_fringe(run.species, run.ensemble, seq, cfg.gravity_m_s2,
+                                    run.noise, grid, cfg.seed, run.geometry,
+                                    run.evolution)
         x_name = "phase_rad"
         rows = list(zip(scan.phase_grid.tolist(),
                         scan.port_populations[0].tolist(),
@@ -133,13 +118,13 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
                         scan.normalized.tolist()))
     else:
         # offsets (Hz/s) from the resonant rate; point i is run_shot number i
-        a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
+        a0 = resonant_sweep_rate(cfg.gravity_m_s2, run.geometry)
         x_name = "sweep_rate_offset_hz_per_s"
         rows = []
         for i, da in enumerate(grid.tolist()):
             shot = sequence.run_shot(
-                species, ens, dataclasses.replace(seq, sweep_rate=a0 + da),
-                cfg.gravity_m_s2, noise, cfg.seed, i, geometry, evolution)
+                run.species, run.ensemble, dataclasses.replace(seq, sweep_rate=a0 + da),
+                cfg.gravity_m_s2, run.noise, cfg.seed, i, run.geometry, run.evolution)
             rows.append((da, shot.measured_ports[0],
                          shot.measured_ports[seq.order],
                          shot.normalized_population))
@@ -149,30 +134,23 @@ def cmd_fringe(cfg: ExperimentConfig, out: Path) -> dict:
     summary = {"beamsplitter_omega0": seq.beamsplitter.rabi_peak,
                "mirror_omega0": seq.mirror.rabi_peak}
     if cfg.scan.target == "phase":
-        fit = analysis.fit_harmonics(scan, n_harmonics=3)
-        summary["fit"] = _fit_summary(fit)
+        summary["fit"] = _fit_summary(analysis.fit_harmonics(scan, n_harmonics=3))
     return summary
 
 
-def cmd_revivals(cfg: ExperimentConfig, out: Path) -> dict:
-    times = _require_scan(cfg, "interrogation_time")
-    if len(times) < 8:
-        raise ConfigError("scan.points", "revivals fits a period to at least "
-                          f"8 interrogation times, got {len(times)}")
-    species = cfg.species.resolve()
+def cmd_revivals(run: Run, out: Path) -> dict:
+    cfg = run.config
+    times = _require_scan(cfg.scan, "interrogation_time")
     with at_key("scan.points"):
-        sequence.interrogation_grid(species, times)
-    evolution = cfg.evolution.resolve()
-    geometry = cfg.geometry.resolve(species)
-    ens = cfg.ensemble.resolve()
-    noise = cfg.noise.resolve()
-    seq = _resolve_sequence(cfg, species, evolution)
-    curve = sequence.scan_contrast_vs_T(species, ens, seq, times,
-                                        cfg.gravity_m_s2, noise, cfg.seed,
-                                        geometry=geometry, cfg=evolution)
+        analysis.check_count(len(times), analysis.REVIVAL_MIN_TIMES,
+                             "interrogation times")
+        sequence.interrogation_grid(run.species, times)
+    curve = sequence.scan_contrast_vs_T(run.species, run.ensemble, _calibrated(run),
+                                        times, cfg.gravity_m_s2, run.noise, cfg.seed,
+                                        geometry=run.geometry, cfg=run.evolution)
     write_table(out, "revivals", ["interrogation_time_s", "contrast"],
                 [(float(t), float(c)) for t, c in curve])
-    dT = revival_period(species)
+    dT = revival_period(run.species)
     period, t_peak = analysis.fit_revival_period(
         [t for t, _ in curve], [c for _, c in curve], 0.7 * dT, 1.3 * dT)
     return {
@@ -183,17 +161,13 @@ def cmd_revivals(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def cmd_gradiometer(cfg: ExperimentConfig, out: Path) -> dict:
-    grid = _require_scan(cfg, "phase")
-    species = cfg.species.resolve()
-    evolution = cfg.evolution.resolve()
-    ens = cfg.ensemble.resolve()
-    noise = cfg.noise.resolve()
-    gspec = cfg.gradiometer.resolve()
-    seq = _resolve_sequence(cfg, species, evolution)
-    res = sequence.run_gradiometer(species, gspec, ens, seq, cfg.gravity_m_s2,
-                                   cfg.gradiometer.gradient_per_s2, noise,
-                                   grid, cfg.seed, evolution)
+def cmd_gradiometer(run: Run, out: Path) -> dict:
+    cfg = run.config
+    grid = _require_scan(cfg.scan, "phase")
+    res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
+                                   _calibrated(run), cfg.gravity_m_s2,
+                                   cfg.gradiometer.gradient_per_s2, run.noise,
+                                   grid, cfg.seed, run.geometry, run.evolution)
     rows = list(zip(grid.tolist(), res.lower.normalized.tolist(),
                     res.upper.normalized.tolist()))
     write_table(out, "gradiometer", ["phase_rad", "p_lower", "p_upper"], rows)
@@ -217,26 +191,19 @@ def cmd_gradiometer(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _gravity_series(cfg: ExperimentConfig):
-    species = cfg.species.resolve()
-    evolution = cfg.evolution.resolve()
-    geometry = cfg.geometry.resolve(species)
-    ens = cfg.ensemble.resolve()
-    noise = cfg.noise.resolve()
-    tide = cfg.tide.resolve()
-    seq = _resolve_sequence(cfg, species, evolution)
-    series = sequence.run_gravity_series(
-        species, ens, seq, tide, noise, cfg.gravity_run.shots,
-        cfg.gravity_run.shot_period_s, cfg.seed, geometry, evolution)
-    return species, tide, series
+def _gravity_series(run: Run):
+    cfg = run.config
+    return sequence.run_gravity_series(
+        run.species, run.ensemble, _calibrated(run), run.tide, run.noise,
+        cfg.gravity_run.shots, cfg.gravity_run.shot_period_s, cfg.seed,
+        run.geometry, run.evolution)
 
 
-def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
-    bin_size = cfg.gravity_run.bin_size
-    if bin_size > cfg.gravity_run.shots:
-        raise ConfigError("gravity_run.bin_size", f"bin of {bin_size} shots "
-                          f"exceeds the {cfg.gravity_run.shots} shots of the run")
-    species, tide, series = _gravity_series(cfg)
+def cmd_gravity_run(run: Run, out: Path) -> dict:
+    shots, bin_size = run.config.gravity_run.shots, run.config.gravity_run.bin_size
+    with at_key("gravity_run.bin_size"):
+        analysis.check_count(shots, bin_size, "samples for one bin")
+    series = _gravity_series(run)
     g0 = series.mean_gravity
     rows = list(zip(series.times.tolist(), series.true_gravity.tolist(),
                     series.normalized_population.tolist(),
@@ -256,14 +223,12 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
         "saturated_shots": series.saturated_shots,
         "components": [],
     }
-    freqs = [c.angular_frequency for c in tide.components]
+    freqs = [c.angular_frequency for c in run.tide.components]
     if freqs and len(means) > 2 * len(freqs) + 2:
-        sigmas = None
-        if bin_size > 1 and np.all(np.isfinite(errs)) and np.all(errs > 0):
-            sigmas = errs
+        sigmas = errs if np.all(np.isfinite(errs) & (errs > 0)) else None
         _, comps = analysis.fit_harmonic_components(t_bins, means, freqs,
                                                     weights=sigmas)
-        for comp, (amp, phase, se) in zip(tide.components, comps):
+        for comp, (amp, phase, se) in zip(run.tide.components, comps):
             summary["components"].append({
                 "angular_frequency_rad_s": comp.angular_frequency,
                 "amplitude_injected": comp.amplitude,
@@ -274,12 +239,13 @@ def cmd_gravity_run(cfg: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def cmd_allan(cfg: ExperimentConfig, out: Path) -> dict:
+def cmd_allan(run: Run, out: Path) -> dict:
     with at_key("gravity_run.shots"):
-        analysis.check_allan_length(cfg.gravity_run.shots)
-    species, tide, series = _gravity_series(cfg)
+        analysis.check_count(run.config.gravity_run.shots,
+                             analysis.ALLAN_MIN_SAMPLES, "samples")
+    series = _gravity_series(run)
     frac = series.recovered_shift / series.mean_gravity
-    curve = analysis.allan_deviation(frac, cfg.gravity_run.shot_period_s)
+    curve = analysis.allan_deviation(frac, run.config.gravity_run.shot_period_s)
     write_table(out, "allan", ["tau_s", "allan_deviation"],
                 list(zip(curve.taus.tolist(), curve.values.tolist())))
     slope = None
@@ -295,20 +261,19 @@ def cmd_allan(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def cmd_class_oracle(cfg: ExperimentConfig, out: Path) -> dict:
-    species = cfg.species.resolve()
-    blk = cfg.class_oracle
+def cmd_class_oracle(run: Run, out: Path) -> dict:
+    blk = run.config.class_oracle
     times = np.linspace(blk.time_min_s, blk.time_max_s, blk.time_points)
     rows = []
     for t in times:
         enum = analysis.enumerate_interferometer_class(
-            blk.class_index, range(blk.a_min, blk.a_max + 1), float(t), species)
+            blk.class_index, range(blk.a_min, blk.a_max + 1), float(t), run.species)
         rows.append((float(t), enum.contrast_proxy))
     write_table(out, "class_oracle", ["interrogation_time_s", "contrast_proxy"],
                 rows)
     return {
         "class_index": blk.class_index,
-        "revival_period_s": revival_period(species),
+        "revival_period_s": revival_period(run.species),
         "trajectories": blk.a_max - blk.a_min + 1,
     }
 
@@ -344,6 +309,7 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out_dir is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
+        run = resolve(cfg)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
@@ -352,7 +318,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        results = _COMMANDS[args.subcommand](cfg, out)
+        results = _COMMANDS[args.subcommand](run, out)
         # out_dir is execution context, not a physics input: it lives in
         # run_meta so the summary stays byte-stable across runs
         summary_config = {k: v for k, v in resolved_dict(cfg).items()

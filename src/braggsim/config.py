@@ -6,11 +6,12 @@ annotation: a block takes a mapping (null or ``{}`` gives its defaults), a
 ``list[X]`` builds each element as ``X`` (null gives ``[]``), ``X | None``
 takes null and ``Literal[...]`` its strings. ``float`` takes a finite float
 or an int, ``int`` and ``str`` only their own type; a bool is no number.
-YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. Blocks build their
-domain objects at load, so range errors fail there too. Errors name the key
-path or the block, and unknown keys are rejected. Every block carries
-explicit defaults so the echo reproduces the run bit-identically. Units are
-spelled out in the key names.
+YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. ``resolve`` builds
+each block's domain object once per run, after the command-line overrides and
+before any solve, so range errors fail there. Errors name the key path or
+the block, and unknown keys are rejected. Every block carries explicit
+defaults so the echo reproduces the run bit-identically. Units are spelled
+out in the key names.
 """
 
 from __future__ import annotations
@@ -53,16 +54,8 @@ def at_key(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-class _CheckedAtLoad:
-    """A block that builds its domain object once when it is created, so
-    that range errors are configuration errors raised at load."""
-
-    def __post_init__(self):
-        self.resolve()
-
-
 @dataclass(frozen=True)
-class SpeciesBlock(_CheckedAtLoad):
+class SpeciesBlock:
     name: str = "Rb87"
     wavelength_m: float = 780.24e-9
     mass_kg: float | None = None
@@ -84,7 +77,7 @@ class GeometryBlock:
 
 
 @dataclass(frozen=True)
-class SequenceBlock(_CheckedAtLoad):
+class SequenceBlock:
     order: int = 2
     interrogation_time_s: float = 60e-3
     pulse_sigma_s: float = 15e-6
@@ -106,7 +99,7 @@ class SequenceBlock(_CheckedAtLoad):
 
 
 @dataclass(frozen=True)
-class EnsembleBlock(_CheckedAtLoad):
+class EnsembleBlock:
     samples: int = 200
     sigma_q_hk: float = 0.42
     quasimomenta_hk: list[float] | None = None
@@ -119,7 +112,7 @@ class EnsembleBlock(_CheckedAtLoad):
 
 
 @dataclass(frozen=True)
-class NoiseBlock(_CheckedAtLoad):
+class NoiseBlock:
     mirror_phase_rms_rad: float = 0.0
     detection_snr: float | None = 50.0   # null switches detection noise off
     tilt_drift_rad_per_hour: float = 0.0
@@ -143,7 +136,7 @@ class TideComponentBlock:
 
 
 @dataclass(frozen=True)
-class TideBlock(_CheckedAtLoad):
+class TideBlock:
     mean_gravity_m_s2: float = STANDARD_GRAVITY
     components: list[TideComponentBlock] = field(default_factory=list)
 
@@ -174,7 +167,7 @@ class ScanBlock:
 
 
 @dataclass(frozen=True)
-class BvsBlock(_CheckedAtLoad):
+class BvsBlock:
     depth_er: float = 4.0
     load_duration_s: float = 100e-6
     sweep_duration_s: float | None = None
@@ -197,7 +190,7 @@ class BvsBlock(_CheckedAtLoad):
 
 
 @dataclass(frozen=True)
-class GradiometerBlock(_CheckedAtLoad):
+class GradiometerBlock:
     lower_momentum_hk: int = 8
     upper_momentum_hk: int = 2
     bvs_separation_s: float = 50e-3
@@ -225,7 +218,7 @@ class GravityRunBlock:
 
 
 @dataclass(frozen=True)
-class PulseBlock(_CheckedAtLoad):
+class PulseBlock:
     order: int = 2
     sigma_s: float = 15e-6
     rabi_peak_rad_s: float | Literal["calibrated"] = "calibrated"
@@ -263,7 +256,7 @@ class ClassOracleBlock:
 
 
 @dataclass(frozen=True)
-class EvolutionBlock(_CheckedAtLoad):
+class EvolutionBlock:
     error_tolerance: float = 1e-10
     guard_sites: int = 6
 
@@ -295,8 +288,37 @@ class ExperimentConfig:
         # numpy seeds its generators from non-negative integers only
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        with at_key("geometry"):   # the beam geometry is built from the species
-            self.geometry.resolve(self.species.resolve())
+
+
+@dataclass(frozen=True)
+class Run:
+    """One run: the raw ``config`` that the summary echoes, and each block's
+    domain object, built once by ``resolve``."""
+
+    config: ExperimentConfig
+    species: AtomSpecies
+    geometry: BeamGeometry
+    evolution: EvolutionConfig
+    plan: MZISequence   # the schedule before calibration
+    ensemble: EnsembleSpec
+    noise: NoiseModel
+    tide: TideModel
+    ramp: LatticeRamp
+    gradiometer: GradiometerSpec
+    pulse: PulseSpec
+
+
+def resolve(config: ExperimentConfig) -> Run:
+    """Build every block's domain object, whichever subcommand runs; a range
+    error is a ConfigError naming its block."""
+    def build(key, *args):
+        with at_key(key):
+            return getattr(config, key).resolve(*args)
+
+    species = build("species")
+    return Run(config, species, build("geometry", species), build("evolution"),
+               build("sequence"), build("ensemble"), build("noise"),
+               build("tide"), build("bvs"), build("gradiometer"), build("pulse"))
 
 
 def _describe(tp) -> str:

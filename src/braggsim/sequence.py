@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import FringeScan, HarmonicFit, fit_harmonics, fringe_contrast
+from .analysis import (FringeScan, HarmonicFit, check_count, fit_harmonics,
+                       fringe_contrast)
 from .environment import (
     STREAM_DETECTION,
     STREAM_DETECTION_UPPER,
@@ -377,8 +378,7 @@ def scan_fringe(
 def interrogation_grid(species: AtomSpecies, interrogation_times) -> np.ndarray:
     """Revival-scan times as an array: at least two, no step above dT/8."""
     times = np.asarray(interrogation_times, dtype=float)
-    if len(times) < 2:
-        raise ValueError("need at least two interrogation times")
+    check_count(len(times), 2, "interrogation times")
     step, limit = np.max(np.diff(times)), revival_period(species) / 8.0
     if step > limit + 1e-12:
         raise ValueError(f"T step {step:.3g}s exceeds revival_period/8 ({limit:.3g}s)")
@@ -437,6 +437,7 @@ def run_gradiometer(
     noise: NoiseModel,
     phase_grid,
     master_seed: int = 0,
+    geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> GradiometerResult:
     """Simultaneous interferometers in two clouds sharing the mirror noise.
@@ -458,7 +459,7 @@ def run_gradiometer(
     g_lower = gravity + gradient * baseline
     g_upper = gravity
     # one shared chirp: resonant for the midpoint gravity
-    geometry = BeamGeometry.vertical(species)
+    geometry = geometry or BeamGeometry.vertical(species)
     alpha = resonant_sweep_rate(0.5 * (g_lower + g_upper), geometry)
     seq = replace(sequence, sweep_rate=alpha)
 

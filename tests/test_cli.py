@@ -22,6 +22,7 @@ from braggsim.config import (
     echo_config,
     load_config,
     parse_config,
+    resolve,
     resolved_dict,
 )
 from braggsim.physics import resonant_sweep_rate
@@ -48,6 +49,48 @@ scan:
   points: 16
 """
 
+# every subcommand finishes on this in about a second; revivals swaps in a
+# scan of 8 interrogation times 4 us apart
+TINY = """
+seed: 3
+sequence: {order: 2, interrogation_time_s: 0.8e-3, pulse_sigma_s: 5.0e-6}
+ensemble: {samples: 2, sigma_q_hk: 0.42}
+scan: {target: phase, start: 0.0, stop: 12.566370614359172, points: 16}
+gradiometer: {lower_momentum_hk: 12, upper_momentum_hk: 2}
+gravity_run: {shots: 64, bin_size: 8}
+tide: {components: [{amplitude_m_s2: 1.0e-6, period_h: 0.005}]}
+bvs: {profile_points: 3}
+pulse: {sigma_s: 5.0e-6}
+class_oracle: {time_points: 16}
+"""
+REVIVAL_SCAN = {"target": "interrogation_time", "start": 0.8e-3,
+                "stop": 0.832e-3, "points": 8}
+# subcommand: (CSV table, its header, summary result keys)
+SUBCOMMAND_OUTPUTS = {
+    "pulse": ("pulse_populations", "site,population",
+              {"omega0_rad_s", "norm", "transfer"}),
+    "bvs": ("bvs_profile", "momentum_hk,transfer",
+            {"center_transfer", "profile_fwhm_hk", "sweep_duration_s"}),
+    "fringe": ("fringe", "phase_rad,port0,port2,normalized",
+               {"beamsplitter_omega0", "mirror_omega0", "fit"}),
+    "revivals": ("revivals", "interrogation_time_s,contrast",
+                 {"revival_period_s", "fitted_period_s",
+                  "fitted_first_maximum_s", "period_ratio"}),
+    "gradiometer": ("gradiometer", "phase_rad,p_lower,p_upper",
+                    {"baseline_m", "gravity_lower", "gravity_upper",
+                     "fit_lower", "fit_upper", "retained_shots"}),
+    "gravity-run": ("gravity_series",
+                    "time_s,gravity_true,normalized_population,gravity_recovered",
+                    {"bias_phase_rad", "calibration", "mean_gravity",
+                     "saturated_shots", "components"}),
+    "allan": ("allan", "tau_s,allan_deviation",
+              {"points", "loglog_slope", "notices", "last_tau_s", "last_value",
+               "saturated_shots"}),
+    "class-oracle": ("class_oracle", "interrogation_time_s,contrast_proxy",
+                     {"class_index", "revival_period_s", "trajectories"}),
+    "calibrate": (None, None,
+                  {"omega0_rad_s", "order", "sigma_s", "transfer_target"}),
+}
 
 _HINTS = get_type_hints(ExperimentConfig)
 _BLOCKS = {key: tp for key, tp in _HINTS.items() if is_dataclass(tp)}
@@ -111,6 +154,7 @@ class TestShippedConfigs:
         assert len(configs) >= 5
         for path in configs:
             cfg = load_config(path)
+            resolve(cfg)
             assert parse_config(yaml.safe_load(echo_config(cfg))) == cfg
 
 
@@ -143,6 +187,7 @@ class TestConfigParsing:
     def test_random_mappings_parse_typed_or_fail_cleanly(self, data):
         try:
             cfg = parse_config(data)
+            resolve(cfg)
         except ConfigError:
             return
         assert has_annotated_type(ExperimentConfig, cfg)
@@ -332,6 +377,56 @@ class TestCliRuns:
         assert message in capsys.readouterr().err
         assert not (out / "fringe.csv").exists()
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_subcommand_runs(self, tmp_path, command):
+        table, header, keys = SUBCOMMAND_OUTPUTS[command]
+        data = yaml.safe_load(TINY)
+        if command == "revivals":
+            data["scan"] = REVIVAL_SCAN
+        out = tmp_path / "out"
+        assert main([command, write_config(tmp_path, yaml.safe_dump(data)),
+                     "--out-dir", str(out)]) == 0
+        if table is not None:
+            assert (out / f"{table}.csv").read_text().splitlines()[0] == header
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["subcommand"] == command
+        assert keys <= set(summary["results"]), summary["results"]
+
+    @pytest.mark.parametrize("overrides", [[], ["--seed", "3", "--out-dir", "o"]],
+                             ids=["plain", "seed-and-out-dir"])
+    def test_each_block_is_built_once_per_run(self, tmp_path, monkeypatch,
+                                              overrides):
+        built = {key: tp for key, tp in _BLOCKS.items() if hasattr(tp, "resolve")}
+        assert len(built) == 10
+        counts = dict.fromkeys(built, 0)
+        for key, tp in built.items():
+            def counted(block, *args, _key=key, _resolve=tp.resolve):
+                counts[_key] += 1
+                return _resolve(block, *args)
+            monkeypatch.setattr(tp, "resolve", counted)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fringe", write_config(tmp_path, TINY), *overrides]) == 0
+        assert counts == dict.fromkeys(built, 1)
+
+    def test_gradiometer_honours_beam_tilt(self, tmp_path):
+        # gravity enters only through its projection on the tilted beam, so a
+        # 60 degree tilt runs as the vertical beam at cos(60) of the gravity
+        # and of the gradient; the gradient is large enough to move the fringe
+        def populations(tilt_deg, scale):
+            data = yaml.safe_load(TINY)
+            data["gravity_m_s2"] = 9.81 * scale
+            data["geometry"] = {"tilt_deg": tilt_deg}
+            data["gradiometer"]["gradient_per_s2"] = 10.0 * scale
+            out = tmp_path / f"tilt{tilt_deg}-g{scale}"
+            path = write_config(tmp_path, yaml.safe_dump(data), "tilt.yaml")
+            assert main(["gradiometer", path, "--out-dir", str(out)]) == 0
+            return np.loadtxt(out / "gradiometer.csv", delimiter=",", skiprows=1)
+
+        tilted = populations(60.0, 1.0)
+        np.testing.assert_allclose(tilted, populations(0.0, math.cos(math.pi / 3)),
+                                   atol=1e-9)
+        assert np.abs(tilted - populations(0.0, 1.0)).max() > 1e-3
+
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_FRINGE)
         out = tmp_path / "out"
@@ -390,15 +485,14 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
          "scan.target: subcommand requires target 'interrogation_time'"),
         ("revivals", "scan", {"target": "interrogation_time", "start": 1e-3,
                               "stop": 1.0125e-3, "points": 4},
-         "scan.points: revivals fits a period to at least 8 interrogation "
-         "times, got 4"),
+         "scan.points: need at least 8 interrogation times, got 4"),
         ("gradiometer", "scan", {"target": "interrogation_time"},
          "scan.target: subcommand requires target 'phase'"),
         ("revivals", "scan", {"target": "interrogation_time", "start": 1.0e-4,
                               "stop": 2.0e-4, "points": 8},
          "scan.points: T step 1.25e-05s exceeds revival_period/8"),
         ("gravity-run", "gravity_run", {"shots": 10, "bin_size": 38},
-         "gravity_run.bin_size: bin of 38 shots exceeds the 10 shots"),
+         "gravity_run.bin_size: need at least 38 samples for one bin, got 10"),
         ("allan", "gravity_run", {"shots": 3},
          "gravity_run.shots: need at least 4 samples, got 3"),
     ], ids=["fringe-target", "revivals-target", "revivals-4-points",

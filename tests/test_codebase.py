@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 
-from braggsim.config import load_config
+from braggsim.config import load_config, resolve
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "braggsim"
@@ -38,7 +38,7 @@ def test_every_shipped_and_benchmark_config_loads():
                     *ROOT.glob("perfbench/workloads/*.yaml")])
     assert len(paths) >= 9, paths
     for path in paths:
-        load_config(path)
+        resolve(load_config(path))
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -116,3 +116,13 @@ def test_only_drive_and_pulse_propagator_call_evolve():
                       for call in ast.walk(node) if isinstance(call, ast.Call)
                       and getattr(call.func, "id", None) == "_evolve"})
     assert callers == ["drive", "pulse_propagator"], callers
+
+
+def test_only_config_resolves_blocks():
+    # config.resolve builds each block's domain object once per run; a
+    # resolve call anywhere else builds one of them a second time
+    bad = [f"{name}:{node.lineno}" for name, tree in modules()
+           if name != "config.py" for node in ast.walk(tree)
+           if isinstance(node, ast.Call)
+           and getattr(node.func, "attr", None) == "resolve"]
+    assert not bad, bad
