@@ -262,13 +262,30 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _fixed_sequence(order, interrogation_time, sigma, bs_hex, pi_hex):
+    """The calibrated sequence with its amplitudes written out, so that a
+    change to the calibrator cannot move the pinned streams."""
+    return MZISequence(
+        order=order, interrogation_time=interrogation_time,
+        beamsplitter=PulseSpec(rabi_peak=float.fromhex(bs_hex), sigma=sigma,
+                               resonant_order=order),
+        mirror=PulseSpec(rabi_peak=float.fromhex(pi_hex), sigma=sigma,
+                         resonant_order=order))
+
+
 class TestPinnedShotStreams:
     """Exact per-shot values of noisy runs: any change to the RNG streams,
     their order of use or the shot arithmetic shows up here bit for bit."""
 
-    def test_gravity_series_stream(self, lowfringe_seq):
+    # lowfringe_seq and qb_seq with their calibrated pi/2 and pi amplitudes
+    LOWFRINGE = _fixed_sequence(1, 1e-3, 15e-6,
+                                "0x1.4a925a3f21ad7p+15", "0x1.530a1a22735bep+16")
+    QB = _fixed_sequence(2, 2e-3, 5e-6,
+                         "0x1.134f3ecf2fbe9p+18", "0x1.2a04753f5af56p+19")
+
+    def test_gravity_series_stream(self):
         series = run_gravity_series(
-            RB, PLANE, lowfringe_seq, TideModel.demo_m2(),
+            RB, PLANE, self.LOWFRINGE, TideModel.demo_m2(),
             NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
@@ -277,10 +294,10 @@ class TestPinnedShotStreams:
             "0x1.6738c85bda611p-2", "0x1.e7511f312af89p-2",
             "0x1.e10dc5c4584fbp-1", "0x1.407fec5175ef1p-2"]
 
-    def test_fringe_scan_stream(self, qb_seq):
+    def test_fringe_scan_stream(self):
         ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
         grid = np.linspace(0.0, 4 * math.pi, 16, endpoint=False)
-        scan = scan_fringe(RB, ens, qb_seq, 9.81,
+        scan = scan_fringe(RB, ens, self.QB, 9.81,
                            NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
