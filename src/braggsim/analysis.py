@@ -193,6 +193,7 @@ def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
 
 ALLAN_MIN_SAMPLES = 4    # the shortest series with an Allan deviation
 REVIVAL_MIN_TIMES = 8    # the fewest interrogation times a period is fitted to
+CORRELATION_MIN_SHOTS = 10    # the fewest shots two phase series are correlated on
 
 
 def check_count(n: int, minimum: int, what: str) -> None:
@@ -248,7 +249,7 @@ def gradiometer_correlation(phases_low, phases_up):
     b = np.asarray(phases_up, dtype=float)
     if len(a) != len(b):
         raise ValueError("phase series lengths differ")
-    check_count(len(a), 10, "shots")
+    check_count(len(a), CORRELATION_MIN_SHOTS, "shots")
     sa, sb = np.std(a), np.std(b)
     if sa == 0.0 or sb == 0.0:
         raise ValueError("zero-variance phase series cannot be correlated")

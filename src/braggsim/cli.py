@@ -184,7 +184,7 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
         "fit_upper": _fit_summary(fit_up),
         "retained_shots": int(keep.sum()),
     }
-    if keep.sum() >= 10:
+    if keep.sum() >= analysis.CORRELATION_MIN_SHOTS:
         _, _, r = analysis.gradiometer_correlation(d_lo[keep], d_up[keep])
         summary["pearson_r"] = r
         summary["differential_phase_std"] = float(np.std(d_lo[keep] - d_up[keep]))

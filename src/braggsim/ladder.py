@@ -15,20 +15,18 @@ coupling Omega/2; each up-step along the ladder imprints e^{-i phi}. The
 physical (lattice-phase-free) amplitudes c_n follow from b_n by the diagonal
 gauge c_n = b_n e^{-i n theta(t)} with theta = integral of delta.
 
-Numerically everything is integrated in the interaction picture
-A_n = e^{+i kin_n t} c_n, which removes the fast kinetic phases exactly and
-leaves only the slowly rotating coupling terms; an adaptive high-order
-Runge-Kutta (DOP853) then resolves the pulse with a handful of hundred
-steps. One kernel evolves columns of amplitudes over the ladder window: a
-state is a one-column propagator, and a propagator (or a stack of them over
-quasimomenta) is the evolved identity. A stage is (duration, coupling(t),
-theta(t)): phi couples only through e^{-i (theta + phi)}, so a pulse's laser
-phase is a constant inside its theta, and one step rule serves every stage.
-States go through one driver, ``drive``: one solve per stage evolves a batch
-of states, each on its own window with its own kinetic row, and
-``check_leakage`` checks every state's edges. A Bragg pulse is one stage and
-the Bloch lattice three; a calibration batch drives copies of a plane wave,
-one per probed Omega_0.
+Everything is integrated in the interaction picture A_n = e^{+i kin_n t} c_n,
+which removes the fast kinetic phases exactly and leaves a slow coupling that
+an adaptive Runge-Kutta (DOP853) resolves in a few hundred steps. One kernel
+evolves columns of amplitudes: a state is a one-column propagator, and a
+propagator (or a stack over quasimomenta) is the evolved identity. A stage is
+(duration, coupling(t), theta(t)); phi couples only through e^{-i (theta +
+phi)}, so a laser phase is a constant inside theta and one step rule serves
+every stage. ``drive`` evolves a batch of states, each on its own window,
+one solve per stage, and ``check_leakage`` checks their edges. A Bragg pulse
+is one stage, the Bloch lattice three. Amplitudes are calibrated on the first
+Rabi lobe: a 1.25x sweep finds it, one solve on Chebyshev nodes gives a proxy
+of the transfer P(Omega_0), and one more solve checks the pi/2 root.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from scipy.integrate import solve_ivp
 
 from .physics import AtomSpecies, bragg_resonance
@@ -233,9 +232,7 @@ def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
     return 4.0 * species.recoil_frequency * (sites + q / 2.0) ** 2
 
 
-# ---------------------------------------------------------------------------
-# the evolution kernel
-# ---------------------------------------------------------------------------
+# -- the evolution kernel ---------------------------------------------------
 
 def _evolve(kin, columns, duration, coupling, theta, cfg):
     """Schroedinger-picture evolution e^{-i kin duration} A(duration) through
@@ -377,17 +374,14 @@ def pulse_propagator(
     return _evolve(kin, eye, *_pulse_stage(pulse, species), cfg)
 
 
-# ---------------------------------------------------------------------------
-# amplitude calibration
-# ---------------------------------------------------------------------------
+# -- amplitude calibration --------------------------------------------------
 
-# probes per solve: a sweep batch spans 1.25**8 < 6, a zoom round narrows 8-fold
-_SWEEP_BATCH, _ZOOM_PROBES = 9, 17
+_SWEEP_BATCH, _PROXY_NODES = 9, (33, 65)  # probes per sweep solve, per proxy solve
 
 
 @functools.lru_cache
 def _transfer(species, order, sigma, quasimomentum, cfg, omegas) -> tuple:
-    # |0> -> |order> per Omega_0 in one solve; memoised: pi searches reprobe pi/2 batches
+    # |0> -> |order> per Omega_0 in one solve; memoised: pi searches reprobe pi/2 tuples
     reach = order + cfg.ladder_guard_sites
     dur, unit, theta = _pulse_stage(
         PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
@@ -410,12 +404,12 @@ def calibrate_pulse_amplitude(
     """Peak Rabi frequency transferring ``target`` of |0> into |2n hbar k>
     for a plane wave at ``quasimomentum`` (units of hbar*k).
 
-    Searches the first Rabi lobe; returns the smallest Omega_0 whose
-    simulated transfer equals the target within 1e-4. A target at or above
-    the lobe maximum (notably target = 1 in the quasi-Bragg regime, where
-    perfect transfer does not exist) returns the lobe-peak amplitude.
-    Probes are batched, one solve per batch: a 1.25x sweep finds the lobe,
-    then one zoom loop refines its peak and the first crossing below it.
+    Returns the smallest Omega_0 on the first Rabi lobe whose simulated
+    transfer equals the target within 1e-4, or the lobe peak for a target at
+    or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep finds the
+    lobe; one solve on Chebyshev nodes over [0, 1.25 x its best probe] gives
+    a proxy of the analytic transfer whose maximum is the peak and whose first
+    crossing of the target, checked by one more solve, is the amplitude.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target transfer must lie in (0, 1], got {target}")
@@ -427,15 +421,6 @@ def calibrate_pulse_amplitude(
             return transfer(batch)
         except TruncationLeakError:  # a probe past the lobe may leak: go one by one
             return (transfer((om,))[0] for om in batch)
-
-    def zoom(lo, hi, width, pick):  # one solve per round, keeps the pick's neighbours
-        while True:
-            grid = np.linspace(lo, hi, _ZOOM_PROBES)
-            values = np.array(transfer(tuple(grid.tolist())))
-            i = pick(values)
-            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, _ZOOM_PROBES - 1)]
-            if hi - lo <= width:
-                return grid, values, i
 
     omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))  # two-level first-order pi
     grid = omega_pi / 8.0 * 1.25 ** np.arange(
@@ -453,15 +438,29 @@ def calibrate_pulse_amplitude(
             raise CalibrationError(f"no Rabi lobe reaching transfer {target} "
                                    "below the search ceiling", sweep)
 
-    probes, values, i = zoom(best_om / 1.25, best_om * 1.25, 1e-4 * best_om, np.argmax)
-    peak_om, peak_p = float(probes[i]), values[i]
-    if target >= peak_p - 1e-9:
-        return peak_om
+    # P(Omega_0) on [0, 1.25 best] as a Chebyshev series in x = 2 Omega_0 / top - 1
+    top = 1.25 * best_om
+    for n in _PROXY_NODES:
+        p = np.array(transfer(tuple((top / 2 * (1.0 + cheb.chebpts2(n))).tolist())))
+        coef = np.fft.rfft(np.r_[p[::-1], p[1:-1]]).real / (n - 1)  # DCT-I
+        coef[[0, -1]] /= 2.0
+        if np.abs(coef[3 * n // 4:]).max() <= cfg.error_tolerance:
+            break
+    else:
+        raise CalibrationError(f"no lobe proxy within {cfg.error_tolerance:.1e}", sweep)
 
-    # the first crossing below the peak; i >= 1 keeps a probe below it
-    probes, values, i = zoom(0.0, peak_om, 1e-6 * peak_om,
-                             lambda v: np.argmax(v >= target) or 1)
-    root = float(np.interp(target, values[i - 1:i + 1], probes[i - 1:i + 1]))
+    def roots(c, lo, hi):  # real roots of the series c in [lo, hi]
+        r = cheb.chebroots(c)
+        return r.real[(abs(r.imag) <= 1e-9) & (lo <= r.real) & (r.real <= hi)]
+
+    # pi: the maximum on [best / 1.25, 1.25 best], x in [0.28, 1]: an end or a root of p'
+    xs = np.r_[0.28, 1.0, roots(cheb.chebder(coef), 0.28, 1.0)]
+    peak_x = xs[np.argmax(cheb.chebval(xs, coef))]
+    if target >= cheb.chebval(peak_x, coef) - 1e-9:
+        return float(top / 2 * (1.0 + peak_x))
+    # pi/2: the first crossing below the peak (else the peak, which the check rejects)
+    root = float(top / 2 * (1.0 + min(roots(cheb.chebsub(coef, target), -1.0, peak_x),
+                                      default=peak_x)))
     achieved = transfer((root,))[0]
     if abs(achieved - target) > 1e-4:
         raise CalibrationError(f"calibration converged to transfer "

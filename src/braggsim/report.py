@@ -7,7 +7,6 @@ timestamps go to a separate run_meta.json outside the stability contract.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import platform
@@ -64,15 +63,30 @@ def write_run_meta(out_dir: str | Path, wall_time_s: float, **extra) -> Path:
     return path
 
 
+_QUOTED = frozenset(',"\r\n')   # the characters csv.QUOTE_MINIMAL quotes a cell for
+
+
+def _text_cell(value) -> str:
+    text = str(value)
+    if value is None or not text or not _QUOTED.isdisjoint(text):
+        raise ValueError(f"CSV cell {value!r} is empty or would be quoted")
+    return text
+
+
 def write_table(out_dir: str | Path, name: str, header: list[str],
                 rows) -> Path:
-    """One CSV per table, header row, floats at 17 significant digits."""
+    """One CSV per table, header row, floats at 17 significant digits.
+
+    The bytes are those of ``csv.writer`` under QUOTE_MINIMAL, CRLF row ends
+    included, each row joined without it; an empty cell, or one it would
+    quote, raises ValueError.
+    """
     path = Path(out_dir) / f"{name}.csv"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        writer.writerows([format_float(v) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        # format_float's rule inline: a call per cell is ~a quarter of the time
+        fh.writelines(",".join([format(v, ".17g") if isinstance(v, float)
+                                else _text_cell(v) for v in row]) + "\r\n"
+                      for row in (header, *rows))
     return path
 
 

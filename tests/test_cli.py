@@ -1,5 +1,6 @@
 """CLI and configuration: validation, determinism, echo round-trip."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from braggsim import cli, ladder
+from braggsim import analysis, cli, ladder
 from braggsim.analysis import HarmonicFit
 from braggsim.cli import main
 from braggsim.config import (
@@ -26,7 +27,7 @@ from braggsim.config import (
     resolved_dict,
 )
 from braggsim.physics import resonant_sweep_rate
-from braggsim.report import dumps_stable, format_float
+from braggsim.report import dumps_stable, format_float, write_table
 from braggsim.sequence import prepare_sequence, run_shot
 
 FAST_FRINGE = """
@@ -231,6 +232,27 @@ class TestFloatSerialization:
         with pytest.raises(ValueError, match=r"\$\.fit\.amplitudes\[1\]"):
             dumps_stable({"fit": {"amplitudes": [0.5, bad]}})
 
+    def test_table_bytes_are_csv_writer_bytes(self, tmp_path):
+        header = ["site", "time_s", "gravity_true", "port2", "normalized"]
+        rows = [(-3, 0.1, 9.8100000000000023, -0.0, 5e-324),
+                (0, 1 / 3, np.float64(2.2250738585072014e-308), 1e300, -1.5e-17),
+                (np.int64(7), 2.0, 0.0, math.pi, -2.2250738585072009e-308)]
+        path = write_table(tmp_path, "t", header, iter(rows))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_MINIMAL).writerows(
+                [header] + [[format_float(v) if isinstance(v, float) else v
+                             for v in row] for row in rows])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert path.read_bytes().count(b"\r\n") == 4
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r",
+                                      "", None], ids=["comma", "quote", "newline",
+                                                      "carriage-return", "empty",
+                                                      "none"])
+    def test_table_rejects_a_cell_csv_would_quote(self, tmp_path, cell):
+        with pytest.raises(ValueError, match="empty or would be quoted"):
+            write_table(tmp_path, "t", ["x", "y"], [(1.0, cell)])
+
 
 class TestCliRuns:
     def test_fringe_run_and_outputs(self, tmp_path):
@@ -426,6 +448,25 @@ class TestCliRuns:
         np.testing.assert_allclose(tilted, populations(0.0, math.cos(math.pi / 3)),
                                    atol=1e-9)
         assert np.abs(tilted - populations(0.0, 1.0)).max() > 1e-3
+
+    def test_gradiometer_correlation_gate_is_the_library_rule(self, tmp_path,
+                                                              monkeypatch):
+        # the CLI reports pearson_r exactly when the library would correlate
+        # the retained shots, whatever the minimum is
+        path = write_config(tmp_path, TINY)
+
+        def results(minimum):
+            monkeypatch.setattr(analysis, "CORRELATION_MIN_SHOTS", minimum)
+            out = tmp_path / f"min{minimum}"
+            assert main(["gradiometer", path, "--out-dir", str(out)]) == 0
+            return json.loads((out / "summary.json").read_text())["results"]
+
+        kept = results(analysis.CORRELATION_MIN_SHOTS)["retained_shots"]
+        assert kept >= 3
+        assert "pearson_r" in results(kept)
+        assert "pearson_r" not in results(kept + 1)
+        with pytest.raises(ValueError, match=f"need at least {kept + 1} shots"):
+            analysis.gradiometer_correlation(np.arange(kept), np.arange(kept))
 
     def test_negative_seed_override_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_FRINGE)

@@ -301,16 +301,59 @@ class TestCalibration:
     @pytest.mark.parametrize("order, sigma, guard", [(2, 5e-6, 6), (1, 3e-6, 4)],
                              ids=["order2-5us", "leak-past-lobe"])
     def test_sequence_solve_budget(self, monkeypatch, order, sigma, guard):
-        # a sweep batch or a zoom round is one solve; the serial sweep,
-        # golden-section search and root finder took 45 and 31. On the narrow
-        # window a sweep batch leaks past the lobe and is reprobed one by one
+        # a sweep batch, the proxy and the pi/2 check are one solve each, and
+        # the pi search reuses them all; a zoom loop took 15 and 9, the serial
+        # search 45 and 31. On the narrow window a sweep batch leaks past the
+        # lobe and is reprobed one by one
         real, solves = ladder.solve_ivp, []
         monkeypatch.setattr(ladder, "solve_ivp",
                             lambda *a, **k: solves.append(1) or real(*a, **k))
         ladder._transfer.cache_clear()
         prepare_sequence(RB, order=order, interrogation_time=2e-3, pulse_sigma=sigma,
                          cfg=EvolutionConfig(ladder_guard_sites=guard))
-        assert 0 < len(solves) <= 20
+        assert 0 < len(solves) <= 6
+
+    # (order, sigma): pi/2 and pi amplitudes of the zoom-loop calibrator
+    ZOOM_AMPLITUDES = {
+        (2, 30e-6): ("0x1.3734de2860ad3p+16", "0x1.d88e10c224fccp+16"),
+        (2, 15e-6): ("0x1.c833c50aa37d6p+16", "0x1.7d1c8e7d3d823p+17"),
+        (2, 5e-6): ("0x1.134f3ecf2fbe9p+18", "0x1.2a04753f5af56p+19"),
+        (1, 200e-6): ("0x1.88bc900149338p+11", "0x1.88c8acb671b6fp+12"),
+        (3, 5e-6): ("0x1.856710fa8a17dp+18", "0x1.f335ef9bf7ad7p+18"),
+    }
+
+    @pytest.mark.parametrize("order, sigma", list(ZOOM_AMPLITUDES),
+                             ids=lambda v: f"{v:g}")
+    def test_proxy_matches_the_zoom_calibration(self, order, sigma):
+        # the pi/2 root agrees to roundoff; the pi amplitude is the proxy's
+        # exact maximum, so its transfer is no lower than the zoom's, which
+        # stopped at a width of 1e-4 Omega_0
+        half, pi = (float.fromhex(h) for h in self.ZOOM_AMPLITUDES[order, sigma])
+        assert calibrate_pulse_amplitude(RB, 0.5, order, sigma) == \
+            pytest.approx(half, rel=1e-9)
+        om = calibrate_pulse_amplitude(RB, 1.0, order, sigma)
+        now, zoom = ladder._transfer(RB, order, sigma, 0.0, EvolutionConfig(), (om, pi))
+        assert now >= zoom - 1e-12
+
+    def test_proxy_that_cannot_converge_raises_with_sweep(self, monkeypatch):
+        # transfers noisy at 1e-6 leave a Chebyshev tail far above the 1e-10
+        # tolerance at 33 and at 65 nodes
+        scale = 1.0 / 5e5
+        rng = np.random.default_rng(0)
+        probed = []
+
+        def noisy(species, order, sigma, q, cfg, omegas):
+            probed.append(len(omegas))
+            p = np.sin(0.5 * np.pi * np.array(omegas) * scale) ** 2
+            return tuple(p + 1e-6 * rng.standard_normal(len(omegas)))
+
+        monkeypatch.setattr(ladder, "_transfer", noisy)
+        with pytest.raises(CalibrationError, match="no lobe proxy within 1.0e-10") as err:
+            calibrate_pulse_amplitude(RB, 0.5, 2, 5e-6)
+        assert probed[-2:] == [33, 65]
+        oms, ps = zip(*err.value.sweep)   # the 1.25x sweep, up to past the peak
+        np.testing.assert_allclose(np.diff(np.log(oms)), math.log(1.25))
+        assert max(ps) > 0.9 and ps[-1] < 0.8 * max(ps)
 
     def test_unreachable_target_raises(self):
         with pytest.raises(CalibrationError):
