@@ -1,11 +1,12 @@
 """Bloch-oscillation velocity selection (BVS).
 
 A standing-wave lattice is ramped up adiabatically on the falling cloud,
-then one beam is swept in frequency so the lattice accelerates; atoms in
-the first band follow it and end up displaced by ``target_momentum`` photon
-recoils, while atoms outside the first band are left behind. The lattice
-depth in recoil energies sets the nearest-neighbour ladder coupling to
-depth * w_r / 4 (potential depth*E_r*cos^2(kz)).
+then one beam is swept in frequency so the lattice accelerates at a set
+acceleration for as long as it takes to impart ``target_momentum`` photon
+recoils; atoms in the first band follow it, while atoms outside the first
+band are left behind. The lattice depth in recoil energies sets the
+nearest-neighbour ladder coupling to depth * w_r / 4 (potential
+depth*E_r*cos^2(kz)).
 
 The three stages (linear depth ramp up, linear frequency sweep, linear ramp
 down) are one ``ladder.drive`` call for any number of input states, so a
@@ -38,14 +39,12 @@ class LatticeRamp:
     """Lattice depth (units of E_r = hbar*w_r), stage durations and target.
 
     ``target_momentum`` is the imparted momentum in units of hbar*k and must
-    be even (whole two-photon kicks). If ``sweep_duration`` is omitted it is
-    derived from ``acceleration``; if both are given the sweep duration wins
-    and the acceleration actually applied is target*hbar*k/(m*sweep_duration).
+    be even (whole two-photon kicks). The lattice accelerates at
+    ``acceleration``, which sets the sweep duration target*hbar*k/(m*a).
     """
 
     depth: float = 4.0
     load_duration: float = 100e-6
-    sweep_duration: float | None = None
     acceleration: float = 30.0
     target_momentum: int = 8
 
@@ -53,9 +52,9 @@ class LatticeRamp:
         # written so that NaN fails every check
         if not 0 < self.depth < math.inf:
             raise ValueError(f"depth must be finite and positive, got {self.depth}")
-        for name in ("load_duration", "sweep_duration", "acceleration"):
+        for name in ("load_duration", "acceleration"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.target_momentum <= 0 or self.target_momentum % 2 != 0:
             raise ValueError(
@@ -64,9 +63,7 @@ class LatticeRamp:
             )
 
     def resolved_sweep_duration(self, species: AtomSpecies) -> float:
-        """Sweep time (s): explicit value, or target/(m*a) if omitted."""
-        if self.sweep_duration is not None:
-            return self.sweep_duration
+        """Sweep time (s): target momentum over m*acceleration."""
         return self.target_momentum * species.recoil_velocity / self.acceleration
 
 
@@ -125,7 +122,6 @@ def selection_profile(
     if not np.all(np.abs(momenta) <= 2 * (1 + 1e-12)):   # NaN fails too
         raise ValueError("input momenta must lie within +-2 hbar*k")
     states = [plane_wave_state(species, site=round(p / 2),
-                               quasimomentum=p - 2 * round(p / 2),
-                               guard=cfg.ladder_guard_sites) for p in momenta]
+                               quasimomentum=p - 2 * round(p / 2)) for p in momenta]
     finals = bloch_accelerate(states, ramp, cfg)
     return np.array([final.population(0) for final in finals])

@@ -30,9 +30,16 @@ def _calibrated(run: Run):
     plan = run.plan
     return sequence.prepare_sequence(
         run.species, order=plan.order, interrogation_time=plan.interrogation_time,
-        pulse_sigma=plan.beamsplitter.sigma, mirror_sigma=plan.mirror.sigma,
-        sweep_rate=plan.sweep_rate, phase_offset=plan.phase_offset,
-        cfg=run.evolution)
+        pulse_sigma=plan.beamsplitter.sigma, sweep_rate=plan.sweep_rate,
+        phase_offset=plan.phase_offset, cfg=run.evolution)
+
+
+def _require_resonant(run: Run):
+    """Reject a configured sweep rate where the subcommand sets its own."""
+    if run.plan.sweep_rate is not None:
+        raise ConfigError("sequence.sweep_rate_hz_per_s",
+                          "this subcommand sets its own sweep rate; write "
+                          f"'resonant', got {run.plan.sweep_rate}")
 
 
 def _require_scan(scan, *targets: str):
@@ -73,8 +80,7 @@ def cmd_pulse(run: Run, out: Path) -> dict:
         omega0 = cmd_calibrate(run, out)["omega0_rad_s"]
     else:
         omega0 = float(blk.rabi_peak_rad_s)
-    psi = plane_wave_state(run.species, quasimomentum=blk.quasimomentum_hk,
-                           guard=blk.order + run.evolution.ladder_guard_sites)
+    psi = plane_wave_state(run.species, quasimomentum=blk.quasimomentum_hk)
     final = apply_pulse(psi, dataclasses.replace(run.pulse, rabi_peak=omega0),
                         run.evolution)
     rows = [(int(n), float(p)) for n, p in sorted(final.populations().items())]
@@ -105,6 +111,8 @@ def cmd_bvs(run: Run, out: Path) -> dict:
 def cmd_fringe(run: Run, out: Path) -> dict:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase", "sweep_rate")
+    if cfg.scan.target == "sweep_rate":
+        _require_resonant(run)
     seq = _calibrated(run)
 
     if cfg.scan.target == "phase":
@@ -164,6 +172,7 @@ def cmd_revivals(run: Run, out: Path) -> dict:
 def cmd_gradiometer(run: Run, out: Path) -> dict:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase")
+    _require_resonant(run)
     res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
                                    _calibrated(run), cfg.gravity_m_s2,
                                    cfg.gradiometer.gradient_per_s2, run.noise,
@@ -192,6 +201,7 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
 
 
 def _gravity_series(run: Run):
+    _require_resonant(run)
     cfg = run.config
     return sequence.run_gravity_series(
         run.species, run.ensemble, _calibrated(run), run.tide, run.noise,

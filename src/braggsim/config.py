@@ -56,16 +56,13 @@ def at_key(path: str):
 
 @dataclass(frozen=True)
 class SpeciesBlock:
-    name: str = "Rb87"
     wavelength_m: float = 780.24e-9
-    mass_kg: float | None = None
+    mass_kg: float | None = None   # null means Rb87
 
     def resolve(self) -> AtomSpecies:
-        if self.mass_kg is not None:
-            return AtomSpecies(mass=self.mass_kg, wavelength=self.wavelength_m)
-        if self.name != "Rb87":
-            raise ValueError(f"unknown species {self.name!r}; give mass_kg")
-        return AtomSpecies.rubidium87(wavelength=self.wavelength_m)
+        if self.mass_kg is None:
+            return AtomSpecies.rubidium87(wavelength=self.wavelength_m)
+        return AtomSpecies(mass=self.mass_kg, wavelength=self.wavelength_m)
 
 
 @dataclass(frozen=True)
@@ -81,19 +78,17 @@ class SequenceBlock:
     order: int = 2
     interrogation_time_s: float = 60e-3
     pulse_sigma_s: float = 15e-6
-    mirror_sigma_s: float | None = None
     sweep_rate_hz_per_s: float | Literal["resonant"] = "resonant"
     phase_offset_rad: float = 0.0
 
     def resolve(self) -> MZISequence:
         """The schedule with zero-amplitude pulses; the run calibrates them."""
-        ms = self.pulse_sigma_s if self.mirror_sigma_s is None else self.mirror_sigma_s
-        bs, mirror = (PulseSpec(rabi_peak=0.0, sigma=s, resonant_order=self.order)
-                      for s in (self.pulse_sigma_s, ms))
+        pulse = PulseSpec(rabi_peak=0.0, sigma=self.pulse_sigma_s,
+                          resonant_order=self.order)
         sweep = self.sweep_rate_hz_per_s
         return MZISequence(order=self.order,
                            interrogation_time=self.interrogation_time_s,
-                           beamsplitter=bs, mirror=mirror,
+                           beamsplitter=pulse, mirror=pulse,
                            sweep_rate=None if sweep == "resonant" else float(sweep),
                            phase_offset=self.phase_offset_rad)
 
@@ -102,13 +97,11 @@ class SequenceBlock:
 class EnsembleBlock:
     samples: int = 200
     sigma_q_hk: float = 0.42
-    quasimomenta_hk: list[float] | None = None
     seed: int = 0
 
     def resolve(self) -> EnsembleSpec:
-        qs = None if self.quasimomenta_hk is None else tuple(self.quasimomenta_hk)
         return EnsembleSpec(sample_count=self.samples, sigma_q=self.sigma_q_hk,
-                            quasimomenta=qs, seed=self.seed)
+                            seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,6 @@ class ScanBlock:
 class BvsBlock:
     depth_er: float = 4.0
     load_duration_s: float = 100e-6
-    sweep_duration_s: float | None = None
     acceleration_m_s2: float = 30.0
     target_momentum_hk: int = 8
     profile_min_hk: float = -2.0
@@ -184,7 +176,6 @@ class BvsBlock:
             raise ValueError(f"profile_points must be >= 1, got {self.profile_points}")
         return LatticeRamp(depth=self.depth_er,
                            load_duration=self.load_duration_s,
-                           sweep_duration=self.sweep_duration_s,
                            acceleration=self.acceleration_m_s2,
                            target_momentum=self.target_momentum_hk)
 

@@ -102,6 +102,11 @@ class TideModel:
     mean_gravity: float = 9.81
     components: tuple[TideComponent, ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        if not 0 < self.mean_gravity < math.inf:  # NaN fails every check
+            raise ValueError(
+                f"mean_gravity must be finite and > 0, got {self.mean_gravity}")
+
     @classmethod
     def demo_m2(cls, mean_gravity: float = 9.81,
                 amplitude: float = 1.0e-6) -> "TideModel":

@@ -24,9 +24,11 @@ propagator (or a stack over quasimomenta) is the evolved identity. A stage is
 phi)}, so a laser phase is a constant inside theta and one step rule serves
 every stage. ``drive`` evolves a batch of states, each on its own window,
 one solve per stage, and ``check_leakage`` checks their edges. A Bragg pulse
-is one stage, the Bloch lattice three. Amplitudes are calibrated on the first
-Rabi lobe: a 1.25x sweep finds it, one solve on Chebyshev nodes gives a proxy
-of the transfer P(Omega_0), and one more solve checks the pi/2 root.
+is one stage, the Bloch lattice three. ``drive`` alone sizes windows: a
+plane wave is its one occupied site. Amplitudes are calibrated on the first
+Rabi lobe of a plane wave at q = 0: a 1.25x sweep finds it, one solve on
+Chebyshev nodes gives a proxy of the transfer P(Omega_0), memoised per pulse
+width, and one more solve checks the pi/2 root.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ class PulseSpec:
     """Gaussian two-frequency Bragg pulse.
 
     rabi_peak is the peak two-photon Rabi frequency Omega_0 (rad/s); the
-    envelope is Omega_0 exp(-(t-t_c)^2 / 2 sigma^2) truncated to ``duration``
-    (default 6 sigma, tails clipped at +-3 sigma). The beam frequency
+    envelope is Omega_0 exp(-(t-t_c)^2 / 2 sigma^2) over 6 sigma (tails
+    clipped at +-3 sigma). The beam frequency
     difference is either given directly (rad/s, value at the pulse centre) or
     marked resonant for a Bragg order; ``chirp`` (Hz/s) sweeps it linearly
     across the pulse.
@@ -101,7 +103,6 @@ class PulseSpec:
 
     rabi_peak: float
     sigma: float
-    duration: float | None = None
     detuning: float | None = None
     resonant_order: int | None = None
     laser_phase: float = 0.0
@@ -113,11 +114,6 @@ class PulseSpec:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0 <= self.rabi_peak < math.inf:
             raise ValueError(f"rabi_peak must be finite and >= 0, got {self.rabi_peak}")
-        if self.duration is not None and not 6 * self.sigma <= self.duration < math.inf:
-            raise ValueError(
-                f"duration {self.duration} must be finite and at least the "
-                f"6 sigma minimum {6 * self.sigma}"
-            )
         for name in ("detuning", "laser_phase", "chirp"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -129,7 +125,7 @@ class PulseSpec:
 
     @property
     def total_duration(self) -> float:
-        return 6 * self.sigma if self.duration is None else self.duration
+        return 6 * self.sigma
 
     def resolve_detuning(self, species: AtomSpecies) -> float:
         """Beam frequency difference at the pulse centre (rad/s)."""
@@ -214,14 +210,11 @@ def plane_wave_state(
     species: AtomSpecies,
     site: int = 0,
     quasimomentum: float = 0.0,
-    guard: int = 6,
 ) -> MomentumLadderState:
-    """Single ladder-site state (quasimomentum in units of hbar*k) with a
-    window of ``guard`` sites each side."""
-    amps = np.zeros(2 * guard + 1, dtype=complex)
-    amps[guard] = 1.0
-    return MomentumLadderState(species=species, amplitudes=amps, n_min=site - guard,
-                               quasimomentum=quasimomentum)
+    """The plane wave on one ladder site (quasimomentum in units of hbar*k),
+    a window of that site alone; ``drive`` grows it to what a stage needs."""
+    return MomentumLadderState(species=species, amplitudes=np.ones(1, dtype=complex),
+                               n_min=site, quasimomentum=quasimomentum)
 
 
 def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
@@ -377,54 +370,34 @@ def pulse_propagator(
 # -- amplitude calibration --------------------------------------------------
 
 _SWEEP_BATCH, _PROXY_NODES = 9, (33, 65)  # probes per sweep solve, per proxy solve
+_CEILING = 400.0  # sweep ceiling, in two-level first-order pi amplitudes
 
 
-@functools.lru_cache
-def _transfer(species, order, sigma, quasimomentum, cfg, omegas) -> tuple:
-    # |0> -> |order> per Omega_0 in one solve; memoised: pi searches reprobe pi/2 tuples
+def _transfer(species, order, sigma, cfg, omegas) -> list:
+    # |0> -> |order> of a plane wave at q = 0, per Omega_0 in one solve
     reach = order + cfg.ladder_guard_sites
     dur, unit, theta = _pulse_stage(
         PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
     om = np.array(omegas)[:, None]
-    psi = plane_wave_state(species, quasimomentum=quasimomentum, guard=reach)
-    out = drive([psi] * len(omegas), [(dur, lambda t: om * unit(t), theta)],
-                (reach, reach), cfg)
-    return tuple(final.population(order) for final in out)
+    out = drive([plane_wave_state(species)] * len(om),
+                [(dur, lambda t: om * unit(t), theta)], (reach, reach), cfg)
+    return [final.population(order) for final in out]
 
 
-def calibrate_pulse_amplitude(
-    species: AtomSpecies,
-    target: float,
-    order: int,
-    sigma: float,
-    quasimomentum: float = 0.0,
-    cfg: EvolutionConfig = DEFAULT_CONFIG,
-    ceiling_factor: float = 400.0,
-) -> float:
-    """Peak Rabi frequency transferring ``target`` of |0> into |2n hbar k>
-    for a plane wave at ``quasimomentum`` (units of hbar*k).
-
-    Returns the smallest Omega_0 on the first Rabi lobe whose simulated
-    transfer equals the target within 1e-4, or the lobe peak for a target at
-    or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep finds the
-    lobe; one solve on Chebyshev nodes over [0, 1.25 x its best probe] gives
-    a proxy of the analytic transfer whose maximum is the peak and whose first
-    crossing of the target, checked by one more solve, is the amplitude.
-    """
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target transfer must lie in (0, 1], got {target}")
-
-    transfer = functools.partial(_transfer, species, order, sigma, quasimomentum, cfg)
-
+@functools.lru_cache
+def _first_lobe(species, order, sigma, cfg) -> tuple:
+    """``(sweep, top, coef)`` of the first Rabi lobe of |0> -> |order> at
+    q = 0: the 1.25x sweep of (Omega_0, transfer) and the Chebyshev series of
+    the transfer on [0, top]; memoised, so pi/2 and pi at one width share it."""
     def sweep_probe(batch):
         try:
-            return transfer(batch)
+            return _transfer(species, order, sigma, cfg, batch)
         except TruncationLeakError:  # a probe past the lobe may leak: go one by one
-            return (transfer((om,))[0] for om in batch)
+            return (_transfer(species, order, sigma, cfg, (om,))[0] for om in batch)
 
     omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))  # two-level first-order pi
     grid = omega_pi / 8.0 * 1.25 ** np.arange(
-        1 + math.floor(math.log(8.0 * ceiling_factor, 1.25)) if ceiling_factor > 0 else 0)
+        1 + math.floor(math.log(8.0 * _CEILING, 1.25)))
     batches = (tuple(grid[i:i + _SWEEP_BATCH].tolist())
                for i in range(0, len(grid), _SWEEP_BATCH))
     sweep, best_p = [], -1.0
@@ -434,20 +407,46 @@ def calibrate_pulse_amplitude(
         if best_p > 0.05 and p < 0.8 * best_p:
             break  # past the first lobe peak
     else:
-        if best_p < target and best_p < 0.05:
-            raise CalibrationError(f"no Rabi lobe reaching transfer {target} "
-                                   "below the search ceiling", sweep)
+        if best_p < 0.05:
+            raise CalibrationError("no Rabi lobe reaching transfer 0.05 below the "
+                                   "search ceiling", sweep)
 
     # P(Omega_0) on [0, 1.25 best] as a Chebyshev series in x = 2 Omega_0 / top - 1
     top = 1.25 * best_om
     for n in _PROXY_NODES:
-        p = np.array(transfer(tuple((top / 2 * (1.0 + cheb.chebpts2(n))).tolist())))
+        p = np.array(_transfer(species, order, sigma, cfg,
+                               (top / 2 * (1.0 + cheb.chebpts2(n))).tolist()))
         coef = np.fft.rfft(np.r_[p[::-1], p[1:-1]]).real / (n - 1)  # DCT-I
         coef[[0, -1]] /= 2.0
         if np.abs(coef[3 * n // 4:]).max() <= cfg.error_tolerance:
             break
     else:
         raise CalibrationError(f"no lobe proxy within {cfg.error_tolerance:.1e}", sweep)
+    coef.setflags(write=False)   # shared by every caller of the memo
+    return tuple(sweep), top, coef
+
+
+def calibrate_pulse_amplitude(
+    species: AtomSpecies,
+    target: float,
+    order: int,
+    sigma: float,
+    cfg: EvolutionConfig = DEFAULT_CONFIG,
+) -> float:
+    """Peak Rabi frequency transferring ``target`` of |0> into |2n hbar k>,
+    always calibrated on a plane wave at q = 0.
+
+    Returns the smallest Omega_0 on the first Rabi lobe whose simulated
+    transfer equals the target within 1e-4, or the lobe peak for a target at
+    or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep finds the
+    lobe; one solve on Chebyshev nodes over [0, 1.25 x its best probe] gives
+    a proxy of the analytic transfer whose maximum is the peak and whose first
+    crossing of the target, checked by one more solve, is the amplitude. A
+    sweep with no transfer above 0.05 raises CalibrationError for any target.
+    """
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"target transfer must lie in (0, 1], got {target}")
+    sweep, top, coef = _first_lobe(species, order, sigma, cfg)
 
     def roots(c, lo, hi):  # real roots of the series c in [lo, hi]
         r = cheb.chebroots(c)
@@ -461,8 +460,8 @@ def calibrate_pulse_amplitude(
     # pi/2: the first crossing below the peak (else the peak, which the check rejects)
     root = float(top / 2 * (1.0 + min(roots(cheb.chebsub(coef, target), -1.0, peak_x),
                                       default=peak_x)))
-    achieved = transfer((root,))[0]
+    achieved = _transfer(species, order, sigma, cfg, (root,))[0]
     if abs(achieved - target) > 1e-4:
         raise CalibrationError(f"calibration converged to transfer "
-                               f"{achieved:.6f}, not {target}", sweep)
+                               f"{achieved:.6f}, not {target}", list(sweep))
     return root

@@ -67,8 +67,9 @@ class BeamGeometry:
     tilt_angle: float = 0.0
 
     def __post_init__(self):
-        if self.k_eff <= 0:
-            raise ValueError(f"k_eff must be positive, got {self.k_eff}")
+        # written so that NaN fails every check
+        if not 0 < self.k_eff < math.inf:
+            raise ValueError(f"k_eff must be finite and positive, got {self.k_eff}")
         if not 0.0 <= self.tilt_angle < math.pi / 2:
             raise ValueError(
                 f"tilt_angle must lie in [0, pi/2), got {self.tilt_angle}"
@@ -98,12 +99,12 @@ class InterferometerParams:
     gravity: float = 0.0
 
     def __post_init__(self):
-        if self.order < 1:
+        # written so that NaN fails every check
+        if not self.order >= 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.interrogation_time <= 0:
-            raise ValueError(
-                f"interrogation_time must be positive, got {self.interrogation_time}"
-            )
+        if not 0 < self.interrogation_time < math.inf:
+            raise ValueError(f"interrogation_time must be finite and positive, "
+                             f"got {self.interrogation_time}")
 
     @property
     def laser_phase(self) -> float:

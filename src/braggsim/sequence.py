@@ -65,12 +65,12 @@ from .physics import (
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Quasimomentum ensemble: Gaussian of rms sigma_q (units hbar k) or an
-    explicit list, reproducibly sampled from ``seed``."""
+    """Quasimomentum ensemble: ``sample_count`` draws from a Gaussian of rms
+    sigma_q (units hbar k) within the first band, reproducibly sampled from
+    ``seed``."""
 
     sample_count: int = 200
     sigma_q: float = 0.42
-    quasimomenta: tuple[float, ...] | None = None   # explicit list, units hbar k
     seed: int = 0
 
     def __post_init__(self):
@@ -81,18 +81,9 @@ class EnsembleSpec:
             raise ValueError(f"sigma_q must be finite and >= 0, got {self.sigma_q}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.quasimomenta is not None:
-            if not np.all(np.abs(np.asarray(self.quasimomenta)) <= 1.0):
-                raise ValueError("explicit quasimomenta must lie within +-1 hbar k")
-            if len(self.quasimomenta) != self.sample_count:
-                raise ValueError(
-                    f"{len(self.quasimomenta)} explicit quasimomenta for "
-                    f"sample_count {self.sample_count}")
 
     def draw(self) -> np.ndarray:
         """Quasimomenta (units of hbar k), truncated to the first band by redraw."""
-        if self.quasimomenta is not None:
-            return np.asarray(self.quasimomenta, dtype=float)
         if self.sigma_q == 0.0:
             return np.zeros(self.sample_count)
         rng = shot_rng(self.seed, STREAM_QUASIMOMENTUM)
@@ -140,25 +131,24 @@ def prepare_sequence(
     order: int = 2,
     interrogation_time: float = 60e-3,
     pulse_sigma: float = 15e-6,
-    mirror_sigma: float | None = None,
     sweep_rate: float | None = None,
     phase_offset: float = 0.0,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> MZISequence:
-    """Calibrate pi/2 and pi amplitudes at q = 0 and assemble the schedule.
+    """Calibrate pi/2 and pi amplitudes at q = 0 and assemble the schedule;
+    both pulses have width ``pulse_sigma``.
 
     The pi target of 1.0 resolves to the first-lobe maximum in the
     quasi-Bragg regime, where perfect transfer does not exist.
     """
-    ms = pulse_sigma if mirror_sigma is None else mirror_sigma
     om_bs = calibrate_pulse_amplitude(species, 0.5, order, pulse_sigma, cfg=cfg)
-    om_pi = calibrate_pulse_amplitude(species, 1.0, order, ms, cfg=cfg)
+    om_pi = calibrate_pulse_amplitude(species, 1.0, order, pulse_sigma, cfg=cfg)
     return MZISequence(
         order=order,
         interrogation_time=interrogation_time,
         beamsplitter=PulseSpec(rabi_peak=om_bs, sigma=pulse_sigma,
                                resonant_order=order),
-        mirror=PulseSpec(rabi_peak=om_pi, sigma=ms, resonant_order=order),
+        mirror=PulseSpec(rabi_peak=om_pi, sigma=pulse_sigma, resonant_order=order),
         sweep_rate=sweep_rate,
         phase_offset=phase_offset,
     )

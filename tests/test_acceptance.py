@@ -71,11 +71,16 @@ def _start(num: int):
     _t0[num] = time.perf_counter()
 
 
-def stratified_nodes(n: int, sigma_q: float = 0.42) -> tuple:
-    """Deterministic equal-probability quasimomentum nodes in +-1 hbar k."""
-    u = (np.arange(n) + 0.5) / n
-    lo, hi = norm.cdf(-1 / sigma_q), norm.cdf(1 / sigma_q)
-    return tuple(np.clip(sigma_q * norm.ppf(lo + u * (hi - lo)), -1.0, 1.0))
+@dataclasses.dataclass(frozen=True)
+class StratifiedEnsemble(EnsembleSpec):
+    """The ensemble's Gaussian as deterministic equal-probability
+    quasimomentum nodes in +-1 hbar k instead of random draws."""
+
+    def draw(self) -> np.ndarray:
+        n, sigma_q = self.sample_count, self.sigma_q
+        u = (np.arange(n) + 0.5) / n
+        lo, hi = norm.cdf(-1 / sigma_q), norm.cdf(1 / sigma_q)
+        return np.clip(sigma_q * norm.ppf(lo + u * (hi - lo)), -1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +119,9 @@ def test_criterion_03_raman_nath_oracle():
     for area in (0.5, 1.0, 1.5, 2.0):
         omega0 = area / (sigma * math.sqrt(2 * math.pi) * TRUNC)
         pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, detuning=0.0)
-        out = apply_pulse(plane_wave_state(RB, guard=10), pulse)
+        # sites +-10: the order-1 reach plus 9 guard sites
+        out = apply_pulse(plane_wave_state(RB), pulse,
+                          EvolutionConfig(ladder_guard_sites=9))
         for m in range(-4, 5):
             worst = max(worst, abs(out.population(m) - jv(m, area) ** 2))
     _report(3, "raman-nath-oracle", worst < 1e-3,
@@ -147,8 +154,7 @@ def test_criterion_05_unitarity_truncation(qb_sequence):
         om = qb_sequence.mirror.rabi_peak if sigma == 5e-6 else 1.2e5
         pulse = PulseSpec(rabi_peak=om, sigma=sigma, resonant_order=order)
         for qt in (0.0, -0.37, 0.61):
-            out = apply_pulse(plane_wave_state(RB, quasimomentum=qt,
-                                               guard=8), pulse)
+            out = apply_pulse(plane_wave_state(RB, quasimomentum=qt), pulse)
             drift = max(drift, abs(out.norm - 1.0))
     pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, resonant_order=2)
     base = apply_pulse(plane_wave_state(RB), pulse,
@@ -201,8 +207,7 @@ def test_criterion_08_contrast_revivals(qb_sequence):
     grid_step = 2e-6
     t_start = 0.8e-3
     times = t_start + np.arange(0.0, 3.3 * dT, grid_step)
-    ens = EnsembleSpec(sample_count=48, sigma_q=0.42,
-                       quasimomenta=stratified_nodes(48), seed=7)
+    ens = StratifiedEnsemble(sample_count=48, sigma_q=0.42, seed=7)
     curve = scan_contrast_vs_T(RB, ens, qb_sequence, times, 9.81, QUIET,
                                master_seed=5)
     ts = np.array([t for t, _ in curve])

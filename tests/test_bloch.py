@@ -12,8 +12,6 @@ from braggsim.ladder import EvolutionConfig, TruncationLeakError, plane_wave_sta
 from braggsim.physics import AtomSpecies
 
 RB = AtomSpecies.rubidium87()
-HBAR = 1.054571817e-34
-HK = HBAR * RB.wavevector
 
 RAMP = LatticeRamp()  # depth 4 E_r, 30 m/s^2, 8 hbar k
 
@@ -35,8 +33,9 @@ class TestBlochAccelerate:
     def test_leakage_signalled(self):
         # a deep, fast lattice drives population out to the window edge
         cfg = EvolutionConfig(ladder_guard_sites=4)
-        ramp = LatticeRamp(depth=200.0, load_duration=5e-6,
-                           sweep_duration=20e-6, target_momentum=2)
+        ramp = LatticeRamp(depth=200.0, load_duration=5e-6,   # a 20 us sweep
+                           acceleration=2 * RB.recoil_velocity / 20e-6,
+                           target_momentum=2)
         with pytest.raises(TruncationLeakError) as err:
             bloch_accelerate([plane_wave_state(RB)], ramp, cfg)
         assert err.value.leakage > err.value.bound
@@ -84,15 +83,6 @@ class TestBlochAccelerate:
         p_slow = bloch_accelerate([plane_wave_state(RB)], halved)[0].population(0)
         assert p_slow >= p_fast - 1e-3
         assert abs(p_slow - p_fast) < 0.02
-
-    def test_explicit_sweep_duration_wins(self):
-        dv = RAMP.target_momentum * HK / RB.mass
-        implied = LatticeRamp(acceleration=dv / 1.5e-3)
-        explicit = LatticeRamp(sweep_duration=1.5e-3)
-        assert implied.resolved_sweep_duration(RB) == pytest.approx(1.5e-3)
-        p1 = bloch_accelerate([plane_wave_state(RB)], implied)[0].population(0)
-        p2 = bloch_accelerate([plane_wave_state(RB)], explicit)[0].population(0)
-        assert p1 == pytest.approx(p2, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -168,11 +158,9 @@ class TestLatticeRampValidation:
     @pytest.mark.parametrize("field, value", [
         ("depth", math.nan), ("depth", math.inf),
         ("load_duration", math.nan), ("load_duration", math.inf),
-        ("sweep_duration", math.nan), ("sweep_duration", math.inf),
         ("acceleration", math.nan), ("acceleration", math.inf),
     ], ids=["depth-nan", "depth-inf", "load_duration-nan", "load_duration-inf",
-            "sweep_duration-nan", "sweep_duration-inf", "acceleration-nan",
-            "acceleration-inf"])
+            "acceleration-nan", "acceleration-inf"])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             LatticeRamp(**{field: value})

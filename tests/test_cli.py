@@ -99,7 +99,7 @@ _KEYS = sorted({*_HINTS, *(key for tp in [*_BLOCKS.values(), TideComponentBlock]
                            for key in get_type_hints(tp))})
 _LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
          | st.text(max_size=6)
-         | st.sampled_from(["2e-3", "resonant", "calibrated", "phase", "Rb87"]))
+         | st.sampled_from(["2e-3", "resonant", "calibrated", "phase"]))
 _VALUE = st.recursive(
     _LEAF, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3), max_leaves=6)
@@ -312,14 +312,15 @@ class TestCliRuns:
         ("noise", "detection_snr", math.nan, "noise.detection_snr"),
         ("noise", "detection_snr", math.inf, "noise.detection_snr"),
         (None, "gravity_m_s2", math.inf, "gravity_m_s2"),
-        ("ensemble", "quasimomenta_hk", [math.nan], "ensemble.quasimomenta_hk[0]"),
+        ("tide", "components", [{"amplitude_m_s2": math.nan}],
+         "tide.components[0].amplitude_m_s2"),
         ("noise", "detection_snr", None, None),
     ], ids=["mirror-nan", "tilt-inf", "snr-nan", "snr-inf", "gravity-inf",
-            "quasimomenta-nan", "snr-null"])
+            "tide-component-nan", "snr-null"])
     def test_config_numbers_finite_at_load(self, tmp_path, capsys,
                                            block, key, value, path):
         data = yaml.safe_load(FAST_FRINGE)
-        (data if block is None else data[block])[key] = value
+        (data if block is None else data.setdefault(block, {}))[key] = value
         cfg = write_config(tmp_path, yaml.safe_dump(data))
         out = tmp_path / "out"
         code = main(["fringe", cfg, "--out-dir", str(out)])
@@ -349,8 +350,6 @@ class TestCliRuns:
         ("bvs", {"target_momentum_hk": 3}, "bvs: target_momentum must be"),
         ("evolution", {"guard_sites": 2},
          "evolution: ladder_guard_sites must be >= 4"),
-        ("ensemble", {"samples": 3, "quasimomenta_hk": [0.1]},
-         "ensemble: 1 explicit quasimomenta for sample_count 3"),
         (None, {"seed": -1}, "seed: must be >= 0, got -1"),
         ("ensemble", {"seed": -1}, "ensemble: seed must be >= 0"),
         ("sequence", {"order": 0}, "sequence: resonant_order must be >= 1"),
@@ -381,7 +380,7 @@ class TestCliRuns:
         ("gradiometer", {"order": 2}, "gradiometer.order: unknown key"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
-            "samples-mismatch", "seed-negative", "ensemble-seed-negative",
+            "seed-negative", "ensemble-seed-negative",
             "sequence-order-0", "interrogation-time-negative",
             "pulse-sigma-negative", "tilt-95", "shots-0", "bin-size-0",
             "shot-period-0", "pulse-order-0", "transfer-target-1.5",
@@ -518,36 +517,49 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         assert main(["fringe", cfg, "--out-dir", str(out)]) == 1
         assert not (out / "fringe.csv").exists()
 
-    @pytest.mark.parametrize("command, block, values, message", [
-        ("fringe", "scan", {"target": "interrogation_time"},
+    RATE = {"sequence": {"sweep_rate_hz_per_s": 1.6e7}}
+
+    @pytest.mark.parametrize("command, changes, message", [
+        ("fringe", {"scan": {"target": "interrogation_time"}},
          "scan.target: subcommand requires target 'phase' or 'sweep_rate', "
          "got 'interrogation_time'"),
-        ("revivals", "scan", {"target": "phase"},
+        ("revivals", {"scan": {"target": "phase"}},
          "scan.target: subcommand requires target 'interrogation_time'"),
-        ("revivals", "scan", {"target": "interrogation_time", "start": 1e-3,
-                              "stop": 1.0125e-3, "points": 4},
+        ("revivals", {"scan": {"target": "interrogation_time", "start": 1e-3,
+                               "stop": 1.0125e-3, "points": 4}},
          "scan.points: need at least 8 interrogation times, got 4"),
-        ("gradiometer", "scan", {"target": "interrogation_time"},
+        ("gradiometer", {"scan": {"target": "interrogation_time"}},
          "scan.target: subcommand requires target 'phase'"),
-        ("revivals", "scan", {"target": "interrogation_time", "start": 1.0e-4,
-                              "stop": 2.0e-4, "points": 8},
+        ("revivals", {"scan": {"target": "interrogation_time", "start": 1.0e-4,
+                               "stop": 2.0e-4, "points": 8}},
          "scan.points: T step 1.25e-05s exceeds revival_period/8"),
-        ("gravity-run", "gravity_run", {"shots": 10, "bin_size": 38},
+        ("gravity-run", {"gravity_run": {"shots": 10, "bin_size": 38}},
          "gravity_run.bin_size: need at least 38 samples for one bin, got 10"),
-        ("allan", "gravity_run", {"shots": 3},
+        ("allan", {"gravity_run": {"shots": 3}},
          "gravity_run.shots: need at least 4 samples, got 3"),
+        # each of these sets its own sweep rate, so a configured one would do
+        # nothing
+        ("gradiometer", RATE, "sequence.sweep_rate_hz_per_s: this subcommand "
+         "sets its own sweep rate; write 'resonant', got 16000000.0"),
+        ("gravity-run", RATE, "sequence.sweep_rate_hz_per_s: this subcommand"),
+        ("allan", RATE, "sequence.sweep_rate_hz_per_s: this subcommand"),
+        ("fringe", {**RATE, "scan": {"target": "sweep_rate"}},
+         "sequence.sweep_rate_hz_per_s: this subcommand"),
     ], ids=["fringe-target", "revivals-target", "revivals-4-points",
             "gradiometer-target", "revivals-T-step",
-            "gravity-run-bin-beyond-shots", "allan-3-shots"])
+            "gravity-run-bin-beyond-shots", "allan-3-shots",
+            "gradiometer-sweep-rate", "gravity-run-sweep-rate",
+            "allan-sweep-rate", "fringe-sweep-rate-scan"])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, capsys,
-                                         command, block, values, message):
-        # a warm transfer memo would hide a calibration, so start cold
-        ladder._transfer.cache_clear()
+                                         command, changes, message):
+        # a warm lobe memo would hide a calibration, so start cold
+        ladder._first_lobe.cache_clear()
         real, solves = ladder.solve_ivp, []
         monkeypatch.setattr(ladder, "solve_ivp",
                             lambda *a, **k: solves.append(1) or real(*a, **k))
         bad = yaml.safe_load(FAST_FRINGE)
-        bad.setdefault(block, {}).update(values)
+        for block, values in changes.items():
+            bad.setdefault(block, {}).update(values)
         cfg = write_config(tmp_path, yaml.safe_dump(bad))
         out = tmp_path / "x"
         assert main([command, cfg, "--out-dir", str(out)]) == 1

@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 
-from braggsim.config import load_config, resolve
+from braggsim.config import ExperimentConfig, load_config, resolve, resolved_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "braggsim"
@@ -126,3 +126,40 @@ def test_only_config_resolves_blocks():
            if isinstance(node, ast.Call)
            and getattr(node.func, "attr", None) == "resolve"]
     assert not bad, bad
+
+
+def test_settable_config_values_ledger():
+    # every key path a config can set, so that a change which adds or removes
+    # a setting shows it in its own diff; a list of blocks counts once
+    def paths(value, prefix):
+        if isinstance(value, dict):
+            return [p for k, v in value.items() for p in paths(v, f"{prefix}{k}.")]
+        return [prefix[:-1] + ("[]" if isinstance(value, list) else "")]
+
+    assert sorted(paths(resolved_dict(ExperimentConfig()), "")) == [
+        "bvs.acceleration_m_s2", "bvs.depth_er", "bvs.load_duration_s",
+        "bvs.profile_max_hk", "bvs.profile_min_hk", "bvs.profile_points",
+        "bvs.target_momentum_hk",
+        "class_oracle.a_max", "class_oracle.a_min", "class_oracle.class_index",
+        "class_oracle.time_max_s", "class_oracle.time_min_s",
+        "class_oracle.time_points",
+        "ensemble.samples", "ensemble.seed", "ensemble.sigma_q_hk",
+        "evolution.error_tolerance", "evolution.guard_sites",
+        "geometry.tilt_deg",
+        "gradiometer.bvs_separation_s", "gradiometer.gradient_per_s2",
+        "gradiometer.lower_momentum_hk", "gradiometer.upper_momentum_hk",
+        "gravity_m_s2",
+        "gravity_run.bin_size", "gravity_run.shot_period_s", "gravity_run.shots",
+        "noise.detection_snr", "noise.mirror_phase_rms_rad",
+        "noise.tilt_drift_rad_per_hour",
+        "out_dir",
+        "pulse.order", "pulse.quasimomentum_hk", "pulse.rabi_peak_rad_s",
+        "pulse.sigma_s", "pulse.transfer_target",
+        "scan.points", "scan.start", "scan.stop", "scan.target",
+        "seed",
+        "sequence.interrogation_time_s", "sequence.order",
+        "sequence.phase_offset_rad", "sequence.pulse_sigma_s",
+        "sequence.sweep_rate_hz_per_s",
+        "species.mass_kg", "species.wavelength_m",
+        "tide.components[]", "tide.mean_gravity_m_s2",
+    ]

@@ -137,6 +137,11 @@ class TestTide:
         assert g.shape == (100,)
         assert np.all(np.abs(g - 9.81) <= 1e-6 + 1e-12)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -9.81])
+    def test_mean_gravity_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="mean_gravity must be finite and > 0"):
+            TideModel(mean_gravity=value)
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             TideComponent(-1e-6, 1e-4)

@@ -235,6 +235,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             AtomSpecies(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_eff", math.nan), ("k_eff", math.inf), ("tilt_angle", math.nan),
+    ], ids=["k_eff-nan", "k_eff-inf", "tilt_angle-nan"])
+    def test_geometry_rejects_non_finite(self, field, value):
+        kwargs = {"k_eff": 1.6e7, field: value}
+        with pytest.raises(ValueError, match=field):
+            BeamGeometry(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("order", math.nan),
+        ("interrogation_time", math.nan), ("interrogation_time", math.inf),
+    ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf"])
+    def test_params_reject_non_finite(self, field, value):
+        kwargs = {"order": 1, "interrogation_time": 0.04, "sweep_rate": 0.0,
+                  field: value}
+        with pytest.raises(ValueError, match=field):
+            InterferometerParams(**kwargs)
+
     def test_params_invariants(self):
         with pytest.raises(ValueError):
             InterferometerParams(order=0, interrogation_time=0.04, sweep_rate=0.0)

@@ -72,7 +72,7 @@ def manual_pulse_chain(seq):
     gap = T - (d_bs + d_pi) / 2
     starts = [0.0, d_bs / 2 + T - d_pi / 2, d_bs / 2 + 2 * T - d_bs / 2]
     roles = [seq.beamsplitter, seq.mirror, seq.beamsplitter]
-    psi = plane_wave_state(RB, guard=seq.order + 6)
+    psi = plane_wave_state(RB)
     for k, (pulse, t) in enumerate(zip(roles, starts)):
         if k:
             psi = free_propagate(psi, gap)
@@ -474,24 +474,15 @@ class TestSpecValidation:
             EnsembleSpec(sample_count=0)
         with pytest.raises(ValueError):
             EnsembleSpec(sigma_q=-0.1)
-        with pytest.raises(ValueError):
-            EnsembleSpec(quasimomenta=(0.0, 1.5))
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"sample_count": math.nan}, "sample_count"),
         ({"sigma_q": math.nan}, "sigma_q"),
         ({"sigma_q": math.inf}, "sigma_q"),
-        ({"sample_count": 1, "quasimomenta": (math.nan,)}, "quasimomenta"),
-    ], ids=["sample_count-nan", "sigma_q-nan", "sigma_q-inf", "quasimomenta-nan"])
+    ], ids=["sample_count-nan", "sigma_q-nan", "sigma_q-inf"])
     def test_ensemble_rejects_non_finite(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             EnsembleSpec(**kwargs)
-
-    def test_ensemble_quasimomenta_count_must_match(self):
-        with pytest.raises(ValueError, match="sample_count 3"):
-            EnsembleSpec(sample_count=3, quasimomenta=(0.1,))
-        ens = EnsembleSpec(sample_count=2, quasimomenta=(0.1, -0.1))
-        assert len(ens.draw()) == 2
 
     def test_gradiometer_spec_validation(self):
         with pytest.raises(ValueError):
