@@ -182,9 +182,10 @@ def fringe_contrast(fit: HarmonicFit) -> float:
 def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
                      interrogation_time: float) -> float:
     """Convert a fringe phase change to gravity: dg = dphi/(m k_eff T^2)."""
-    if harmonic < 1:
+    # written so that NaN fails every check
+    if not harmonic >= 1:
         raise ValueError(f"harmonic must be >= 1, got {harmonic}")
-    if interrogation_time <= 0:
+    if not interrogation_time > 0:
         raise ValueError(
             f"interrogation_time must be positive, got {interrogation_time}"
         )
@@ -213,7 +214,7 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     y = np.asarray(series, dtype=float)
     n = len(y)
     check_count(n, ALLAN_MIN_SAMPLES, "samples")
-    if shot_period <= 0:
+    if not shot_period > 0:   # NaN fails too
         raise ValueError(f"shot_period must be positive, got {shot_period}")
     if taus is None:
         max_m = n // 3

@@ -30,16 +30,7 @@ def _calibrated(run: Run):
     plan = run.plan
     return sequence.prepare_sequence(
         run.species, order=plan.order, interrogation_time=plan.interrogation_time,
-        pulse_sigma=plan.beamsplitter.sigma, sweep_rate=plan.sweep_rate,
-        phase_offset=plan.phase_offset, cfg=run.evolution)
-
-
-def _require_resonant(run: Run):
-    """Reject a configured sweep rate where the subcommand sets its own."""
-    if run.plan.sweep_rate is not None:
-        raise ConfigError("sequence.sweep_rate_hz_per_s",
-                          "this subcommand sets its own sweep rate; write "
-                          f"'resonant', got {run.plan.sweep_rate}")
+        pulse_sigma=plan.beamsplitter.sigma, cfg=run.evolution)
 
 
 def _require_scan(scan, *targets: str):
@@ -111,8 +102,6 @@ def cmd_bvs(run: Run, out: Path) -> dict:
 def cmd_fringe(run: Run, out: Path) -> dict:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase", "sweep_rate")
-    if cfg.scan.target == "sweep_rate":
-        _require_resonant(run)
     seq = _calibrated(run)
 
     if cfg.scan.target == "phase":
@@ -131,8 +120,8 @@ def cmd_fringe(run: Run, out: Path) -> dict:
         rows = []
         for i, da in enumerate(grid.tolist()):
             shot = sequence.run_shot(
-                run.species, run.ensemble, dataclasses.replace(seq, sweep_rate=a0 + da),
-                cfg.gravity_m_s2, run.noise, cfg.seed, i, run.geometry, run.evolution)
+                run.species, run.ensemble, seq, cfg.gravity_m_s2, run.noise,
+                cfg.seed, i, run.geometry, run.evolution, sweep_rate=a0 + da)
             rows.append((da, shot.measured_ports[0],
                          shot.measured_ports[seq.order],
                          shot.normalized_population))
@@ -172,7 +161,6 @@ def cmd_revivals(run: Run, out: Path) -> dict:
 def cmd_gradiometer(run: Run, out: Path) -> dict:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase")
-    _require_resonant(run)
     res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
                                    _calibrated(run), cfg.gravity_m_s2,
                                    cfg.gradiometer.gradient_per_s2, run.noise,
@@ -201,7 +189,6 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
 
 
 def _gravity_series(run: Run):
-    _require_resonant(run)
     cfg = run.config
     return sequence.run_gravity_series(
         run.species, run.ensemble, _calibrated(run), run.tide, run.noise,

@@ -78,19 +78,14 @@ class SequenceBlock:
     order: int = 2
     interrogation_time_s: float = 60e-3
     pulse_sigma_s: float = 15e-6
-    sweep_rate_hz_per_s: float | Literal["resonant"] = "resonant"
-    phase_offset_rad: float = 0.0
 
     def resolve(self) -> MZISequence:
         """The schedule with zero-amplitude pulses; the run calibrates them."""
         pulse = PulseSpec(rabi_peak=0.0, sigma=self.pulse_sigma_s,
                           resonant_order=self.order)
-        sweep = self.sweep_rate_hz_per_s
         return MZISequence(order=self.order,
                            interrogation_time=self.interrogation_time_s,
-                           beamsplitter=pulse, mirror=pulse,
-                           sweep_rate=None if sweep == "resonant" else float(sweep),
-                           phase_offset=self.phase_offset_rad)
+                           beamsplitter=pulse, mirror=pulse)
 
 
 @dataclass(frozen=True)

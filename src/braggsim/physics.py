@@ -129,14 +129,14 @@ def mzi_phase(params: InterferometerParams, geometry: BeamGeometry) -> float:
 
 def resonant_sweep_rate(gravity: float, geometry: BeamGeometry) -> float:
     """Sweep rate alpha_0 = k_eff g cos(tilt) / 2 pi (Hz/s) cancelling gravity."""
-    if gravity < 0:
+    if not gravity >= 0:   # NaN fails too
         raise ValueError(f"gravity must be >= 0, got {gravity}")
     return geometry.k_eff * gravity * geometry.projection / (2.0 * math.pi)
 
 
 def gravity_from_sweep(sweep_rate: float, geometry: BeamGeometry) -> float:
     """Invert the resonance condition: g = 2 pi alpha_0 / (k_eff cos(tilt))."""
-    if sweep_rate < 0:
+    if not sweep_rate >= 0:   # NaN fails too
         raise ValueError(f"sweep_rate must be >= 0, got {sweep_rate}")
     return 2.0 * math.pi * sweep_rate / (geometry.k_eff * geometry.projection)
 
@@ -147,14 +147,14 @@ def bragg_resonance(order: int, species: AtomSpecies) -> float:
     Follows from kinetic-energy conservation for an n-th order (2n-photon)
     transition starting at rest.
     """
-    if order < 1:
+    if not order >= 1:   # NaN fails too
         raise ValueError(f"order must be >= 1, got {order}")
     return 4.0 * order * species.recoil_frequency
 
 
 def coherence_length(species: AtomSpecies, temperature: float) -> float:
     """Thermal coherence length hbar sqrt(2 pi) / sqrt(m k_B T) (m)."""
-    if temperature <= 0:
+    if not temperature > 0:   # NaN fails too
         raise ValueError(f"temperature must be positive, got {temperature}")
     return HBAR * math.sqrt(2.0 * math.pi) / math.sqrt(
         species.mass * BOLTZMANN * temperature
@@ -167,7 +167,7 @@ def path_length_increment(species: AtomSpecies, interrogation_time: float) -> fl
     Momentum kicks come in units of 2 hbar k, so path-length differences
     between interferometer arms are multiples of this.
     """
-    if interrogation_time < 0:
+    if not interrogation_time >= 0:   # NaN fails too
         raise ValueError(f"interrogation_time must be >= 0, got {interrogation_time}")
     return 2.0 * HBAR * species.wavevector * interrogation_time / species.mass
 
@@ -191,7 +191,7 @@ def path_phase(
     ``first_half_steps`` is the integer a with arm momenta 2a*hbar*k then
     2(j-a)*hbar*k over the two halves. Symmetric under a <-> j - a.
     """
-    if interrogation_time < 0:
+    if not interrogation_time >= 0:   # NaN fails too
         raise ValueError(f"interrogation_time must be >= 0, got {interrogation_time}")
     j, a = class_index, first_half_steps
     k = species.wavevector

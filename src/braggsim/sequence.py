@@ -5,6 +5,8 @@ series.
 Frame bookkeeping: the simulation runs in the frame falling with the cloud
 and co-chirped with the lattice, so gravity and the sweep rate enter only
 through the residual ramp r = 2*pi*alpha - k_eff*g*cos(tilt) (rad/s^2).
+The sweep rate alpha is an argument of the runs that take one; None, the
+default, is the resonant chirp, for which r is exactly 0.
 The ramp detunes each pulse by r*t_center, chirps it by r within its window,
 and advances the lattice beat phase between pulses by
 theta(t) = delta_res*t + r*t^2/2; that beat phase adds to each pulse's
@@ -67,7 +69,9 @@ from .physics import (
 class EnsembleSpec:
     """Quasimomentum ensemble: ``sample_count`` draws from a Gaussian of rms
     sigma_q (units hbar k) within the first band, reproducibly sampled from
-    ``seed``."""
+    ``seed``. At sigma_q = 10 the truncated Gaussian is already flat across
+    the band to 0.5 %, and the redraw takes time in proportion to sigma_q,
+    so a wider one is rejected."""
 
     sample_count: int = 200
     sigma_q: float = 0.42
@@ -77,8 +81,8 @@ class EnsembleSpec:
         # written so that NaN fails every check
         if not self.sample_count >= 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not 0 <= self.sigma_q < math.inf:
-            raise ValueError(f"sigma_q must be finite and >= 0, got {self.sigma_q}")
+        if not 0 <= self.sigma_q <= 10:
+            raise ValueError(f"sigma_q must lie in [0, 10], got {self.sigma_q}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -96,16 +100,14 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class MZISequence:
-    """Three-pulse schedule: calibrated pi/2 and pi pulses, interrogation
-    time T, sweep rate (None means resonant for the supplied gravity) and the
-    final-pulse phase offset phi_L."""
+    """Three-pulse schedule: Bragg order, interrogation time T and the
+    calibrated pi/2 and pi pulses. The sweep rate and the final-pulse phase
+    are settings of a run, not of the schedule."""
 
     order: int
     interrogation_time: float
     beamsplitter: PulseSpec
     mirror: PulseSpec
-    sweep_rate: float | None = None
-    phase_offset: float = 0.0
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -117,10 +119,6 @@ class MZISequence:
                 f"interrogation_time {self.interrogation_time} must be finite "
                 f"and exceed the half pulse windows {half}"
             )
-        for name in ("sweep_rate", "phase_offset"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         for pulse in (self.beamsplitter, self.mirror):
             if pulse.resonant_order is not None and pulse.resonant_order != self.order:
                 raise ValueError("pulses must reference the sequence order")
@@ -131,8 +129,6 @@ def prepare_sequence(
     order: int = 2,
     interrogation_time: float = 60e-3,
     pulse_sigma: float = 15e-6,
-    sweep_rate: float | None = None,
-    phase_offset: float = 0.0,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> MZISequence:
     """Calibrate pi/2 and pi amplitudes at q = 0 and assemble the schedule;
@@ -149,8 +145,6 @@ def prepare_sequence(
         beamsplitter=PulseSpec(rabi_peak=om_bs, sigma=pulse_sigma,
                                resonant_order=order),
         mirror=PulseSpec(rabi_peak=om_pi, sigma=pulse_sigma, resonant_order=order),
-        sweep_rate=sweep_rate,
-        phase_offset=phase_offset,
     )
 
 
@@ -216,11 +210,14 @@ def _detect(clean_pairs, noise: NoiseModel, seed: int, shot_indices,
 
 
 class _ShotEngine:
-    """Precomputed propagators and phases for one sequence configuration."""
+    """Precomputed propagators and phases for one sequence at one sweep rate
+    (Hz/s; None is resonant)."""
 
     def __init__(self, species, ensemble, sequence, gravity, noise,
                  geometry=None, cfg=DEFAULT_CONFIG, master_seed=0,
-                 propagator_cache=None):
+                 propagator_cache=None, sweep_rate: float | None = None):
+        if sweep_rate is not None and not math.isfinite(sweep_rate):
+            raise ValueError(f"sweep_rate must be finite, got {sweep_rate}")
         self.species = species
         self.ensemble = ensemble
         self.sequence = sequence
@@ -232,12 +229,12 @@ class _ShotEngine:
 
         self.q = ensemble.draw()
         self.delta_res = bragg_resonance(sequence.order, species)
-        if sequence.sweep_rate is None:
+        if sweep_rate is None:
             # resonant by construction: keep the residual ramp at exactly 0
             # so pulse propagators carry no absolute-time dependence
             self.ramp = 0.0
         else:
-            self.ramp = (2.0 * math.pi * sequence.sweep_rate
+            self.ramp = (2.0 * math.pi * sweep_rate
                          - self.geometry.k_eff * gravity * self.geometry.projection)
 
         seq = sequence
@@ -328,12 +325,14 @@ def run_shot(
     shot_index: int = 0,
     geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
+    sweep_rate: float | None = None,
 ) -> ShotResult:
-    """Single Mach-Zehnder shot averaged over the quasimomentum ensemble."""
+    """Shot ``shot_index`` of a Mach-Zehnder at final-pulse phase 0 and sweep
+    rate ``sweep_rate`` (Hz/s; None is resonant), averaged over the
+    quasimomentum ensemble."""
     engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
-                         geometry, cfg, master_seed)
-    pops, mirror, measured, normalized = engine.shots(
-        [shot_index], [sequence.phase_offset])
+                         geometry, cfg, master_seed, sweep_rate=sweep_rate)
+    pops, mirror, measured, normalized = engine.shots([shot_index], [0.0])
     return ShotResult(
         port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
         measured_ports={0: float(measured[0, 0]),
@@ -355,13 +354,16 @@ def scan_fringe(
     cfg: EvolutionConfig = DEFAULT_CONFIG,
     shot_index_offset: int = 0,
     propagator_cache: dict | None = None,
+    sweep_rate: float | None = None,
 ) -> FringeScan:
-    """Fringe scan over the final-pulse phase, independent noise per point."""
+    """Fringe scan over the final-pulse phase at sweep rate ``sweep_rate``
+    (Hz/s; None is resonant); point i is shot ``shot_index_offset + i``,
+    with independent noise per point."""
     grid = np.asarray(phase_grid, dtype=float)
     if len(grid) == 0:
         raise ValueError("phase grid must be non-empty")
     engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
-                         geometry, cfg, master_seed, propagator_cache)
+                         geometry, cfg, master_seed, propagator_cache, sweep_rate)
     return engine.scan(grid, shot_index_offset)
 
 
@@ -385,11 +387,13 @@ def scan_contrast_vs_T(
     master_seed: int = 0,
     geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
+    sweep_rate: float | None = None,
 ) -> list[tuple[float, float]]:
     """Fringe contrast versus interrogation time (the revival curve), from
     a three-harmonic fit to 24 phases over 4 pi at each T, on the grid of
-    ``interrogation_grid``. With a resonant sweep the pulse propagators
-    carry no absolute-time dependence and are shared across the whole scan.
+    ``interrogation_grid``. With a resonant sweep (``sweep_rate`` None) the
+    pulse propagators carry no absolute-time dependence and are shared
+    across the whole scan.
     """
     times = interrogation_grid(species, interrogation_times)
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
@@ -400,7 +404,7 @@ def scan_contrast_vs_T(
         scan = scan_fringe(species, ensemble, seq_t, gravity, noise, grid,
                            master_seed, geometry, cfg,
                            shot_index_offset=k * len(grid),
-                           propagator_cache=cache)
+                           propagator_cache=cache, sweep_rate=sweep_rate)
         fit = fit_harmonics(scan, n_harmonics=3)
         out.append((float(T), fringe_contrast(fit)))
     return out
@@ -450,18 +454,19 @@ def run_gradiometer(
     g_upper = gravity
     # one shared chirp: resonant for the midpoint gravity
     geometry = geometry or BeamGeometry.vertical(species)
-    alpha = resonant_sweep_rate(0.5 * (g_lower + g_upper), geometry)
-    seq = replace(sequence, sweep_rate=alpha)
+    chirp = resonant_sweep_rate(0.5 * (g_lower + g_upper), geometry)
 
     grid = np.asarray(phase_grid, dtype=float)
     cache: dict = {}
 
     # same master seed: both clouds see identical mirror draws per shot
     # (common mode); detection draws use per-cloud streams
-    lower = _ShotEngine(species, ensemble, seq, g_lower, noise, geometry, cfg,
-                        master_seed, cache).scan(grid, 0, STREAM_DETECTION)
-    upper = _ShotEngine(species, ensemble, seq, g_upper, noise, geometry, cfg,
-                        master_seed, cache).scan(grid, 0, STREAM_DETECTION_UPPER)
+    def cloud(gravity_at, stream):
+        return _ShotEngine(species, ensemble, sequence, gravity_at, noise, geometry,
+                           cfg, master_seed, cache, chirp).scan(grid, 0, stream)
+
+    lower = cloud(g_lower, STREAM_DETECTION)
+    upper = cloud(g_upper, STREAM_DETECTION_UPPER)
     return GradiometerResult(lower=lower, upper=upper, baseline=baseline,
                              gravity_lower=g_lower, gravity_upper=g_upper)
 
@@ -510,12 +515,11 @@ def run_gravity_series(
     """
     geometry = geometry or BeamGeometry.vertical(species)
     g0 = tide.mean_gravity
-    alpha = resonant_sweep_rate(g0, geometry)
-    seq = replace(sequence, sweep_rate=None)  # resonant chirp at g0
+    alpha = resonant_sweep_rate(g0, geometry)   # the chirp of every shot
     quiet = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf,
                        tilt_drift=noise.tilt_drift)
     grid = np.linspace(0.0, 4.0 * math.pi, 48, endpoint=False)
-    cal_scan = scan_fringe(species, ensemble, seq, g0, quiet, grid,
+    cal_scan = scan_fringe(species, ensemble, sequence, g0, quiet, grid,
                            master_seed, geometry, cfg)
     fit = fit_harmonics(cal_scan, n_harmonics=3)
 
@@ -525,7 +529,7 @@ def run_gravity_series(
             FringeScan(phase_grid=grid, port_populations={port: vals},
                        normalized=vals), n_harmonics=3)
 
-    cal_lo, cal_hi = port_fit(0), port_fit(seq.order)
+    cal_lo, cal_hi = port_fit(0), port_fit(sequence.order)
 
     # full normalized response from the calibrated port curves; operate at
     # its steepest point and invert measured populations through the same
@@ -549,7 +553,7 @@ def run_gravity_series(
         seg_arg, seg_val = seg_arg[::-1], seg_val[::-1]
 
     keff = geometry.k_eff
-    T = seq.interrogation_time
+    T = sequence.interrogation_time
     shots = np.arange(n_shots)
     times = shots * shot_period
     g_true = synthesize_tide(tide, times)

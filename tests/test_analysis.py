@@ -126,6 +126,13 @@ class TestPhaseToGravity:
         with pytest.raises(ValueError):
             phase_to_gravity(1e-3, 1, K_EFF, 0.0)
 
+    @pytest.mark.parametrize("harmonic, interrogation_time, argument", [
+        (math.nan, 0.06, "harmonic"), (1, math.nan, "interrogation_time"),
+    ], ids=["harmonic-nan", "interrogation_time-nan"])
+    def test_nan_argument_rejected(self, harmonic, interrogation_time, argument):
+        with pytest.raises(ValueError, match=f"{argument} must be"):
+            phase_to_gravity(1e-3, harmonic, K_EFF, interrogation_time)
+
 
 class TestAllanDeviation:
     def test_constant_series_zero(self):
@@ -166,6 +173,10 @@ class TestAllanDeviation:
                                 taus=[1.0, 8.0, 64.0])
         assert len(curve.taus) == 2
         assert any("64" in n for n in curve.notices)
+
+    def test_nan_shot_period_rejected(self):
+        with pytest.raises(ValueError, match="shot_period must be positive"):
+            allan_deviation(np.arange(64.0), math.nan)
 
     def test_all_insufficient_raises(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """CLI and configuration: validation, determinism, echo round-trip."""
 
 import csv
-import dataclasses
 import json
 import math
 from dataclasses import is_dataclass
@@ -177,11 +176,6 @@ class TestConfigParsing:
     def test_bad_scan_target(self):
         with pytest.raises(ConfigError, match=r"scan\.target"):
             parse_config({"scan": {"target": "banana"}})
-
-    def test_unknown_sweep_rate_word_fails_at_load(self):
-        with pytest.raises(ConfigError, match=r"sequence\.sweep_rate_hz_per_s: "
-                           r"expected float or 'resonant', got str 'fast'"):
-            parse_config({"sequence": {"sweep_rate_hz_per_s": "fast"}})
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mappings(_HINTS, 4))
@@ -378,6 +372,12 @@ class TestCliRuns:
         ("class_oracle", {"a_min": 2, "a_max": 1},
          "class_oracle: a_max 1 must be >= a_min 2"),
         ("gradiometer", {"order": 2}, "gradiometer.order: unknown key"),
+        ("sequence", {"sweep_rate_hz_per_s": 1.6e7},
+         "sequence.sweep_rate_hz_per_s: unknown key"),
+        ("sequence", {"phase_offset_rad": 1.0},
+         "sequence.phase_offset_rad: unknown key"),
+        ("ensemble", {"sigma_q_hk": 1.0e9},
+         "ensemble: sigma_q must lie in [0, 10], got 1000000000.0"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
             "seed-negative", "ensemble-seed-negative",
@@ -387,7 +387,8 @@ class TestCliRuns:
             "bvs-depth-0", "pulse-quasimomentum-1.5", "bvs-profile-beyond-2",
             "bvs-profile-points-0",
             "class-oracle-points-0", "class-oracle-time-negative",
-            "class-oracle-a-reversed", "gradiometer-order"])
+            "class-oracle-a-reversed", "gradiometer-order", "sweep-rate-key",
+            "phase-offset-key", "sigma-q-1e9"])
     def test_bad_input_exits_1_at_load(self, tmp_path, capsys,
                                        block, values, message):
         data = yaml.safe_load(FAST_FRINGE)
@@ -496,10 +497,10 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
                                pulse_sigma=5.0e-6)
         a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
         for i, offset in enumerate(cfg.scan.grid()):
-            shot = run_shot(species, cfg.ensemble.resolve(),
-                            dataclasses.replace(seq, sweep_rate=a0 + offset),
+            shot = run_shot(species, cfg.ensemble.resolve(), seq,
                             cfg.gravity_m_s2, cfg.noise.resolve(), cfg.seed,
-                            shot_index=i, geometry=geometry)
+                            shot_index=i, geometry=geometry,
+                            sweep_rate=a0 + offset)
             expected = [offset, shot.measured_ports[0], shot.measured_ports[2],
                         shot.normalized_population]
             assert lines[1 + i] == ",".join(format_float(v) for v in expected)
@@ -537,14 +538,12 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
          "gravity_run.bin_size: need at least 38 samples for one bin, got 10"),
         ("allan", {"gravity_run": {"shots": 3}},
          "gravity_run.shots: need at least 4 samples, got 3"),
-        # each of these sets its own sweep rate, so a configured one would do
-        # nothing
-        ("gradiometer", RATE, "sequence.sweep_rate_hz_per_s: this subcommand "
-         "sets its own sweep rate; write 'resonant', got 16000000.0"),
-        ("gravity-run", RATE, "sequence.sweep_rate_hz_per_s: this subcommand"),
-        ("allan", RATE, "sequence.sweep_rate_hz_per_s: this subcommand"),
+        # the schedule takes no sweep rate; each of these sets its own
+        ("gradiometer", RATE, "sequence.sweep_rate_hz_per_s: unknown key"),
+        ("gravity-run", RATE, "sequence.sweep_rate_hz_per_s: unknown key"),
+        ("allan", RATE, "sequence.sweep_rate_hz_per_s: unknown key"),
         ("fringe", {**RATE, "scan": {"target": "sweep_rate"}},
-         "sequence.sweep_rate_hz_per_s: this subcommand"),
+         "sequence.sweep_rate_hz_per_s: unknown key"),
     ], ids=["fringe-target", "revivals-target", "revivals-4-points",
             "gradiometer-target", "revivals-T-step",
             "gravity-run-bin-beyond-shots", "allan-3-shots",

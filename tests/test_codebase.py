@@ -3,13 +3,26 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from typing import get_type_hints
 
 from braggsim.config import ExperimentConfig, load_config, resolve, resolved_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "braggsim"
+
+
+def settable_paths():
+    """Every key path a config can set, from the defaulted config echo; a
+    list of blocks counts once, as ``key[]``."""
+    def paths(value, prefix):
+        if isinstance(value, dict):
+            return [p for k, v in value.items() for p in paths(v, f"{prefix}{k}.")]
+        return [prefix[:-1] + ("[]" if isinstance(value, list) else "")]
+
+    return paths(resolved_dict(ExperimentConfig()), "")
 
 
 def modules():
@@ -130,13 +143,8 @@ def test_only_config_resolves_blocks():
 
 def test_settable_config_values_ledger():
     # every key path a config can set, so that a change which adds or removes
-    # a setting shows it in its own diff; a list of blocks counts once
-    def paths(value, prefix):
-        if isinstance(value, dict):
-            return [p for k, v in value.items() for p in paths(v, f"{prefix}{k}.")]
-        return [prefix[:-1] + ("[]" if isinstance(value, list) else "")]
-
-    assert sorted(paths(resolved_dict(ExperimentConfig()), "")) == [
+    # a setting shows it in its own diff
+    assert sorted(settable_paths()) == [
         "bvs.acceleration_m_s2", "bvs.depth_er", "bvs.load_duration_s",
         "bvs.profile_max_hk", "bvs.profile_min_hk", "bvs.profile_points",
         "bvs.target_momentum_hk",
@@ -158,8 +166,20 @@ def test_settable_config_values_ledger():
         "scan.points", "scan.start", "scan.stop", "scan.target",
         "seed",
         "sequence.interrogation_time_s", "sequence.order",
-        "sequence.phase_offset_rad", "sequence.pulse_sigma_s",
-        "sequence.sweep_rate_hz_per_s",
+        "sequence.pulse_sigma_s",
         "species.mass_kg", "species.wavelength_m",
         "tide.components[]", "tide.mean_gravity_m_s2",
     ]
+
+
+def test_readme_names_only_settable_keys():
+    # a backticked `block.key` (or `block.key: value`) in the README whose
+    # block is a config field must be a key a config can set, so that the
+    # README cannot keep naming a deleted key
+    blocks = set(get_type_hints(ExperimentConfig))
+    settable = set(settable_paths())
+    named = re.findall(r"`([a-z_]+\.[a-z_.]+)(?::[^`]*)?`",
+                       (ROOT / "README.md").read_text())
+    checked = [key for key in named if key.split(".")[0] in blocks]
+    assert len(checked) >= 10, checked
+    assert sorted(set(checked) - settable) == []

@@ -197,3 +197,11 @@ class TestValidation:
             synthesize_tide(TideModel(), -1.0)
         with pytest.raises(ValueError):
             tilt_projection_drift(NoiseModel(), -1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: synthesize_tide(TideModel(), t),
+        lambda t: tilt_projection_drift(NoiseModel(), t),
+    ], ids=["synthesize_tide-t", "tilt_projection_drift-t"])
+    def test_nan_time_rejected(self, call):
+        with pytest.raises(ValueError, match="time must be >= 0"):
+            call([0.0, math.nan])

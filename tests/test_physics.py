@@ -273,3 +273,18 @@ class TestValidation:
             coherence_length(RB, 0.0)
         with pytest.raises(ValueError):
             bragg_resonance(0, RB)
+
+    @pytest.mark.parametrize("call, argument", [
+        (lambda: resonant_sweep_rate(math.nan, GEOM), "gravity"),
+        (lambda: gravity_from_sweep(math.nan, GEOM), "sweep_rate"),
+        (lambda: bragg_resonance(math.nan, RB), "order"),
+        (lambda: coherence_length(RB, math.nan), "temperature"),
+        (lambda: path_length_increment(RB, math.nan), "interrogation_time"),
+        (lambda: path_phase(2, 1, math.nan, RB), "interrogation_time"),
+    ], ids=["resonant_sweep_rate-gravity", "gravity_from_sweep-sweep_rate",
+            "bragg_resonance-order", "coherence_length-temperature",
+            "path_length_increment-interrogation_time",
+            "path_phase-interrogation_time"])
+    def test_nan_argument_rejected(self, call, argument):
+        with pytest.raises(ValueError, match=f"{argument} must be"):
+            call()

@@ -106,8 +106,7 @@ class TestShotComposition:
 
     def test_single_point_scan_equals_run_shot(self, qb_seq):
         shot = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=4)
-        scan = scan_fringe(RB, PLANE, qb_seq, 9.81, QUIET,
-                           [qb_seq.phase_offset], master_seed=4)
+        scan = scan_fringe(RB, PLANE, qb_seq, 9.81, QUIET, [0.0], master_seed=4)
         assert scan.normalized[0] == shot.normalized_population
 
 
@@ -146,8 +145,8 @@ class TestEquationOnePhaseResponse:
         a0 = resonant_sweep_rate(9.81, geom)
         base = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID), 3)
         dalpha = 300.0
-        seq_off = dataclasses.replace(seq, sweep_rate=a0 + dalpha)
-        fit = fit_harmonics(scan_fringe(RB, PLANE, seq_off, 9.81, QUIET, GRID), 3)
+        fit = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID,
+                                        sweep_rate=a0 + dalpha), 3)
         T = seq.interrogation_time
         dtheta = (fit.phases[0] - base.phases[0] + math.pi) % (2 * math.pi) - math.pi
         assert dtheta == pytest.approx(2 * math.pi * dalpha * T * T, rel=0.01)
@@ -159,13 +158,11 @@ class TestEquationOnePhaseResponse:
         geom = BeamGeometry.vertical(RB)
         a0 = resonant_sweep_rate(9.81, geom)
         dg = 1e-4
-        seq_fixed = dataclasses.replace(seq, sweep_rate=a0)
         fit_g = fit_harmonics(
-            scan_fringe(RB, PLANE, seq_fixed, 9.81 + dg, QUIET, GRID), 3)
+            scan_fringe(RB, PLANE, seq, 9.81 + dg, QUIET, GRID, sweep_rate=a0), 3)
         da_equiv = resonant_sweep_rate(dg, geom)
-        seq_a = dataclasses.replace(seq, sweep_rate=a0 - da_equiv)
-        fit_a = fit_harmonics(
-            scan_fringe(RB, PLANE, seq_a, 9.81, QUIET, GRID), 3)
+        fit_a = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID,
+                                          sweep_rate=a0 - da_equiv), 3)
         d = (fit_g.phases[0] - fit_a.phases[0] + math.pi) % (2 * math.pi) - math.pi
         assert abs(d) < 1e-4
 
@@ -225,13 +222,12 @@ class TestStreamAddressing:
 
         monkeypatch.setattr(sequence, "sample_mirror_phases", recorded)
         scan = scan_fringe(RB, ens, qb_seq, 9.81, noise, grid, master_seed=9)
-        shot = run_shot(RB, ens, dataclasses.replace(qb_seq, phase_offset=grid[5]),
-                        9.81, noise, master_seed=9, shot_index=5)
-        assert shot.mirror_phases == tuple(drawn[0][5])
-        assert shot.measured_ports[0] == pytest.approx(
-            scan.port_populations[0][5], abs=1e-12)
-        assert shot.measured_ports[2] == pytest.approx(
-            scan.port_populations[2][5], abs=1e-12)
+        alone = scan_fringe(RB, ens, qb_seq, 9.81, noise, grid[5:6], master_seed=9,
+                            shot_index_offset=5)
+        np.testing.assert_array_equal(drawn[1][5], drawn[0][5])
+        for port in (0, 2):
+            assert alone.port_populations[port][0] == pytest.approx(
+                scan.port_populations[port][5], abs=1e-12)
 
     def test_negative_shot_index_rejected(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
@@ -456,11 +452,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("field, value", [
         ("order", math.nan),
         ("interrogation_time", math.nan), ("interrogation_time", math.inf),
-        ("sweep_rate", math.nan), ("sweep_rate", math.inf),
-        ("phase_offset", math.nan), ("phase_offset", math.inf),
-    ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf",
-            "sweep_rate-nan", "sweep_rate-inf", "phase_offset-nan",
-            "phase_offset-inf"])
+    ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf"])
     def test_mzi_sequence_rejects_non_finite(self, field, value):
         # a detuned pulse, so that no pulse-order check can catch the order
         pulse = PulseSpec(rabi_peak=1e5, sigma=5e-6, detuning=1e5)
@@ -469,11 +461,29 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             MZISequence(**kwargs)
 
+    @pytest.mark.parametrize("run, rate", [
+        (scan_fringe, math.nan), (scan_fringe, math.inf),
+        (run_shot, math.nan), (run_shot, math.inf),
+    ], ids=["scan_fringe-nan", "scan_fringe-inf", "run_shot-nan", "run_shot-inf"])
+    def test_sweep_rate_rejects_non_finite(self, run, rate, monkeypatch):
+        # checked before the ensemble draw and any pulse solve
+        solves = []
+        monkeypatch.setattr(sequence, "pulse_propagator",
+                            lambda *a: solves.append(a))
+        args = [[0.0]] if run is scan_fringe else []
+        with pytest.raises(ValueError, match="sweep_rate must be finite"):
+            run(RB, PLANE, TestPinnedShotStreams.QB, 9.81, QUIET, *args,
+                sweep_rate=rate)
+        assert solves == []
+
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(sample_count=0)
         with pytest.raises(ValueError):
             EnsembleSpec(sigma_q=-0.1)
+        with pytest.raises(ValueError, match=r"sigma_q must lie in \[0, 10\]"):
+            EnsembleSpec(sigma_q=10.5)
+        assert len(EnsembleSpec(sample_count=8, sigma_q=10.0).draw()) == 8
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"sample_count": math.nan}, "sample_count"),
