@@ -387,13 +387,11 @@ def scan_contrast_vs_T(
     master_seed: int = 0,
     geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
-    sweep_rate: float | None = None,
 ) -> list[tuple[float, float]]:
     """Fringe contrast versus interrogation time (the revival curve), from
     a three-harmonic fit to 24 phases over 4 pi at each T, on the grid of
-    ``interrogation_grid``. With a resonant sweep (``sweep_rate`` None) the
-    pulse propagators carry no absolute-time dependence and are shared
-    across the whole scan.
+    ``interrogation_grid``. Every shot is resonant, so the pulse propagators
+    carry no absolute-time dependence and are shared across the whole scan.
     """
     times = interrogation_grid(species, interrogation_times)
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
@@ -404,7 +402,7 @@ def scan_contrast_vs_T(
         scan = scan_fringe(species, ensemble, seq_t, gravity, noise, grid,
                            master_seed, geometry, cfg,
                            shot_index_offset=k * len(grid),
-                           propagator_cache=cache, sweep_rate=sweep_rate)
+                           propagator_cache=cache)
         fit = fit_harmonics(scan, n_harmonics=3)
         out.append((float(T), fringe_contrast(fit)))
     return out

@@ -172,14 +172,26 @@ def test_settable_config_values_ledger():
     ]
 
 
-def test_readme_names_only_settable_keys():
-    # a backticked `block.key` (or `block.key: value`) in the README whose
-    # block is a config field must be a key a config can set, so that the
-    # README cannot keep naming a deleted key
+def config_keys_named(text):
+    """(checked, unsettable): every backticked `block.key` (or `block.key:
+    value`) in ``text`` whose block is a config field, and those of them
+    that no config can set."""
     blocks = set(get_type_hints(ExperimentConfig))
-    settable = set(settable_paths())
-    named = re.findall(r"`([a-z_]+\.[a-z_.]+)(?::[^`]*)?`",
-                       (ROOT / "README.md").read_text())
+    named = re.findall(r"`([a-z_]+\.[a-z0-9_.]+)(?::[^`]*)?`", text)
     checked = [key for key in named if key.split(".")[0] in blocks]
+    return checked, sorted(set(checked) - set(settable_paths()))
+
+
+def test_readme_names_only_settable_keys():
+    # the README cannot keep naming a deleted key
+    checked, unsettable = config_keys_named((ROOT / "README.md").read_text())
     assert len(checked) >= 10, checked
-    assert sorted(set(checked) - settable) == []
+    assert {"bvs.acceleration_m_s2", "tide.mean_gravity_m_s2"} <= set(checked)
+    assert unsettable == []
+
+
+def test_readme_guard_catches_a_deleted_key():
+    text = "set `gradiometer.gradient_per_s3: 3.1e-6` and `bvs.depth_er`"
+    assert config_keys_named(text) == (
+        ["gradiometer.gradient_per_s3", "bvs.depth_er"],
+        ["gradiometer.gradient_per_s3"])

@@ -228,6 +228,15 @@ class TestStreamAddressing:
         for port in (0, 2):
             assert alone.port_populations[port][0] == pytest.approx(
                 scan.port_populations[port][5], abs=1e-12)
+        # run_shot fires at final-pulse phase 0: it reports mirror row 5 and
+        # the ports of a one-point scan of [0.0] at the same shot index
+        shot = run_shot(RB, ens, qb_seq, 9.81, noise, master_seed=9, shot_index=5)
+        at_zero = scan_fringe(RB, ens, qb_seq, 9.81, noise, [0.0], master_seed=9,
+                              shot_index_offset=5)
+        assert shot.mirror_phases == tuple(drawn[0][5])
+        for port in (0, 2):
+            assert shot.measured_ports[port] == pytest.approx(
+                at_zero.port_populations[port][0], abs=1e-12)
 
     def test_negative_shot_index_rejected(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
