@@ -21,7 +21,7 @@ from .physics import AtomSpecies, path_phase
 logger = logging.getLogger(__name__)
 
 
-class FitRejectedError(RuntimeError):
+class FitRejectedError(ValueError):
     """The fringe fit design matrix is rank deficient or the grid too short."""
 
 
@@ -112,14 +112,20 @@ class AllanCurve:
             raise ValueError("Allan deviations must be >= 0")
 
 
-def _harmonic_lstsq(x, y, frequencies, sigma=None):
-    """Least squares of ``y`` on the columns [1, cos(w x), sin(w x), ...],
-    one cos/sin pair per frequency w; rows are divided by ``sigma`` if given.
-    Returns the (weighted) design matrix, coefficients, rank and residual."""
+def _harmonic_design(x, frequencies) -> np.ndarray:
+    """The columns [1, cos(w x), sin(w x), ...], one cos/sin pair per
+    frequency w."""
     cols = [np.ones_like(x)]
     for w in frequencies:
         cols += [np.cos(w * x), np.sin(w * x)]
-    design = np.column_stack(cols)
+    return np.column_stack(cols)
+
+
+def _harmonic_lstsq(x, y, frequencies, sigma=None):
+    """Least squares of ``y`` on ``_harmonic_design(x, frequencies)``; rows
+    are divided by ``sigma`` if given. Returns the (weighted) design matrix,
+    coefficients, rank and residual."""
+    design = _harmonic_design(x, frequencies)
     if sigma is not None:
         design, y = design / sigma[:, None], y / sigma
     coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -133,30 +139,33 @@ def _amplitude_phase(a, b) -> tuple[float, float]:
     return c, (th + 2 * math.pi if th <= -math.pi else th)
 
 
-def fit_harmonics(scan: FringeScan, n_harmonics: int = 3) -> HarmonicFit:
-    """Linear least-squares decomposition of the normalized fringe.
-
-    Requires the grid to span at least 1.5 fundamental (2 pi) periods and at
-    most 5 harmonics; a rank-deficient design (too few or degenerate points)
-    is rejected.
-    """
+def check_fringe_grid(phase_grid, n_harmonics: int = 3) -> None:
+    """FitRejectedError unless ``fit_harmonics`` can fit ``n_harmonics`` on
+    ``phase_grid``: at least 2n + 1 points spanning 1.5 fundamental (2 pi)
+    periods, with a design of full rank. The rule reads the grid alone, so
+    the CLI checks a configured scan before any solve."""
     if not 1 <= n_harmonics <= 5:
         raise ValueError(f"n_harmonics must lie in [1, 5], got {n_harmonics}")
-    phi = scan.phase_grid
-    y = scan.normalized
+    phi = np.asarray(phase_grid, dtype=float)
+    params = 2 * n_harmonics + 1
+    if len(phi) < params:
+        raise FitRejectedError(
+            f"{len(phi)} points cannot constrain {params} parameters")
     span = phi[-1] - phi[0]
     if span < 1.5 * 2 * math.pi:
-        raise FitRejectedError(
-            f"grid spans {span:.3f} rad, below 1.5 fringe periods ({3 * math.pi:.3f})"
-        )
-    design, coeffs, rank, residual = _harmonic_lstsq(
-        phi, y, range(1, n_harmonics + 1))
-    if len(phi) < design.shape[1]:
-        raise FitRejectedError(
-            f"{len(phi)} points cannot constrain {design.shape[1]} parameters"
-        )
-    if rank < design.shape[1]:
-        raise FitRejectedError(f"design matrix rank {rank} < {design.shape[1]}")
+        raise FitRejectedError(f"grid spans {span:.3f} rad, below 1.5 fringe "
+                               f"periods ({3 * math.pi:.3f})")
+    rank = np.linalg.matrix_rank(_harmonic_design(phi, range(1, n_harmonics + 1)))
+    if rank < params:
+        raise FitRejectedError(f"design matrix rank {rank} < {params}")
+
+
+def fit_harmonics(scan: FringeScan, n_harmonics: int = 3) -> HarmonicFit:
+    """Linear least-squares decomposition of the normalized fringe, on a grid
+    that ``check_fringe_grid`` accepts."""
+    check_fringe_grid(scan.phase_grid, n_harmonics)
+    _, coeffs, _, residual = _harmonic_lstsq(
+        scan.phase_grid, scan.normalized, range(1, n_harmonics + 1))
     amplitudes, phases = zip(*(_amplitude_phase(coeffs[2 * m - 1], coeffs[2 * m])
                                for m in range(1, n_harmonics + 1)))
     return HarmonicFit(offset=float(coeffs[0]), amplitudes=amplitudes,
@@ -182,13 +191,16 @@ def fringe_contrast(fit: HarmonicFit) -> float:
 def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
                      interrogation_time: float) -> float:
     """Convert a fringe phase change to gravity: dg = dphi/(m k_eff T^2)."""
-    # written so that NaN fails every check
-    if not harmonic >= 1:
-        raise ValueError(f"harmonic must be >= 1, got {harmonic}")
-    if not interrogation_time > 0:
-        raise ValueError(
-            f"interrogation_time must be positive, got {interrogation_time}"
-        )
+    # written so that NaN and infinity fail every check
+    if not math.isfinite(delta_phi):
+        raise ValueError(f"delta_phi must be finite, got {delta_phi}")
+    if not 1 <= harmonic < math.inf:
+        raise ValueError(f"harmonic must be >= 1 and finite, got {harmonic}")
+    if not 0 < k_eff < math.inf:
+        raise ValueError(f"k_eff must be positive and finite, got {k_eff}")
+    if not 0 < interrogation_time < math.inf:
+        raise ValueError(f"interrogation_time must be positive and finite, "
+                         f"got {interrogation_time}")
     return delta_phi / (harmonic * k_eff * interrogation_time**2)
 
 
@@ -214,8 +226,8 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     y = np.asarray(series, dtype=float)
     n = len(y)
     check_count(n, ALLAN_MIN_SAMPLES, "samples")
-    if not shot_period > 0:   # NaN fails too
-        raise ValueError(f"shot_period must be positive, got {shot_period}")
+    if not 0 < shot_period < math.inf:   # NaN fails too
+        raise ValueError(f"shot_period must be positive and finite, got {shot_period}")
     if taus is None:
         max_m = n // 3
         ms = []

@@ -21,7 +21,7 @@ from . import analysis, bloch, sequence
 from .config import (ConfigError, Run, at_key, echo_config, load_config, resolve,
                      resolved_dict)
 from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse
-from .physics import resonant_sweep_rate, revival_period
+from .physics import revival_period
 from .report import versions, write_run_meta, write_summary, write_table
 
 
@@ -34,11 +34,16 @@ def _calibrated(run: Run):
 
 
 def _require_scan(scan, *targets: str):
+    """The scan's grid; a phase scan is one the three-harmonic fit takes."""
     if scan.target not in targets:
         raise ConfigError("scan.target", "subcommand requires target "
                           f"{' or '.join(map(repr, targets))}, "
                           f"got {scan.target!r}")
-    return scan.grid()
+    grid = scan.grid()
+    if scan.target == "phase":
+        with at_key("scan"):
+            analysis.check_fringe_grid(grid, 3)
+    return grid
 
 
 def _fit_summary(fit):
@@ -105,9 +110,8 @@ def cmd_fringe(run: Run, out: Path) -> dict:
     seq = _calibrated(run)
 
     if cfg.scan.target == "phase":
-        scan = sequence.scan_fringe(run.species, run.ensemble, seq, cfg.gravity_m_s2,
-                                    run.noise, grid, cfg.seed, run.geometry,
-                                    run.evolution)
+        scan = sequence.scan_fringe(run.species, run.ensemble, seq, run.noise,
+                                    grid, cfg.seed, run.evolution)
         x_name = "phase_rad"
         rows = list(zip(scan.phase_grid.tolist(),
                         scan.port_populations[0].tolist(),
@@ -115,13 +119,12 @@ def cmd_fringe(run: Run, out: Path) -> dict:
                         scan.normalized.tolist()))
     else:
         # offsets (Hz/s) from the resonant rate; point i is run_shot number i
-        a0 = resonant_sweep_rate(cfg.gravity_m_s2, run.geometry)
         x_name = "sweep_rate_offset_hz_per_s"
         rows = []
         for i, da in enumerate(grid.tolist()):
-            shot = sequence.run_shot(
-                run.species, run.ensemble, seq, cfg.gravity_m_s2, run.noise,
-                cfg.seed, i, run.geometry, run.evolution, sweep_rate=a0 + da)
+            shot = sequence.run_shot(run.species, run.ensemble, seq, run.noise,
+                                     cfg.seed, i, run.evolution,
+                                     sweep_rate_offset=da)
             rows.append((da, shot.measured_ports[0],
                          shot.measured_ports[seq.order],
                          shot.normalized_population))
@@ -142,9 +145,10 @@ def cmd_revivals(run: Run, out: Path) -> dict:
         analysis.check_count(len(times), analysis.REVIVAL_MIN_TIMES,
                              "interrogation times")
         sequence.interrogation_grid(run.species, times)
+    with at_key("scan.start"):   # the shortest T must clear the pulse windows
+        dataclasses.replace(run.plan, interrogation_time=float(times[0]))
     curve = sequence.scan_contrast_vs_T(run.species, run.ensemble, _calibrated(run),
-                                        times, cfg.gravity_m_s2, run.noise, cfg.seed,
-                                        geometry=run.geometry, cfg=run.evolution)
+                                        times, run.noise, cfg.seed, run.evolution)
     write_table(out, "revivals", ["interrogation_time_s", "contrast"],
                 [(float(t), float(c)) for t, c in curve])
     dT = revival_period(run.species)
@@ -161,10 +165,12 @@ def cmd_revivals(run: Run, out: Path) -> dict:
 def cmd_gradiometer(run: Run, out: Path) -> dict:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase")
+    with at_key("gradiometer"):
+        run.gradiometer.check_resolved(run.species, run.plan.beamsplitter.sigma)
+    gradient = cfg.gradiometer.gradient_per_s2
     res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
-                                   _calibrated(run), cfg.gravity_m_s2,
-                                   cfg.gradiometer.gradient_per_s2, run.noise,
-                                   grid, cfg.seed, run.geometry, run.evolution)
+                                   _calibrated(run), gradient, run.noise, grid,
+                                   cfg.seed, run.geometry, run.evolution)
     rows = list(zip(grid.tolist(), res.lower.normalized.tolist(),
                     res.upper.normalized.tolist()))
     write_table(out, "gradiometer", ["phase_rad", "p_lower", "p_upper"], rows)
@@ -175,8 +181,9 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
     keep = m_lo & m_up
     summary = {
         "baseline_m": res.baseline,
-        "gravity_lower": res.gravity_lower,
-        "gravity_upper": res.gravity_upper,
+        # gravity_m_s2 is read only here: the clouds run at their offsets
+        "gravity_lower": cfg.gravity_m_s2 + gradient * res.baseline,
+        "gravity_upper": cfg.gravity_m_s2,
         "fit_lower": _fit_summary(fit_lo),
         "fit_upper": _fit_summary(fit_up),
         "retained_shots": int(keep.sum()),

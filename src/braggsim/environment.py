@@ -119,8 +119,8 @@ class TideModel:
 def synthesize_tide(model: TideModel, t):
     """g(t) = g_mean + sum_i A_i cos(w_i t + phi_i); broadcasts over t."""
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):   # NaN fails too
-        raise ValueError("time must be >= 0")
+    if not np.all((t >= 0) & (t < math.inf)):   # NaN fails too
+        raise ValueError("time must be >= 0 and finite")
     g = np.full(t.shape, model.mean_gravity)
     for comp in model.components:
         g = g + comp.amplitude * np.cos(comp.angular_frequency * t + comp.phase)
@@ -130,7 +130,7 @@ def synthesize_tide(model: TideModel, t):
 def tilt_projection_drift(model: NoiseModel, t, base_tilt: float = 0.0):
     """Effective cos(tilt) under a deterministic linear tilt drift."""
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):   # NaN fails too
-        raise ValueError("time must be >= 0")
+    if not np.all((t >= 0) & (t < math.inf)):   # NaN fails too
+        raise ValueError("time must be >= 0 and finite")
     c = np.cos(base_tilt + model.tilt_drift * t / 3600.0)
     return float(c) if c.ndim == 0 else c

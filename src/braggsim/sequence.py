@@ -3,10 +3,10 @@ and interrogation-time scans, dual-cloud gradiometry and synthetic gravity
 series.
 
 Frame bookkeeping: the simulation runs in the frame falling with the cloud
-and co-chirped with the lattice, so gravity and the sweep rate enter only
-through the residual ramp r = 2*pi*alpha - k_eff*g*cos(tilt) (rad/s^2).
-The sweep rate alpha is an argument of the runs that take one; None, the
-default, is the resonant chirp, for which r is exactly 0.
+and co-chirped with the lattice, so gravity, tilt and the sweep rate alpha
+enter only through the residual ramp r = 2*pi*(alpha - alpha_0) (rad/s^2),
+alpha_0 = k_eff*g*cos(tilt)/(2*pi): the runs take ``sweep_rate_offset``
+alpha - alpha_0 (Hz/s; 0, the default, is resonant), not gravity.
 The ramp detunes each pulse by r*t_center, chirps it by r within its window,
 and advances the lattice beat phase between pulses by
 theta(t) = delta_res*t + r*t^2/2; that beat phase adds to each pulse's
@@ -170,10 +170,17 @@ class GradiometerSpec:
         """Vertical separation (m): faster-cloud speed times BVS delay."""
         return abs(self.lower_momentum) * species.recoil_velocity * self.bvs_separation
 
-    def resonance_separation(self, species: AtomSpecies) -> float:
-        """Doppler gap 2k * dv between the clouds' Bragg resonances (rad/s)."""
+    def check_resolved(self, species: AtomSpecies, pulse_sigma: float) -> None:
+        """ValueError unless the Doppler gap 2k * dv between the clouds' Bragg
+        resonances is at least 4/sigma (Gaussian spectral overlap below
+        ~3e-4): one set of beams drives both clouds."""
         dp = abs(self.lower_momentum - self.upper_momentum)
-        return 4.0 * dp * species.recoil_frequency
+        product = 4.0 * dp * species.recoil_frequency * pulse_sigma
+        if not product >= 4.0:
+            raise ValueError(
+                f"cloud Bragg resonances overlap within the pulse Fourier width: "
+                f"separation*sigma = {product:.2f} < 4"
+            )
 
 
 @dataclass(frozen=True)
@@ -210,32 +217,26 @@ def _detect(clean_pairs, noise: NoiseModel, seed: int, shot_indices,
 
 
 class _ShotEngine:
-    """Precomputed propagators and phases for one sequence at one sweep rate
-    (Hz/s; None is resonant)."""
+    """Precomputed propagators and phases for one sequence at one sweep-rate
+    offset from resonance (Hz/s)."""
 
-    def __init__(self, species, ensemble, sequence, gravity, noise,
-                 geometry=None, cfg=DEFAULT_CONFIG, master_seed=0,
-                 propagator_cache=None, sweep_rate: float | None = None):
-        if sweep_rate is not None and not math.isfinite(sweep_rate):
-            raise ValueError(f"sweep_rate must be finite, got {sweep_rate}")
+    def __init__(self, species, ensemble, sequence, noise, cfg=DEFAULT_CONFIG,
+                 master_seed=0, propagator_cache=None,
+                 sweep_rate_offset: float = 0.0):
+        if not math.isfinite(sweep_rate_offset):
+            raise ValueError(
+                f"sweep_rate_offset must be finite, got {sweep_rate_offset}")
         self.species = species
         self.ensemble = ensemble
         self.sequence = sequence
         self.noise = noise
-        self.geometry = geometry or BeamGeometry.vertical(species)
         self.cfg = cfg
         self.master_seed = master_seed
         self.cache = {} if propagator_cache is None else propagator_cache
 
         self.q = ensemble.draw()
         self.delta_res = bragg_resonance(sequence.order, species)
-        if sweep_rate is None:
-            # resonant by construction: keep the residual ramp at exactly 0
-            # so pulse propagators carry no absolute-time dependence
-            self.ramp = 0.0
-        else:
-            self.ramp = (2.0 * math.pi * sweep_rate
-                         - self.geometry.k_eff * gravity * self.geometry.projection)
+        self.ramp = 2.0 * math.pi * sweep_rate_offset
 
         seq = sequence
         d_bs = seq.beamsplitter.total_duration
@@ -319,19 +320,17 @@ def run_shot(
     species: AtomSpecies,
     ensemble: EnsembleSpec,
     sequence: MZISequence,
-    gravity: float,
     noise: NoiseModel,
     master_seed: int = 0,
     shot_index: int = 0,
-    geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
-    sweep_rate: float | None = None,
+    sweep_rate_offset: float = 0.0,
 ) -> ShotResult:
-    """Shot ``shot_index`` of a Mach-Zehnder at final-pulse phase 0 and sweep
-    rate ``sweep_rate`` (Hz/s; None is resonant), averaged over the
-    quasimomentum ensemble."""
-    engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
-                         geometry, cfg, master_seed, sweep_rate=sweep_rate)
+    """Shot ``shot_index`` of a Mach-Zehnder at final-pulse phase 0 and
+    ``sweep_rate_offset`` (Hz/s) from the resonant sweep rate, averaged over
+    the quasimomentum ensemble."""
+    engine = _ShotEngine(species, ensemble, sequence, noise, cfg, master_seed,
+                         sweep_rate_offset=sweep_rate_offset)
     pops, mirror, measured, normalized = engine.shots([shot_index], [0.0])
     return ShotResult(
         port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
@@ -346,24 +345,21 @@ def scan_fringe(
     species: AtomSpecies,
     ensemble: EnsembleSpec,
     sequence: MZISequence,
-    gravity: float,
     noise: NoiseModel,
     phase_grid,
     master_seed: int = 0,
-    geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
     shot_index_offset: int = 0,
-    propagator_cache: dict | None = None,
-    sweep_rate: float | None = None,
+    sweep_rate_offset: float = 0.0,
 ) -> FringeScan:
-    """Fringe scan over the final-pulse phase at sweep rate ``sweep_rate``
-    (Hz/s; None is resonant); point i is shot ``shot_index_offset + i``,
+    """Fringe scan over the final-pulse phase at ``sweep_rate_offset`` (Hz/s)
+    from the resonant sweep rate; point i is shot ``shot_index_offset + i``,
     with independent noise per point."""
     grid = np.asarray(phase_grid, dtype=float)
     if len(grid) == 0:
         raise ValueError("phase grid must be non-empty")
-    engine = _ShotEngine(species, ensemble, sequence, gravity, noise,
-                         geometry, cfg, master_seed, propagator_cache, sweep_rate)
+    engine = _ShotEngine(species, ensemble, sequence, noise, cfg, master_seed,
+                         sweep_rate_offset=sweep_rate_offset)
     return engine.scan(grid, shot_index_offset)
 
 
@@ -382,10 +378,8 @@ def scan_contrast_vs_T(
     ensemble: EnsembleSpec,
     sequence: MZISequence,
     interrogation_times,
-    gravity: float,
     noise: NoiseModel,
     master_seed: int = 0,
-    geometry: BeamGeometry | None = None,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> list[tuple[float, float]]:
     """Fringe contrast versus interrogation time (the revival curve), from
@@ -398,12 +392,10 @@ def scan_contrast_vs_T(
     cache: dict = {}
     out = []
     for k, T in enumerate(times):
-        seq_t = replace(sequence, interrogation_time=float(T))
-        scan = scan_fringe(species, ensemble, seq_t, gravity, noise, grid,
-                           master_seed, geometry, cfg,
-                           shot_index_offset=k * len(grid),
-                           propagator_cache=cache)
-        fit = fit_harmonics(scan, n_harmonics=3)
+        engine = _ShotEngine(species, ensemble,
+                             replace(sequence, interrogation_time=float(T)),
+                             noise, cfg, master_seed, cache)
+        fit = fit_harmonics(engine.scan(grid, k * len(grid)), n_harmonics=3)
         out.append((float(T), fringe_contrast(fit)))
     return out
 
@@ -415,8 +407,6 @@ class GradiometerResult:
     lower: FringeScan
     upper: FringeScan
     baseline: float
-    gravity_lower: float
-    gravity_upper: float
 
 
 def run_gradiometer(
@@ -424,7 +414,6 @@ def run_gradiometer(
     gspec: GradiometerSpec,
     ensemble: EnsembleSpec,
     sequence: MZISequence,
-    gravity: float,
     gradient: float,
     noise: NoiseModel,
     phase_grid,
@@ -434,39 +423,30 @@ def run_gradiometer(
 ) -> GradiometerResult:
     """Simultaneous interferometers in two clouds sharing the mirror noise.
 
-    ``gravity`` applies at the upper (slower) cloud; the lower cloud sees
-    gravity + gradient * baseline. Both clouds are driven by the same beams,
-    so their Bragg resonances must stay separated by at least 4/sigma in
-    angular frequency (Gaussian spectral overlap below ~3e-4), else the
-    configuration is rejected.
+    The lower cloud sees ``gradient * baseline`` more gravity than the upper
+    one. One chirp, resonant at their midpoint, drives both, so the clouds
+    run at the opposite sweep-rate offsets -/+ k_eff*cos(tilt)*G*L/(4*pi)
+    (Hz/s) from their own resonances. Both clouds are driven by the same
+    beams, so their Bragg resonances must be resolved (``check_resolved``).
     """
-    sep = gspec.resonance_separation(species)
-    sigma = sequence.beamsplitter.sigma
-    if sep * sigma < 4.0:
-        raise ValueError(
-            f"cloud Bragg resonances overlap within the pulse Fourier width: "
-            f"separation*sigma = {sep * sigma:.2f} < 4"
-        )
+    gspec.check_resolved(species, sequence.beamsplitter.sigma)
     baseline = gspec.baseline(species)
-    g_lower = gravity + gradient * baseline
-    g_upper = gravity
-    # one shared chirp: resonant for the midpoint gravity
     geometry = geometry or BeamGeometry.vertical(species)
-    chirp = resonant_sweep_rate(0.5 * (g_lower + g_upper), geometry)
+    offset = (geometry.k_eff * geometry.projection * gradient * baseline
+              / (4.0 * math.pi))
 
     grid = np.asarray(phase_grid, dtype=float)
     cache: dict = {}
 
     # same master seed: both clouds see identical mirror draws per shot
     # (common mode); detection draws use per-cloud streams
-    def cloud(gravity_at, stream):
-        return _ShotEngine(species, ensemble, sequence, gravity_at, noise, geometry,
-                           cfg, master_seed, cache, chirp).scan(grid, 0, stream)
+    def cloud(sweep_rate_offset, stream):
+        return _ShotEngine(species, ensemble, sequence, noise, cfg, master_seed,
+                           cache, sweep_rate_offset).scan(grid, 0, stream)
 
-    lower = cloud(g_lower, STREAM_DETECTION)
-    upper = cloud(g_upper, STREAM_DETECTION_UPPER)
-    return GradiometerResult(lower=lower, upper=upper, baseline=baseline,
-                             gravity_lower=g_lower, gravity_upper=g_upper)
+    lower = cloud(-offset, STREAM_DETECTION)
+    upper = cloud(offset, STREAM_DETECTION_UPPER)
+    return GradiometerResult(lower=lower, upper=upper, baseline=baseline)
 
 
 @dataclass(frozen=True)
@@ -517,8 +497,8 @@ def run_gravity_series(
     quiet = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf,
                        tilt_drift=noise.tilt_drift)
     grid = np.linspace(0.0, 4.0 * math.pi, 48, endpoint=False)
-    cal_scan = scan_fringe(species, ensemble, sequence, g0, quiet, grid,
-                           master_seed, geometry, cfg)
+    cal_scan = scan_fringe(species, ensemble, sequence, quiet, grid,
+                           master_seed, cfg)
     fit = fit_harmonics(cal_scan, n_harmonics=3)
 
     def port_fit(port):

@@ -173,10 +173,10 @@ def test_criterion_06_fringe_periodicity(qb_sequence):
     bragg = prepare_sequence(RB, order=2, interrogation_time=2e-3,
                              pulse_sigma=80e-6)
     fit_b = fit_harmonics(scan_fringe(
-        RB, EnsembleSpec(sample_count=1, sigma_q=0.0), bragg, 9.81, QUIET,
+        RB, EnsembleSpec(sample_count=1, sigma_q=0.0), bragg, QUIET,
         grid, 1), 3)
     ens = EnsembleSpec(sample_count=200, sigma_q=0.42, seed=7)
-    fit_q = fit_harmonics(scan_fringe(RB, ens, qb_sequence, 9.81, QUIET,
+    fit_q = fit_harmonics(scan_fringe(RB, ens, qb_sequence, QUIET,
                                       grid, 2), 3)
     ok_b = fit_b.amplitudes[1] > 5 * fit_b.amplitudes[0]
     ok_q = fit_q.amplitudes[0] > fit_q.amplitudes[1]
@@ -193,7 +193,7 @@ def test_criterion_07_harmonic_growth():
     for sigma in (5e-6, 7e-6, 10e-6):
         seq = prepare_sequence(RB, order=2, interrogation_time=2e-3,
                                pulse_sigma=sigma)
-        fit = fit_harmonics(scan_fringe(RB, ens, seq, 9.81, QUIET, grid, 3), 3)
+        fit = fit_harmonics(scan_fringe(RB, ens, seq, QUIET, grid, 3), 3)
         ratios.append(fit.amplitudes[1] / max(fit.amplitudes[0], 1e-12))
     ok = ratios[0] < ratios[1] < ratios[2]
     _report(7, "higher-harmonic-growth", ok,
@@ -208,7 +208,7 @@ def test_criterion_08_contrast_revivals(qb_sequence):
     t_start = 0.8e-3
     times = t_start + np.arange(0.0, 3.3 * dT, grid_step)
     ens = StratifiedEnsemble(sample_count=48, sigma_q=0.42, seed=7)
-    curve = scan_contrast_vs_T(RB, ens, qb_sequence, times, 9.81, QUIET,
+    curve = scan_contrast_vs_T(RB, ens, qb_sequence, times, QUIET,
                                master_seed=5)
     ts = np.array([t for t, _ in curve])
     cs = np.array([c for _, c in curve])
@@ -294,7 +294,7 @@ def test_criterion_10_gradiometer_common_mode(qb_sequence):
 
     def run(rms, seed):
         noise = NoiseModel(mirror_phase_rms=rms, detection_snr=150.0)
-        res = run_gradiometer(RB, gspec, ens, qb_sequence, 9.81, 3e-6, noise,
+        res = run_gradiometer(RB, gspec, ens, qb_sequence, 3e-6, noise,
                               grid, master_seed=seed)
         fit_lo = fit_harmonics(res.lower, 3)
         fit_up = fit_harmonics(res.upper, 3)

@@ -133,6 +133,18 @@ class TestPhaseToGravity:
         with pytest.raises(ValueError, match=f"{argument} must be"):
             phase_to_gravity(1e-3, harmonic, K_EFF, interrogation_time)
 
+    @pytest.mark.parametrize("argument, value", [
+        ("delta_phi", math.nan), ("delta_phi", math.inf),
+        ("harmonic", math.inf), ("k_eff", math.nan), ("k_eff", math.inf),
+        ("k_eff", 0.0), ("interrogation_time", math.inf),
+    ], ids=["delta_phi-nan", "delta_phi-inf", "harmonic-inf", "k_eff-nan",
+            "k_eff-inf", "k_eff-0", "interrogation_time-inf"])
+    def test_non_finite_argument_rejected(self, argument, value):
+        kwargs = {"delta_phi": 1e-3, "harmonic": 1, "k_eff": K_EFF,
+                  "interrogation_time": 0.06, argument: value}
+        with pytest.raises(ValueError, match=f"{argument} must be"):
+            phase_to_gravity(**kwargs)
+
 
 class TestAllanDeviation:
     def test_constant_series_zero(self):
@@ -177,6 +189,10 @@ class TestAllanDeviation:
     def test_nan_shot_period_rejected(self):
         with pytest.raises(ValueError, match="shot_period must be positive"):
             allan_deviation(np.arange(64.0), math.nan)
+
+    def test_infinite_shot_period_rejected(self):
+        with pytest.raises(ValueError, match="shot_period must be positive and finite"):
+            allan_deviation(np.arange(64.0), math.inf)
 
     def test_all_insufficient_raises(self):
         with pytest.raises(ValueError):

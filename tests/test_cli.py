@@ -25,7 +25,6 @@ from braggsim.config import (
     resolve,
     resolved_dict,
 )
-from braggsim.physics import resonant_sweep_rate
 from braggsim.report import dumps_stable, format_float, write_table
 from braggsim.sequence import prepare_sequence, run_shot
 
@@ -431,23 +430,22 @@ class TestCliRuns:
         assert counts == dict.fromkeys(built, 1)
 
     def test_gradiometer_honours_beam_tilt(self, tmp_path):
-        # gravity enters only through its projection on the tilted beam, so a
-        # 60 degree tilt runs as the vertical beam at cos(60) of the gravity
-        # and of the gradient; the gradient is large enough to move the fringe
-        def populations(tilt_deg, scale):
+        # the gradient enters only through its projection on the tilted beam,
+        # so a 60 degree tilt runs as the vertical beam at cos(60) of the
+        # gradient; the gradient is large enough to move the fringe
+        def populations(tilt_deg, gradient):
             data = yaml.safe_load(TINY)
-            data["gravity_m_s2"] = 9.81 * scale
             data["geometry"] = {"tilt_deg": tilt_deg}
-            data["gradiometer"]["gradient_per_s2"] = 10.0 * scale
-            out = tmp_path / f"tilt{tilt_deg}-g{scale}"
+            data["gradiometer"]["gradient_per_s2"] = gradient
+            out = tmp_path / f"tilt{tilt_deg}-G{gradient}"
             path = write_config(tmp_path, yaml.safe_dump(data), "tilt.yaml")
             assert main(["gradiometer", path, "--out-dir", str(out)]) == 0
             return np.loadtxt(out / "gradiometer.csv", delimiter=",", skiprows=1)
 
-        tilted = populations(60.0, 1.0)
-        np.testing.assert_allclose(tilted, populations(0.0, math.cos(math.pi / 3)),
-                                   atol=1e-9)
-        assert np.abs(tilted - populations(0.0, 1.0)).max() > 1e-3
+        tilted = populations(60.0, 10.0)
+        np.testing.assert_allclose(
+            tilted, populations(0.0, 10.0 * math.cos(math.pi / 3)), atol=1e-9)
+        assert np.abs(tilted - populations(0.0, 10.0)).max() > 1e-3
 
     def test_gradiometer_correlation_gate_is_the_library_rule(self, tmp_path,
                                                               monkeypatch):
@@ -492,15 +490,12 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
 
         cfg = load_config(path)
         species = cfg.species.resolve()
-        geometry = cfg.geometry.resolve(species)
         seq = prepare_sequence(species, order=2, interrogation_time=2.0e-3,
                                pulse_sigma=5.0e-6)
-        a0 = resonant_sweep_rate(cfg.gravity_m_s2, geometry)
         for i, offset in enumerate(cfg.scan.grid()):
             shot = run_shot(species, cfg.ensemble.resolve(), seq,
-                            cfg.gravity_m_s2, cfg.noise.resolve(), cfg.seed,
-                            shot_index=i, geometry=geometry,
-                            sweep_rate=a0 + offset)
+                            cfg.noise.resolve(), cfg.seed, shot_index=i,
+                            sweep_rate_offset=offset)
             expected = [offset, shot.measured_ports[0], shot.measured_ports[2],
                         shot.normalized_population]
             assert lines[1 + i] == ",".join(format_float(v) for v in expected)
@@ -544,11 +539,26 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         ("allan", RATE, "sequence.sweep_rate_hz_per_s: unknown key"),
         ("fringe", {**RATE, "scan": {"target": "sweep_rate"}},
          "sequence.sweep_rate_hz_per_s: unknown key"),
+        # 15 us pulses last 90 us each: T = 0 cannot hold them
+        ("revivals", {"scan": {"target": "interrogation_time", "start": 0.0,
+                               "stop": 3.2e-5, "points": 8}},
+         "scan.start: interrogation_time 0.0 must be finite and exceed the "
+         "half pulse windows"),
+        ("fringe", {"scan": {"stop": 6.283185307179586}},
+         "scan: grid spans 5.890 rad, below 1.5 fringe periods"),
+        ("fringe", {"scan": {"points": 6}},
+         "scan: 6 points cannot constrain 7 parameters"),
+        # the default clouds, 6 hbar k apart, overlap at 5 us pulses
+        ("gradiometer", {"sequence": {"pulse_sigma_s": 5.0e-6}},
+         "gradiometer: cloud Bragg resonances overlap within the pulse Fourier "
+         "width: separation*sigma = 2.84 < 4"),
     ], ids=["fringe-target", "revivals-target", "revivals-4-points",
             "gradiometer-target", "revivals-T-step",
             "gravity-run-bin-beyond-shots", "allan-3-shots",
             "gradiometer-sweep-rate", "gravity-run-sweep-rate",
-            "allan-sweep-rate", "fringe-sweep-rate-scan"])
+            "allan-sweep-rate", "fringe-sweep-rate-scan",
+            "revivals-T-within-pulses", "fringe-span-below-3pi",
+            "fringe-6-points", "gradiometer-overlapping-clouds"])
     def test_rejected_before_calibration(self, tmp_path, monkeypatch, capsys,
                                          command, changes, message):
         # a warm lobe memo would hide a calibration, so start cold

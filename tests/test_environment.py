@@ -205,3 +205,11 @@ class TestValidation:
     def test_nan_time_rejected(self, call):
         with pytest.raises(ValueError, match="time must be >= 0"):
             call([0.0, math.nan])
+
+    @pytest.mark.parametrize("call", [
+        lambda t: synthesize_tide(TideModel(), t),
+        lambda t: tilt_projection_drift(NoiseModel(), t),
+    ], ids=["synthesize_tide-t", "tilt_projection_drift-t"])
+    def test_infinite_time_rejected(self, call):
+        with pytest.raises(ValueError, match="time must be >= 0 and finite"):
+            call([0.0, math.inf])

@@ -18,7 +18,6 @@ from braggsim.ladder import (
 from braggsim.physics import (
     AtomSpecies,
     BeamGeometry,
-    resonant_sweep_rate,
     revival_period,
 )
 from braggsim import sequence
@@ -86,7 +85,7 @@ class TestShotComposition:
     def test_run_shot_matches_manual_pulse_chain(self, qb_seq):
         """The engine's cached-propagator path must equal composing the
         public ladder operations with the same timing and beat phases."""
-        shot = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=3)
+        shot = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=3)
         for port, pop in manual_pulse_chain(qb_seq).items():
             assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
 
@@ -97,27 +96,27 @@ class TestShotComposition:
             qb_seq,
             beamsplitter=dataclasses.replace(qb_seq.beamsplitter, laser_phase=0.4),
             mirror=dataclasses.replace(qb_seq.mirror, laser_phase=1.1))
-        shot = run_shot(RB, PLANE, seq, 9.81, QUIET, master_seed=3)
+        shot = run_shot(RB, PLANE, seq, QUIET, master_seed=3)
         for port, pop in manual_pulse_chain(seq).items():
             assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
         # phi1 - 2 phi2 + phi3 = -1.4 rad moves the fringe
-        unphased = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=3)
+        unphased = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=3)
         assert abs(shot.port_populations[0] - unphased.port_populations[0]) > 0.01
 
     def test_single_point_scan_equals_run_shot(self, qb_seq):
-        shot = run_shot(RB, PLANE, qb_seq, 9.81, QUIET, master_seed=4)
-        scan = scan_fringe(RB, PLANE, qb_seq, 9.81, QUIET, [0.0], master_seed=4)
+        shot = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=4)
+        scan = scan_fringe(RB, PLANE, qb_seq, QUIET, [0.0], master_seed=4)
         assert scan.normalized[0] == shot.normalized_population
 
 
 class TestMachZehnderClosure:
     def test_resonant_shot_at_extremum(self, deep_seq):
-        shot = run_shot(RB, PLANE, deep_seq, 9.81, QUIET)
+        shot = run_shot(RB, PLANE, deep_seq, QUIET)
         p = shot.normalized_population
         assert p > 0.999 or p < 0.001
 
     def test_full_contrast_cosine_fringe(self, deep_seq):
-        scan = scan_fringe(RB, PLANE, deep_seq, 9.81, QUIET, GRID)
+        scan = scan_fringe(RB, PLANE, deep_seq, QUIET, GRID)
         fit = fit_harmonics(scan, 3)
         assert fit.amplitudes[0] == pytest.approx(0.5, abs=0.01)
         assert fit.amplitudes[1] < 0.01
@@ -126,57 +125,71 @@ class TestMachZehnderClosure:
     def test_global_pulse_phase_shift_invariance(self, deep_seq):
         # the same laser phase on all three pulses cancels in
         # phi1 - 2 phi2 + phi3
-        base = run_shot(RB, PLANE, deep_seq, 9.81, QUIET)
+        base = run_shot(RB, PLANE, deep_seq, QUIET)
         shifted = run_shot(RB, PLANE, dataclasses.replace(
             deep_seq,
             beamsplitter=dataclasses.replace(deep_seq.beamsplitter, laser_phase=0.73),
             mirror=dataclasses.replace(deep_seq.mirror, laser_phase=0.73)),
-            9.81, QUIET)
+            QUIET)
         for port, pop in base.port_populations.items():
             assert shifted.port_populations[port] == pytest.approx(pop, abs=1e-11)
 
 
-class TestEquationOnePhaseResponse:
-    def test_sweep_rate_slope_matches_T_squared(self):
-        # fringe argument shifts by r*T^2 with r = 2 pi (alpha - alpha_0)
-        seq = prepare_sequence(RB, order=1, interrogation_time=20e-3,
-                               pulse_sigma=15e-6)
-        geom = BeamGeometry.vertical(RB)
-        a0 = resonant_sweep_rate(9.81, geom)
-        base = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID), 3)
-        dalpha = 300.0
-        fit = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID,
-                                        sweep_rate=a0 + dalpha), 3)
-        T = seq.interrogation_time
-        dtheta = (fit.phases[0] - base.phases[0] + math.pi) % (2 * math.pi) - math.pi
-        assert dtheta == pytest.approx(2 * math.pi * dalpha * T * T, rel=0.01)
+@pytest.fixture(scope="module")
+def long_seq():
+    # deep-Bragg first order at T = 20 ms: the fringe argument r*T^2 is
+    # large for a small offset r from resonance
+    return prepare_sequence(RB, order=1, interrogation_time=20e-3,
+                            pulse_sigma=15e-6)
 
-    def test_gravity_and_sweep_enter_identically(self):
-        # changing g at fixed alpha mimics changing alpha at fixed g
-        seq = prepare_sequence(RB, order=1, interrogation_time=20e-3,
-                               pulse_sigma=15e-6)
-        geom = BeamGeometry.vertical(RB)
-        a0 = resonant_sweep_rate(9.81, geom)
-        dg = 1e-4
-        fit_g = fit_harmonics(
-            scan_fringe(RB, PLANE, seq, 9.81 + dg, QUIET, GRID, sweep_rate=a0), 3)
-        da_equiv = resonant_sweep_rate(dg, geom)
-        fit_a = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID,
-                                          sweep_rate=a0 - da_equiv), 3)
-        d = (fit_g.phases[0] - fit_a.phases[0] + math.pi) % (2 * math.pi) - math.pi
-        assert abs(d) < 1e-4
+
+def _phase_difference(a, b):
+    return (a.phases[0] - b.phases[0] + math.pi) % (2 * math.pi) - math.pi
+
+
+class TestEquationOnePhaseResponse:
+    def test_sweep_rate_slope_matches_T_squared(self, long_seq):
+        # fringe argument shifts by r*T^2 with r = 2 pi * offset
+        base = fit_harmonics(scan_fringe(RB, PLANE, long_seq, QUIET, GRID), 3)
+        dalpha = 300.0
+        fit = fit_harmonics(scan_fringe(RB, PLANE, long_seq, QUIET, GRID,
+                                        sweep_rate_offset=dalpha), 3)
+        T = long_seq.interrogation_time
+        assert _phase_difference(fit, base) == pytest.approx(
+            2 * math.pi * dalpha * T * T, rel=0.01)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.5])
+    def test_gradient_phase_matches_closed_form(self, long_seq, tilt):
+        # the clouds run at -/+ k_eff cos(tilt) G L / (4 pi) from resonance,
+        # so their fringes differ in phase by -k_eff cos(tilt) G L T^2
+        geom = BeamGeometry.vertical(RB, tilt_angle=tilt)
+        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
+        gradient = 0.05
+        res = run_gradiometer(RB, gspec, PLANE, long_seq, gradient, QUIET, GRID,
+                              geometry=geom)
+        T, L = long_seq.interrogation_time, gspec.baseline(RB)
+        expected = -geom.k_eff * geom.projection * gradient * L * T * T
+        assert abs(expected) > 0.5
+        d = _phase_difference(fit_harmonics(res.lower, 3),
+                              fit_harmonics(res.upper, 3))
+        assert d == pytest.approx(expected, rel=0.01)
+        # the lower cloud is a lone scan at the negative offset
+        lone = scan_fringe(RB, PLANE, long_seq, QUIET, GRID,
+                           sweep_rate_offset=expected / (4 * math.pi * T * T))
+        np.testing.assert_allclose(res.lower.normalized, lone.normalized,
+                                   rtol=0, atol=1e-12)
 
 
 class TestFringePeriodicityRegimes:
     def test_pure_bragg_oscillates_at_2pi_over_n(self):
         seq = prepare_sequence(RB, order=2, interrogation_time=2e-3,
                                pulse_sigma=80e-6)
-        fit = fit_harmonics(scan_fringe(RB, PLANE, seq, 9.81, QUIET, GRID), 3)
+        fit = fit_harmonics(scan_fringe(RB, PLANE, seq, QUIET, GRID), 3)
         assert fit.amplitudes[1] > 5 * fit.amplitudes[0]
 
     def test_quasi_bragg_oscillates_at_2pi(self, qb_seq):
         ens = EnsembleSpec(sample_count=64, sigma_q=0.42, seed=7)
-        fit = fit_harmonics(scan_fringe(RB, ens, qb_seq, 9.81, QUIET, GRID), 3)
+        fit = fit_harmonics(scan_fringe(RB, ens, qb_seq, QUIET, GRID), 3)
         assert fit.amplitudes[0] > fit.amplitudes[1]
 
 
@@ -184,16 +197,16 @@ class TestDeterminism:
     def test_identical_seeds_identical_results(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
         ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=3)
-        a = run_shot(RB, ens, qb_seq, 9.81, noise, master_seed=9, shot_index=4)
-        b = run_shot(RB, ens, qb_seq, 9.81, noise, master_seed=9, shot_index=4)
+        a = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=4)
+        b = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=4)
         assert a.normalized_population == b.normalized_population
         assert a.mirror_phases == b.mirror_phases
         assert a.port_populations == b.port_populations
 
     def test_different_shots_differ(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
-        a = run_shot(RB, PLANE, qb_seq, 9.81, noise, master_seed=9, shot_index=0)
-        b = run_shot(RB, PLANE, qb_seq, 9.81, noise, master_seed=9, shot_index=1)
+        a = run_shot(RB, PLANE, qb_seq, noise, master_seed=9, shot_index=0)
+        b = run_shot(RB, PLANE, qb_seq, noise, master_seed=9, shot_index=1)
         assert a.mirror_phases != b.mirror_phases
 
     def test_ensemble_draw_deterministic(self):
@@ -221,8 +234,8 @@ class TestStreamAddressing:
             return drawn[-1]
 
         monkeypatch.setattr(sequence, "sample_mirror_phases", recorded)
-        scan = scan_fringe(RB, ens, qb_seq, 9.81, noise, grid, master_seed=9)
-        alone = scan_fringe(RB, ens, qb_seq, 9.81, noise, grid[5:6], master_seed=9,
+        scan = scan_fringe(RB, ens, qb_seq, noise, grid, master_seed=9)
+        alone = scan_fringe(RB, ens, qb_seq, noise, grid[5:6], master_seed=9,
                             shot_index_offset=5)
         np.testing.assert_array_equal(drawn[1][5], drawn[0][5])
         for port in (0, 2):
@@ -230,8 +243,8 @@ class TestStreamAddressing:
                 scan.port_populations[port][5], abs=1e-12)
         # run_shot fires at final-pulse phase 0: it reports mirror row 5 and
         # the ports of a one-point scan of [0.0] at the same shot index
-        shot = run_shot(RB, ens, qb_seq, 9.81, noise, master_seed=9, shot_index=5)
-        at_zero = scan_fringe(RB, ens, qb_seq, 9.81, noise, [0.0], master_seed=9,
+        shot = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=5)
+        at_zero = scan_fringe(RB, ens, qb_seq, noise, [0.0], master_seed=9,
                               shot_index_offset=5)
         assert shot.mirror_phases == tuple(drawn[0][5])
         for port in (0, 2):
@@ -241,7 +254,7 @@ class TestStreamAddressing:
     def test_negative_shot_index_rejected(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
         with pytest.raises(ValueError, match="shot indices"):
-            run_shot(RB, PLANE, qb_seq, 9.81, noise, shot_index=-1)
+            run_shot(RB, PLANE, qb_seq, noise, shot_index=-1)
 
     def test_generator_builds_do_not_grow_with_shots(self, lowfringe_seq,
                                                      monkeypatch):
@@ -302,7 +315,7 @@ class TestPinnedShotStreams:
     def test_fringe_scan_stream(self):
         ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
         grid = np.linspace(0.0, 4 * math.pi, 16, endpoint=False)
-        scan = scan_fringe(RB, ens, self.QB, 9.81,
+        scan = scan_fringe(RB, ens, self.QB,
                            NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
@@ -338,7 +351,7 @@ class TestContrastVsT:
     def test_step_validation(self, qb_seq):
         times = 0.8e-3 + np.arange(3) * revival_period(RB)  # far too coarse
         with pytest.raises(ValueError):
-            scan_contrast_vs_T(RB, PLANE, qb_seq, times, 9.81, QUIET)
+            scan_contrast_vs_T(RB, PLANE, qb_seq, times, QUIET)
 
     def test_plane_wave_contrast_nearly_T_independent(self):
         # holds for clean (15 us) pulses where the plane-wave interferometer
@@ -348,9 +361,9 @@ class TestContrastVsT:
                                pulse_sigma=15e-6)
         dT = revival_period(RB)
         times = 0.8e-3 + np.arange(0, 1.05 * dT, dT / 10)
-        plane_curve = scan_contrast_vs_T(RB, PLANE, seq, times, 9.81, QUIET)
+        plane_curve = scan_contrast_vs_T(RB, PLANE, seq, times, QUIET)
         ens = EnsembleSpec(sample_count=24, sigma_q=0.42, seed=7)
-        ens_curve = scan_contrast_vs_T(RB, ens, seq, times, 9.81, QUIET)
+        ens_curve = scan_contrast_vs_T(RB, ens, seq, times, QUIET)
         spread = lambda curve: max(c for _, c in curve) - min(c for _, c in curve)
         assert spread(plane_curve) < 0.5 * spread(ens_curve)
         assert min(c for _, c in plane_curve) > 0.9
@@ -363,7 +376,7 @@ class TestGradiometer:
         gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
         ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
         grid = np.linspace(0, 4 * math.pi, 16, endpoint=False)
-        res = run_gradiometer(RB, gspec, ens, seq, 9.81, 0.0, QUIET, grid)
+        res = run_gradiometer(RB, gspec, ens, seq, 0.0, QUIET, grid)
         np.testing.assert_allclose(res.lower.normalized, res.upper.normalized,
                                    atol=1e-9)
 
@@ -371,9 +384,8 @@ class TestGradiometer:
         seq = prepare_sequence(RB, order=1, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
         gspec = GradiometerSpec(lower_momentum=4, upper_momentum=2)
-        with pytest.raises(ValueError, match="overlap"):
-            run_gradiometer(RB, gspec, EnsembleSpec(sample_count=1, sigma_q=0.0),
-                            seq, 9.81, 0.0, QUIET, GRID)
+        with pytest.raises(ValueError, match=r"separation\*sigma = 2.84 < 4"):
+            run_gradiometer(RB, gspec, PLANE, seq, 0.0, QUIET, GRID)
 
     def test_paper_scale_baseline(self):
         gspec = GradiometerSpec(lower_momentum=80, upper_momentum=74,
@@ -387,7 +399,7 @@ class TestGradiometer:
         ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
         noise = NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0)
         grid = np.linspace(0, 4 * math.pi, 96, endpoint=False)
-        res = run_gradiometer(RB, gspec, ens, seq, 9.81, 3e-6, noise, grid,
+        res = run_gradiometer(RB, gspec, ens, seq, 3e-6, noise, grid,
                               master_seed=13)
         fit_lo = fit_harmonics(res.lower, 3)
         fit_up = fit_harmonics(res.upper, 3)
@@ -474,15 +486,15 @@ class TestSpecValidation:
         (scan_fringe, math.nan), (scan_fringe, math.inf),
         (run_shot, math.nan), (run_shot, math.inf),
     ], ids=["scan_fringe-nan", "scan_fringe-inf", "run_shot-nan", "run_shot-inf"])
-    def test_sweep_rate_rejects_non_finite(self, run, rate, monkeypatch):
+    def test_sweep_rate_offset_rejects_non_finite(self, run, rate, monkeypatch):
         # checked before the ensemble draw and any pulse solve
         solves = []
         monkeypatch.setattr(sequence, "pulse_propagator",
                             lambda *a: solves.append(a))
         args = [[0.0]] if run is scan_fringe else []
-        with pytest.raises(ValueError, match="sweep_rate must be finite"):
-            run(RB, PLANE, TestPinnedShotStreams.QB, 9.81, QUIET, *args,
-                sweep_rate=rate)
+        with pytest.raises(ValueError, match="sweep_rate_offset must be finite"):
+            run(RB, PLANE, TestPinnedShotStreams.QB, QUIET, *args,
+                sweep_rate_offset=rate)
         assert solves == []
 
     def test_ensemble_validation(self):
