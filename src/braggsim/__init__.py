@@ -65,6 +65,7 @@ from .sequence import (
     run_shot,
     scan_contrast_vs_T,
     scan_fringe,
+    scan_sweep_rate,
 )
 
 __all__ = [
@@ -84,5 +85,5 @@ __all__ = [
     "resonant_sweep_rate", "revival_period",
     "EnsembleSpec", "GradiometerSpec", "MZISequence", "ShotResult",
     "prepare_sequence", "run_gradiometer", "run_gravity_series", "run_shot",
-    "scan_contrast_vs_T", "scan_fringe",
+    "scan_contrast_vs_T", "scan_fringe", "scan_sweep_rate",
 ]

@@ -109,25 +109,16 @@ def cmd_fringe(run: Run, out: Path) -> dict:
     grid = _require_scan(cfg.scan, "phase", "sweep_rate")
     seq = _calibrated(run)
 
+    args = (run.species, run.ensemble, seq, run.noise, grid, cfg.seed, run.evolution)
     if cfg.scan.target == "phase":
-        scan = sequence.scan_fringe(run.species, run.ensemble, seq, run.noise,
-                                    grid, cfg.seed, run.evolution)
-        x_name = "phase_rad"
-        rows = list(zip(scan.phase_grid.tolist(),
-                        scan.port_populations[0].tolist(),
-                        scan.port_populations[seq.order].tolist(),
-                        scan.normalized.tolist()))
+        scan = sequence.scan_fringe(*args)
+        x_name, ports, normalized = "phase_rad", scan.port_populations, scan.normalized
     else:
-        # offsets (Hz/s) from the resonant rate; point i is run_shot number i
+        # offsets (Hz/s) from the resonant rate, one shot each at phase 0
         x_name = "sweep_rate_offset_hz_per_s"
-        rows = []
-        for i, da in enumerate(grid.tolist()):
-            shot = sequence.run_shot(run.species, run.ensemble, seq, run.noise,
-                                     cfg.seed, i, run.evolution,
-                                     sweep_rate_offset=da)
-            rows.append((da, shot.measured_ports[0],
-                         shot.measured_ports[seq.order],
-                         shot.normalized_population))
+        ports, normalized = sequence.scan_sweep_rate(*args)
+    rows = list(zip(grid.tolist(), ports[0].tolist(), ports[seq.order].tolist(),
+                    normalized.tolist()))
 
     write_table(out, "fringe", [x_name, "port0", f"port{seq.order}",
                                 "normalized"], rows)

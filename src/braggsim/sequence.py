@@ -17,10 +17,14 @@ Pulse propagators are computed once per (pulse, detuning, chirp) at laser
 phase zero and batched over the quasimomentum ensemble; the pulses' own laser
 phases, commanded phases and mirror-phase noise enter through the exact
 conjugation U(phi) psi = D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}).
-``_ShotEngine.shots`` evolves every shot of a batch as one (shots, samples,
-sites) array, so scans cost a few matrix solves total. Per-shot noise has one
-home shared with the gravity series: ``_mirror_draws`` and ``_detect`` build
-one generator per (seed, stream) and give shot i row i of it. Momenta and
+A run draws its ensemble once and builds one ``_ShotEngine`` per operating
+point (final-pulse phase grid, interrogation time or sweep-rate offset) on
+that draw; ``_ShotEngine.populations`` evolves a batch of shots as one
+(shots, samples, sites) array, so scans cost a few matrix solves total.
+``_shots`` is the one shot path: it numbers a run's shots and makes one
+draw per noise stream for all of them. Per-shot noise has one home shared
+with the gravity series: ``_mirror_draws`` and ``_detect`` build one
+generator per (seed, stream) and give shot i row i of it. Momenta and
 quasimomenta are in units of hbar*k, from the ensemble draw to the kinetic
 diagonal.
 """
@@ -194,51 +198,40 @@ class ShotResult:
     mirror_phases: tuple[float, float, float]
 
 
-def _mirror_draws(noise: NoiseModel, seed: int, shot_indices) -> np.ndarray:
-    """Mirror phases (rad) of the three pulses per shot, shape (n, 3)."""
-    idx = np.asarray(shot_indices, dtype=int)
-    if np.any(idx < 0):
-        raise ValueError(f"shot indices must be >= 0, got {idx.min()}")
-    return sample_mirror_phases(noise, shot_rng(seed, STREAM_MIRROR),
-                                int(idx.max(initial=-1)) + 1)[idx]
+def _mirror_draws(noise: NoiseModel, seed: int, first: int, n: int) -> np.ndarray:
+    """Mirror phases (rad) of the three pulses of shots first, ..., first + n - 1,
+    shape (n, 3)."""
+    if first < 0:
+        raise ValueError(f"shot indices must be >= 0, got {first}")
+    return sample_mirror_phases(noise, shot_rng(seed, STREAM_MIRROR), first + n)[first:]
 
 
-def _detect(clean_pairs, noise: NoiseModel, seed: int, shot_indices,
+def _detect(clean_pairs, noise: NoiseModel, seed: int, first: int,
             stream: int) -> tuple[np.ndarray, np.ndarray]:
-    """Detected (lower, upper) port pairs (n, 2) and the normalised population
-    lower / (lower + upper) per shot; a shot detecting no atoms reads 0.5."""
-    idx = np.asarray(shot_indices, dtype=int)
-    rows = np.zeros((int(idx.max(initial=-1)) + 1, 2))
-    rows[idx] = clean_pairs
-    measured = apply_detection_noise(rows, noise, shot_rng(seed, stream))[idx]
+    """Detected (lower, upper) port pairs (n, 2) of shots first, ...,
+    first + n - 1 and the normalised population lower / (lower + upper) per
+    shot; a shot detecting no atoms reads 0.5."""
+    rows = np.zeros((first + len(clean_pairs), 2))
+    rows[first:] = clean_pairs
+    measured = apply_detection_noise(rows, noise, shot_rng(seed, stream))[first:]
     denom = measured[:, 0] + measured[:, 1]
     return measured, np.divide(measured[:, 0], denom, where=denom > 0,
                                out=np.full(len(denom), 0.5))
 
 
 class _ShotEngine:
-    """Precomputed propagators and phases for one sequence at one sweep-rate
-    offset from resonance (Hz/s)."""
+    """One operating point of a run, which only evolves: the schedule
+    ``seq`` at ``sweep_rate_offset`` (Hz/s) from resonance on the run's one
+    draw of quasimomenta ``q``. ``cache`` is the run's propagator cache,
+    keyed on the effective pulse alone (species, q, cfg and window are fixed
+    within a run)."""
 
-    def __init__(self, species, ensemble, sequence, noise, cfg=DEFAULT_CONFIG,
-                 master_seed=0, propagator_cache=None,
-                 sweep_rate_offset: float = 0.0):
+    def __init__(self, species, q, seq, cfg, cache, sweep_rate_offset: float = 0.0):
         if not math.isfinite(sweep_rate_offset):
             raise ValueError(
                 f"sweep_rate_offset must be finite, got {sweep_rate_offset}")
-        self.species = species
-        self.ensemble = ensemble
-        self.sequence = sequence
-        self.noise = noise
-        self.cfg = cfg
-        self.master_seed = master_seed
-        self.cache = {} if propagator_cache is None else propagator_cache
-
-        self.q = ensemble.draw()
-        self.delta_res = bragg_resonance(sequence.order, species)
-        self.ramp = 2.0 * math.pi * sweep_rate_offset
-
-        seq = sequence
+        delta_res = bragg_resonance(seq.order, species)
+        ramp = 2.0 * math.pi * sweep_rate_offset
         d_bs = seq.beamsplitter.total_duration
         d_pi = seq.mirror.total_duration
         T = seq.interrogation_time
@@ -247,73 +240,67 @@ class _ShotEngine:
         gap = T - (d_bs + d_pi) / 2.0
 
         reach = seq.order + cfg.ladder_guard_sites
-        self.window = (-reach, reach)
         self.sites = np.arange(-reach, reach + 1)
+        self.ports = {0: reach, seq.order: reach + seq.order}   # site: column
+
+        def propagator(pulse: PulseSpec, t_c: float) -> np.ndarray:
+            eff = replace(pulse, detuning=delta_res + ramp * t_c,
+                          resonant_order=None, chirp=ramp / (2.0 * math.pi),
+                          laser_phase=0.0)
+            if eff not in cache:
+                cache[eff] = pulse_propagator(species, eff, (-reach, reach), q, cfg)
+            return cache[eff]
 
         roles = [seq.beamsplitter, seq.mirror, seq.beamsplitter]
-        self.propagators = [
-            self._propagator(pulse, self.delta_res + self.ramp * t_c)
-            for pulse, t_c in zip(roles, tc)
-        ]
+        self.propagators = [propagator(pulse, t_c) for pulse, t_c in zip(roles, tc)]
         # lattice beat phase theta(t) at each pulse start (phase continuity of
         # the chirped beat) plus the pulse's laser phase, absent from U(0)
-        self.beat_phases = [
-            self.delta_res * t + 0.5 * self.ramp * t * t + pulse.laser_phase
-            for pulse, t in zip(roles, starts)
-        ]
-        kin = kinetic_frequencies(species, self.sites, self.q)
-        self.free_phase = np.exp(-1j * kin * gap)
+        self.beat_phases = [delta_res * t + 0.5 * ramp * t * t + pulse.laser_phase
+                            for pulse, t in zip(roles, starts)]
+        self.free_phase = np.exp(-1j * kinetic_frequencies(species, self.sites, q) * gap)
 
-    def _propagator(self, pulse: PulseSpec, delta_c: float) -> np.ndarray:
-        eff = replace(pulse, detuning=delta_c, resonant_order=None,
-                      chirp=self.ramp / (2.0 * math.pi), laser_phase=0.0)
-        key = (self.species, eff, self.ensemble, self.cfg, self.window)
-        if key not in self.cache:
-            self.cache[key] = pulse_propagator(
-                self.species, eff, self.window, self.q, self.cfg)
-        return self.cache[key]
-
-    def shots(self, shot_indices, final_phases,
-              detection_stream: int = STREAM_DETECTION):
-        """Shots ``shot_indices`` at final-pulse phases ``final_phases``:
-        mirror draws, three pulses, detection. Pulse k is U(0) conjugated by
-        D(phi_k), phi_k the sum of the commanded phase (``final_phases`` on
-        pulse 3), mirror noise, beat phase and the pulse's laser phase.
-        Returns the site populations (n, W), mirror draws (n, 3), detected
-        ports 0 and order (n, 2) and normalised populations (n,)."""
-        mirror = _mirror_draws(self.noise, self.master_seed, shot_indices)
-        commanded = np.zeros((len(shot_indices), 3))
-        commanded[:, 2] = final_phases
-        phases = commanded + mirror + self.beat_phases
+    def populations(self, phases) -> np.ndarray:
+        """Ensemble-mean site populations (n, W) of n shots whose three
+        pulses carry the phases ``phases`` (n, 3). Pulse k is U(0)
+        conjugated by D(phi_k), phi_k that phase plus the beat phase and the
+        pulse's laser phase."""
+        phases = phases + self.beat_phases
         # D(phi) per pulse and shot, (3, n, 1, W); the cloud starts in site
         # 0, where D is 1, so the first pulse leaves its column times D
         d = np.exp(-1j * self.sites * phases.T[:, :, None, None])
-        psi = d[0] * self.propagators[0][:, :, -self.window[0]]
+        psi = d[0] * self.propagators[0][:, :, self.ports[0]]
         for U, dk in zip(self.propagators[1:], d[1:]):
             psi = dk * np.einsum("sij,nsj->nsi", U, np.conj(dk) * self.free_phase * psi)
-        pops = np.mean(np.abs(psi) ** 2, axis=1)
+        return np.mean(np.abs(psi) ** 2, axis=1)
 
-        check_leakage(pops)
-        if np.any(pops < -1e-12) or np.any(pops.sum(axis=1) > 1.0 + 1e-9):
-            raise ValueError("site populations must be >= 0 with sum <= 1 + 1e-9")
 
-        ports = pops[:, [-self.window[0], self.sequence.order - self.window[0]]]
-        measured, normalized = _detect(ports, self.noise, self.master_seed,
-                                       shot_indices, detection_stream)
-        return pops, mirror, measured, normalized
+def _shots(engines, final_phases, noise: NoiseModel, master_seed: int,
+           first: int = 0, stream: int = STREAM_DETECTION):
+    """The one shot path of a run: each engine fires one shot per phase of
+    ``final_phases`` on its final pulse, the shots numbered engine by engine
+    from ``first``. One mirror draw and one detection draw (on ``stream``)
+    serve them all, so a run builds each noise stream once. Returns the site
+    populations (n, W), mirror draws (n, 3), the detected populations of
+    ports 0 and order, {port: (n,)}, and the normalised populations (n,)."""
+    final_phases = np.asarray(final_phases, dtype=float)
+    n = len(engines) * len(final_phases)
+    if n == 0:
+        raise ValueError("a run must fire at least one shot")
+    mirror = _mirror_draws(noise, master_seed, first, n)
+    commanded = np.zeros((n, 3))
+    commanded[:, 2] = np.tile(final_phases, len(engines))
+    pops = np.concatenate([
+        engine.populations(phases) for engine, phases
+        in zip(engines, np.split(commanded + mirror, len(engines)))])
 
-    def scan(self, grid, shot_index_offset: int = 0,
-             detection_stream: int = STREAM_DETECTION) -> FringeScan:
-        """One shot per final-pulse phase in ``grid``, shot indices counting
-        up from ``shot_index_offset``, detection noise from one stream."""
-        grid = np.asarray(grid, dtype=float)
-        _, _, measured, normalized = self.shots(
-            shot_index_offset + np.arange(len(grid)), grid,
-            detection_stream=detection_stream)
-        return FringeScan(phase_grid=grid,
-                          port_populations={0: measured[:, 0],
-                                            self.sequence.order: measured[:, 1]},
-                          normalized=normalized)
+    check_leakage(pops)
+    if np.any(pops < -1e-12) or np.any(pops.sum(axis=1) > 1.0 + 1e-9):
+        raise ValueError("site populations must be >= 0 with sum <= 1 + 1e-9")
+
+    ports = engines[0].ports
+    measured, normalized = _detect(pops[:, list(ports.values())], noise,
+                                   master_seed, first, stream)
+    return pops, mirror, dict(zip(ports, measured.T)), normalized
 
 
 def run_shot(
@@ -329,13 +316,13 @@ def run_shot(
     """Shot ``shot_index`` of a Mach-Zehnder at final-pulse phase 0 and
     ``sweep_rate_offset`` (Hz/s) from the resonant sweep rate, averaged over
     the quasimomentum ensemble."""
-    engine = _ShotEngine(species, ensemble, sequence, noise, cfg, master_seed,
-                         sweep_rate_offset=sweep_rate_offset)
-    pops, mirror, measured, normalized = engine.shots([shot_index], [0.0])
+    engine = _ShotEngine(species, ensemble.draw(), sequence, cfg, {},
+                         sweep_rate_offset)
+    pops, mirror, ports, normalized = _shots([engine], [0.0], noise,
+                                             master_seed, shot_index)
     return ShotResult(
         port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
-        measured_ports={0: float(measured[0, 0]),
-                        sequence.order: float(measured[0, 1])},
+        measured_ports={port: float(v[0]) for port, v in ports.items()},
         normalized_population=float(normalized[0]),
         mirror_phases=tuple(float(m) for m in mirror[0]),
     )
@@ -356,11 +343,29 @@ def scan_fringe(
     from the resonant sweep rate; point i is shot ``shot_index_offset + i``,
     with independent noise per point."""
     grid = np.asarray(phase_grid, dtype=float)
-    if len(grid) == 0:
-        raise ValueError("phase grid must be non-empty")
-    engine = _ShotEngine(species, ensemble, sequence, noise, cfg, master_seed,
-                         sweep_rate_offset=sweep_rate_offset)
-    return engine.scan(grid, shot_index_offset)
+    engine = _ShotEngine(species, ensemble.draw(), sequence, cfg, {},
+                         sweep_rate_offset)
+    return FringeScan(grid, *_shots([engine], grid, noise, master_seed,
+                                    shot_index_offset)[2:])
+
+
+def scan_sweep_rate(
+    species: AtomSpecies,
+    ensemble: EnsembleSpec,
+    sequence: MZISequence,
+    noise: NoiseModel,
+    offsets,
+    master_seed: int = 0,
+    cfg: EvolutionConfig = DEFAULT_CONFIG,
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Fringe scan over the sweep rate: one shot at final-pulse phase 0 per
+    offset (Hz/s) from the resonant sweep rate in ``offsets``, point i shot
+    i. Returns the detected port populations {0, order} and the normalised
+    populations, one per offset."""
+    q, cache = ensemble.draw(), {}
+    engines = [_ShotEngine(species, q, sequence, cfg, cache, float(offset))
+               for offset in offsets]
+    return _shots(engines, [0.0], noise, master_seed)[2:]
 
 
 def interrogation_grid(species: AtomSpecies, interrogation_times) -> np.ndarray:
@@ -384,20 +389,21 @@ def scan_contrast_vs_T(
 ) -> list[tuple[float, float]]:
     """Fringe contrast versus interrogation time (the revival curve), from
     a three-harmonic fit to 24 phases over 4 pi at each T, on the grid of
-    ``interrogation_grid``. Every shot is resonant, so the pulse propagators
-    carry no absolute-time dependence and are shared across the whole scan.
+    ``interrogation_grid``, T k taking shots 24k to 24k + 23. Every shot is
+    resonant, so the pulse propagators carry no absolute-time dependence and
+    are shared across the whole scan.
     """
     times = interrogation_grid(species, interrogation_times)
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
-    cache: dict = {}
-    out = []
-    for k, T in enumerate(times):
-        engine = _ShotEngine(species, ensemble,
-                             replace(sequence, interrogation_time=float(T)),
-                             noise, cfg, master_seed, cache)
-        fit = fit_harmonics(engine.scan(grid, k * len(grid)), n_harmonics=3)
-        out.append((float(T), fringe_contrast(fit)))
-    return out
+    q, cache = ensemble.draw(), {}
+    engines = [_ShotEngine(species, q, replace(sequence, interrogation_time=float(T)),
+                           cfg, cache) for T in times]
+    _, _, ports, normalized = _shots(engines, grid, noise, master_seed)
+    n = len(grid)
+    scans = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
+                        normalized[k:k + n]) for k in range(0, len(normalized), n))
+    return [(float(T), fringe_contrast(fit_harmonics(scan, n_harmonics=3)))
+            for T, scan in zip(times, scans)]
 
 
 @dataclass(frozen=True)
@@ -436,17 +442,18 @@ def run_gradiometer(
               / (4.0 * math.pi))
 
     grid = np.asarray(phase_grid, dtype=float)
-    cache: dict = {}
+    q, cache = ensemble.draw(), {}
 
     # same master seed: both clouds see identical mirror draws per shot
     # (common mode); detection draws use per-cloud streams
     def cloud(sweep_rate_offset, stream):
-        return _ShotEngine(species, ensemble, sequence, noise, cfg, master_seed,
-                           cache, sweep_rate_offset).scan(grid, 0, stream)
+        engine = _ShotEngine(species, q, sequence, cfg, cache, sweep_rate_offset)
+        return FringeScan(grid, *_shots([engine], grid, noise, master_seed, 0,
+                                        stream)[2:])
 
-    lower = cloud(-offset, STREAM_DETECTION)
-    upper = cloud(offset, STREAM_DETECTION_UPPER)
-    return GradiometerResult(lower=lower, upper=upper, baseline=baseline)
+    return GradiometerResult(lower=cloud(-offset, STREAM_DETECTION),
+                             upper=cloud(offset, STREAM_DETECTION_UPPER),
+                             baseline=baseline)
 
 
 @dataclass(frozen=True)
@@ -532,19 +539,18 @@ def run_gravity_series(
 
     keff = geometry.k_eff
     T = sequence.interrogation_time
-    shots = np.arange(n_shots)
-    times = shots * shot_period
+    times = np.arange(n_shots) * shot_period
     g_true = synthesize_tide(tide, times)
     proj = tilt_projection_drift(noise, times, base_tilt=geometry.tilt_angle)
     # fringe-argument shift per shot: residual ramp r times T^2, with
     # r = 2 pi alpha - k_eff g(t) cos(tilt(t)); zero at the calibration point
     shift = (2.0 * math.pi * alpha - keff * g_true * proj) * T * T
 
-    mirror = _mirror_draws(noise, master_seed, shots)
+    mirror = _mirror_draws(noise, master_seed, 0, n_shots)
     arg = bias + shift + (mirror[:, 0] - 2.0 * mirror[:, 1] + mirror[:, 2])
     clean = np.clip(np.column_stack([cal_lo.evaluate(arg), cal_hi.evaluate(arg)]),
                     0.0, 1.0)
-    _, p_meas = _detect(clean, noise, master_seed, shots, STREAM_DETECTION)
+    _, p_meas = _detect(clean, noise, master_seed, 0, STREAM_DETECTION)
 
     # invert through the monotonic segment of the calibrated response,
     # assuming the nominal vertical alignment; np.interp clamps readings

@@ -2,12 +2,21 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from braggsim.analysis import extract_shot_phases, fit_harmonics, fringe_contrast
-from braggsim.environment import NoiseModel, TideComponent, TideModel
+from braggsim.environment import (
+    STREAM_DETECTION,
+    STREAM_DETECTION_UPPER,
+    STREAM_MIRROR,
+    STREAM_QUASIMOMENTUM,
+    NoiseModel,
+    TideComponent,
+    TideModel,
+)
 from braggsim.ladder import (
     EvolutionConfig,
     PulseSpec,
@@ -274,6 +283,37 @@ class TestStreamAddressing:
                                noise, n_shots=n_shots, shot_period=1.0)
             counts.append(len(builds))
         assert counts[0] == counts[1] <= 5
+
+    def test_one_draw_per_stream_however_many_operating_points(
+            self, lowfringe_seq, monkeypatch):
+        # a run draws its ensemble and each noise stream once, whether it
+        # scans 8 or 16 interrogation times, 4 or 8 sweep-rate offsets, or
+        # runs two gradiometer clouds (one mirror stream build per cloud)
+        builds, draws = [], []
+        build, draw = sequence.shot_rng, EnsembleSpec.draw
+        monkeypatch.setattr(sequence, "shot_rng",
+                            lambda *args: builds.append(args[1]) or build(*args))
+        monkeypatch.setattr(EnsembleSpec, "draw",
+                            lambda self: draws.append(self) or draw(self))
+        noise = NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0)
+        ens = EnsembleSpec(sample_count=2, sigma_q=0.42, seed=3)
+        t0, step = lowfringe_seq.interrogation_time, revival_period(RB) / 8
+
+        def counted(run, *args):
+            builds.clear(), draws.clear()
+            run(*args)
+            return dict(Counter(builds)), len(draws)
+
+        once = {STREAM_QUASIMOMENTUM: 1, STREAM_MIRROR: 1, STREAM_DETECTION: 1}
+        for n in (8, 16):
+            assert counted(scan_contrast_vs_T, RB, ens, lowfringe_seq,
+                           t0 + step * np.arange(n), noise) == (once, 1)
+        for n in (4, 8):
+            assert counted(sequence.scan_sweep_rate, RB, ens, lowfringe_seq,
+                           noise, np.linspace(-1e3, 1e3, n)) == (once, 1)
+        assert counted(run_gradiometer, RB, GradiometerSpec(), ens, lowfringe_seq,
+                       3e-6, noise, GRID[:4]) == (
+            {**once, STREAM_MIRROR: 2, STREAM_DETECTION_UPPER: 1}, 1)
 
 
 def _hex(values):
