@@ -317,21 +317,16 @@ def enumerate_interferometer_class(
 def bin_timeseries(series, bin_size: int):
     """Contiguous non-overlapping bin means with standard errors.
 
-    The incomplete tail is dropped. Bin size 1 gives zero-information
-    standard errors, flagged as NaN.
+    The incomplete tail is dropped. A bin holds at least two samples, so
+    that it has a standard error.
     """
-    if bin_size < 1:
-        raise ValueError(f"bin_size must be >= 1, got {bin_size}")
+    if bin_size < 2:
+        raise ValueError(f"bin_size must be >= 2, got {bin_size}")
     y = np.asarray(series, dtype=float)
     check_count(len(y), bin_size, "samples for one bin")
     nbins = len(y) // bin_size
     trimmed = y[: nbins * bin_size].reshape(nbins, bin_size)
-    means = trimmed.mean(axis=1)
-    if bin_size == 1:
-        errs = np.full(nbins, np.nan)
-    else:
-        errs = trimmed.std(axis=1, ddof=1) / math.sqrt(bin_size)
-    return means, errs
+    return trimmed.mean(axis=1), trimmed.std(axis=1, ddof=1) / math.sqrt(bin_size)
 
 
 def fit_revival_period(times, contrasts, period_lo: float, period_hi: float):

@@ -220,7 +220,7 @@ def cmd_gravity_run(run: Run, out: Path) -> dict:
     }
     freqs = [c.angular_frequency for c in run.tide.components]
     if freqs and len(means) > 2 * len(freqs) + 2:
-        sigmas = errs if np.all(np.isfinite(errs) & (errs > 0)) else None
+        sigmas = errs if np.all(errs > 0) else None
         _, comps = analysis.fit_harmonic_components(t_bins, means, freqs,
                                                     weights=sigmas)
         for comp, (amp, phase, se) in zip(run.tide.components, comps):

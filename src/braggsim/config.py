@@ -199,8 +199,8 @@ class GravityRunBlock:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if not self.shot_period_s > 0:
             raise ValueError(f"shot_period_s must be > 0, got {self.shot_period_s}")
-        if self.bin_size < 1:
-            raise ValueError(f"bin_size must be >= 1, got {self.bin_size}")
+        if self.bin_size < 2:   # a bin of one shot has no standard error
+            raise ValueError(f"bin_size must be >= 2, got {self.bin_size}")
 
 
 @dataclass(frozen=True)

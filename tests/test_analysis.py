@@ -247,11 +247,10 @@ class TestClassOracle:
 
 
 class TestBinTimeseries:
-    def test_bin_one_identity(self):
-        y = np.arange(10.0)
-        means, errs = bin_timeseries(y, 1)
-        np.testing.assert_array_equal(means, y)
-        assert np.all(np.isnan(errs))
+    def test_bin_one_rejected(self):
+        # a bin of one sample has no standard error
+        with pytest.raises(ValueError, match="bin_size must be >= 2, got 1"):
+            bin_timeseries(np.arange(10.0), 1)
 
     def test_constant_series(self):
         means, errs = bin_timeseries(np.full(100, 2.5), 10)

@@ -246,6 +246,15 @@ class TestFloatSerialization:
         with pytest.raises(ValueError, match="empty or would be quoted"):
             write_table(tmp_path, "t", ["x", "y"], [(1.0, cell)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     np.float32("nan")],
+                             ids=["nan", "inf", "-inf", "float32-nan"])
+    def test_table_rejects_non_finite(self, tmp_path, bad):
+        # text holding an n passes; the bad cell is named by table, row, column
+        rows = [("none", 1.0, 2.0), ("info", 3.0, bad)]
+        with pytest.raises(ValueError, match=r"in table t, row 1, column y$"):
+            write_table(tmp_path, "t", ["name", "x", "y"], rows)
+
 
 class TestCliRuns:
     def test_fringe_run_and_outputs(self, tmp_path):
@@ -352,7 +361,8 @@ class TestCliRuns:
          "sequence: sigma must be finite and positive"),
         ("geometry", {"tilt_deg": 95.0}, "geometry: tilt_angle must lie in"),
         ("gravity_run", {"shots": 0}, "gravity_run: shots must be >= 1"),
-        ("gravity_run", {"bin_size": 0}, "gravity_run: bin_size must be >= 1"),
+        ("gravity_run", {"bin_size": 0}, "gravity_run: bin_size must be >= 2"),
+        ("gravity_run", {"bin_size": 1}, "gravity_run: bin_size must be >= 2, got 1"),
         ("gravity_run", {"shot_period_s": 0.0},
          "gravity_run: shot_period_s must be > 0"),
         ("pulse", {"order": 0}, "pulse: resonant_order must be >= 1"),
@@ -381,7 +391,7 @@ class TestCliRuns:
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
             "seed-negative", "ensemble-seed-negative",
             "sequence-order-0", "interrogation-time-negative",
-            "pulse-sigma-negative", "tilt-95", "shots-0", "bin-size-0",
+            "pulse-sigma-negative", "tilt-95", "shots-0", "bin-size-0", "bin-size-1",
             "shot-period-0", "pulse-order-0", "transfer-target-1.5",
             "bvs-depth-0", "pulse-quasimomentum-1.5", "bvs-profile-beyond-2",
             "bvs-profile-points-0",
