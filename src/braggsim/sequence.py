@@ -60,13 +60,7 @@ from .ladder import (
     kinetic_frequencies,
     pulse_propagator,
 )
-from .physics import (
-    AtomSpecies,
-    BeamGeometry,
-    bragg_resonance,
-    resonant_sweep_rate,
-    revival_period,
-)
+from .physics import AtomSpecies, BeamGeometry, bragg_resonance, revival_period
 
 
 @dataclass(frozen=True)
@@ -500,7 +494,6 @@ def run_gravity_series(
     """
     geometry = geometry or BeamGeometry.vertical(species)
     g0 = tide.mean_gravity
-    alpha = resonant_sweep_rate(g0, geometry)   # the chirp of every shot
     quiet = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf,
                        tilt_drift=noise.tilt_drift)
     grid = np.linspace(0.0, 4.0 * math.pi, 48, endpoint=False)
@@ -542,9 +535,10 @@ def run_gravity_series(
     times = np.arange(n_shots) * shot_period
     g_true = synthesize_tide(tide, times)
     proj = tilt_projection_drift(noise, times, base_tilt=geometry.tilt_angle)
-    # fringe-argument shift per shot: residual ramp r times T^2, with
-    # r = 2 pi alpha - k_eff g(t) cos(tilt(t)); zero at the calibration point
-    shift = (2.0 * math.pi * alpha - keff * g_true * proj) * T * T
+    # fringe-argument shift per shot: residual ramp r times T^2, where every
+    # shot is chirped resonant for g0 at the base tilt, so that
+    # r = k_eff (g0 cos(tilt) - g(t) cos(tilt(t))); zero at the calibration point
+    shift = keff * (g0 * geometry.projection - g_true * proj) * T * T
 
     mirror = _mirror_draws(noise, master_seed, 0, n_shots)
     arg = bias + shift + (mirror[:, 0] - 2.0 * mirror[:, 1] + mirror[:, 2])

@@ -347,10 +347,10 @@ class TestPinnedShotStreams:
             NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
-            "0x1.035855bb248e3p-4", "0x1.52d4a59239576p-2",
-            "0x1.6d3dfffeb9936p-1", "0x1.8379e85a73495p-2",
-            "0x1.6738c85bda611p-2", "0x1.e7511f312af89p-2",
-            "0x1.e10dc5c4584fbp-1", "0x1.407fec5175ef1p-2"]
+            "0x1.035855bb248f2p-4", "0x1.52d4a59239649p-2",
+            "0x1.6d3dfffeb9949p-1", "0x1.8379e85a7349dp-2",
+            "0x1.6738c85bda68bp-2", "0x1.e7511f312b007p-2",
+            "0x1.e10dc5c4584fep-1", "0x1.407fec5175f1ap-2"]
 
     def test_fringe_scan_stream(self):
         ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
