@@ -300,7 +300,8 @@ class TestStreamAddressing:
         t0, step = lowfringe_seq.interrogation_time, revival_period(RB) / 8
 
         def counted(run, *args):
-            builds.clear(), draws.clear()
+            builds.clear()
+            draws.clear()
             run(*args)
             return dict(Counter(builds)), len(draws)
 
