@@ -30,7 +30,7 @@ def _calibrated(run: Run):
     plan = run.plan
     return sequence.prepare_sequence(
         run.species, order=plan.order, interrogation_time=plan.interrogation_time,
-        pulse_sigma=plan.beamsplitter.sigma, cfg=run.evolution)
+        pulse_sigma=plan.pulse_sigma, cfg=run.evolution)
 
 
 def _require_scan(scan, *targets: str):
@@ -122,8 +122,8 @@ def cmd_fringe(run: Run, out: Path) -> dict:
 
     write_table(out, "fringe", [x_name, "port0", f"port{seq.order}",
                                 "normalized"], rows)
-    summary = {"beamsplitter_omega0": seq.beamsplitter.rabi_peak,
-               "mirror_omega0": seq.mirror.rabi_peak}
+    summary = {"beamsplitter_omega0": seq.beamsplitter_rabi,
+               "mirror_omega0": seq.mirror_rabi}
     if cfg.scan.target == "phase":
         summary["fit"] = _fit_summary(analysis.fit_harmonics(scan, n_harmonics=3))
     return summary
@@ -157,7 +157,7 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase")
     with at_key("gradiometer"):
-        run.gradiometer.check_resolved(run.species, run.plan.beamsplitter.sigma)
+        run.gradiometer.check_resolved(run.species, run.plan.pulse_sigma)
     gradient = cfg.gradiometer.gradient_per_s2
     res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
                                    _calibrated(run), gradient, run.noise, grid,

@@ -31,7 +31,7 @@ from .bloch import LatticeRamp
 from .constants import STANDARD_GRAVITY
 from .environment import NoiseModel, TideComponent, TideModel
 from .ladder import EvolutionConfig, PulseSpec
-from .physics import AtomSpecies, BeamGeometry
+from .physics import AtomSpecies, BeamGeometry, bragg_resonance
 from .sequence import EnsembleSpec, GradiometerSpec, MZISequence
 
 
@@ -81,11 +81,10 @@ class SequenceBlock:
 
     def resolve(self) -> MZISequence:
         """The schedule with zero-amplitude pulses; the run calibrates them."""
-        pulse = PulseSpec(rabi_peak=0.0, sigma=self.pulse_sigma_s,
-                          resonant_order=self.order)
         return MZISequence(order=self.order,
                            interrogation_time=self.interrogation_time_s,
-                           beamsplitter=pulse, mirror=pulse)
+                           pulse_sigma=self.pulse_sigma_s, beamsplitter_rabi=0.0,
+                           mirror_rabi=0.0)
 
 
 @dataclass(frozen=True)
@@ -211,8 +210,9 @@ class PulseBlock:
     transfer_target: float = 0.5
     quasimomentum_hk: float = 0.0
 
-    def resolve(self) -> PulseSpec:
-        """The pulse, at zero amplitude until calibrated."""
+    def resolve(self, species: AtomSpecies) -> PulseSpec:
+        """The pulse, resonant for ``order`` and at zero amplitude until
+        calibrated."""
         if not 0 < self.transfer_target <= 1:
             raise ValueError(
                 f"transfer_target must lie in (0, 1], got {self.transfer_target}")
@@ -220,7 +220,8 @@ class PulseBlock:
             raise ValueError(f"|quasimomentum_hk| {self.quasimomentum_hk} exceeds 1")
         peak = self.rabi_peak_rad_s
         return PulseSpec(rabi_peak=0.0 if peak == "calibrated" else peak,
-                         sigma=self.sigma_s, resonant_order=self.order)
+                         sigma=self.sigma_s,
+                         detuning=bragg_resonance(self.order, species))
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,8 @@ def resolve(config: ExperimentConfig) -> Run:
     species = build("species")
     return Run(config, species, build("geometry", species), build("evolution"),
                build("sequence"), build("ensemble"), build("noise"),
-               build("tide"), build("bvs"), build("gradiometer"), build("pulse"))
+               build("tide"), build("bvs"), build("gradiometer"),
+               build("pulse", species))
 
 
 def _describe(tp) -> str:

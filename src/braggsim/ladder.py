@@ -95,16 +95,15 @@ class PulseSpec:
 
     rabi_peak is the peak two-photon Rabi frequency Omega_0 (rad/s); the
     envelope is Omega_0 exp(-(t-t_c)^2 / 2 sigma^2) over 6 sigma (tails
-    clipped at +-3 sigma). The beam frequency
-    difference is either given directly (rad/s, value at the pulse centre) or
-    marked resonant for a Bragg order; ``chirp`` (Hz/s) sweeps it linearly
-    across the pulse.
+    clipped at +-3 sigma). ``detuning`` is the beam frequency difference at
+    the pulse centre (rad/s), ``bragg_resonance(n, species)`` for order n;
+    ``chirp`` (Hz/s) sweeps it linearly across the pulse, and ``laser_phase``
+    (rad) is a constant phase of the lattice.
     """
 
     rabi_peak: float
     sigma: float
-    detuning: float | None = None
-    resonant_order: int | None = None
+    detuning: float
     laser_phase: float = 0.0
     chirp: float = 0.0
 
@@ -115,29 +114,12 @@ class PulseSpec:
         if not 0 <= self.rabi_peak < math.inf:
             raise ValueError(f"rabi_peak must be finite and >= 0, got {self.rabi_peak}")
         for name in ("detuning", "laser_phase", "chirp"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if (self.detuning is None) == (self.resonant_order is None):
-            raise ValueError("set exactly one of detuning and resonant_order")
-        if self.resonant_order is not None and not self.resonant_order >= 1:
-            raise ValueError(f"resonant_order must be >= 1, got {self.resonant_order}")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def total_duration(self) -> float:
         return 6 * self.sigma
-
-    def resolve_detuning(self, species: AtomSpecies) -> float:
-        """Beam frequency difference at the pulse centre (rad/s)."""
-        if self.detuning is not None:
-            return self.detuning
-        return bragg_resonance(self.resonant_order, species)
-
-    def coupling_order(self, species: AtomSpecies) -> int:
-        """Nearest Bragg order targeted by this pulse (window sizing)."""
-        if self.resonant_order is not None:
-            return self.resonant_order
-        return max(1, round(self.detuning / (4.0 * species.recoil_frequency)))
 
 
 @dataclass(frozen=True)
@@ -265,12 +247,12 @@ def _evolve(kin, columns, duration, coupling, theta, cfg):
     return np.exp(-1j * kin * duration)[..., None] * final
 
 
-def _pulse_stage(pulse: PulseSpec, species: AtomSpecies):
+def _pulse_stage(pulse: PulseSpec):
     """The pulse as a stage ``(duration, coupling, theta)``: envelope
     Omega(t)/2 and lattice phase integral theta(t) plus the laser phase."""
     dur = pulse.total_duration
     tc = dur / 2.0
-    delta_c = pulse.resolve_detuning(species)
+    delta_c = pulse.detuning
     ramp = 2.0 * math.pi * pulse.chirp  # rad/s^2
     half_omega = 0.5 * pulse.rabi_peak
     inv2s2 = 1.0 / (2.0 * pulse.sigma**2)
@@ -289,7 +271,7 @@ def check_leakage(populations) -> None:
     """Raise TruncationLeakError, reporting the worst row, if the outermost
     two sites of any row of ``populations`` (..., W) exceed LEAK_BOUND."""
     leak = np.max(np.asarray(populations)[..., [0, -1]].sum(axis=-1))
-    if leak > LEAK_BOUND:
+    if not leak <= LEAK_BOUND:   # NaN fails too
         raise TruncationLeakError(float(leak), LEAK_BOUND)
 
 
@@ -302,7 +284,7 @@ def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
     sites beyond its occupied ones, padded at the top to the widest."""
     grown = []
     for psi in states:
-        if abs(psi.norm - 1.0) > 1e-6:
+        if not abs(psi.norm - 1.0) <= 1e-6:   # NaN fails too
             raise ValueError(f"state norm {psi.norm} is not 1 within 1e-6")
         occupied = psi.sites[np.abs(psi.amplitudes) ** 2 > 1e-12]
         grown.append(psi.expanded(int(occupied.min()) - reach[0],
@@ -327,12 +309,13 @@ def apply_pulse(
 ) -> MomentumLadderState:
     """Evolve the state through one full pulse; unitary up to tolerance.
 
-    The window is grown to cover the targeted order plus guard sites; norm
-    reaching the outermost sites above 1e-4 raises TruncationLeakError.
+    The window is grown to cover the order nearest the detuning (at least
+    1) plus guard sites; norm reaching the outermost sites above 1e-4 raises
+    TruncationLeakError.
     """
-    reach = pulse.coupling_order(state.species) + cfg.ladder_guard_sites
-    return drive([state], [_pulse_stage(pulse, state.species)], (reach, reach),
-                 cfg)[0]
+    order = max(1, round(pulse.detuning / (4.0 * state.species.recoil_frequency)))
+    reach = order + cfg.ladder_guard_sites
+    return drive([state], [_pulse_stage(pulse)], (reach, reach), cfg)[0]
 
 
 def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadderState:
@@ -364,7 +347,7 @@ def pulse_propagator(
     lo, hi = window
     kin = kinetic_frequencies(species, np.arange(lo, hi + 1), quasimomentum)
     eye = np.eye(kin.shape[-1], dtype=complex)
-    return _evolve(kin, eye, *_pulse_stage(pulse, species), cfg)
+    return _evolve(kin, eye, *_pulse_stage(pulse), cfg)
 
 
 # -- amplitude calibration --------------------------------------------------
@@ -376,8 +359,8 @@ _CEILING = 400.0  # sweep ceiling, in two-level first-order pi amplitudes
 def _transfer(species, order, sigma, cfg, omegas) -> list:
     # |0> -> |order> of a plane wave at q = 0, per Omega_0 in one solve
     reach = order + cfg.ladder_guard_sites
-    dur, unit, theta = _pulse_stage(
-        PulseSpec(rabi_peak=1.0, sigma=sigma, resonant_order=order), species)
+    dur, unit, theta = _pulse_stage(PulseSpec(
+        rabi_peak=1.0, sigma=sigma, detuning=bragg_resonance(order, species)))
     om = np.array(omegas)[:, None]
     out = drive([plane_wave_state(species)] * len(om),
                 [(dur, lambda t: om * unit(t), theta)], (reach, reach), cfg)

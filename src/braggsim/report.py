@@ -92,12 +92,19 @@ def write_table(out_dir: str | Path, name: str, header: list[str],
     The bytes are those of ``csv.writer`` under QUOTE_MINIMAL, CRLF row ends
     included, each row joined without it; an empty cell, or one it would
     quote, raises ValueError, and so does a NaN or infinite value, naming
-    its row (counted from 0 after the header) and column.
+    its row (counted from 0 after the header) and column. A table that
+    fails is removed, so no partial CSV is left behind.
     """
     path = Path(out_dir) / f"{name}.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_text_cell, header)) + "\r\n")
-        fh.writelines(_row_text(name, header, i, row) for i, row in enumerate(rows))
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(",".join(map(_text_cell, header)) + "\r\n")
+            fh.writelines(_row_text(name, header, i, row)
+                          for i, row in enumerate(rows))
+    except BaseException:
+        path.unlink()
+        raise
     return path
 
 

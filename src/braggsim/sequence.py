@@ -10,11 +10,13 @@ alpha - alpha_0 (Hz/s; 0, the default, is resonant), not gravity.
 The ramp detunes each pulse by r*t_center, chirps it by r within its window,
 and advances the lattice beat phase between pulses by
 theta(t) = delta_res*t + r*t^2/2; that beat phase adds to each pulse's
-commanded laser phase, which is how the T^2 gravity phase of the closed
+commanded phase, which is how the T^2 gravity phase of the closed
 Mach-Zehnder emerges here.
 
-Pulse propagators are computed once per (pulse, detuning, chirp) at laser
-phase zero and batched over the quasimomentum ensemble; the pulses' own laser
+The schedule holds only what a run reads: order, T, one pulse width and the
+pi/2 and pi amplitudes. Each pulse's detuning and chirp come from the run's
+offset. Pulse propagators are computed once per (amplitude, detuning, chirp)
+at laser phase zero and batched over the quasimomentum ensemble; beat
 phases, commanded phases and mirror-phase noise enter through the exact
 conjugation U(phi) psi = D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}).
 A run draws its ensemble once and builds one ``_ShotEngine`` per operating
@@ -98,28 +100,35 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class MZISequence:
-    """Three-pulse schedule: Bragg order, interrogation time T and the
-    calibrated pi/2 and pi pulses. The sweep rate and the final-pulse phase
-    are settings of a run, not of the schedule."""
+    """Three-pulse schedule: Bragg order, interrogation time T, the Gaussian
+    width sigma of all three pulses (each a 6 sigma window) and the peak Rabi
+    frequencies (rad/s) of the pi/2 beamsplitters and the pi mirror. A run
+    sets each pulse's detuning, chirp and phase: the sweep rate and the
+    final-pulse phase are settings of a run, not of the schedule."""
 
     order: int
     interrogation_time: float
-    beamsplitter: PulseSpec
-    mirror: PulseSpec
+    pulse_sigma: float
+    beamsplitter_rabi: float
+    mirror_rabi: float
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not self.order >= 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        half = 0.5 * (self.beamsplitter.total_duration + self.mirror.total_duration)
+        if not 0 < self.pulse_sigma < math.inf:
+            raise ValueError(
+                f"pulse_sigma must be finite and positive, got {self.pulse_sigma}")
+        for name in ("beamsplitter_rabi", "mirror_rabi"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        half = 6 * self.pulse_sigma   # half of each of two 6 sigma windows
         if not half < self.interrogation_time < math.inf:
             raise ValueError(
                 f"interrogation_time {self.interrogation_time} must be finite "
                 f"and exceed the half pulse windows {half}"
             )
-        for pulse in (self.beamsplitter, self.mirror):
-            if pulse.resonant_order is not None and pulse.resonant_order != self.order:
-                raise ValueError("pulses must reference the sequence order")
 
 
 def prepare_sequence(
@@ -137,13 +146,9 @@ def prepare_sequence(
     """
     om_bs = calibrate_pulse_amplitude(species, 0.5, order, pulse_sigma, cfg=cfg)
     om_pi = calibrate_pulse_amplitude(species, 1.0, order, pulse_sigma, cfg=cfg)
-    return MZISequence(
-        order=order,
-        interrogation_time=interrogation_time,
-        beamsplitter=PulseSpec(rabi_peak=om_bs, sigma=pulse_sigma,
-                               resonant_order=order),
-        mirror=PulseSpec(rabi_peak=om_pi, sigma=pulse_sigma, resonant_order=order),
-    )
+    return MZISequence(order=order, interrogation_time=interrogation_time,
+                       pulse_sigma=pulse_sigma, beamsplitter_rabi=om_bs,
+                       mirror_rabi=om_pi)
 
 
 @dataclass(frozen=True)
@@ -226,38 +231,34 @@ class _ShotEngine:
                 f"sweep_rate_offset must be finite, got {sweep_rate_offset}")
         delta_res = bragg_resonance(seq.order, species)
         ramp = 2.0 * math.pi * sweep_rate_offset
-        d_bs = seq.beamsplitter.total_duration
-        d_pi = seq.mirror.total_duration
+        d = 6 * seq.pulse_sigma   # every pulse's window
         T = seq.interrogation_time
-        tc = [d_bs / 2.0, d_bs / 2.0 + T, d_bs / 2.0 + 2.0 * T]
-        starts = [0.0, tc[1] - d_pi / 2.0, tc[2] - d_bs / 2.0]
-        gap = T - (d_bs + d_pi) / 2.0
+        tc = [d / 2.0, d / 2.0 + T, d / 2.0 + 2.0 * T]
+        starts = [0.0, tc[1] - d / 2.0, tc[2] - d / 2.0]
+        gap = T - d
 
         reach = seq.order + cfg.ladder_guard_sites
         self.sites = np.arange(-reach, reach + 1)
         self.ports = {0: reach, seq.order: reach + seq.order}   # site: column
 
-        def propagator(pulse: PulseSpec, t_c: float) -> np.ndarray:
-            eff = replace(pulse, detuning=delta_res + ramp * t_c,
-                          resonant_order=None, chirp=ramp / (2.0 * math.pi),
-                          laser_phase=0.0)
-            if eff not in cache:
-                cache[eff] = pulse_propagator(species, eff, (-reach, reach), q, cfg)
-            return cache[eff]
+        def propagator(rabi: float, t_c: float) -> np.ndarray:
+            pulse = PulseSpec(rabi, seq.pulse_sigma, detuning=delta_res + ramp * t_c,
+                              chirp=ramp / (2.0 * math.pi))
+            if pulse not in cache:
+                cache[pulse] = pulse_propagator(species, pulse, (-reach, reach), q, cfg)
+            return cache[pulse]
 
-        roles = [seq.beamsplitter, seq.mirror, seq.beamsplitter]
-        self.propagators = [propagator(pulse, t_c) for pulse, t_c in zip(roles, tc)]
+        rabis = [seq.beamsplitter_rabi, seq.mirror_rabi, seq.beamsplitter_rabi]
+        self.propagators = [propagator(rabi, t_c) for rabi, t_c in zip(rabis, tc)]
         # lattice beat phase theta(t) at each pulse start (phase continuity of
-        # the chirped beat) plus the pulse's laser phase, absent from U(0)
-        self.beat_phases = [delta_res * t + 0.5 * ramp * t * t + pulse.laser_phase
-                            for pulse, t in zip(roles, starts)]
+        # the chirped beat), absent from U(0)
+        self.beat_phases = [delta_res * t + 0.5 * ramp * t * t for t in starts]
         self.free_phase = np.exp(-1j * kinetic_frequencies(species, self.sites, q) * gap)
 
     def populations(self, phases) -> np.ndarray:
         """Ensemble-mean site populations (n, W) of n shots whose three
         pulses carry the phases ``phases`` (n, 3). Pulse k is U(0)
-        conjugated by D(phi_k), phi_k that phase plus the beat phase and the
-        pulse's laser phase."""
+        conjugated by D(phi_k), phi_k that phase plus the beat phase."""
         phases = phases + self.beat_phases
         # D(phi) per pulse and shot, (3, n, 1, W); the cloud starts in site
         # 0, where D is 1, so the first pulse leaves its column times D
@@ -429,7 +430,7 @@ def run_gradiometer(
     (Hz/s) from their own resonances. Both clouds are driven by the same
     beams, so their Bragg resonances must be resolved (``check_resolved``).
     """
-    gspec.check_resolved(species, sequence.beamsplitter.sigma)
+    gspec.check_resolved(species, sequence.pulse_sigma)
     baseline = gspec.baseline(species)
     geometry = geometry or BeamGeometry.vertical(species)
     offset = (geometry.k_eff * geometry.projection * gradient * baseline

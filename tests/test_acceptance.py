@@ -37,6 +37,7 @@ from braggsim.ladder import (
 from braggsim.physics import (
     AtomSpecies,
     BeamGeometry,
+    bragg_resonance,
     coherence_length,
     path_length_increment,
     resonant_sweep_rate,
@@ -136,7 +137,8 @@ def test_criterion_04_two_level_oracle():
     for x in (0.25, 0.5, 0.75, 1.0, 1.25):
         area = x * math.pi
         omega0 = area / (sigma * math.sqrt(2 * math.pi) * TRUNC)
-        pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, resonant_order=1)
+        pulse = PulseSpec(rabi_peak=omega0, sigma=sigma,
+                          detuning=bragg_resonance(1, RB))
         got = apply_pulse(plane_wave_state(RB), pulse).population(1)
         expected = math.sin(area / 2) ** 2
         worst = max(worst, abs(got - expected))
@@ -151,12 +153,13 @@ def test_criterion_05_unitarity_truncation(qb_sequence):
     _start(5)
     drift = 0.0
     for sigma, order in ((15e-6, 2), (5e-6, 2)):
-        om = qb_sequence.mirror.rabi_peak if sigma == 5e-6 else 1.2e5
-        pulse = PulseSpec(rabi_peak=om, sigma=sigma, resonant_order=order)
+        om = qb_sequence.mirror_rabi if sigma == 5e-6 else 1.2e5
+        pulse = PulseSpec(rabi_peak=om, sigma=sigma,
+                          detuning=bragg_resonance(order, RB))
         for qt in (0.0, -0.37, 0.61):
             out = apply_pulse(plane_wave_state(RB, quasimomentum=qt), pulse)
             drift = max(drift, abs(out.norm - 1.0))
-    pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, resonant_order=2)
+    pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
     base = apply_pulse(plane_wave_state(RB), pulse,
                        EvolutionConfig(ladder_guard_sites=6))
     wide = apply_pulse(plane_wave_state(RB), pulse,
@@ -221,11 +224,11 @@ def test_criterion_08_contrast_revivals(qb_sequence):
     window = (-8, 8)
     sites = np.arange(window[0], window[1] + 1)
     i0 = -window[0]
-    delta = 4 * 2 * RB.recoil_frequency
-    U_bs = pulse_propagator(RB, dataclasses.replace(
-        qb_sequence.beamsplitter, detuning=delta, resonant_order=None), window)
-    U_pi = pulse_propagator(RB, dataclasses.replace(
-        qb_sequence.mirror, detuning=delta, resonant_order=None), window)
+    delta, sigma = 4 * 2 * RB.recoil_frequency, qb_sequence.pulse_sigma
+    U_bs = pulse_propagator(RB, PulseSpec(qb_sequence.beamsplitter_rabi, sigma,
+                                          detuning=delta), window)
+    U_pi = pulse_propagator(RB, PulseSpec(qb_sequence.mirror_rabi, sigma,
+                                          detuning=delta), window)
     weights = []
     a_vals = (0, 1, 2)
     for a in a_vals:

@@ -255,6 +255,15 @@ class TestFloatSerialization:
         with pytest.raises(ValueError, match=r"in table t, row 1, column y$"):
             write_table(tmp_path, "t", ["name", "x", "y"], rows)
 
+    @pytest.mark.parametrize("header, bad", [
+        (["x", "y"], math.nan), (["x", "y"], ""), (["x", "y"], "a,b"),
+        (["x", ""], 1.0)], ids=["nan", "empty", "quoted", "header"])
+    def test_rejected_table_leaves_no_file(self, tmp_path, header, bad):
+        # no partial CSV: the rows written before the bad cell go too
+        with pytest.raises(ValueError):
+            write_table(tmp_path, "t", header, [(1, 2), (bad, 2.0)])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCliRuns:
     def test_fringe_run_and_outputs(self, tmp_path):
@@ -354,18 +363,18 @@ class TestCliRuns:
          "evolution: ladder_guard_sites must be >= 4"),
         (None, {"seed": -1}, "seed: must be >= 0, got -1"),
         ("ensemble", {"seed": -1}, "ensemble: seed must be >= 0"),
-        ("sequence", {"order": 0}, "sequence: resonant_order must be >= 1"),
+        ("sequence", {"order": 0}, "sequence: order must be >= 1"),
         ("sequence", {"interrogation_time_s": -1.0},
          "sequence: interrogation_time -1.0 must be finite and exceed"),
         ("sequence", {"pulse_sigma_s": -1.0},
-         "sequence: sigma must be finite and positive"),
+         "sequence: pulse_sigma must be finite and positive"),
         ("geometry", {"tilt_deg": 95.0}, "geometry: tilt_angle must lie in"),
         ("gravity_run", {"shots": 0}, "gravity_run: shots must be >= 1"),
         ("gravity_run", {"bin_size": 0}, "gravity_run: bin_size must be >= 2"),
         ("gravity_run", {"bin_size": 1}, "gravity_run: bin_size must be >= 2, got 1"),
         ("gravity_run", {"shot_period_s": 0.0},
          "gravity_run: shot_period_s must be > 0"),
-        ("pulse", {"order": 0}, "pulse: resonant_order must be >= 1"),
+        ("pulse", {"order": 0}, "pulse: order must be >= 1"),
         ("pulse", {"transfer_target": 1.5},
          "pulse: transfer_target must lie in (0, 1]"),
         ("bvs", {"depth_er": 0}, "bvs: depth must be finite and positive"),

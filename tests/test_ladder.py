@@ -36,7 +36,7 @@ def gaussian_area(omega0, sigma):
 
 def deep_bragg_pulse(area, sigma=200e-6, order=1):
     omega0 = area / (sigma * math.sqrt(2.0 * math.pi) * TRUNC)
-    return PulseSpec(rabi_peak=omega0, sigma=sigma, resonant_order=order)
+    return PulseSpec(rabi_peak=omega0, sigma=sigma, detuning=bragg_resonance(order, RB))
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ class TestFreePropagation:
 
 class TestZeroAmplitudePulse:
     def test_matches_free_propagation(self):
-        pulse = PulseSpec(rabi_peak=0.0, sigma=15e-6, resonant_order=2)
+        pulse = PulseSpec(rabi_peak=0.0, sigma=15e-6, detuning=bragg_resonance(2, RB))
         psi = plane_wave_state(RB, site=0)
         pulsed = apply_pulse(psi, pulse)
         free = free_propagate(psi.expanded(pulsed.n_min, pulsed.n_max),
@@ -119,14 +119,23 @@ class TestRamanNathOracle:
 
 
 class TestUnitarityAndTruncation:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_resonant_pulse_window_reaches_order_plus_guard(self, order):
+        # the window follows the detuning: bragg_resonance(n) targets order n
+        pulse = PulseSpec(rabi_peak=0.0, sigma=15e-6,
+                          detuning=bragg_resonance(order, RB))
+        out = apply_pulse(plane_wave_state(RB), pulse)
+        reach = order + EvolutionConfig().ladder_guard_sites
+        assert (out.n_min, out.n_max) == (-reach, reach)
+
     def test_norm_drift_below_1e9(self):
-        pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, resonant_order=2)
+        pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         for qt in (0.0, -0.37, 0.61):
             out = apply_pulse(plane_wave_state(RB, quasimomentum=qt), pulse)
             assert abs(out.norm - 1.0) < 1e-9
 
     def test_guard_site_convergence(self):
-        pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, resonant_order=2)
+        pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         psi = plane_wave_state(RB)
         base = apply_pulse(psi, pulse, EvolutionConfig(ladder_guard_sites=6))
         wide = apply_pulse(psi, pulse, EvolutionConfig(ladder_guard_sites=10))
@@ -158,8 +167,8 @@ class TestUnitarityAndTruncation:
 class TestPhaseImprinting:
     def test_transfer_amplitude_picks_up_minus_n_phi(self):
         dphi = 0.7318
-        base = PulseSpec(rabi_peak=9e4, sigma=15e-6, resonant_order=2)
-        shifted = PulseSpec(rabi_peak=9e4, sigma=15e-6, resonant_order=2,
+        base = PulseSpec(rabi_peak=9e4, sigma=15e-6, detuning=bragg_resonance(2, RB))
+        shifted = PulseSpec(rabi_peak=9e4, sigma=15e-6, detuning=bragg_resonance(2, RB),
                             laser_phase=dphi)
         out0 = apply_pulse(plane_wave_state(RB), base)
         out1 = apply_pulse(plane_wave_state(RB), shifted)
@@ -175,7 +184,7 @@ class TestPhaseImprinting:
 
 class TestPropagatorConsistency:
     def test_matrix_matches_state_path(self):
-        pulse = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, resonant_order=2)
+        pulse = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         q = 0.23
         psi = plane_wave_state(RB, quasimomentum=q)
         out = apply_pulse(psi, pulse)
@@ -184,7 +193,7 @@ class TestPropagatorConsistency:
         np.testing.assert_allclose(via_matrix, out.amplitudes, atol=5e-10)
 
     def test_batched_propagators(self):
-        pulse = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, resonant_order=2)
+        pulse = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         qs = np.array([-0.4, 0.0, 0.55])
         Us = pulse_propagator(RB, pulse, (-8, 8), qs)
         assert Us.shape == (3, 17, 17)
@@ -194,8 +203,9 @@ class TestPropagatorConsistency:
 
     def test_phase_conjugation_equals_phased_pulse(self):
         phi = -1.234
-        base = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, resonant_order=2)
-        phased = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, resonant_order=2,
+        base = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
+        phased = PulseSpec(rabi_peak=1.1e5, sigma=15e-6,
+                           detuning=bragg_resonance(2, RB),
                            laser_phase=phi)
         psi = plane_wave_state(RB)
         out = apply_pulse(psi, phased)
@@ -208,7 +218,7 @@ class TestPropagatorConsistency:
 
     def test_propagator_honours_laser_phase(self):
         phi = 0.917
-        base = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, resonant_order=2)
+        base = PulseSpec(rabi_peak=1.1e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         phased = dataclasses.replace(base, laser_phase=phi)
         qs = np.array([-0.3, 0.2])
         U0 = pulse_propagator(RB, base, (-8, 8), qs)
@@ -219,7 +229,7 @@ class TestPropagatorConsistency:
         assert np.abs(U - U0).max() > 0.1
 
     def test_time_reversal_round_trip(self):
-        pulse = PulseSpec(rabi_peak=1.3e5, sigma=15e-6, resonant_order=2)
+        pulse = PulseSpec(rabi_peak=1.3e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         U = pulse_propagator(RB, pulse, (-8, 8), 0.0)
         W = U.shape[0]
         assert np.abs(U.conj().T @ U - np.eye(W)).max() < 1e-9
@@ -246,13 +256,14 @@ class TestCalibration:
         sigma = 200e-6
         om = calibrate_pulse_amplitude(RB, target=0.5, order=1, sigma=sigma)
         out = apply_pulse(plane_wave_state(RB),
-                          PulseSpec(rabi_peak=om, sigma=sigma, resonant_order=1))
+                          PulseSpec(rabi_peak=om, sigma=sigma,
+                                    detuning=bragg_resonance(1, RB)))
         assert out.population(1) == pytest.approx(0.5, abs=1e-4)
 
     def test_pi_twice_returns_home_in_deep_bragg(self):
         sigma = 200e-6
         om = calibrate_pulse_amplitude(RB, target=1.0, order=1, sigma=sigma)
-        pulse = PulseSpec(rabi_peak=om, sigma=sigma, resonant_order=1)
+        pulse = PulseSpec(rabi_peak=om, sigma=sigma, detuning=bragg_resonance(1, RB))
         out = apply_pulse(apply_pulse(plane_wave_state(RB), pulse), pulse)
         assert out.population(0) >= 0.96
 
@@ -282,16 +293,17 @@ class TestCalibration:
         batched = ladder._transfer(RB, 2, 5e-6, EvolutionConfig(), omegas)
         for om, p in zip(omegas, batched):
             out = apply_pulse(plane_wave_state(RB),
-                              PulseSpec(rabi_peak=om, sigma=5e-6, resonant_order=2))
+                              PulseSpec(rabi_peak=om, sigma=5e-6,
+                                        detuning=bragg_resonance(2, RB)))
             assert p == pytest.approx(out.population(2), abs=1e-10)
 
     def test_batched_drive_matches_lone_drives(self):
         # states on different sites, spans, q and species share one solve;
         # each keeps its own window, padded at the top to the widest, and
         # must match a drive of it alone on that window
-        pulse = PulseSpec(rabi_peak=3e5, sigma=5e-6, resonant_order=1,
+        pulse = PulseSpec(rabi_peak=3e5, sigma=5e-6, detuning=bragg_resonance(1, RB),
                           laser_phase=0.4)
-        stages = [ladder._pulse_stage(pulse, RB)]
+        stages = [ladder._pulse_stage(pulse)]
         heavy = dataclasses.replace(RB, mass=2 * RB.mass)
         pair = MomentumLadderState(RB, np.array([1, 1j]) / math.sqrt(2), n_min=0,
                                    quasimomentum=0.1)
@@ -381,33 +393,23 @@ class TestCalibration:
 class TestSpecValidation:
     def test_pulse_spec_invariants(self):
         with pytest.raises(ValueError):
-            PulseSpec(rabi_peak=1e5, sigma=0.0, resonant_order=1)
+            PulseSpec(rabi_peak=1e5, sigma=0.0, detuning=bragg_resonance(1, RB))
         with pytest.raises(ValueError):
-            PulseSpec(rabi_peak=-1.0, sigma=1e-5, resonant_order=1)
-        with pytest.raises(ValueError):
+            PulseSpec(rabi_peak=-1.0, sigma=1e-5, detuning=bragg_resonance(1, RB))
+        with pytest.raises(TypeError):
             PulseSpec(rabi_peak=1e5, sigma=1e-5)  # no detuning at all
-        with pytest.raises(ValueError):
-            PulseSpec(rabi_peak=1e5, sigma=1e-5, detuning=0.0, resonant_order=1)
 
     @pytest.mark.parametrize("field, value", [
         ("rabi_peak", math.nan), ("rabi_peak", math.inf),
         ("sigma", math.nan), ("sigma", math.inf),
         ("detuning", math.nan), ("detuning", math.inf),
-        ("resonant_order", math.nan),
         ("laser_phase", math.nan), ("chirp", math.inf),
     ], ids=["rabi_peak-nan", "rabi_peak-inf", "sigma-nan", "sigma-inf",
-            "detuning-nan", "detuning-inf",
-            "resonant_order-nan", "laser_phase-nan", "chirp-inf"])
+            "detuning-nan", "detuning-inf", "laser_phase-nan", "chirp-inf"])
     def test_pulse_spec_rejects_non_finite(self, field, value):
-        kwargs = {"rabi_peak": 1e5, "sigma": 1e-5, field: value}
-        if field != "detuning":
-            kwargs.setdefault("resonant_order", 1)
+        kwargs = {"rabi_peak": 1e5, "sigma": 1e-5, "detuning": 0.0, field: value}
         with pytest.raises(ValueError, match=field):
             PulseSpec(**kwargs)
-
-    def test_resonant_marker_resolution(self):
-        pulse = PulseSpec(rabi_peak=1e5, sigma=1e-5, resonant_order=3)
-        assert pulse.resolve_detuning(RB) == pytest.approx(bragg_resonance(3, RB))
 
     def test_evolution_config_invariants(self):
         with pytest.raises(ValueError):
@@ -431,7 +433,20 @@ class TestSpecValidation:
         bad = MomentumLadderState(species=RB, amplitudes=2 * psi.amplitudes,
                                   n_min=psi.n_min)
         with pytest.raises(ValueError):
-            apply_pulse(bad, PulseSpec(rabi_peak=1e5, sigma=1e-5, resonant_order=1))
+            apply_pulse(bad, PulseSpec(rabi_peak=1e5, sigma=1e-5,
+                                       detuning=bragg_resonance(1, RB)))
+
+    @pytest.mark.parametrize("amps", [[math.nan], [math.nan, 1.0]],
+                             ids=["one-site", "two-site"])
+    def test_nan_state_fails_the_norm_check(self, amps):
+        bad = MomentumLadderState(species=RB, amplitudes=np.array(amps), n_min=0)
+        with pytest.raises(ValueError, match="state norm nan is not 1"):
+            apply_pulse(bad, PulseSpec(rabi_peak=1e5, sigma=1e-5,
+                                       detuning=bragg_resonance(1, RB)))
+
+    def test_nan_populations_fail_the_leak_check(self):
+        with pytest.raises(TruncationLeakError, match="leakage nan"):
+            ladder.check_leakage(np.array([[0.0, 1.0, 0.0], [math.nan, 0.5, 0.5]]))
 
 
 class TestKineticHelper:

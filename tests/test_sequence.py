@@ -1,6 +1,5 @@
 """Interferometer runs: closure, phase response, determinism, gradiometry."""
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -27,6 +26,7 @@ from braggsim.ladder import (
 from braggsim.physics import (
     AtomSpecies,
     BeamGeometry,
+    bragg_resonance,
     revival_period,
 )
 from braggsim import sequence
@@ -70,24 +70,27 @@ def qb_seq():
                             pulse_sigma=5e-6)
 
 
-def manual_pulse_chain(seq):
+def manual_pulse_chain(seq, phases=(0.0, 0.0, 0.0)):
     """Port populations of a plane wave through the public ladder operations
-    with the engine's timing, beat phases and the pulses' own laser phases."""
+    with the engine's timing and beat phases, pulse k also carrying
+    ``phases[k]``."""
     delta_res = 4 * seq.order * RB.recoil_frequency
-    d_bs = seq.beamsplitter.total_duration
-    d_pi = seq.mirror.total_duration
+    d = 6 * seq.pulse_sigma
     T = seq.interrogation_time
-    gap = T - (d_bs + d_pi) / 2
-    starts = [0.0, d_bs / 2 + T - d_pi / 2, d_bs / 2 + 2 * T - d_bs / 2]
-    roles = [seq.beamsplitter, seq.mirror, seq.beamsplitter]
+    starts = [0.0, d / 2 + T - d / 2, d / 2 + 2 * T - d / 2]
+    rabis = [seq.beamsplitter_rabi, seq.mirror_rabi, seq.beamsplitter_rabi]
     psi = plane_wave_state(RB)
-    for k, (pulse, t) in enumerate(zip(roles, starts)):
+    for k, (rabi, t, phi) in enumerate(zip(rabis, starts, phases)):
         if k:
-            psi = free_propagate(psi, gap)
-        psi = apply_pulse(psi, dataclasses.replace(
-            pulse, detuning=delta_res, resonant_order=None,
-            laser_phase=delta_res * t + pulse.laser_phase))
+            psi = free_propagate(psi, T - d)
+        psi = apply_pulse(psi, PulseSpec(rabi, seq.pulse_sigma, detuning=delta_res,
+                                         laser_phase=delta_res * t + phi))
     return {port: psi.population(port) for port in (0, seq.order)}
+
+
+def _engine(seq, sweep_rate_offset=0.0):
+    return sequence._ShotEngine(RB, PLANE.draw(), seq, EvolutionConfig(), {},
+                                sweep_rate_offset)
 
 
 class TestShotComposition:
@@ -99,18 +102,41 @@ class TestShotComposition:
             assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
 
     def test_run_shot_honours_laser_phases(self, qb_seq):
-        # each pulse's laser phase adds to its beat phase; the phase-zero
-        # propagators are shared with the unphased shot
-        seq = dataclasses.replace(
-            qb_seq,
-            beamsplitter=dataclasses.replace(qb_seq.beamsplitter, laser_phase=0.4),
-            mirror=dataclasses.replace(qb_seq.mirror, laser_phase=1.1))
-        shot = run_shot(RB, PLANE, seq, QUIET, master_seed=3)
-        for port, pop in manual_pulse_chain(seq).items():
-            assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
+        # each pulse's phase adds to its beat phase on the phase-zero
+        # propagators that the unphased shot uses
+        engine = _engine(qb_seq)
+        phased, unphased = engine.populations(np.array([[0.4, 1.1, 0.4],
+                                                        [0.0, 0.0, 0.0]]))
+        for port, pop in manual_pulse_chain(qb_seq, (0.4, 1.1, 0.4)).items():
+            assert phased[engine.ports[port]] == pytest.approx(pop, abs=5e-9)
         # phi1 - 2 phi2 + phi3 = -1.4 rad moves the fringe
-        unphased = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=3)
-        assert abs(shot.port_populations[0] - unphased.port_populations[0]) > 0.01
+        assert abs(phased[engine.ports[0]] - unphased[engine.ports[0]]) > 0.01
+
+    def test_pulses_take_their_frequency_from_the_run(self, monkeypatch):
+        # the schedule holds amplitudes and one width; each offset sets the
+        # detuning at every pulse centre and the chirp across it
+        seq = TestPinnedShotStreams.QB
+        built = []
+
+        def recording(species, pulse, *args):
+            built.append(pulse)
+            return real(species, pulse, *args)
+
+        real = sequence.pulse_propagator
+        monkeypatch.setattr(sequence, "pulse_propagator", recording)
+        offsets = (-1.5e3, 4e3)
+        sequence.scan_sweep_rate(RB, PLANE, seq, QUIET, offsets)
+        d, T = 6 * seq.pulse_sigma, seq.interrogation_time
+        rabis = (seq.beamsplitter_rabi, seq.mirror_rabi, seq.beamsplitter_rabi)
+        centres = (d / 2, d / 2 + T, d / 2 + 2 * T)
+        assert len(built) == 6
+        for pulse, (offset, rabi, t_c) in zip(
+                built, [(o, r, t) for o in offsets for r, t in zip(rabis, centres)]):
+            assert (pulse.rabi_peak, pulse.sigma) == (rabi, seq.pulse_sigma)
+            assert pulse.detuning == (bragg_resonance(seq.order, RB)
+                                      + 2 * math.pi * offset * t_c)
+            assert pulse.chirp == pytest.approx(offset, rel=1e-15)
+            assert pulse.laser_phase == 0.0
 
     def test_single_point_scan_equals_run_shot(self, qb_seq):
         shot = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=4)
@@ -132,16 +158,10 @@ class TestMachZehnderClosure:
         assert fringe_contrast(fit) > 0.98
 
     def test_global_pulse_phase_shift_invariance(self, deep_seq):
-        # the same laser phase on all three pulses cancels in
-        # phi1 - 2 phi2 + phi3
-        base = run_shot(RB, PLANE, deep_seq, QUIET)
-        shifted = run_shot(RB, PLANE, dataclasses.replace(
-            deep_seq,
-            beamsplitter=dataclasses.replace(deep_seq.beamsplitter, laser_phase=0.73),
-            mirror=dataclasses.replace(deep_seq.mirror, laser_phase=0.73)),
-            QUIET)
-        for port, pop in base.port_populations.items():
-            assert shifted.port_populations[port] == pytest.approx(pop, abs=1e-11)
+        # the same phase on all three pulses cancels in phi1 - 2 phi2 + phi3
+        base, shifted = _engine(deep_seq).populations(np.array([[0.0, 0.0, 0.0],
+                                                                [0.73, 0.73, 0.73]]))
+        np.testing.assert_allclose(shifted, base, atol=1e-11)
 
 
 @pytest.fixture(scope="module")
@@ -324,12 +344,8 @@ def _hex(values):
 def _fixed_sequence(order, interrogation_time, sigma, bs_hex, pi_hex):
     """The calibrated sequence with its amplitudes written out, so that a
     change to the calibrator cannot move the pinned streams."""
-    return MZISequence(
-        order=order, interrogation_time=interrogation_time,
-        beamsplitter=PulseSpec(rabi_peak=float.fromhex(bs_hex), sigma=sigma,
-                               resonant_order=order),
-        mirror=PulseSpec(rabi_peak=float.fromhex(pi_hex), sigma=sigma,
-                         resonant_order=order))
+    return MZISequence(order, interrogation_time, sigma, float.fromhex(bs_hex),
+                       float.fromhex(pi_hex))
 
 
 class TestPinnedShotStreams:
@@ -498,28 +514,23 @@ class TestGravitySeries:
 
 class TestSpecValidation:
     def test_interrogation_time_must_exceed_pulses(self):
-        bs = prepare_sequence(RB, order=1, interrogation_time=2e-3,
-                              pulse_sigma=200e-6)
-        with pytest.raises(ValueError):
-            MZISequence(order=1, interrogation_time=1e-3,
-                        beamsplitter=bs.beamsplitter, mirror=bs.mirror)
-
-    def test_pulse_order_mismatch(self):
-        seq = prepare_sequence(RB, order=2, interrogation_time=2e-3,
-                               pulse_sigma=15e-6)
-        with pytest.raises(ValueError):
-            MZISequence(order=1, interrogation_time=2e-3,
-                        beamsplitter=seq.beamsplitter, mirror=seq.mirror)
+        # 200 us pulses: half of two 1.2 ms windows exceeds T = 1 ms
+        with pytest.raises(ValueError, match="half pulse windows"):
+            MZISequence(order=1, interrogation_time=1e-3, pulse_sigma=200e-6,
+                        beamsplitter_rabi=1e4, mirror_rabi=2e4)
 
     @pytest.mark.parametrize("field, value", [
         ("order", math.nan),
         ("interrogation_time", math.nan), ("interrogation_time", math.inf),
-    ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf"])
+        ("pulse_sigma", math.nan), ("pulse_sigma", -5e-6),
+        ("beamsplitter_rabi", math.nan), ("beamsplitter_rabi", math.inf),
+        ("mirror_rabi", math.nan), ("mirror_rabi", math.inf),
+    ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf",
+            "pulse_sigma-nan", "pulse_sigma-negative", "beamsplitter_rabi-nan",
+            "beamsplitter_rabi-inf", "mirror_rabi-nan", "mirror_rabi-inf"])
     def test_mzi_sequence_rejects_non_finite(self, field, value):
-        # a detuned pulse, so that no pulse-order check can catch the order
-        pulse = PulseSpec(rabi_peak=1e5, sigma=5e-6, detuning=1e5)
-        kwargs = {"order": 1, "interrogation_time": 1e-3, "beamsplitter": pulse,
-                  "mirror": pulse, field: value}
+        kwargs = {"order": 1, "interrogation_time": 1e-3, "pulse_sigma": 5e-6,
+                  "beamsplitter_rabi": 1e5, "mirror_rabi": 2e5, field: value}
         with pytest.raises(ValueError, match=field):
             MZISequence(**kwargs)
 
