@@ -29,6 +29,15 @@ plane wave is its one occupied site. Amplitudes are calibrated on the first
 Rabi lobe of a plane wave at q = 0: a 1.25x sweep finds it, one solve on
 Chebyshev nodes gives a proxy of the transfer P(Omega_0), memoised per pulse
 width, and one more solve checks the pi/2 root.
+
+A pulse sees a quasimomentum ensemble only through q, and once its own free
+flight is taken out the propagator is an entire function of q. So a stack
+over more than 49 quasimomenta is solved on 25 Chebyshev-Lobatto nodes of
+q in [-1, 1] (49 if the series has not converged to the error tolerance)
+and evaluated at the drawn q; a smaller stack, or one that 49 nodes do not
+resolve, is solved column by column. Both Chebyshev series, the lobe's and
+the propagator's, come from one DCT-I and one tail rule
+(``_chebyshev_series``).
 """
 
 from __future__ import annotations
@@ -309,11 +318,11 @@ def apply_pulse(
 ) -> MomentumLadderState:
     """Evolve the state through one full pulse; unitary up to tolerance.
 
-    The window is grown to cover the order nearest the detuning (at least
-    1) plus guard sites; norm reaching the outermost sites above 1e-4 raises
-    TruncationLeakError.
+    The window is grown to cover the order nearest the detuning, of either
+    sign (at least 1), plus guard sites; norm reaching the outermost sites
+    above 1e-4 raises TruncationLeakError.
     """
-    order = max(1, round(pulse.detuning / (4.0 * state.species.recoil_frequency)))
+    order = max(1, abs(round(pulse.detuning / (4.0 * state.species.recoil_frequency))))
     reach = order + cfg.ladder_guard_sites
     return drive([state], [_pulse_stage(pulse)], (reach, reach), cfg)[0]
 
@@ -328,6 +337,24 @@ def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadde
     return replace(state, amplitudes=state.amplitudes * np.exp(-1j * kin * duration))
 
 
+_Q_NODES = 25   # Chebyshev-Lobatto quasimomentum nodes; 2 * 25 - 1 on a second round
+
+
+def _chebyshev_series(values: np.ndarray, tol: float) -> np.ndarray | None:
+    """Chebyshev coefficients along axis 0 of ``values``, sampled on the n
+    Chebyshev-Lobatto points ``chebpts2(n)`` (ascending), from the DCT-I of
+    their even extension; None unless the last quarter of them is <= tol."""
+    n = len(values)
+    ext = np.concatenate([values[::-1], values[1:-1]])
+
+    def dct(x):
+        return np.fft.rfft(x, axis=0).real / (n - 1)
+
+    coef = dct(ext) if np.isrealobj(ext) else dct(ext.real) + 1j * dct(ext.imag)
+    coef[[0, -1]] /= 2.0
+    return coef if np.abs(coef[3 * n // 4:]).max() <= tol else None
+
+
 def pulse_propagator(
     species: AtomSpecies,
     pulse: PulseSpec,
@@ -339,15 +366,53 @@ def pulse_propagator(
 
     ``quasimomentum`` may be an array of q values (units of hbar*k), in
     which case a stack of propagators with shape (len(q), W, W) is returned;
-    all members integrate in one adaptive solve. The pulse is one stage
-    ``(duration, coupling, theta)`` whose theta carries the laser phase phi,
-    so U(phi) = D U(0) D* with D = diag(e^{-i n phi}); a caller that builds
-    U(0) once may apply other phases by that conjugation.
+    every q must lie within +-1 hbar*k (ValueError, NaN included, before any
+    solve). A stack of up to 49 is one adaptive solve of one column per q.
+    A larger stack is built on Chebyshev-Lobatto nodes of q in [-1, 1]: one
+    solve gives the centred propagator V(q) = e^{+i kin dur/2} U e^{+i kin
+    dur/2}, entire in q, on 25 nodes; its Chebyshev series is accepted when
+    the last quarter of the coefficients is <= ``cfg.error_tolerance``, else
+    the 24 nodes between are solved and the 49-node series is tried. The
+    accepted series is evaluated at each q and each sample's exact free
+    flight is put back; if 49 nodes fail, the stack is solved directly. The
+    pulse is one stage ``(duration, coupling, theta)`` whose theta carries
+    the laser phase phi, so U(phi) = D U(0) D* with D = diag(e^{-i n phi});
+    a caller that builds U(0) once may apply other phases by that
+    conjugation.
     """
-    lo, hi = window
-    kin = kinetic_frequencies(species, np.arange(lo, hi + 1), quasimomentum)
-    eye = np.eye(kin.shape[-1], dtype=complex)
-    return _evolve(kin, eye, *_pulse_stage(pulse), cfg)
+    q = np.asarray(quasimomentum, dtype=float)
+    if not np.all(np.abs(q) <= 1 + 1e-12):   # NaN fails too
+        raise ValueError("quasimomenta must lie within +-1 hbar*k, got max |q| = "
+                         f"{np.max(np.abs(q))}")
+    sites = np.arange(window[0], window[1] + 1)
+    stage = _pulse_stage(pulse)
+
+    def stack(qs):
+        kin = kinetic_frequencies(species, sites, qs)
+        return _evolve(kin, np.eye(len(sites), dtype=complex), *stage, cfg)
+
+    if q.size <= 2 * _Q_NODES - 1:
+        return stack(q)
+
+    def half_flight(qs):   # e^{-i kin dur/2}, (..., W)
+        return np.exp(-0.5j * stage[0] * kinetic_frequencies(species, sites, qs))
+
+    def centred(qs):   # V(q) = e^{+i kin dur/2} U(q) e^{+i kin dur/2}
+        h = np.conj(half_flight(qs))
+        return h[..., :, None] * stack(qs) * h[..., None, :]
+
+    nodes = centred(cheb.chebpts2(_Q_NODES))
+    coef = _chebyshev_series(nodes, cfg.error_tolerance)
+    if coef is None:   # the 24 nodes between: chebpts2(49)[::2] is chebpts2(25)
+        fine = cheb.chebpts2(2 * _Q_NODES - 1)
+        both = np.empty((len(fine),) + nodes.shape[1:], dtype=complex)
+        both[::2], both[1::2] = nodes, centred(fine[1::2])
+        coef = _chebyshev_series(both, cfg.error_tolerance)
+    if coef is None:
+        return stack(q)
+    h = half_flight(q)
+    V = np.moveaxis(cheb.chebval(q, coef), (0, 1), (-2, -1))
+    return h[..., :, None] * V * h[..., None, :]
 
 
 # -- amplitude calibration --------------------------------------------------
@@ -397,11 +462,10 @@ def _first_lobe(species, order, sigma, cfg) -> tuple:
     # P(Omega_0) on [0, 1.25 best] as a Chebyshev series in x = 2 Omega_0 / top - 1
     top = 1.25 * best_om
     for n in _PROXY_NODES:
-        p = np.array(_transfer(species, order, sigma, cfg,
-                               (top / 2 * (1.0 + cheb.chebpts2(n))).tolist()))
-        coef = np.fft.rfft(np.r_[p[::-1], p[1:-1]]).real / (n - 1)  # DCT-I
-        coef[[0, -1]] /= 2.0
-        if np.abs(coef[3 * n // 4:]).max() <= cfg.error_tolerance:
+        omegas = (top / 2 * (1.0 + cheb.chebpts2(n))).tolist()
+        coef = _chebyshev_series(np.array(_transfer(species, order, sigma, cfg, omegas)),
+                                 cfg.error_tolerance)
+        if coef is not None:
             break
     else:
         raise CalibrationError(f"no lobe proxy within {cfg.error_tolerance:.1e}", sweep)

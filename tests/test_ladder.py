@@ -128,6 +128,17 @@ class TestUnitarityAndTruncation:
         reach = order + EvolutionConfig().ladder_guard_sites
         assert (out.n_min, out.n_max) == (-reach, reach)
 
+    def test_negative_order_pulse_mirrors_positive_order(self):
+        # -bragg_resonance(8) drives |0> -> |-8>: the same +-(8 + 6) window
+        # as its mirror image, and mirrored populations
+        up = apply_pulse(plane_wave_state(RB),
+                         PulseSpec(2e6, 2e-6, detuning=bragg_resonance(8, RB)))
+        down = apply_pulse(plane_wave_state(RB),
+                           PulseSpec(2e6, 2e-6, detuning=-bragg_resonance(8, RB)))
+        assert (down.n_min, down.n_max) == (up.n_min, up.n_max) == (-14, 14)
+        for n in up.sites:
+            assert down.population(-n) == pytest.approx(up.population(n), abs=1e-9)
+
     def test_norm_drift_below_1e9(self):
         pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         for qt in (0.0, -0.37, 0.61):
@@ -227,6 +238,78 @@ class TestPropagatorConsistency:
         d = np.exp(-1j * np.arange(-8, 9) * phi)
         np.testing.assert_allclose(U, d[:, None] * U0 * np.conj(d), atol=5e-10)
         assert np.abs(U - U0).max() > 0.1
+
+    @staticmethod
+    def direct_stack(pulse, reach, qs):
+        # one column per quasimomentum, the path a stack of <= 49 takes
+        sites = np.arange(-reach, reach + 1)
+        return ladder._evolve(kinetic_frequencies(RB, sites, qs),
+                              np.eye(len(sites), dtype=complex),
+                              *ladder._pulse_stage(pulse), EvolutionConfig())
+
+    @staticmethod
+    def counted_evolve(monkeypatch):
+        # the number of propagator columns of each _evolve call
+        real, columns = ladder._evolve, []
+        monkeypatch.setattr(ladder, "_evolve", lambda kin, *a: columns.append(
+            kin.shape[0] if kin.ndim > 1 else 1) or real(kin, *a))
+        return columns
+
+    @staticmethod
+    def drawn(samples):
+        # the band edges and a uniform draw across the first band
+        rng = np.random.default_rng(samples)
+        return np.r_[-1.0, 1.0, rng.uniform(-1.0, 1.0, samples - 2)]
+
+    # (order, sigma, Omega_0 near the pi/2 or pi amplitude, chirp Hz/s,
+    # detuning offset rad/s, samples, columns of each _evolve call): a
+    # 128-sample sigma = 5 us stack is one solve of 25 columns
+    NODE_CASES = [
+        (1, 5e-6, 1.825e5, 0.0, 0.0, 64, [25]),
+        (2, 5e-6, 2.819e5, 2000.0, 0.0, 128, [25]),
+        (2, 5e-6, 6.103e5, 0.0, 2 * math.pi * 2e3, 200, [25]),
+        (3, 5e-6, 5.112e5, -2000.0, 0.0, 128, [25]),
+        (2, 15e-6, 1.951e5, -2000.0, 2 * math.pi * 2e3, 64, [25, 24]),
+        (1, 30e-6, 4.221e4, 2000.0, 0.0, 64, [25, 24]),
+    ]
+
+    @pytest.mark.parametrize("order, sigma, rabi, chirp, offset, samples, rounds",
+                             NODE_CASES, ids=[f"order{c[0]}-{c[1] * 1e6:.0f}us-{c[5]}"
+                                              for c in NODE_CASES])
+    def test_node_stack_matches_direct_stack(self, monkeypatch, order, sigma, rabi,
+                                             chirp, offset, samples, rounds):
+        pulse = PulseSpec(rabi, sigma, detuning=bragg_resonance(order, RB) + offset,
+                          chirp=chirp)
+        reach, qs = order + 6, self.drawn(samples)
+        columns = self.counted_evolve(monkeypatch)
+        U = pulse_propagator(RB, pulse, (-reach, reach), qs)
+        assert columns == rounds
+        np.testing.assert_allclose(U, self.direct_stack(pulse, reach, qs),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("sigma, rabi, reach, samples, rounds",
+                             [(5e-6, 2.819e5, 8, 49, [49]),
+                              (30e-6, 1.21e5, 5, 50, [25, 24, 50])],
+                             ids=["49-samples", "49-nodes-fail"])
+    def test_direct_stack_is_bit_identical(self, monkeypatch, sigma, rabi, reach,
+                                           samples, rounds):
+        # order 2 at sigma = 30 us needs more than 49 nodes (a tail of ~4e-8
+        # on +-8 sites); +-5 sites keep the three solves cheap
+        pulse = PulseSpec(rabi, sigma, detuning=bragg_resonance(2, RB))
+        qs = self.drawn(samples)
+        columns = self.counted_evolve(monkeypatch)
+        U = pulse_propagator(RB, pulse, (-reach, reach), qs)
+        assert columns == rounds
+        assert np.array_equal(U, self.direct_stack(pulse, reach, qs))
+
+    @pytest.mark.parametrize("q", [1.5, [0.1, 3.0], [0.1, math.nan]],
+                             ids=["scalar", "outside", "nan"])
+    def test_out_of_band_quasimomentum_rejected_before_a_solve(self, monkeypatch, q):
+        pulse = PulseSpec(1.1e5, 15e-6, detuning=bragg_resonance(2, RB))
+        columns = self.counted_evolve(monkeypatch)
+        with pytest.raises(ValueError, match="quasimomenta must lie within"):
+            pulse_propagator(RB, pulse, (-8, 8), q)
+        assert columns == []
 
     def test_time_reversal_round_trip(self):
         pulse = PulseSpec(rabi_peak=1.3e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
