@@ -110,13 +110,11 @@ def write_table(out_dir: str | Path, name: str, header: list[str],
 
 def versions() -> dict:
     import numpy
-    import scipy
 
     from . import __version__
 
     return {
         "braggsim": __version__,
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }

@@ -68,25 +68,41 @@ def test_no_module_imports_another_modules_private_names():
     assert not bad, bad
 
 
-def test_runtime_imports_scipy_only_for_solve_ivp():
-    # ladder.py integrates with scipy.integrate.solve_ivp and report.py
-    # records scipy's version; any other scipy import is one more runtime
-    # dependency that a scipy-free kernel would have to replace
-    allowed = {("ladder.py", "scipy.integrate", ("solve_ivp",)),
-               ("report.py", "scipy", None)}
+def test_no_module_imports_scipy():
+    # the package runs on numpy alone: DOP853 lives in dop853.py, and scipy
+    # is a test dependency, the reference that tests/test_dop853.py checks
+    # the kernel against
     bad = []
     for name, tree in modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                found = [(alias.name, None) for alias in node.names]
+                found = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                found = [(node.module, tuple(a.name for a in node.names))]
+                found = [node.module]
             else:
                 continue
-            bad += [f"{name}:{node.lineno} {module}" for module, names in found
-                    if module.split(".")[0] == "scipy"
-                    and (name, module, names) not in allowed]
+            bad += [f"{name}:{node.lineno} {module}" for module in found
+                    if module.split(".")[0] == "scipy"]
     assert not bad, bad
+
+
+def test_cli_import_and_pulse_run_leave_scipy_unloaded(tmp_path):
+    # a dynamic import would slip past the static rule above; scipy costs a
+    # fresh process more set-up than the rest of the package together
+    config = tmp_path / "pulse.yaml"
+    config.write_text("pulse: {order: 1, sigma_s: 5.0e-6}\n")
+    code = ("import sys; import braggsim.cli as cli; "
+            "assert 'scipy' not in sys.modules; "
+            f"code = cli.main(['pulse', {str(config)!r}, '--out-dir', "
+            f"{str(tmp_path / 'out')!r}]); "
+            "assert code == 0, code; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules "
+            "if m.startswith('scipy'))[:5]")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "pulse_populations.csv").exists()
 
 
 def test_only_constants_and_physics_import_hbar():
