@@ -9,6 +9,7 @@ digit for digit from scipy's ``integrate/_ivp/dop853_coefficients.py``
 3-Clause License).
 """
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -64,36 +65,52 @@ _E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (0.1312004499419488073250102996e-1,
     0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
     -0.2235530786388629525884427845e-1)
+_C_STEP = np.append(_C[1:], 1.0)   # the stage times of a step, t + h last
 _RTOL_MIN = 100 * np.finfo(float).eps
 
 
 class Solution(NamedTuple):
     t: list         # accepted times, t_span[0] first
-    y: np.ndarray   # the state at t[-1]
+    y: np.ndarray   # the state at t[-1], shaped as y0
     nfev: int       # right-hand side evaluations
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, max_step) -> Solution:
-    """Integrate dy/dt = fun(t, y), y real and 1-D, forward over ``t_span`` to
-    a local error within atol + rtol |y|. Raises RuntimeError when the step
+def solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step) -> Solution:
+    """Integrate dy/dt = f(t, y), y a real or complex array of any shape stepped
+    on its real view, forward over ``t_span`` to a local error within atol +
+    rtol |y|. ``coefficients(ts)`` gives f's time dependence, one entry per time
+    of the array ts (a step asks for its 12 stage times at once); ``rhs(c, y,
+    out)`` writes f at entry c into ``out``. Raises RuntimeError when the step
     falls below ten float spacings of t, or is NaN."""
     t, t_end = map(float, t_span)
-    y = np.asarray(y0, dtype=float)
+    dtype, shape = np.result_type(y0, float), np.shape(y0)
+    y = np.array(y0, dtype=dtype, order="C").reshape(-1).view(float)
+
+    def shaped(a):   # a real 1-D buffer as a view of y0's shape and type
+        return a.view(dtype).reshape(shape)
+
     if rtol < _RTOL_MIN:   # scipy's floor, warned of as scipy warns
         warnings.warn(f"rtol {rtol} raised to {_RTOL_MIN}", stacklevel=2)
         rtol = _RTOL_MIN
+    K, arg, y_new = np.empty((13, y.size)), np.empty(y.size), np.empty(y.size)
+    f = K[0]   # C-contiguous rows, so every shaped view is a view
+    # stage s: y + (K[:s].T @ a_s) h, summed as scipy sums it, into its argument
+    # (y_new at s = 12), then f there into row s of K
+    stages = [(K[:s].T, _A[s, :s], b, shaped(b), shaped(K[s]))
+              for s, b in zip(range(1, 13), [arg] * 11 + [y_new])]
     # the initial step: two RMS norms and one trial evaluation (Sec. II.4)
-    f = fun(t, y)
+    rhs(coefficients(np.array([t]))[0], shaped(y), shaped(f))
     scale, root_n = atol + np.abs(y) * rtol, y.size ** 0.5
     d0, d1 = (np.linalg.norm(v / scale) / root_n for v in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = np.linalg.norm((fun(t + h0, y + h0 * f) - f) / scale) / root_n / h0
+    rhs(coefficients(np.array([t + h0]))[0], shaped(y + h0 * f), shaped(K[1]))
+    d2 = np.linalg.norm((K[1] - f) / scale) / root_n / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
     h_abs = min(100 * h0, h1, t_end - t, max_step)
-    ts, nfev, K = [t], 2, np.empty((13, y.size))
+    ts, nfev = [t], 2
     while t < t_end:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
         rejected = False
         while True:
@@ -101,11 +118,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step) -> Solution:
                 raise RuntimeError(f"DOP853 step {h_abs} fell below {min_step} at t = {t}")
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            K[0] = f
-            for s in range(1, 12):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _A[12])
-            K[-1] = f_new = fun(t + h, y_new)
+            coefs = coefficients(t + _C_STEP * h)
+            for (Ks, a, b, b_shaped, out), c in zip(stages, coefs):
+                np.dot(Ks, a, out=b)
+                b *= h
+                b += y
+                rhs(c, b_shaped, out)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
@@ -118,6 +136,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, max_step) -> Solution:
                 break
             h_abs *= max(0.2, 0.9 * error ** -0.125)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        t, y[:], f[:] = t_new, y_new, K[12]
         ts.append(t)
-    return Solution(ts, y, nfev)
+    return Solution(ts, shaped(y), nfev)

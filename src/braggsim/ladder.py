@@ -18,7 +18,8 @@ gauge c_n = b_n e^{-i n theta(t)} with theta = integral of delta.
 Everything is integrated in the interaction picture A_n = e^{+i kin_n t} c_n,
 which removes the fast kinetic phases exactly and leaves a slow coupling that
 the adaptive Runge-Kutta of ``dop853`` (DOP853, stepping as scipy's does)
-resolves in a few hundred steps. One kernel evolves columns of amplitudes: a
+resolves in a few hundred steps; a step builds the bond coefficients of all
+its stage times in one pass. One kernel evolves columns of amplitudes: a
 state is a one-column propagator, and a propagator (or a stack over
 quasimomenta) is the evolved identity. A stage is
 (duration, coupling(t), theta(t)); phi couples only through e^{-i (theta +
@@ -229,30 +230,39 @@ def _evolve(kin, columns, duration, coupling, theta, cfg):
     into the propagator. ``kin``: kinetic frequencies (..., W).
     ``coupling(t)``: Omega(t)/2, a scalar or one value per batch row (..., 1);
     zero gives free flight. ``theta(t)``: integral of delta from 0 plus the
-    laser phase; each up-step imprints e^{-i theta}.
+    laser phase; each up-step imprints e^{-i theta}. Both take a Python float;
+    a step asks for its 12 stage times at once, and the bond coefficients
+    c_n = -i coupling e^{i (dkin_n t - theta)} at all of them are one pass.
     """
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
-    dkin = kin[..., 1:] - kin[..., :-1]
+    dkin = (kin[..., 1:] - kin[..., :-1])[..., None]   # (..., W-1, 1)
 
-    def rhs(t, y):
+    def coefficients(ts):
+        # (c_n, -conj(c_n)) per time: coupling, theta as scalars, then one pass
+        times, lead = ts.tolist(), (-1,) + (1,) * dkin.ndim
+        g = np.array([coupling(t) for t in times])
+        g = g.reshape(g.shape + (1,) * (len(lead) - g.ndim))
+        th = np.array([theta(t) for t in times]).reshape(lead)
+        c = -1j * g * np.exp(1j * (dkin * ts.reshape(lead) - th))
+        return list(zip(c, -np.conj(c)))
+
+    work = np.empty(shape[:-2] + (shape[-2] - 1, shape[-1]), dtype=complex)
+
+    def rhs(cs, A, out):
         # site n gains c_n A_{n-1}; site n-1 gains -conj(c_n) A_n
-        A = y.view(complex).reshape(shape)
-        c = (-1j * coupling(t) * np.exp(1j * (dkin * t - theta(t))))[..., None]
-        out = np.empty_like(A)
+        c, minus_conj = cs
         out[..., -1, :] = 0.0
-        out[..., :-1, :] = -np.conj(c) * A[..., 1:, :]
-        out[..., 1:, :] += c * A[..., :-1, :]
-        return out.ravel().view(float)
+        np.multiply(minus_conj, A[..., 1:, :], out=out[..., :-1, :])
+        np.multiply(c, A[..., :-1, :], out=work)
+        out[..., 1:, :] += work
 
-    y0 = np.broadcast_to(columns, shape).astype(complex).ravel().view(float)
     tol = cfg.error_tolerance
     # one step rule for every stage: at most a twelfth of it, sigma/2 for a
     # 6 sigma pulse, so steps grown on a weak envelope tail cannot stride
     # over the peak
-    sol = solve_ivp(rhs, (0.0, duration), y0, rtol=0.1 * tol, atol=0.01 * tol,
-                    max_step=duration / 12.0)
-    final = sol.y.view(complex).reshape(shape)
-    return np.exp(-1j * kin * duration)[..., None] * final
+    sol = solve_ivp(coefficients, rhs, (0.0, duration), np.broadcast_to(columns, shape),
+                    rtol=0.1 * tol, atol=0.01 * tol, max_step=duration / 12.0)
+    return np.exp(-1j * kin * duration)[..., None] * sol.y
 
 
 def _pulse_stage(pulse: PulseSpec):
@@ -390,6 +400,8 @@ def pulse_propagator(
         kin = kinetic_frequencies(species, sites, qs)
         return _evolve(kin, np.eye(len(sites), dtype=complex), *stage, cfg)
 
+    if q.size == 0:   # nothing to solve; a zero-length solve would fail
+        return np.empty(q.shape + (len(sites),) * 2, dtype=complex)
     if q.size <= 2 * _Q_NODES - 1:
         return stack(q)
 

@@ -1,9 +1,12 @@
 """The in-package DOP853 against scipy's, step for step, on real kernel stages.
 
 Every solve of ``ladder._evolve`` is run twice, by ``braggsim.dop853`` and by
-``scipy.integrate.solve_ivp(method="DOP853")`` on the same right-hand side,
-and the two must agree exactly: the same final state bits, the same accepted
-times and the same number of right-hand side evaluations.
+``scipy.integrate.solve_ivp(method="DOP853")`` on the real view of the same
+right-hand side, and the two must agree exactly: the same final state bits,
+the same accepted times and the same number of right-hand side evaluations.
+scipy's ``fun(t, y)`` makes a one-time coefficient pass at t, while ours makes
+one pass per step over all its stage times, so the agreement also shows that
+the batched pass gives the one-time values bit for bit.
 """
 
 import math
@@ -26,11 +29,19 @@ def pairs(monkeypatch):
     """[scipy's solution, ours] per solve; ours stays None if it raised."""
     out = []
 
-    def both(fun, t_span, y0, rtol, atol, max_step):
-        ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
-                              atol=atol, max_step=max_step)
+    def both(coefficients, rhs, t_span, y0, rtol, atol, max_step):
+        shape = np.shape(y0)
+
+        def fun(t, y):
+            f = np.empty(shape, dtype=complex)
+            rhs(coefficients(np.array([t]))[0], y.view(complex).reshape(shape), f)
+            return f.reshape(-1).view(float)
+
+        flat = np.array(y0, dtype=complex).reshape(-1).view(float)
+        ref = scipy_solve_ivp(fun, t_span, flat, method="DOP853", rtol=rtol, atol=atol,
+                              max_step=max_step)
         out.append([ref, None])
-        out[-1][1] = dop853.solve_ivp(fun, t_span, y0, rtol, atol, max_step)
+        out[-1][1] = dop853.solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step)
         return out[-1][1]
 
     monkeypatch.setattr(ladder, "solve_ivp", both)
@@ -41,7 +52,7 @@ def assert_identical(pairs, solves):
     assert len(pairs) == solves
     for ref, ours in pairs:
         assert ref.success
-        assert np.array_equal(ours.y, ref.y[:, -1])
+        assert np.array_equal(ours.y.reshape(-1).view(float), ref.y[:, -1])
         assert ours.t == ref.t.tolist() and ours.nfev == ref.nfev
 
 
@@ -59,14 +70,14 @@ def test_bragg_pulses(pairs, order, sigma):
 def test_calibration_batch_with_per_row_coupling(pairs):
     ladder._first_lobe.cache_clear()   # a warm memo would skip the solves
     calibrate_pulse_amplitude(RB, 0.5, 2, 15e-6)
-    assert [ours.y.size // (2 * 17) for _, ours in pairs] == [9, 9, 33, 1]
+    assert [ours.y.shape for _, ours in pairs] == [(b, 17, 1) for b in (9, 9, 33, 1)]
     assert_identical(pairs, 4)
 
 
 def test_propagator_stack_on_quasimomentum_nodes(pairs):
     pulse = PulseSpec(rabi_peak=3e5, sigma=5e-6, detuning=bragg_resonance(2, RB))
     ladder.pulse_propagator(RB, pulse, (-8, 8), np.linspace(-0.9, 0.9, 64))
-    assert pairs[0][1].y.size == 2 * 25 * 17 * 17
+    assert pairs[0][1].y.shape == (25, 17, 17)
     assert_identical(pairs, 1)
 
 
@@ -92,19 +103,20 @@ def test_nan_from_the_start_raises():
     # a NaN initial step never falls below the float spacing by comparison,
     # so a test written "h < min_step" would reject steps forever
     with pytest.raises(RuntimeError, match="fell below"):
-        dop853.solve_ivp(lambda t, y: np.full_like(y, math.nan), (0.0, 1.0),
-                         np.ones(4), rtol=1e-11, atol=1e-12, max_step=0.1)
+        dop853.solve_ivp(lambda ts: ts, lambda c, y, out: out.fill(math.nan),
+                         (0.0, 1.0), np.ones(4), rtol=1e-11, atol=1e-12, max_step=0.1)
 
 
 @pytest.mark.parametrize("rtol", [1e-11, 1e-15])
 def test_decay_keeps_no_history(rtol):
     # below 100 machine epsilons both raise rtol to that floor, with a warning
-    args = (lambda t, y: -y, (0.0, 2.0), np.array([1.0, 2.0]))
+    args = ((0.0, 2.0), np.array([1.0, 2.0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sol = dop853.solve_ivp(*args, rtol=rtol, atol=0.1 * rtol, max_step=0.5)
-        ref = scipy_solve_ivp(*args, method="DOP853", rtol=rtol, atol=0.1 * rtol,
-                              max_step=0.5)
+        sol = dop853.solve_ivp(lambda ts: ts, lambda c, y, out: np.negative(y, out=out),
+                               *args, rtol=rtol, atol=0.1 * rtol, max_step=0.5)
+        ref = scipy_solve_ivp(lambda t, y: -y, *args, method="DOP853", rtol=rtol,
+                              atol=0.1 * rtol, max_step=0.5)
     assert len(caught) == (2 if rtol < 1e-13 else 0)
     assert sol.y.shape == (2,) and all(isinstance(t, float) for t in sol.t)
     assert np.array_equal(sol.y, ref.y[:, -1]) and sol.t == ref.t.tolist()

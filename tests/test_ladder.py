@@ -311,6 +311,13 @@ class TestPropagatorConsistency:
             pulse_propagator(RB, pulse, (-8, 8), q)
         assert columns == []
 
+    def test_empty_stack_without_a_solve(self, monkeypatch):
+        # as selection_profile(..., []) has shape (0,)
+        pulse = PulseSpec(1.1e5, 15e-6, detuning=bragg_resonance(2, RB))
+        columns = self.counted_evolve(monkeypatch)
+        assert pulse_propagator(RB, pulse, (-8, 8), np.array([])).shape == (0, 17, 17)
+        assert columns == []
+
     def test_time_reversal_round_trip(self):
         pulse = PulseSpec(rabi_peak=1.3e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         U = pulse_propagator(RB, pulse, (-8, 8), 0.0)
