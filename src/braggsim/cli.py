@@ -244,7 +244,7 @@ def cmd_allan(run: Run, out: Path) -> dict:
     write_table(out, "allan", ["tau_s", "allan_deviation"],
                 list(zip(curve.taus.tolist(), curve.values.tolist())))
     slope = None
-    if len(curve.taus) >= 3:
+    if len(curve.taus) >= 3 and np.all(curve.values > 0):   # a noise-free run is all 0
         slope = float(np.polyfit(np.log(curve.taus), np.log(curve.values), 1)[0])
     return {
         "points": len(curve.taus),

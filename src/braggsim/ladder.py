@@ -22,23 +22,24 @@ resolves in a few hundred steps; a step builds the bond coefficients of all
 its stage times in one pass. One kernel evolves columns of amplitudes: a
 state is a one-column propagator, and a propagator (or a stack over
 quasimomenta) is the evolved identity. A stage is
-(duration, coupling(t), theta(t)); phi couples only through e^{-i (theta +
-phi)}, so a laser phase is a constant inside theta and one step rule serves
-every stage. ``drive`` evolves a batch of states, each on its own window,
-one solve per stage, and ``check_leakage`` checks their edges. A Bragg pulse
-is one stage, the Bloch lattice three. ``drive`` alone sizes windows: a
-plane wave is its one occupied site. Amplitudes are calibrated on the first
-Rabi lobe of a plane wave at q = 0: a 1.25x sweep finds it, one solve on
-Chebyshev nodes gives a proxy of the transfer P(Omega_0), memoised per pulse
-width, and one more solve checks the pi/2 root.
+(duration, coupling(t), theta(t)), both scalar; phi couples only through
+e^{-i (theta + phi)}, so a laser phase is a constant inside theta and one
+step rule serves every stage. ``drive`` evolves a batch of states, each on
+its own window and coupling amplitude, one solve per stage, and
+``check_leakage`` checks their edges. A Bragg pulse is one stage, the Bloch
+lattice three. ``drive`` alone sizes windows: a plane wave is its one
+occupied site. Amplitudes are calibrated on the first Rabi lobe of a plane
+wave at q = 0: a 1.25x sweep finds it, Chebyshev nodes give a proxy of the
+transfer P(Omega_0), memoised per pulse width, and one more solve checks
+the pi/2 root.
 
 A pulse sees a quasimomentum ensemble only through q, and once its own free
 flight is taken out the propagator is an entire function of q. So a stack
 over more than 49 quasimomenta is solved on 25 Chebyshev-Lobatto nodes of
-q in [-1, 1] (49 if the series has not converged to the error tolerance)
-and evaluated at the drawn q; a smaller stack, or one that 49 nodes do not
-resolve, is solved column by column. Both Chebyshev series, the lobe's and
-the propagator's, come from one DCT-I and one tail rule
+q in [-1, 1] and evaluated at the drawn q; a smaller stack, or one that 49
+nodes do not resolve, is solved column by column. Both Chebyshev series,
+the lobe's and the propagator's, come from one DCT-I, one tail rule and one
+node-doubling rule, which solves only the n - 1 nodes between the n it has
 (``_chebyshev_series``).
 """
 
@@ -220,7 +221,7 @@ def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
 
 # -- the evolution kernel ---------------------------------------------------
 
-def _evolve(kin, columns, duration, coupling, theta, cfg):
+def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0):
     """Schroedinger-picture evolution e^{-i kin duration} A(duration) through
     the stage ``(duration, coupling, theta)``.
 
@@ -228,20 +229,20 @@ def _evolve(kin, columns, duration, coupling, theta, cfg):
     for amplitude columns ``columns`` of shape (..., W, C); rows are ladder
     sites, so a state is a one-column propagator and the identity evolves
     into the propagator. ``kin``: kinetic frequencies (..., W).
-    ``coupling(t)``: Omega(t)/2, a scalar or one value per batch row (..., 1);
-    zero gives free flight. ``theta(t)``: integral of delta from 0 plus the
-    laser phase; each up-step imprints e^{-i theta}. Both take a Python float;
-    a step asks for its 12 stage times at once, and the bond coefficients
-    c_n = -i coupling e^{i (dkin_n t - theta)} at all of them are one pass.
+    ``coupling(t)``: Omega(t)/2 at amplitude 1; zero gives free flight.
+    ``theta(t)``: integral of delta from 0 plus the laser phase; each up-step
+    imprints e^{-i theta}. Both map a Python float to one. ``amplitude``: one
+    factor or one per batch row (...). A step asks for its 12 stage times at
+    once; c_n = -i amplitude coupling e^{i (dkin_n t - theta)} is one pass.
     """
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = (kin[..., 1:] - kin[..., :-1])[..., None]   # (..., W-1, 1)
+    amp = np.asarray(amplitude, dtype=float)[..., None, None]
 
     def coefficients(ts):
         # (c_n, -conj(c_n)) per time: coupling, theta as scalars, then one pass
         times, lead = ts.tolist(), (-1,) + (1,) * dkin.ndim
-        g = np.array([coupling(t) for t in times])
-        g = g.reshape(g.shape + (1,) * (len(lead) - g.ndim))
+        g = np.array([coupling(t) for t in times]).reshape(lead) * amp
         th = np.array([theta(t) for t in times]).reshape(lead)
         c = -1j * g * np.exp(1j * (dkin * ts.reshape(lead) - th))
         return list(zip(c, -np.conj(c)))
@@ -294,12 +295,13 @@ def check_leakage(populations) -> None:
 
 
 def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
-          cfg: EvolutionConfig = DEFAULT_CONFIG) -> list[MomentumLadderState]:
+          cfg: EvolutionConfig = DEFAULT_CONFIG,
+          amplitude=1.0) -> list[MomentumLadderState]:
     """Evolve normalised states through ``stages`` of ``(duration, coupling,
-    theta)``, any laser phase inside theta, one solve per stage under the
-    kernel's one step rule (see ``_evolve``; row b of ``coupling(t)`` may
-    drive state b alone), each on its own window of ``reach = (below, above)``
-    sites beyond its occupied ones, padded at the top to the widest."""
+    theta)``, any laser phase inside theta, one solve per stage (see
+    ``_evolve``) with couplings scaled by ``amplitude``, one or one per state,
+    each on its own window of ``reach = (below, above)`` sites beyond its
+    occupied ones, padded at the top to the widest."""
     grown = []
     for psi in states:
         if not abs(psi.norm - 1.0) <= 1e-6:   # NaN fails too
@@ -315,7 +317,7 @@ def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
         kin = kin[:1]
     amps = np.stack([psi.amplitudes for psi in states])[..., None]
     for duration, coupling, theta in stages:
-        amps = _evolve(kin, amps, duration, coupling, theta, cfg)
+        amps = _evolve(kin, amps, duration, coupling, theta, cfg, amplitude)
     check_leakage(np.abs(amps[..., 0]) ** 2)
     return [replace(psi, amplitudes=a) for psi, a in zip(states, amps[..., 0])]
 
@@ -349,19 +351,26 @@ def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadde
 _Q_NODES = 25   # Chebyshev-Lobatto quasimomentum nodes; 2 * 25 - 1 on a second round
 
 
-def _chebyshev_series(values: np.ndarray, tol: float) -> np.ndarray | None:
-    """Chebyshev coefficients along axis 0 of ``values``, sampled on the n
-    Chebyshev-Lobatto points ``chebpts2(n)`` (ascending), from the DCT-I of
-    their even extension; None unless the last quarter of them is <= tol."""
-    n = len(values)
-    ext = np.concatenate([values[::-1], values[1:-1]])
+def _chebyshev_series(f, n: int, tol: float) -> np.ndarray | None:
+    """Chebyshev coefficients on [-1, 1] of ``f`` (ascending points to values
+    along axis 0) from the DCT-I of values on the n Chebyshev-Lobatto points
+    ``chebpts2(n)``, or, if the last quarter exceeds tol, on those and the
+    n - 1 between them; None if that fails too."""
+    def dct(x):   # of the even extension of m values, 2m - 2 long
+        return np.fft.rfft(x, axis=0).real / (len(x) // 2)
 
-    def dct(x):
-        return np.fft.rfft(x, axis=0).real / (n - 1)
-
-    coef = dct(ext) if np.isrealobj(ext) else dct(ext.real) + 1j * dct(ext.imag)
-    coef[[0, -1]] /= 2.0
-    return coef if np.abs(coef[3 * n // 4:]).max() <= tol else None
+    values = f(cheb.chebpts2(n))
+    while True:
+        ext = np.concatenate([values[::-1], values[1:-1]])
+        coef = dct(ext) if np.isrealobj(ext) else dct(ext.real) + 1j * dct(ext.imag)
+        coef[[0, -1]] /= 2.0
+        if np.abs(coef[3 * len(coef) // 4:]).max() <= tol:
+            return coef
+        if len(values) > n:
+            return None
+        # chebpts2(2n - 1)[::2] is chebpts2(n): sample only the n - 1 between
+        between = f(cheb.chebpts2(2 * n - 1)[1::2])
+        values = np.insert(values, np.arange(1, n), between, axis=0)
 
 
 def pulse_propagator(
@@ -379,10 +388,10 @@ def pulse_propagator(
     solve). A stack of up to 49 is one adaptive solve of one column per q.
     A larger stack is built on Chebyshev-Lobatto nodes of q in [-1, 1]: one
     solve gives the centred propagator V(q) = e^{+i kin dur/2} U e^{+i kin
-    dur/2}, entire in q, on 25 nodes; its Chebyshev series is accepted when
-    the last quarter of the coefficients is <= ``cfg.error_tolerance``, else
-    the 24 nodes between are solved and the 49-node series is tried. The
-    accepted series is evaluated at each q and each sample's exact free
+    dur/2}, entire in q, on 25 nodes; ``_chebyshev_series`` accepts its
+    series when the last quarter of the coefficients is <=
+    ``cfg.error_tolerance``, else solves the 24 nodes between and tries 49.
+    The accepted series is evaluated at each q and each sample's exact free
     flight is put back; if 49 nodes fail, the stack is solved directly. The
     pulse is one stage ``(duration, coupling, theta)`` whose theta carries
     the laser phase phi, so U(phi) = D U(0) D* with D = diag(e^{-i n phi});
@@ -412,13 +421,7 @@ def pulse_propagator(
         h = np.conj(half_flight(qs))
         return h[..., :, None] * stack(qs) * h[..., None, :]
 
-    nodes = centred(cheb.chebpts2(_Q_NODES))
-    coef = _chebyshev_series(nodes, cfg.error_tolerance)
-    if coef is None:   # the 24 nodes between: chebpts2(49)[::2] is chebpts2(25)
-        fine = cheb.chebpts2(2 * _Q_NODES - 1)
-        both = np.empty((len(fine),) + nodes.shape[1:], dtype=complex)
-        both[::2], both[1::2] = nodes, centred(fine[1::2])
-        coef = _chebyshev_series(both, cfg.error_tolerance)
+    coef = _chebyshev_series(centred, _Q_NODES, cfg.error_tolerance)
     if coef is None:
         return stack(q)
     h = half_flight(q)
@@ -428,18 +431,17 @@ def pulse_propagator(
 
 # -- amplitude calibration --------------------------------------------------
 
-_SWEEP_BATCH, _PROXY_NODES = 9, (33, 65)  # probes per sweep solve, per proxy solve
+_SWEEP_BATCH, _PROXY_NODES = 9, 33  # probes per sweep solve, proxy nodes (then 65)
 _CEILING = 400.0  # sweep ceiling, in two-level first-order pi amplitudes
 
 
 def _transfer(species, order, sigma, cfg, omegas) -> list:
     # |0> -> |order> of a plane wave at q = 0, per Omega_0 in one solve
     reach = order + cfg.ladder_guard_sites
-    dur, unit, theta = _pulse_stage(PulseSpec(
+    unit = _pulse_stage(PulseSpec(
         rabi_peak=1.0, sigma=sigma, detuning=bragg_resonance(order, species)))
-    om = np.array(omegas)[:, None]
-    out = drive([plane_wave_state(species)] * len(om),
-                [(dur, lambda t: om * unit(t), theta)], (reach, reach), cfg)
+    out = drive([plane_wave_state(species)] * len(omegas), [unit], (reach, reach),
+                cfg, omegas)
     return [final.population(order) for final in out]
 
 
@@ -457,8 +459,7 @@ def _first_lobe(species, order, sigma, cfg) -> tuple:
     omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))  # two-level first-order pi
     grid = omega_pi / 8.0 * 1.25 ** np.arange(
         1 + math.floor(math.log(8.0 * _CEILING, 1.25)))
-    batches = (tuple(grid[i:i + _SWEEP_BATCH].tolist())
-               for i in range(0, len(grid), _SWEEP_BATCH))
+    batches = np.split(grid, range(_SWEEP_BATCH, len(grid), _SWEEP_BATCH))
     sweep, best_p = [], -1.0
     for om, p in ((o, p) for b in batches for o, p in zip(b, sweep_probe(b))):
         sweep.append((om, p))
@@ -472,13 +473,10 @@ def _first_lobe(species, order, sigma, cfg) -> tuple:
 
     # P(Omega_0) on [0, 1.25 best] as a Chebyshev series in x = 2 Omega_0 / top - 1
     top = 1.25 * best_om
-    for n in _PROXY_NODES:
-        omegas = (top / 2 * (1.0 + cheb.chebpts2(n))).tolist()
-        coef = _chebyshev_series(np.array(_transfer(species, order, sigma, cfg, omegas)),
-                                 cfg.error_tolerance)
-        if coef is not None:
-            break
-    else:
+    coef = _chebyshev_series(lambda x: _transfer(species, order, sigma, cfg,
+                                                 top / 2 * (1.0 + x)),
+                             _PROXY_NODES, cfg.error_tolerance)
+    if coef is None:
         raise CalibrationError(f"no lobe proxy within {cfg.error_tolerance:.1e}", sweep)
     coef.setflags(write=False)   # shared by every caller of the memo
     return tuple(sweep), top, coef
@@ -497,10 +495,11 @@ def calibrate_pulse_amplitude(
     Returns the smallest Omega_0 on the first Rabi lobe whose simulated
     transfer equals the target within 1e-4, or the lobe peak for a target at
     or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep finds the
-    lobe; one solve on Chebyshev nodes over [0, 1.25 x its best probe] gives
-    a proxy of the analytic transfer whose maximum is the peak and whose first
-    crossing of the target, checked by one more solve, is the amplitude. A
-    sweep with no transfer above 0.05 raises CalibrationError for any target.
+    lobe; a solve on 33 Chebyshev nodes over [0, 1.25 x its best probe] (and
+    one on the 32 between if needed) gives a proxy of the analytic transfer
+    whose maximum is the peak and whose first crossing of the target, checked
+    by one more solve, is the amplitude. A sweep with no transfer above 0.05
+    raises CalibrationError for any target.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target transfer must lie in (0, 1], got {target}")

@@ -636,6 +636,23 @@ pulse:
         assert lines[0] == "interrogation_time_s,contrast_proxy"
         assert len(lines) == 17
 
+    def test_allan_of_a_noise_free_run_has_no_slope(self, tmp_path):
+        # no noise and no tide: every Allan value is 0, and a log-log slope
+        # through them would be NaN, which the summary cannot hold
+        text = """
+seed: 7
+sequence: {order: 2, interrogation_time_s: 2.0e-3, pulse_sigma_s: 5.0e-6}
+ensemble: {samples: 2, sigma_q_hk: 0.42}
+noise: {mirror_phase_rms_rad: 0.0, detection_snr: null}
+tide: {components: []}
+gravity_run: {shots: 64, bin_size: 8}
+"""
+        out = tmp_path / "allan"
+        assert main(["allan", write_config(tmp_path, text), "--out-dir", str(out)]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["points"] >= 3 and results["last_value"] == 0.0
+        assert results["loglog_slope"] is None
+
     def test_gravity_run_reports_recovered_tide(self, tmp_path):
         text = """
 seed: 5

@@ -450,7 +450,7 @@ class TestCalibration:
     def test_proxy_that_cannot_converge_raises_with_sweep(self, monkeypatch,
                                                           cold_lobes):
         # transfers noisy at 1e-6 leave a Chebyshev tail far above the 1e-10
-        # tolerance at 33 and at 65 nodes
+        # tolerance at 33 and at 65 nodes; the 65 are the 33 and 32 new ones
         scale = 1.0 / 5e5
         rng = np.random.default_rng(0)
         probed = []
@@ -463,10 +463,37 @@ class TestCalibration:
         monkeypatch.setattr(ladder, "_transfer", noisy)
         with pytest.raises(CalibrationError, match="no lobe proxy within 1.0e-10") as err:
             calibrate_pulse_amplitude(RB, 0.5, 2, 5e-6)
-        assert probed[-2:] == [33, 65]
+        assert probed[-2:] == [33, 32]
         oms, ps = zip(*err.value.sweep)   # the 1.25x sweep, up to past the peak
         np.testing.assert_allclose(np.diff(np.log(oms)), math.log(1.25))
         assert max(ps) > 0.9 and ps[-1] < 0.8 * max(ps)
+
+    def test_order4_lobe_proxy_solves_only_the_new_nodes(self, monkeypatch, cold_lobes):
+        # at order 4 and sigma = 30 us, 33 nodes miss the 1e-10 tail rule:
+        # the second round solves the 32 between them, not all 65 afresh
+        real, probed = ladder._transfer, []
+        monkeypatch.setattr(ladder, "_transfer",
+                            lambda *a: probed.append(len(a[-1])) or real(*a))
+        calibrate_pulse_amplitude(RB, 0.5, 4, 30e-6)
+        assert probed == [9, 9, 9, 33, 32, 1]
+
+    def test_second_proxy_round_reuses_the_first_nodes(self, monkeypatch, cold_lobes):
+        # P = 2u^3 / (1 + u^6), u = Omega_0 / 5e5, peaks at 1 at u = 1; its
+        # poles at u = e^{i pi / 6} leave a 33-node tail of ~2e-9 and a
+        # 65-node one of ~1e-15, so 65 nodes are 33 kept and 32 new, and the
+        # pi/2 root is u^3 = 2 - sqrt(3)
+        scale = 1.0 / 5e5
+        probed = []
+
+        def lobe(species, order, sigma, cfg, omegas):
+            probed.append(len(omegas))
+            u = np.asarray(omegas) * scale
+            return list(2 * u**3 / (1 + u**6))
+
+        monkeypatch.setattr(ladder, "_transfer", lobe)
+        om = calibrate_pulse_amplitude(RB, 0.5, 2, 5e-6)
+        assert probed[-3:] == [33, 32, 1]
+        assert om == pytest.approx((2 - math.sqrt(3)) ** (1 / 3) / scale, rel=1e-9)
 
     def test_unreachable_target_raises(self, monkeypatch, cold_lobes):
         # no transfer reaches 0.05 up to the sweep ceiling: no lobe, for a
