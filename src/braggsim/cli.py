@@ -2,9 +2,11 @@
 emit plot-ready CSV tables plus a deterministic JSON summary.
 
 Subcommands: pulse, bvs, fringe, revivals, gradiometer, gravity-run, allan,
-class-oracle, calibrate. Exit codes: 0 ok, 1 configuration error,
-2 numerical error (including a NaN or infinite result, which never reaches
-summary.json).
+class-oracle, calibrate. A ``cmd_*`` returns its results and its tables,
+``{name: (header, rows)}``, and writes nothing; ``main`` writes every file.
+Exit codes: 0 ok, 1 configuration error, 2 numerical error (a NaN or
+infinite result or table cell included). A run that exits 1 or 2 leaves no
+summary.json and no CSV.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _fit_summary(fit):
     }
 
 
-def cmd_calibrate(run: Run, out: Path) -> dict:
+def cmd_calibrate(run: Run) -> tuple[dict, dict]:
     blk = run.config.pulse
     omega0 = calibrate_pulse_amplitude(
         run.species, blk.transfer_target, blk.order, blk.sigma_s, cfg=run.evolution)
@@ -67,44 +69,42 @@ def cmd_calibrate(run: Run, out: Path) -> dict:
         "order": blk.order,
         "sigma_s": blk.sigma_s,
         "transfer_target": blk.transfer_target,
-    }
+    }, {}
 
 
-def cmd_pulse(run: Run, out: Path) -> dict:
+def cmd_pulse(run: Run) -> tuple[dict, dict]:
     blk = run.config.pulse
     if blk.rabi_peak_rad_s == "calibrated":
-        omega0 = cmd_calibrate(run, out)["omega0_rad_s"]
+        omega0 = cmd_calibrate(run)[0]["omega0_rad_s"]
     else:
         omega0 = float(blk.rabi_peak_rad_s)
     psi = plane_wave_state(run.species, quasimomentum=blk.quasimomentum_hk)
     final = apply_pulse(psi, dataclasses.replace(run.pulse, rabi_peak=omega0),
                         run.evolution)
     rows = [(int(n), float(p)) for n, p in sorted(final.populations().items())]
-    write_table(out, "pulse_populations", ["site", "population"], rows)
     return {
         "omega0_rad_s": omega0,
         "norm": final.norm,
         "transfer": final.population(blk.order),
-    }
+    }, {"pulse_populations": (["site", "population"], rows)}
 
 
-def cmd_bvs(run: Run, out: Path) -> dict:
+def cmd_bvs(run: Run) -> tuple[dict, dict]:
     blk = run.config.bvs
     momenta_hk = np.linspace(blk.profile_min_hk, blk.profile_max_hk,
                              blk.profile_points)
     eff = bloch.selection_profile(run.species, run.ramp, momenta_hk, run.evolution)
-    write_table(out, "bvs_profile", ["momentum_hk", "transfer"],
-                [(float(p), float(e)) for p, e in zip(momenta_hk, eff)])
+    rows = [(float(p), float(e)) for p, e in zip(momenta_hk, eff)]
     center = float(eff[np.argmin(np.abs(momenta_hk))])
     above = momenta_hk[eff >= eff.max() / 2.0]
     return {
         "center_transfer": center,
         "profile_fwhm_hk": float(above.max() - above.min()) if len(above) else 0.0,
         "sweep_duration_s": run.ramp.resolved_sweep_duration(run.species),
-    }
+    }, {"bvs_profile": (["momentum_hk", "transfer"], rows)}
 
 
-def cmd_fringe(run: Run, out: Path) -> dict:
+def cmd_fringe(run: Run) -> tuple[dict, dict]:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase", "sweep_rate")
     seq = _calibrated(run)
@@ -119,17 +119,15 @@ def cmd_fringe(run: Run, out: Path) -> dict:
         ports, normalized = sequence.scan_sweep_rate(*args)
     rows = list(zip(grid.tolist(), ports[0].tolist(), ports[seq.order].tolist(),
                     normalized.tolist()))
-
-    write_table(out, "fringe", [x_name, "port0", f"port{seq.order}",
-                                "normalized"], rows)
+    header = [x_name, "port0", f"port{seq.order}", "normalized"]
     summary = {"beamsplitter_omega0": seq.beamsplitter_rabi,
                "mirror_omega0": seq.mirror_rabi}
     if cfg.scan.target == "phase":
         summary["fit"] = _fit_summary(analysis.fit_harmonics(scan, n_harmonics=3))
-    return summary
+    return summary, {"fringe": (header, rows)}
 
 
-def cmd_revivals(run: Run, out: Path) -> dict:
+def cmd_revivals(run: Run) -> tuple[dict, dict]:
     cfg = run.config
     times = _require_scan(cfg.scan, "interrogation_time")
     with at_key("scan.points"):
@@ -140,8 +138,6 @@ def cmd_revivals(run: Run, out: Path) -> dict:
         dataclasses.replace(run.plan, interrogation_time=float(times[0]))
     curve = sequence.scan_contrast_vs_T(run.species, run.ensemble, _calibrated(run),
                                         times, run.noise, cfg.seed, run.evolution)
-    write_table(out, "revivals", ["interrogation_time_s", "contrast"],
-                [(float(t), float(c)) for t, c in curve])
     dT = revival_period(run.species)
     period, t_peak = analysis.fit_revival_period(
         [t for t, _ in curve], [c for _, c in curve], 0.7 * dT, 1.3 * dT)
@@ -150,10 +146,11 @@ def cmd_revivals(run: Run, out: Path) -> dict:
         "fitted_period_s": period,
         "fitted_first_maximum_s": t_peak,
         "period_ratio": period / dT,
-    }
+    }, {"revivals": (["interrogation_time_s", "contrast"],
+                     [(float(t), float(c)) for t, c in curve])}
 
 
-def cmd_gradiometer(run: Run, out: Path) -> dict:
+def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase")
     with at_key("gradiometer"):
@@ -164,7 +161,6 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
                                    cfg.seed, run.geometry, run.evolution)
     rows = list(zip(grid.tolist(), res.lower.normalized.tolist(),
                     res.upper.normalized.tolist()))
-    write_table(out, "gradiometer", ["phase_rad", "p_lower", "p_upper"], rows)
     fit_lo = analysis.fit_harmonics(res.lower, 3)
     fit_up = analysis.fit_harmonics(res.upper, 3)
     d_lo, m_lo = analysis.extract_shot_phases(res.lower, fit_lo)
@@ -183,7 +179,7 @@ def cmd_gradiometer(run: Run, out: Path) -> dict:
         _, _, r = analysis.gradiometer_correlation(d_lo[keep], d_up[keep])
         summary["pearson_r"] = r
         summary["differential_phase_std"] = float(np.std(d_lo[keep] - d_up[keep]))
-    return summary
+    return summary, {"gradiometer": (["phase_rad", "p_lower", "p_upper"], rows)}
 
 
 def _gravity_series(run: Run):
@@ -194,23 +190,24 @@ def _gravity_series(run: Run):
         run.geometry, run.evolution)
 
 
-def cmd_gravity_run(run: Run, out: Path) -> dict:
+def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
     shots, bin_size = run.config.gravity_run.shots, run.config.gravity_run.bin_size
     with at_key("gravity_run.bin_size"):
         analysis.check_count(shots, bin_size, "samples for one bin")
     series = _gravity_series(run)
     g0 = series.mean_gravity
-    rows = list(zip(series.times.tolist(), series.true_gravity.tolist(),
-                    series.normalized_population.tolist(),
-                    series.recovered_gravity.tolist()))
-    write_table(out, "gravity_series",
-                ["time_s", "gravity_true", "normalized_population",
-                 "gravity_recovered"], rows)
     means, errs = analysis.bin_timeseries(series.recovered_shift, bin_size)
     t_bins, _ = analysis.bin_timeseries(series.times, bin_size)
-    write_table(out, "gravity_binned",
-                ["time_s", "gravity_mean", "gravity_stderr"],
-                list(zip(t_bins.tolist(), (g0 + means).tolist(), errs.tolist())))
+    tables = {
+        "gravity_series": (
+            ["time_s", "gravity_true", "normalized_population", "gravity_recovered"],
+            list(zip(series.times.tolist(), series.true_gravity.tolist(),
+                     series.normalized_population.tolist(),
+                     series.recovered_gravity.tolist()))),
+        "gravity_binned": (
+            ["time_s", "gravity_mean", "gravity_stderr"],
+            list(zip(t_bins.tolist(), (g0 + means).tolist(), errs.tolist()))),
+    }
     summary = {
         "bias_phase_rad": series.bias_phase,
         "calibration": _fit_summary(series.calibration),
@@ -231,18 +228,16 @@ def cmd_gravity_run(run: Run, out: Path) -> dict:
                 "amplitude_stderr": se,
                 "phase_recovered": phase,
             })
-    return summary
+    return summary, tables
 
 
-def cmd_allan(run: Run, out: Path) -> dict:
+def cmd_allan(run: Run) -> tuple[dict, dict]:
     with at_key("gravity_run.shots"):
         analysis.check_count(run.config.gravity_run.shots,
                              analysis.ALLAN_MIN_SAMPLES, "samples")
     series = _gravity_series(run)
     frac = series.recovered_shift / series.mean_gravity
     curve = analysis.allan_deviation(frac, run.config.gravity_run.shot_period_s)
-    write_table(out, "allan", ["tau_s", "allan_deviation"],
-                list(zip(curve.taus.tolist(), curve.values.tolist())))
     slope = None
     if len(curve.taus) >= 3 and np.all(curve.values > 0):   # a noise-free run is all 0
         slope = float(np.polyfit(np.log(curve.taus), np.log(curve.values), 1)[0])
@@ -253,10 +248,11 @@ def cmd_allan(run: Run, out: Path) -> dict:
         "last_tau_s": float(curve.taus[-1]),
         "last_value": float(curve.values[-1]),
         "saturated_shots": series.saturated_shots,
-    }
+    }, {"allan": (["tau_s", "allan_deviation"],
+                  list(zip(curve.taus.tolist(), curve.values.tolist())))}
 
 
-def cmd_class_oracle(run: Run, out: Path) -> dict:
+def cmd_class_oracle(run: Run) -> tuple[dict, dict]:
     blk = run.config.class_oracle
     times = np.linspace(blk.time_min_s, blk.time_max_s, blk.time_points)
     rows = []
@@ -264,13 +260,11 @@ def cmd_class_oracle(run: Run, out: Path) -> dict:
         enum = analysis.enumerate_interferometer_class(
             blk.class_index, range(blk.a_min, blk.a_max + 1), float(t), run.species)
         rows.append((float(t), enum.contrast_proxy))
-    write_table(out, "class_oracle", ["interrogation_time_s", "contrast_proxy"],
-                rows)
     return {
         "class_index": blk.class_index,
         "revival_period_s": revival_period(run.species),
         "trajectories": blk.a_max - blk.a_min + 1,
-    }
+    }, {"class_oracle": (["interrogation_time_s", "contrast_proxy"], rows)}
 
 
 _COMMANDS = {
@@ -313,17 +307,27 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        results = _COMMANDS[args.subcommand](run, out)
+        results, tables = _COMMANDS[args.subcommand](run)
         # out_dir is execution context, not a physics input: it lives in
         # run_meta so the summary stays byte-stable across runs
         summary_config = {k: v for k, v in resolved_dict(cfg).items()
                           if k != "out_dir"}
-        write_summary(out, {
+        # the summary first: a non-finite result fails it before any file
+        # is written
+        written = [write_summary(out, {
             "subcommand": args.subcommand,
             "config": summary_config,
             "results": results,
             "versions": versions(),
-        })
+        })]
+        try:
+            for name, (header, rows) in tables.items():
+                written.append(write_table(out, name, header, rows))
+        except BaseException:
+            # complete tables of a failed run would read as a finished run
+            for path in written:
+                path.unlink()
+            raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

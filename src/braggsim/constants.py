@@ -1,14 +1,12 @@
 """Physical constants (CODATA 2018, SI units).
 
-h, k_B and c are exact by the 2019 SI redefinition; the atomic mass
-constant and the 87Rb mass are quoted to 10 significant figures.
+k_B is exact by the 2019 SI redefinition; hbar (h/2pi of the exact h), the
+atomic mass constant and the 87Rb mass are quoted to 10 significant figures.
 """
 
-# Exact defining constants
-PLANCK = 6.62607015e-34          # Planck constant (J s)
+# Planck and Boltzmann constants
 HBAR = 1.054571817e-34           # reduced Planck constant (J s)
 BOLTZMANN = 1.380649e-23         # Boltzmann constant (J/K)
-SPEED_OF_LIGHT = 2.99792458e8    # speed of light (m/s)
 
 # Atomic mass constant (CODATA 2018)
 ATOMIC_MASS = 1.660539066e-27    # kg

@@ -8,9 +8,10 @@ per port signal at sigma = 1/SNR (photon-shot-noise-like). Tides are a
 configurable sum of gravity harmonics, a stand-in for a published
 solid-Earth-tide model.
 
-All randomness is reproducible from (master seed, stream id): one generator
-per noise stream, and shot i takes row i of its stream in any batch of
-shots. There is no hidden global state.
+All randomness is reproducible from (seed, stream id): one generator per
+noise stream (the ensemble's from ``EnsembleSpec.seed``, the others' from
+the run's master seed), and shot i takes row i of its stream in any batch
+of shots. There is no hidden global state.
 """
 
 from __future__ import annotations

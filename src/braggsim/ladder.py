@@ -313,7 +313,8 @@ def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
     states = [psi.expanded(psi.n_min, psi.n_min + width - 1) for psi in grown]
     kin = np.stack([kinetic_frequencies(psi.species, psi.sites, psi.quasimomentum)
                     for psi in states])
-    if np.all(kin == kin[0]):   # one shared row: B-fold fewer exps per RHS call
+    # one shared row: B-fold fewer exps per step, all taken in the coefficient pass
+    if np.all(kin == kin[0]):
         kin = kin[:1]
     amps = np.stack([psi.amplitudes for psi in states])[..., None]
     for duration, coupling, theta in stages:

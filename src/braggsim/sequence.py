@@ -135,9 +135,10 @@ class MZISequence:
 
 def prepare_sequence(
     species: AtomSpecies,
-    order: int = 2,
-    interrogation_time: float = 60e-3,
-    pulse_sigma: float = 15e-6,
+    *,
+    order: int,
+    interrogation_time: float,
+    pulse_sigma: float,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> MZISequence:
     """Calibrate pi/2 and pi amplitudes at q = 0 and assemble the schedule;

@@ -309,12 +309,43 @@ class TestCliRuns:
     def test_non_finite_result_exits_2_without_summary(self, tmp_path,
                                                        monkeypatch, capsys):
         monkeypatch.setitem(cli._COMMANDS, "calibrate",
-                            lambda cfg, out: {"omega0_rad_s": math.nan})
+                            lambda run: ({"omega0_rad_s": math.nan}, {}))
         out = tmp_path / "nan"
         assert main(["calibrate", write_config(tmp_path, ""),
                      "--out-dir", str(out)]) == 2
         assert not (out / "summary.json").exists()
         assert "$.results.omega0_rad_s" in capsys.readouterr().err
+
+    def test_non_finite_result_leaves_no_table(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the table is finite and complete, but a table of a failed run would
+        # read as a finished run
+        monkeypatch.setitem(cli._COMMANDS, "calibrate", lambda run: (
+            {"omega0_rad_s": math.nan}, {"t": (["x"], [(1.0,), (2.0,)])}))
+        out = tmp_path / "nan"
+        assert main(["calibrate", write_config(tmp_path, ""),
+                     "--out-dir", str(out)]) == 2
+        assert "$.results.omega0_rad_s" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_failed_gravity_run_leaves_no_file(self, tmp_path, capsys):
+        # the same tide period twice makes the harmonic recovery fail after
+        # the series is computed, so both of its tables were ready to write
+        text = """
+seed: 7
+sequence: {order: 2, interrogation_time_s: 2.0e-3, pulse_sigma_s: 5.0e-6}
+ensemble: {samples: 2, sigma_q_hk: 0.42}
+tide:
+  components:
+    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}
+    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}
+gravity_run: {shots: 64, bin_size: 8}
+"""
+        out = tmp_path / "grun"
+        assert main(["gravity-run", write_config(tmp_path, text),
+                     "--out-dir", str(out)]) == 2
+        assert "rank deficient" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("block, key, value, path", [
         ("noise", "mirror_phase_rms_rad", math.nan, "noise.mirror_phase_rms_rad"),

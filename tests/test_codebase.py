@@ -44,6 +44,15 @@ def test_tracer_finds_every_name_it_patches():
     assert done.returncode == 0, done.stderr
 
 
+def test_package_binds_only_its_version():
+    # the modules are the one import surface: a name re-exported from the
+    # package is a second path to it that callers can drift onto
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    # each statement as its source up to " =": an import keeps its whole text
+    assert [ast.unparse(node).split(" =")[0] for node in body] == ["__version__"]
+
+
 def test_every_shipped_and_benchmark_config_loads():
     # the benchmark workloads are parsed by the same strict loader as
     # configs/, so a stricter parser must not reject them unnoticed
