@@ -272,28 +272,20 @@ def gradiometer_correlation(phases_low, phases_up):
     return za, zb, r
 
 
-@dataclass(frozen=True)
-class ClassEnumeration:
-    """Trajectories of one interferometer class and their contrast proxy."""
-
-    class_index: int
-    interrogation_time: float
-    entries: tuple[tuple[int, int, float], ...]   # (a, b, phase)
-    contrast_proxy: float
-
-
-def enumerate_interferometer_class(
+def class_contrast_proxy(
     class_index: int,
     a_range,
     interrogation_time: float,
     species: AtomSpecies,
     weights=None,
-) -> ClassEnumeration:
-    """All trajectories a + b = j in range with their phases.
+) -> float:
+    """Contrast proxy |sum_a w_a e^{i phi_a}| / sum_a w_a of the trajectories
+    a + b = j of class j, a in ``a_range``, with phases phi_a from
+    :func:`path_phase`.
 
-    The contrast proxy |sum_a w_a e^{i phi_a}| / sum_a w_a predicts where
-    the class interferes constructively; weights default to uniform (the
-    revival POSITIONS do not depend on them, only the depths do).
+    It predicts where the class interferes constructively; weights default
+    to uniform (the revival POSITIONS do not depend on them, only the depths
+    do).
     """
     a_vals = [int(a) for a in a_range]
     if len(a_vals) == 0:
@@ -306,12 +298,8 @@ def enumerate_interferometer_class(
             raise ValueError("weights length must match a_range")
         if np.any(w < 0) or w.sum() == 0:
             raise ValueError("weights must be non-negative and not all zero")
-    j = class_index
-    phases = [path_phase(j, a, interrogation_time, species) for a in a_vals]
-    entries = [(a, j - a, ph) for a, ph in zip(a_vals, phases)]
-    proxy = float(np.abs(np.sum(w * np.exp(1j * np.array(phases)))) / np.sum(w))
-    return ClassEnumeration(class_index=j, interrogation_time=interrogation_time,
-                            entries=tuple(entries), contrast_proxy=proxy)
+    phases = [path_phase(class_index, a, interrogation_time, species) for a in a_vals]
+    return float(np.abs(np.sum(w * np.exp(1j * np.array(phases)))) / np.sum(w))
 
 
 def bin_timeseries(series, bin_size: int):

@@ -5,8 +5,9 @@ Subcommands: pulse, bvs, fringe, revivals, gradiometer, gravity-run, allan,
 class-oracle, calibrate. A ``cmd_*`` returns its results and its tables,
 ``{name: (header, rows)}``, and writes nothing; ``main`` writes every file.
 Exit codes: 0 ok, 1 configuration error, 2 numerical error (a NaN or
-infinite result or table cell included). A run that exits 1 or 2 leaves no
-summary.json and no CSV.
+infinite result or table cell included). A run that exits 1 or 2 writes no
+summary.json and no CSV, and once its out_dir exists it removes an earlier
+run's summary.json, resolved_config.yaml and run_meta.json there.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bloch, sequence
-from .config import (ConfigError, Run, at_key, echo_config, load_config, resolve,
-                     resolved_dict)
+from .config import ConfigError, Run, at_key, echo_config, load_config, resolve
 from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse
 from .physics import revival_period
 from .report import versions, write_run_meta, write_summary, write_table
@@ -117,8 +117,8 @@ def cmd_fringe(run: Run) -> tuple[dict, dict]:
         # offsets (Hz/s) from the resonant rate, one shot each at phase 0
         x_name = "sweep_rate_offset_hz_per_s"
         ports, normalized = sequence.scan_sweep_rate(*args)
-    rows = list(zip(grid.tolist(), ports[0].tolist(), ports[seq.order].tolist(),
-                    normalized.tolist()))
+    rows = zip(grid.tolist(), ports[0].tolist(), ports[seq.order].tolist(),
+               normalized.tolist())
     header = [x_name, "port0", f"port{seq.order}", "normalized"]
     summary = {"beamsplitter_omega0": seq.beamsplitter_rabi,
                "mirror_omega0": seq.mirror_rabi}
@@ -159,8 +159,8 @@ def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
     res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
                                    _calibrated(run), gradient, run.noise, grid,
                                    cfg.seed, run.geometry, run.evolution)
-    rows = list(zip(grid.tolist(), res.lower.normalized.tolist(),
-                    res.upper.normalized.tolist()))
+    rows = zip(grid.tolist(), res.lower.normalized.tolist(),
+               res.upper.normalized.tolist())
     fit_lo = analysis.fit_harmonics(res.lower, 3)
     fit_up = analysis.fit_harmonics(res.upper, 3)
     d_lo, m_lo = analysis.extract_shot_phases(res.lower, fit_lo)
@@ -201,12 +201,12 @@ def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
     tables = {
         "gravity_series": (
             ["time_s", "gravity_true", "normalized_population", "gravity_recovered"],
-            list(zip(series.times.tolist(), series.true_gravity.tolist(),
-                     series.normalized_population.tolist(),
-                     series.recovered_gravity.tolist()))),
+            zip(series.times.tolist(), series.true_gravity.tolist(),
+                series.normalized_population.tolist(),
+                series.recovered_gravity.tolist())),
         "gravity_binned": (
             ["time_s", "gravity_mean", "gravity_stderr"],
-            list(zip(t_bins.tolist(), (g0 + means).tolist(), errs.tolist()))),
+            zip(t_bins.tolist(), (g0 + means).tolist(), errs.tolist())),
     }
     summary = {
         "bias_phase_rad": series.bias_phase,
@@ -249,17 +249,15 @@ def cmd_allan(run: Run) -> tuple[dict, dict]:
         "last_value": float(curve.values[-1]),
         "saturated_shots": series.saturated_shots,
     }, {"allan": (["tau_s", "allan_deviation"],
-                  list(zip(curve.taus.tolist(), curve.values.tolist())))}
+                  zip(curve.taus.tolist(), curve.values.tolist()))}
 
 
 def cmd_class_oracle(run: Run) -> tuple[dict, dict]:
     blk = run.config.class_oracle
     times = np.linspace(blk.time_min_s, blk.time_max_s, blk.time_points)
-    rows = []
-    for t in times:
-        enum = analysis.enumerate_interferometer_class(
-            blk.class_index, range(blk.a_min, blk.a_max + 1), float(t), run.species)
-        rows.append((float(t), enum.contrast_proxy))
+    rows = [(float(t), analysis.class_contrast_proxy(
+                blk.class_index, range(blk.a_min, blk.a_max + 1), float(t), run.species))
+            for t in times]
     return {
         "class_index": blk.class_index,
         "revival_period_s": revival_period(run.species),
@@ -304,13 +302,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
+    # an earlier run's record left here would read as this run's if it failed
+    for name in ("summary.json", "resolved_config.yaml", "run_meta.json"):
+        (out / name).unlink(missing_ok=True)
 
     started = time.perf_counter()
     try:
         results, tables = _COMMANDS[args.subcommand](run)
         # out_dir is execution context, not a physics input: it lives in
         # run_meta so the summary stays byte-stable across runs
-        summary_config = {k: v for k, v in resolved_dict(cfg).items()
+        summary_config = {k: v for k, v in dataclasses.asdict(cfg).items()
                           if k != "out_dir"}
         # the summary first: a non-finite result fails it before any file
         # is written

@@ -369,12 +369,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(data)
 
 
-def resolved_dict(config: ExperimentConfig) -> dict:
-    """Plain mapping with every default filled in (the config echo)."""
-    return asdict(config)
-
-
 def echo_config(config: ExperimentConfig) -> str:
     """YAML echo, stable key order, parseable back to an equal config."""
-    return yaml.safe_dump(resolved_dict(config), sort_keys=True,
+    return yaml.safe_dump(asdict(config), sort_keys=True,
                           default_flow_style=False)

@@ -86,45 +86,28 @@ class BeamGeometry:
         return cls(k_eff=2.0 * species.wavevector, tilt_angle=tilt_angle)
 
 
-@dataclass(frozen=True)
-class InterferometerParams:
-    """Mach-Zehnder parameters: Bragg order n, interrogation time T (s),
-    sweep rate alpha (Hz/s), the three pulse phases (rad) and gravity (m/s^2).
+def mzi_phase(order: int, interrogation_time: float, geometry: BeamGeometry, *,
+              gravity: float = 0.0, sweep_rate: float = 0.0,
+              pulse_phases: tuple[float, float, float] = (0.0, 0.0, 0.0)) -> float:
+    """Mach-Zehnder phase Phi = n [(k_eff g cos(tilt) - 2 pi alpha) T^2 - phi_L]
+    of Bragg order n, interrogation time T (s), gravity g (m/s^2), sweep rate
+    alpha (Hz/s) and the laser phase phi_L = phi1 - 2 phi2 + phi3 (rad) of the
+    three pulse phases.
+
+    This is the closed-form phase response; it vanishes when the sweep rate
+    cancels the Doppler ramp and no pulse phase is applied. A pulse imprints
+    its phase at once, an order-n pulse n times it, so phi_L is not scaled
+    by T^2.
     """
-
-    order: int
-    interrogation_time: float
-    sweep_rate: float
-    pulse_phases: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    gravity: float = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.order >= 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if not 0 < self.interrogation_time < math.inf:
-            raise ValueError(f"interrogation_time must be finite and positive, "
-                             f"got {self.interrogation_time}")
-
-    @property
-    def laser_phase(self) -> float:
-        """phi_L = phi1 - 2*phi2 + phi3 (rad)."""
-        p1, p2, p3 = self.pulse_phases
-        return p1 - 2.0 * p2 + p3
-
-
-def mzi_phase(params: InterferometerParams, geometry: BeamGeometry) -> float:
-    """Mach-Zehnder phase Phi = n (k_eff g cos(tilt) - 2 pi alpha + phi_L) T^2.
-
-    This is the closed-form phase response; the bracket vanishes when the
-    sweep rate cancels the Doppler ramp and no pulse phase is applied.
-    """
-    bracket = (
-        geometry.k_eff * params.gravity * geometry.projection
-        - 2.0 * math.pi * params.sweep_rate
-        + params.laser_phase
-    )
-    return params.order * bracket * params.interrogation_time**2
+    # written so that NaN fails every check
+    if not order >= 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if not 0 < interrogation_time < math.inf:
+        raise ValueError(f"interrogation_time must be finite and positive, "
+                         f"got {interrogation_time}")
+    p1, p2, p3 = pulse_phases
+    ramp = geometry.k_eff * gravity * geometry.projection - 2.0 * math.pi * sweep_rate
+    return order * (ramp * interrogation_time**2 - (p1 - 2.0 * p2 + p3))
 
 
 def resonant_sweep_rate(gravity: float, geometry: BeamGeometry) -> float:

@@ -16,7 +16,7 @@ from scipy.stats import norm
 
 from braggsim.analysis import (
     allan_deviation,
-    enumerate_interferometer_class,
+    class_contrast_proxy,
     extract_shot_phases,
     fit_harmonic_components,
     fit_harmonics,
@@ -237,9 +237,7 @@ def test_criterion_08_contrast_revivals(qb_sequence):
              * abs(U_bs[i0, i0 + b]))
         weights.append(w)
     oracle = np.array([
-        enumerate_interferometer_class(2, a_vals, float(t), RB,
-                                       weights=weights).contrast_proxy
-        for t in ts
+        class_contrast_proxy(2, a_vals, float(t), RB, weights=weights) for t in ts
     ])
     p_orc, peak_orc = fit_revival_period(ts - t_start, oracle,
                                          0.8 * dT, 1.2 * dT)

@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from dataclasses import is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -23,7 +23,6 @@ from braggsim.config import (
     load_config,
     parse_config,
     resolve,
-    resolved_dict,
 )
 from braggsim.report import dumps_stable, format_float, write_table
 from braggsim.sequence import prepare_sequence, run_shot
@@ -139,6 +138,18 @@ def has_annotated_type(tp, value) -> bool:
     return type(value) is tp
 
 
+DUPLICATE_PERIOD = """
+seed: 7
+sequence: {order: 2, interrogation_time_s: 2.0e-3, pulse_sigma_s: 5.0e-6}
+ensemble: {samples: 2, sigma_q_hk: 0.42}
+tide:
+  components:
+    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}
+    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}
+gravity_run: {shots: 64, bin_size: 8}
+"""
+
+
 def write_config(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -196,8 +207,8 @@ class TestConfigParsing:
         echoed = yaml.safe_load(echo_config(cfg))
         assert parse_config(echoed) == cfg
 
-    def test_resolved_dict_is_complete(self):
-        d = resolved_dict(ExperimentConfig())
+    def test_config_echo_is_complete(self):
+        d = asdict(ExperimentConfig())
         assert set(d) >= {"seed", "species", "sequence", "ensemble", "noise",
                           "tide", "scan", "bvs", "gradiometer", "gravity_run"}
 
@@ -331,21 +342,24 @@ class TestCliRuns:
     def test_failed_gravity_run_leaves_no_file(self, tmp_path, capsys):
         # the same tide period twice makes the harmonic recovery fail after
         # the series is computed, so both of its tables were ready to write
-        text = """
-seed: 7
-sequence: {order: 2, interrogation_time_s: 2.0e-3, pulse_sigma_s: 5.0e-6}
-ensemble: {samples: 2, sigma_q_hk: 0.42}
-tide:
-  components:
-    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}
-    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}
-gravity_run: {shots: 64, bin_size: 8}
-"""
         out = tmp_path / "grun"
-        assert main(["gravity-run", write_config(tmp_path, text),
+        assert main(["gravity-run", write_config(tmp_path, DUPLICATE_PERIOD),
                      "--out-dir", str(out)]) == 2
         assert "rank deficient" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_failed_run_removes_an_earlier_summary(self, tmp_path):
+        # an earlier run's summary would describe a run that failed
+        out = tmp_path / "grun"
+        good = DUPLICATE_PERIOD.replace(   # one of the two components
+            "    - {amplitude_m_s2: 1.0e-6, period_h: 12.42}\n", "", 1)
+        assert main(["gravity-run", write_config(tmp_path, good),
+                     "--out-dir", str(out)]) == 0
+        records = ("summary.json", "resolved_config.yaml", "run_meta.json")
+        assert all((out / name).exists() for name in records)
+        assert main(["gravity-run", write_config(tmp_path, DUPLICATE_PERIOD),
+                     "--out-dir", str(out)]) == 2
+        assert not any((out / name).exists() for name in records)
 
     @pytest.mark.parametrize("block, key, value, path", [
         ("noise", "mirror_phase_rms_rad", math.nan, "noise.mirror_phase_rms_rad"),

@@ -6,9 +6,10 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from typing import get_type_hints
 
-from braggsim.config import ExperimentConfig, load_config, resolve, resolved_dict
+from braggsim.config import ExperimentConfig, load_config, resolve
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "braggsim"
@@ -22,7 +23,7 @@ def settable_paths():
             return [p for k, v in value.items() for p in paths(v, f"{prefix}{k}.")]
         return [prefix[:-1] + ("[]" if isinstance(value, list) else "")]
 
-    return paths(resolved_dict(ExperimentConfig()), "")
+    return paths(asdict(ExperimentConfig()), "")
 
 
 def modules():

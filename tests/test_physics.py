@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from braggsim.physics import (
     AtomSpecies,
     BeamGeometry,
-    InterferometerParams,
     bragg_resonance,
     coherence_length,
     gravity_from_sweep,
@@ -55,37 +54,26 @@ class TestMziPhase:
         alpha0 = resonant_sweep_rate(9.81, GEOM)
         for n in (1, 2, 3):
             for T in (0.01, 0.04, 0.1):
-                p = InterferometerParams(
-                    order=n, interrogation_time=T, sweep_rate=alpha0, gravity=9.81
-                )
-                assert abs(mzi_phase(p, GEOM)) < 1e-6
+                assert abs(mzi_phase(n, T, GEOM, gravity=9.81,
+                                     sweep_rate=alpha0)) < 1e-6
 
     def test_direct_value(self):
         # n=2, g=9.81, alpha=0, T=60 ms: Phi = 2 * (2k * 9.81) * T^2
-        p = InterferometerParams(
-            order=2, interrogation_time=0.06, sweep_rate=0.0, gravity=9.81
-        )
+        phi = mzi_phase(2, 0.06, GEOM, gravity=9.81)
         expected = 2 * (2 * K * 9.81) * 0.06**2
-        assert mzi_phase(p, GEOM) == pytest.approx(expected, rel=1e-12)
-        assert mzi_phase(p, GEOM) == pytest.approx(1.138e6, rel=1e-3)
+        assert phi == pytest.approx(expected, rel=1e-12)
+        assert phi == pytest.approx(1.138e6, rel=1e-3)
 
     def test_linearity_in_sweep_offset(self):
         alpha0 = resonant_sweep_rate(9.81, GEOM)
-        p = InterferometerParams(
-            order=2, interrogation_time=0.06, sweep_rate=alpha0 + 1.0, gravity=9.81
-        )
         expected = -2 * 2 * math.pi * 1.0 * 0.06**2
-        assert mzi_phase(p, GEOM) == pytest.approx(expected, abs=1e-9)
+        assert mzi_phase(2, 0.06, GEOM, gravity=9.81,
+                         sweep_rate=alpha0 + 1.0) == pytest.approx(expected, abs=1e-9)
 
     def test_order_and_time_scaling(self):
-        base = InterferometerParams(order=1, interrogation_time=0.03, sweep_rate=0.0,
-                                    gravity=9.81)
-        double_n = InterferometerParams(order=2, interrogation_time=0.03,
-                                        sweep_rate=0.0, gravity=9.81)
-        double_t = InterferometerParams(order=1, interrogation_time=0.06,
-                                        sweep_rate=0.0, gravity=9.81)
-        assert mzi_phase(double_n, GEOM) == pytest.approx(2 * mzi_phase(base, GEOM))
-        assert mzi_phase(double_t, GEOM) == pytest.approx(4 * mzi_phase(base, GEOM))
+        base = mzi_phase(1, 0.03, GEOM, gravity=9.81)
+        assert mzi_phase(2, 0.03, GEOM, gravity=9.81) == pytest.approx(2 * base)
+        assert mzi_phase(1, 0.06, GEOM, gravity=9.81) == pytest.approx(4 * base)
 
 
 class TestSweepRateGravityPair:
@@ -248,21 +236,23 @@ class TestValidation:
         ("interrogation_time", math.nan), ("interrogation_time", math.inf),
     ], ids=["order-nan", "interrogation_time-nan", "interrogation_time-inf"])
     def test_params_reject_non_finite(self, field, value):
-        kwargs = {"order": 1, "interrogation_time": 0.04, "sweep_rate": 0.0,
-                  field: value}
+        # mzi_phase's order and interrogation time
+        kwargs = {"order": 1, "interrogation_time": 0.04, field: value}
         with pytest.raises(ValueError, match=field):
-            InterferometerParams(**kwargs)
+            mzi_phase(geometry=GEOM, **kwargs)
 
     def test_params_invariants(self):
-        with pytest.raises(ValueError):
-            InterferometerParams(order=0, interrogation_time=0.04, sweep_rate=0.0)
-        with pytest.raises(ValueError):
-            InterferometerParams(order=1, interrogation_time=0.0, sweep_rate=0.0)
+        with pytest.raises(ValueError, match="order"):
+            mzi_phase(0, 0.04, GEOM)
+        with pytest.raises(ValueError, match="interrogation_time"):
+            mzi_phase(1, 0.0, GEOM)
 
     def test_laser_phase_combination(self):
-        p = InterferometerParams(order=1, interrogation_time=0.04, sweep_rate=0.0,
-                                 pulse_phases=(0.1, 0.2, 0.3))
-        assert p.laser_phase == pytest.approx(0.1 - 0.4 + 0.3)
+        # Phi moves by -n (phi1 - 2 phi2 + phi3), not scaled by T^2
+        for n, T in ((1, 0.04), (3, 0.1)):
+            phi = mzi_phase(n, T, GEOM, gravity=9.81, pulse_phases=(0.1, 0.2, 0.7))
+            assert phi - mzi_phase(n, T, GEOM, gravity=9.81) == pytest.approx(
+                -n * (0.1 - 0.4 + 0.7), rel=1e-6)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from braggsim.analysis import extract_shot_phases, fit_harmonics, fringe_contrast
+from braggsim.analysis import (FringeScan, extract_shot_phases, fit_harmonics,
+                               fringe_contrast)
 from braggsim.environment import (
     STREAM_DETECTION,
     STREAM_DETECTION_UPPER,
@@ -27,6 +28,7 @@ from braggsim.physics import (
     AtomSpecies,
     BeamGeometry,
     bragg_resonance,
+    mzi_phase,
     revival_period,
 )
 from braggsim import sequence
@@ -186,6 +188,30 @@ class TestEquationOnePhaseResponse:
         T = long_seq.interrogation_time
         assert _phase_difference(fit, base) == pytest.approx(
             2 * math.pi * dalpha * T * T, rel=0.01)
+
+    def test_fringe_shifts_match_mzi_phase(self, long_seq):
+        # a pulse phase and a sweep-rate offset each move the fringe over
+        # the final-pulse phase by -(Delta Phi)/n of the closed form
+        grid = np.linspace(0, 4 * math.pi, 48, endpoint=False)
+        n, T = long_seq.order, long_seq.interrogation_time
+        geom = BeamGeometry.vertical(RB)
+
+        def fit(pulse_phases=(0.0, 0.0, 0.0), sweep_rate=0.0):
+            engine = _engine(long_seq, sweep_rate)
+            phases = np.zeros((len(grid), 3)) + pulse_phases
+            phases[:, 2] += grid
+            pops = engine.populations(phases)
+            lower, upper = pops[:, engine.ports[0]], pops[:, engine.ports[n]]
+            return fit_harmonics(FringeScan(grid, {}, lower / (lower + upper)), 3)
+
+        base = fit()
+        for inputs in ({"pulse_phases": (0.0, 0.0, 0.01)},
+                       {"pulse_phases": (0.01, 0.0, 0.0)},
+                       {"pulse_phases": (0.0, 0.01, 0.0)},
+                       {"sweep_rate": 0.5}, {"sweep_rate": 2.0}):
+            d_phi = mzi_phase(n, T, geom, **inputs) - mzi_phase(n, T, geom)
+            assert _phase_difference(fit(**inputs), base) == pytest.approx(
+                -d_phi / n, rel=0.01), inputs
 
     @pytest.mark.parametrize("tilt", [0.0, 0.5])
     def test_gradient_phase_matches_closed_form(self, long_seq, tilt):
