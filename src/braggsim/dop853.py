@@ -2,8 +2,10 @@
 Wanner, Solving Ordinary Differential Equations I, Sec. II.10).
 
 ``solve_ivp`` takes the steps of ``scipy.integrate.solve_ivp(method="DOP853")``
-operation for operation, so its states, times and evaluation counts are
-scipy's to the bit; it keeps only the latest state. The tableau is copied
+operation for operation, its error norms summed by numpy, not by a BLAS dot,
+so that no bit depends on the BLAS thread count; with scipy's norm taking the
+same sum, its states, times and evaluation counts are scipy's to the bit. It
+keeps only the latest state. The tableau is copied
 digit for digit from scipy's ``integrate/_ivp/dop853_coefficients.py``
 (Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers; BSD
 3-Clause License).
@@ -69,6 +71,11 @@ _C_STEP = np.append(_C[1:], 1.0)   # the stage times of a step, t + h last
 _RTOL_MIN = 100 * np.finfo(float).eps
 
 
+def _norm(x) -> float:
+    """The 2-norm of a real 1-D array, the same at any BLAS thread count."""
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
 class Solution(NamedTuple):
     t: list         # accepted times, t_span[0] first
     y: np.ndarray   # the state at t[-1], shaped as y0
@@ -101,10 +108,10 @@ def solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step) -> Solution:
     # the initial step: two RMS norms and one trial evaluation (Sec. II.4)
     rhs(coefficients(np.array([t]))[0], shaped(y), shaped(f))
     scale, root_n = atol + np.abs(y) * rtol, y.size ** 0.5
-    d0, d1 = (np.linalg.norm(v / scale) / root_n for v in (y, f))
+    d0, d1 = (_norm(v / scale) / root_n for v in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
     rhs(coefficients(np.array([t + h0]))[0], shaped(y + h0 * f), shaped(K[1]))
-    d2 = np.linalg.norm((K[1] - f) / scale) / root_n / h0
+    d2 = _norm((K[1] - f) / scale) / root_n / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
     h_abs = min(100 * h0, h1, t_end - t, max_step)
@@ -126,8 +133,8 @@ def solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step) -> Solution:
                 rhs(c, b_shaped, out)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            err5 = _norm(np.dot(K.T, _E5) / scale) ** 2
+            err3 = _norm(np.dot(K.T, _E3) / scale) ** 2
             error = (0.0 if err5 == 0 and err3 == 0
                      else h * err5 / np.sqrt((err5 + 0.01 * err3) * y.size))
             if error < 1:

@@ -6,10 +6,16 @@ right-hand side, and the two must agree exactly: the same final state bits,
 the same accepted times and the same number of right-hand side evaluations.
 scipy's ``fun(t, y)`` makes a one-time coefficient pass at t, while ours makes
 one pass per step over all its stage times, so the agreement also shows that
-the batched pass gives the one-time values bit for bit.
+the batched pass gives the one-time values bit for bit. scipy's error norms
+are BLAS dots, whose sums change with the BLAS thread count; ours are not, so
+scipy runs here with ``np.linalg.norm`` set to the sum ours takes.
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -22,6 +28,13 @@ from braggsim.ladder import PulseSpec, calibrate_pulse_amplitude, drive, plane_w
 from braggsim.physics import AtomSpecies, bragg_resonance
 
 RB = AtomSpecies.rubidium87()
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def thread_free_norm(monkeypatch):
+    """scipy's norms, taken as ``braggsim.dop853`` takes them."""
+    monkeypatch.setattr(np.linalg, "norm", lambda x: math.sqrt(np.einsum("i,i->", x, x)))
 
 
 @pytest.fixture
@@ -121,3 +134,32 @@ def test_decay_keeps_no_history(rtol):
     assert sol.y.shape == (2,) and all(isinstance(t, float) for t in sol.t)
     assert np.array_equal(sol.y, ref.y[:, -1]) and sol.t == ref.t.tolist()
     np.testing.assert_allclose(sol.y, [math.exp(-2.0), 2 * math.exp(-2.0)], rtol=1e-10)
+
+
+# a 25-sample order-2 pi stack on +-8 sites, written to stdout: its state is
+# long enough for a BLAS dot to split across threads
+STACK = """
+import math, sys
+import numpy as np
+from braggsim.ladder import PulseSpec, pulse_propagator
+from braggsim.physics import AtomSpecies, bragg_resonance
+rb, sigma = AtomSpecies.rubidium87(), 15e-6
+pulse = PulseSpec(2 * math.pi / (sigma * math.sqrt(2 * math.pi)), sigma,
+                  detuning=bragg_resonance(2, rb))
+stack = pulse_propagator(rb, pulse, (-8, 8), np.linspace(-0.5, 0.5, 25))
+sys.stdout.buffer.write(stack.tobytes())
+"""
+
+
+def test_stack_bits_do_not_depend_on_blas_threads():
+    def stack_bytes(threads):
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OMP_NUM_THREADS": str(threads), "OPENBLAS_NUM_THREADS": str(threads)}
+        done = subprocess.run([sys.executable, "-c", STACK], capture_output=True,
+                              env=env)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    one = stack_bytes(1)
+    assert len(one) == 25 * 17 * 17 * 16
+    assert stack_bytes(2) == one

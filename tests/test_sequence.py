@@ -390,10 +390,10 @@ class TestPinnedShotStreams:
             NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
-            "0x1.035855bb248f2p-4", "0x1.52d4a59239649p-2",
-            "0x1.6d3dfffeb9949p-1", "0x1.8379e85a7349dp-2",
-            "0x1.6738c85bda68bp-2", "0x1.e7511f312b007p-2",
-            "0x1.e10dc5c4584fep-1", "0x1.407fec5175f1ap-2"]
+            "0x1.035855bb2490bp-4", "0x1.52d4a59239651p-2",
+            "0x1.6d3dfffeb994dp-1", "0x1.8379e85a734a6p-2",
+            "0x1.6738c85bda695p-2", "0x1.e7511f312b013p-2",
+            "0x1.e10dc5c458500p-1", "0x1.407fec5175f26p-2"]
 
     def test_fringe_scan_stream(self):
         ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
@@ -402,32 +402,32 @@ class TestPinnedShotStreams:
                            NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
-            "0x1.ecc75baf42e90p-2", "0x1.12479452f0c38p-3",
-            "0x1.a45792d006f85p-3", "0x1.d808344fa2b53p-4",
-            "0x0.0p+0", "0x1.f0198b7a11786p-4",
-            "0x1.1fb1c612f70aap-5", "0x1.dd2f1e9e37386p-3",
-            "0x1.fa92b89cafca4p-2", "0x1.41be481e40a1ap-3",
-            "0x1.9e256554e4feap-3", "0x1.328202824095cp-3",
-            "0x0.0p+0", "0x1.dd15087fe1420p-4",
-            "0x1.1305dffda0094p-5", "0x1.e20e07a0383ccp-3"]
+            "0x1.ecc75baf42e97p-2", "0x1.12479452f0c35p-3",
+            "0x1.a45792d006f86p-3", "0x1.d808344fa2b4dp-4",
+            "0x0.0p+0", "0x1.f0198b7a11766p-4",
+            "0x1.1fb1c612f70a0p-5", "0x1.dd2f1e9e37388p-3",
+            "0x1.fa92b89cafcaep-2", "0x1.41be481e40a18p-3",
+            "0x1.9e256554e4fe9p-3", "0x1.328202824095ap-3",
+            "0x0.0p+0", "0x1.dd15087fe1404p-4",
+            "0x1.1305dffda0093p-5", "0x1.e20e07a0383cbp-3"]
         assert _hex(scan.port_populations[2]) == [
-            "0x1.5f7e147405a6bp-3", "0x1.52428a90ebf97p-3",
-            "0x1.4796a7ffa8f08p-4", "0x1.59a280bc7c334p-2",
-            "0x1.1d03034959ed8p-2", "0x1.79f26de97d85ep-5",
-            "0x1.093a9769ffabdp-3", "0x1.cd91a4a3d595cp-6",
-            "0x1.14a209d05c0a4p-4", "0x1.acda9e0f48f28p-3",
-            "0x1.fb001c905311fp-5", "0x1.3c92cf54c76cdp-2",
-            "0x1.4b3f7263a6157p-2", "0x1.6cd3d9157dc1fp-4",
-            "0x1.70ecbab264658p-3", "0x1.5066ab3e3949ap-4"]
+            "0x1.5f7e147405a52p-3", "0x1.52428a90ebf90p-3",
+            "0x1.4796a7ffa8eefp-4", "0x1.59a280bc7c334p-2",
+            "0x1.1d03034959edap-2", "0x1.79f26de97d878p-5",
+            "0x1.093a9769ffac3p-3", "0x1.cd91a4a3d5964p-6",
+            "0x1.14a209d05c076p-4", "0x1.acda9e0f48f23p-3",
+            "0x1.fb001c90530dep-5", "0x1.3c92cf54c76cep-2",
+            "0x1.4b3f7263a6156p-2", "0x1.6cd3d9157dc2ap-4",
+            "0x1.70ecbab26465ap-3", "0x1.5066ab3e3949cp-4"]
         assert _hex(scan.normalized) == [
-            "0x1.7966ee159cc6ap-1", "0x1.ca856898f0651p-2",
-            "0x1.706ede1f794eep-1", "0x1.04a1d2ce66651p-2",
-            "0x0.0p+0", "0x1.72c48c58822d2p-1",
-            "0x1.b4e49981df193p-3", "0x1.c8c59bdb87a10p-1",
-            "0x1.c27f50b5e4fb5p-1", "0x1.b6eff21f43b50p-2",
-            "0x1.88056fbc58585p-1", "0x1.4e054483a2fd4p-2",
-            "0x0.0p+0", "0x1.222222373cd44p-1",
-            "0x1.41b904677fbe2p-3", "0x1.7b8fcfbf3b28bp-1"]
+            "0x1.7966ee159cc73p-1", "0x1.ca856898f0655p-2",
+            "0x1.706ede1f794f5p-1", "0x1.04a1d2ce6664fp-2",
+            "0x0.0p+0", "0x1.72c48c58822c4p-1",
+            "0x1.b4e49981df180p-3", "0x1.c8c59bdb87a10p-1",
+            "0x1.c27f50b5e4fbep-1", "0x1.b6eff21f43b51p-2",
+            "0x1.88056fbc58591p-1", "0x1.4e054483a2fd1p-2",
+            "0x0.0p+0", "0x1.222222373cd39p-1",
+            "0x1.41b904677fbdfp-3", "0x1.7b8fcfbf3b28bp-1"]
 
 
 class TestContrastVsT:
