@@ -102,7 +102,7 @@ def bloch_accelerate(
          lambda t: delta_end * t + phi_carry),
     ]
     target_site = ramp.target_momentum // 2
-    guard = cfg.ladder_guard_sites
+    guard = cfg.guard_sites
     out = drive(states, stages, (guard, target_site + guard), cfg)
     return [final.reindexed(target_site) for final in out]
 

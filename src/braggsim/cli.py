@@ -5,9 +5,9 @@ Subcommands: pulse, bvs, fringe, revivals, gradiometer, gravity-run, allan,
 class-oracle, calibrate. A ``cmd_*`` returns its results and its tables,
 ``{name: (header, rows)}``, and writes nothing; ``main`` writes every file.
 Exit codes: 0 ok, 1 configuration error, 2 numerical error (a NaN or
-infinite result or table cell included). A run that exits 1 or 2 writes no
-summary.json and no CSV, and once its out_dir exists it removes an earlier
-run's summary.json, resolved_config.yaml and run_meta.json there.
+infinite result or table cell included). Once its out_dir exists, a run
+removes every file an earlier run of any subcommand wrote there (``_TABLES``
+names the CSVs), and a run that exits 1 or 2 writes none.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _calibrated(run: Run):
     plan = run.plan
     return sequence.prepare_sequence(
         run.species, order=plan.order, interrogation_time=plan.interrogation_time,
-        pulse_sigma=plan.pulse_sigma, cfg=run.evolution)
+        pulse_sigma=plan.pulse_sigma, cfg=run.config.evolution)
 
 
 def _require_scan(scan, *targets: str):
@@ -63,7 +63,7 @@ def _fit_summary(fit):
 def cmd_calibrate(run: Run) -> tuple[dict, dict]:
     blk = run.config.pulse
     omega0 = calibrate_pulse_amplitude(
-        run.species, blk.transfer_target, blk.order, blk.sigma_s, cfg=run.evolution)
+        run.species, blk.transfer_target, blk.order, blk.sigma_s, run.config.evolution)
     return {
         "omega0_rad_s": omega0,
         "order": blk.order,
@@ -80,7 +80,7 @@ def cmd_pulse(run: Run) -> tuple[dict, dict]:
         omega0 = float(blk.rabi_peak_rad_s)
     psi = plane_wave_state(run.species, quasimomentum=blk.quasimomentum_hk)
     final = apply_pulse(psi, dataclasses.replace(run.pulse, rabi_peak=omega0),
-                        run.evolution)
+                        run.config.evolution)
     rows = [(int(n), float(p)) for n, p in sorted(final.populations().items())]
     return {
         "omega0_rad_s": omega0,
@@ -93,7 +93,7 @@ def cmd_bvs(run: Run) -> tuple[dict, dict]:
     blk = run.config.bvs
     momenta_hk = np.linspace(blk.profile_min_hk, blk.profile_max_hk,
                              blk.profile_points)
-    eff = bloch.selection_profile(run.species, run.ramp, momenta_hk, run.evolution)
+    eff = bloch.selection_profile(run.species, run.ramp, momenta_hk, run.config.evolution)
     rows = [(float(p), float(e)) for p, e in zip(momenta_hk, eff)]
     center = float(eff[np.argmin(np.abs(momenta_hk))])
     above = momenta_hk[eff >= eff.max() / 2.0]
@@ -109,7 +109,7 @@ def cmd_fringe(run: Run) -> tuple[dict, dict]:
     grid = _require_scan(cfg.scan, "phase", "sweep_rate")
     seq = _calibrated(run)
 
-    args = (run.species, run.ensemble, seq, run.noise, grid, cfg.seed, run.evolution)
+    args = (run.species, cfg.ensemble, seq, cfg.noise, grid, cfg.seed, cfg.evolution)
     if cfg.scan.target == "phase":
         scan = sequence.scan_fringe(*args)
         x_name, ports, normalized = "phase_rad", scan.port_populations, scan.normalized
@@ -136,8 +136,8 @@ def cmd_revivals(run: Run) -> tuple[dict, dict]:
         sequence.interrogation_grid(run.species, times)
     with at_key("scan.start"):   # the shortest T must clear the pulse windows
         dataclasses.replace(run.plan, interrogation_time=float(times[0]))
-    curve = sequence.scan_contrast_vs_T(run.species, run.ensemble, _calibrated(run),
-                                        times, run.noise, cfg.seed, run.evolution)
+    curve = sequence.scan_contrast_vs_T(run.species, cfg.ensemble, _calibrated(run),
+                                        times, cfg.noise, cfg.seed, cfg.evolution)
     dT = revival_period(run.species)
     period, t_peak = analysis.fit_revival_period(
         [t for t, _ in curve], [c for _, c in curve], 0.7 * dT, 1.3 * dT)
@@ -154,11 +154,10 @@ def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
     cfg = run.config
     grid = _require_scan(cfg.scan, "phase")
     with at_key("gradiometer"):
-        run.gradiometer.check_resolved(run.species, run.plan.pulse_sigma)
-    gradient = cfg.gradiometer.gradient_per_s2
-    res = sequence.run_gradiometer(run.species, run.gradiometer, run.ensemble,
-                                   _calibrated(run), gradient, run.noise, grid,
-                                   cfg.seed, run.geometry, run.evolution)
+        cfg.gradiometer.check_resolved(run.species, run.plan.pulse_sigma)
+    res = sequence.run_gradiometer(run.species, cfg.gradiometer, cfg.ensemble,
+                                   _calibrated(run), cfg.noise, grid, cfg.seed,
+                                   run.geometry, cfg.evolution)
     rows = zip(grid.tolist(), res.lower.normalized.tolist(),
                res.upper.normalized.tolist())
     fit_lo = analysis.fit_harmonics(res.lower, 3)
@@ -169,7 +168,8 @@ def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
     summary = {
         "baseline_m": res.baseline,
         # gravity_m_s2 is read only here: the clouds run at their offsets
-        "gravity_lower": cfg.gravity_m_s2 + gradient * res.baseline,
+        "gravity_lower": (cfg.gravity_m_s2
+                          + cfg.gradiometer.gradient_per_s2 * res.baseline),
         "gravity_upper": cfg.gravity_m_s2,
         "fit_lower": _fit_summary(fit_lo),
         "fit_upper": _fit_summary(fit_up),
@@ -185,9 +185,9 @@ def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
 def _gravity_series(run: Run):
     cfg = run.config
     return sequence.run_gravity_series(
-        run.species, run.ensemble, _calibrated(run), run.tide, run.noise,
+        run.species, cfg.ensemble, _calibrated(run), run.tide, cfg.noise,
         cfg.gravity_run.shots, cfg.gravity_run.shot_period_s, cfg.seed,
-        run.geometry, run.evolution)
+        run.geometry, cfg.evolution)
 
 
 def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
@@ -265,6 +265,10 @@ def cmd_class_oracle(run: Run) -> tuple[dict, dict]:
     }, {"class_oracle": (["interrogation_time_s", "contrast_proxy"], rows)}
 
 
+# every CSV table of every subcommand, each written as <name>.csv
+_TABLES = ("pulse_populations", "bvs_profile", "fringe", "revivals", "gradiometer",
+           "gravity_series", "gravity_binned", "allan", "class_oracle")
+
 _COMMANDS = {
     "pulse": cmd_pulse,
     "bvs": cmd_bvs,
@@ -302,8 +306,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    # an earlier run's record left here would read as this run's if it failed
-    for name in ("summary.json", "resolved_config.yaml", "run_meta.json"):
+    # an earlier run's files left here would read as this run's
+    for name in ("summary.json", "resolved_config.yaml", "run_meta.json",
+                 *(f"{table}.csv" for table in _TABLES)):
         (out / name).unlink(missing_ok=True)
 
     started = time.perf_counter()

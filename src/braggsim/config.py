@@ -6,12 +6,20 @@ annotation: a block takes a mapping (null or ``{}`` gives its defaults), a
 ``list[X]`` builds each element as ``X`` (null gives ``[]``), ``X | None``
 takes null and ``Literal[...]`` its strings. ``float`` takes a finite float
 or an int, ``int`` and ``str`` only their own type; a bool is no number.
-YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. ``resolve`` builds
-each block's domain object once per run, after the command-line overrides and
-before any solve, so range errors fail there. Errors name the key path or
-the block, and unknown keys are rejected. Every block carries explicit
-defaults so the echo reproduces the run bit-identically. Units are spelled
-out in the key names.
+YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. Errors name the key
+path, or the block for a range error, and unknown keys are rejected. Every
+block carries explicit defaults so the echo reproduces the run
+bit-identically. Units are spelled out in the key names.
+
+A block whose keys are a domain object's fields is that object, built and
+range-checked as it is parsed: ``ensemble`` (``EnsembleSpec``), ``noise``
+(``NoiseModel``), ``gradiometer`` (``GradiometerSpec``) and ``evolution``
+(``EvolutionConfig``). ``scan``, ``gravity_run`` and ``class_oracle`` have
+no domain object. The rest ``resolve`` once per run, after the command-line
+overrides and before any solve, as their object is not their keys:
+``species`` defaults to Rb87, ``geometry`` and ``tide`` convert degrees and
+hours, ``sequence`` and ``pulse`` leave amplitudes to calibrate, and ``bvs``
+holds a profile grid beside its lattice ramp.
 """
 
 from __future__ import annotations
@@ -88,30 +96,6 @@ class SequenceBlock:
 
 
 @dataclass(frozen=True)
-class EnsembleBlock:
-    samples: int = 200
-    sigma_q_hk: float = 0.42
-    seed: int = 0
-
-    def resolve(self) -> EnsembleSpec:
-        return EnsembleSpec(sample_count=self.samples, sigma_q=self.sigma_q_hk,
-                            seed=self.seed)
-
-
-@dataclass(frozen=True)
-class NoiseBlock:
-    mirror_phase_rms_rad: float = 0.0
-    detection_snr: float | None = 50.0   # null switches detection noise off
-    tilt_drift_rad_per_hour: float = 0.0
-
-    def resolve(self) -> NoiseModel:
-        snr = math.inf if self.detection_snr is None else self.detection_snr
-        return NoiseModel(mirror_phase_rms=self.mirror_phase_rms_rad,
-                          detection_snr=snr,
-                          tilt_drift=self.tilt_drift_rad_per_hour)
-
-
-@dataclass(frozen=True)
 class TideComponentBlock:
     amplitude_m_s2: float = 1.0e-6
     period_h: float = 12.42
@@ -175,19 +159,6 @@ class BvsBlock:
 
 
 @dataclass(frozen=True)
-class GradiometerBlock:
-    lower_momentum_hk: int = 8
-    upper_momentum_hk: int = 2
-    bvs_separation_s: float = 50e-3
-    gradient_per_s2: float = 3.0e-6
-
-    def resolve(self) -> GradiometerSpec:
-        return GradiometerSpec(lower_momentum=self.lower_momentum_hk,
-                               upper_momentum=self.upper_momentum_hk,
-                               bvs_separation=self.bvs_separation_s)
-
-
-@dataclass(frozen=True)
 class GravityRunBlock:
     shots: int = 2000
     shot_period_s: float = 1.0
@@ -243,16 +214,6 @@ class ClassOracleBlock:
 
 
 @dataclass(frozen=True)
-class EvolutionBlock:
-    error_tolerance: float = 1e-10
-    guard_sites: int = 6
-
-    def resolve(self) -> EvolutionConfig:
-        return EvolutionConfig(error_tolerance=self.error_tolerance,
-                               ladder_guard_sites=self.guard_sites)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     gravity_m_s2: float = STANDARD_GRAVITY
@@ -260,16 +221,16 @@ class ExperimentConfig:
     species: SpeciesBlock = field(default_factory=SpeciesBlock)
     geometry: GeometryBlock = field(default_factory=GeometryBlock)
     sequence: SequenceBlock = field(default_factory=SequenceBlock)
-    ensemble: EnsembleBlock = field(default_factory=EnsembleBlock)
-    noise: NoiseBlock = field(default_factory=NoiseBlock)
+    ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     tide: TideBlock = field(default_factory=TideBlock)
     scan: ScanBlock = field(default_factory=ScanBlock)
     bvs: BvsBlock = field(default_factory=BvsBlock)
-    gradiometer: GradiometerBlock = field(default_factory=GradiometerBlock)
+    gradiometer: GradiometerSpec = field(default_factory=GradiometerSpec)
     gravity_run: GravityRunBlock = field(default_factory=GravityRunBlock)
     pulse: PulseBlock = field(default_factory=PulseBlock)
     class_oracle: ClassOracleBlock = field(default_factory=ClassOracleBlock)
-    evolution: EvolutionBlock = field(default_factory=EvolutionBlock)
+    evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
     def __post_init__(self):
         # numpy seeds its generators from non-negative integers only
@@ -279,34 +240,28 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Run:
-    """One run: the raw ``config`` that the summary echoes, and each block's
-    domain object, built once by ``resolve``."""
+    """One run: the raw ``config`` that the summary echoes, and the domain
+    object of each block that resolves, built once by ``resolve``."""
 
     config: ExperimentConfig
     species: AtomSpecies
     geometry: BeamGeometry
-    evolution: EvolutionConfig
     plan: MZISequence   # the schedule before calibration
-    ensemble: EnsembleSpec
-    noise: NoiseModel
     tide: TideModel
     ramp: LatticeRamp
-    gradiometer: GradiometerSpec
     pulse: PulseSpec
 
 
 def resolve(config: ExperimentConfig) -> Run:
-    """Build every block's domain object, whichever subcommand runs; a range
-    error is a ConfigError naming its block."""
+    """Build the domain object of each block that resolves, whichever
+    subcommand runs; a range error is a ConfigError naming its block."""
     def build(key, *args):
         with at_key(key):
             return getattr(config, key).resolve(*args)
 
     species = build("species")
-    return Run(config, species, build("geometry", species), build("evolution"),
-               build("sequence"), build("ensemble"), build("noise"),
-               build("tide"), build("bvs"), build("gradiometer"),
-               build("pulse", species))
+    return Run(config, species, build("geometry", species), build("sequence"),
+               build("tide"), build("bvs"), build("pulse", species))
 
 
 def _describe(tp) -> str:

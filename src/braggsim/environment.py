@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import STANDARD_GRAVITY
+
 # stream ids: one independent RNG stream per physical noise source
 STREAM_QUASIMOMENTUM = 0
 STREAM_MIRROR = 1
@@ -35,21 +37,24 @@ def shot_rng(master_seed: int, stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Mirror-vibration phase jitter, detection SNR and alignment drift."""
+    """Mirror-vibration phase jitter, detection SNR (None: no detection
+    noise) and alignment drift; the config's ``noise`` block."""
 
-    mirror_phase_rms: float = 0.0      # rad per pulse
-    detection_snr: float = 50.0        # dimensionless; math.inf disables
-    tilt_drift: float = 0.0            # rad per hour
+    mirror_phase_rms_rad: float = 0.0   # per pulse
+    detection_snr: float | None = 50.0
+    tilt_drift_rad_per_hour: float = 0.0
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not 0 <= self.mirror_phase_rms < math.inf:
-            raise ValueError(f"mirror_phase_rms must be finite and >= 0, "
-                             f"got {self.mirror_phase_rms}")
-        if not self.detection_snr > 0:
-            raise ValueError(f"detection_snr must be > 0, got {self.detection_snr}")
-        if not math.isfinite(self.tilt_drift):
-            raise ValueError(f"tilt_drift must be finite, got {self.tilt_drift}")
+        if not 0 <= self.mirror_phase_rms_rad < math.inf:
+            raise ValueError(f"mirror_phase_rms_rad must be finite and >= 0, "
+                             f"got {self.mirror_phase_rms_rad}")
+        if self.detection_snr is not None and not 0 < self.detection_snr < math.inf:
+            raise ValueError(f"detection_snr must be > 0 and finite, "
+                             f"got {self.detection_snr}")
+        if not math.isfinite(self.tilt_drift_rad_per_hour):
+            raise ValueError(f"tilt_drift_rad_per_hour must be finite, "
+                             f"got {self.tilt_drift_rad_per_hour}")
 
 
 def sample_mirror_phases(model: NoiseModel, rng: np.random.Generator,
@@ -60,19 +65,19 @@ def sample_mirror_phases(model: NoiseModel, rng: np.random.Generator,
     The combination phi1 - 2*phi2 + phi3 has variance 6*rms^2. Zero rms
     returns zeros and consumes no randomness.
     """
-    if model.mirror_phase_rms == 0.0:
+    if model.mirror_phase_rms_rad == 0.0:
         return np.zeros((shots, 3))
-    return rng.normal(0.0, model.mirror_phase_rms, size=(shots, 3))
+    return rng.normal(0.0, model.mirror_phase_rms_rad, size=(shots, 3))
 
 
 def apply_detection_noise(populations, model: NoiseModel, rng: np.random.Generator):
     """Additive Gaussian port noise with sigma = 1/SNR, clamped to [0, 1].
 
     Takes an array of port populations and returns an array of the same
-    shape, one draw per element in order. Infinite SNR returns the input
+    shape, one draw per element in order. An SNR of None returns the input
     itself.
     """
-    if math.isinf(model.detection_snr):
+    if model.detection_snr is None:
         return populations
     sigma = 1.0 / model.detection_snr
     arr = np.asarray(populations, dtype=float)
@@ -100,7 +105,7 @@ class TideComponent:
 class TideModel:
     """Mean gravity plus a configurable sum of harmonic components."""
 
-    mean_gravity: float = 9.81
+    mean_gravity: float = STANDARD_GRAVITY
     components: tuple[TideComponent, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
@@ -109,7 +114,7 @@ class TideModel:
                 f"mean_gravity must be finite and > 0, got {self.mean_gravity}")
 
     @classmethod
-    def demo_m2(cls, mean_gravity: float = 9.81,
+    def demo_m2(cls, mean_gravity: float = STANDARD_GRAVITY,
                 amplitude: float = 1.0e-6) -> "TideModel":
         """Single M2-like component: 12.42 h period, ~1 umps^2 swing."""
         omega = 2.0 * math.pi / (12.42 * 3600.0)
@@ -133,5 +138,5 @@ def tilt_projection_drift(model: NoiseModel, t, base_tilt: float = 0.0):
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):   # NaN fails too
         raise ValueError("time must be >= 0 and finite")
-    c = np.cos(base_tilt + model.tilt_drift * t / 3600.0)
+    c = np.cos(base_tilt + model.tilt_drift_rad_per_hour * t / 3600.0)
     return float(c) if c.ndim == 0 else c

@@ -82,20 +82,18 @@ LEAK_BOUND = 1e-4
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Integrator knobs: error tolerance and guard sites."""
+    """Integrator knobs, the config's ``evolution`` block."""
 
     error_tolerance: float = 1e-10
-    ladder_guard_sites: int = 6
+    guard_sites: int = 6
 
     def __post_init__(self):
         if not 0.0 < self.error_tolerance <= 1e-3:
             raise ValueError(
                 f"error_tolerance must lie in (0, 1e-3], got {self.error_tolerance}"
             )
-        if self.ladder_guard_sites < 4:
-            raise ValueError(
-                f"ladder_guard_sites must be >= 4, got {self.ladder_guard_sites}"
-            )
+        if self.guard_sites < 4:
+            raise ValueError(f"guard_sites must be >= 4, got {self.guard_sites}")
 
 
 DEFAULT_CONFIG = EvolutionConfig()
@@ -335,7 +333,7 @@ def apply_pulse(
     above 1e-4 raises TruncationLeakError.
     """
     order = max(1, abs(round(pulse.detuning / (4.0 * state.species.recoil_frequency))))
-    reach = order + cfg.ladder_guard_sites
+    reach = order + cfg.guard_sites
     return drive([state], [_pulse_stage(pulse)], (reach, reach), cfg)[0]
 
 
@@ -438,7 +436,7 @@ _CEILING = 400.0  # sweep ceiling, in two-level first-order pi amplitudes
 
 def _transfer(species, order, sigma, cfg, omegas) -> list:
     # |0> -> |order> of a plane wave at q = 0, per Omega_0 in one solve
-    reach = order + cfg.ladder_guard_sites
+    reach = order + cfg.guard_sites
     unit = _pulse_stage(PulseSpec(
         rabi_peak=1.0, sigma=sigma, detuning=bragg_resonance(order, species)))
     out = drive([plane_wave_state(species)] * len(omegas), [unit], (reach, reach),

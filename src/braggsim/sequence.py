@@ -69,35 +69,35 @@ from .physics import AtomSpecies, BeamGeometry, bragg_resonance, revival_period
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Quasimomentum ensemble: ``sample_count`` draws from a Gaussian of rms
-    sigma_q (units hbar k) within the first band, reproducibly sampled from
-    ``seed``. At sigma_q = 10 the truncated Gaussian is already flat across
-    the band to 0.5 %, and the redraw takes time in proportion to sigma_q,
-    so a wider one is rejected."""
+    """Quasimomentum ensemble, the config's ``ensemble`` block: ``samples``
+    draws from a Gaussian of rms ``sigma_q_hk`` (hbar k) within the first
+    band, reproducibly from ``seed``. At sigma_q_hk = 10 the truncated
+    Gaussian is flat across the band to 0.5 %, and the redraw time grows in
+    proportion, so a wider one is rejected."""
 
-    sample_count: int = 200
-    sigma_q: float = 0.42
+    samples: int = 200
+    sigma_q_hk: float = 0.42
     seed: int = 0
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.sample_count >= 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if not 0 <= self.sigma_q <= 10:
-            raise ValueError(f"sigma_q must lie in [0, 10], got {self.sigma_q}")
+        if not self.samples >= 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.sigma_q_hk <= 10:
+            raise ValueError(f"sigma_q_hk must lie in [0, 10], got {self.sigma_q_hk}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def draw(self) -> np.ndarray:
         """Quasimomenta (units of hbar k), truncated to the first band by redraw."""
-        if self.sigma_q == 0.0:
-            return np.zeros(self.sample_count)
+        if self.sigma_q_hk == 0.0:
+            return np.zeros(self.samples)
         rng = shot_rng(self.seed, STREAM_QUASIMOMENTUM)
         kept = np.empty(0)
-        while len(kept) < self.sample_count:
-            draws = rng.normal(0.0, self.sigma_q, size=2 * self.sample_count)
+        while len(kept) < self.samples:
+            draws = rng.normal(0.0, self.sigma_q_hk, size=2 * self.samples)
             kept = np.concatenate([kept, draws[np.abs(draws) <= 1.0]])
-        return kept[:self.sample_count]
+        return kept[:self.samples]
 
 
 @dataclass(frozen=True)
@@ -156,31 +156,34 @@ def prepare_sequence(
 
 @dataclass(frozen=True)
 class GradiometerSpec:
-    """Two simultaneous clouds: momenta (units hbar k) and the BVS pulse
-    separation setting the baseline. Both clouds run at the sequence order."""
+    """Two simultaneous clouds, the config's ``gradiometer`` block: momenta
+    (units hbar k), the BVS pulse separation setting the baseline, and the
+    gravity gradient between them. Both clouds run at the sequence order."""
 
-    lower_momentum: int = 8     # the first-launched, faster, lower cloud
-    upper_momentum: int = 2
-    bvs_separation: float = 50e-3
+    lower_momentum_hk: int = 8     # the first-launched, faster, lower cloud
+    upper_momentum_hk: int = 2
+    bvs_separation_s: float = 50e-3
+    gradient_per_s2: float = 3.0e-6
 
     def __post_init__(self):
-        if (self.lower_momentum - self.upper_momentum) % 2 != 0:
+        if (self.lower_momentum_hk - self.upper_momentum_hk) % 2 != 0:
             raise ValueError("cloud momentum difference must be a multiple of 2 hbar k")
-        if self.lower_momentum == self.upper_momentum:
+        if self.lower_momentum_hk == self.upper_momentum_hk:
             raise ValueError("clouds must have distinct momenta")
-        if not 0 < self.bvs_separation < math.inf:
-            raise ValueError(f"bvs_separation must be finite and positive, "
-                             f"got {self.bvs_separation}")
+        if not 0 < self.bvs_separation_s < math.inf:
+            raise ValueError(f"bvs_separation_s must be finite and positive, "
+                             f"got {self.bvs_separation_s}")
 
     def baseline(self, species: AtomSpecies) -> float:
         """Vertical separation (m): faster-cloud speed times BVS delay."""
-        return abs(self.lower_momentum) * species.recoil_velocity * self.bvs_separation
+        return (abs(self.lower_momentum_hk) * species.recoil_velocity
+                * self.bvs_separation_s)
 
     def check_resolved(self, species: AtomSpecies, pulse_sigma: float) -> None:
         """ValueError unless the Doppler gap 2k * dv between the clouds' Bragg
         resonances is at least 4/sigma (Gaussian spectral overlap below
         ~3e-4): one set of beams drives both clouds."""
-        dp = abs(self.lower_momentum - self.upper_momentum)
+        dp = abs(self.lower_momentum_hk - self.upper_momentum_hk)
         product = 4.0 * dp * species.recoil_frequency * pulse_sigma
         if not product >= 4.0:
             raise ValueError(
@@ -240,7 +243,7 @@ class _ShotEngine:
         starts = [0.0, tc[1] - d / 2.0, tc[2] - d / 2.0]
         gap = T - d
 
-        reach = seq.order + cfg.ladder_guard_sites
+        reach = seq.order + cfg.guard_sites
         self.sites = np.arange(-reach, reach + 1)
         self.ports = {0: reach, seq.order: reach + seq.order}   # site: column
 
@@ -418,7 +421,6 @@ def run_gradiometer(
     gspec: GradiometerSpec,
     ensemble: EnsembleSpec,
     sequence: MZISequence,
-    gradient: float,
     noise: NoiseModel,
     phase_grid,
     master_seed: int = 0,
@@ -427,17 +429,18 @@ def run_gradiometer(
 ) -> GradiometerResult:
     """Simultaneous interferometers in two clouds sharing the mirror noise.
 
-    The lower cloud sees ``gradient * baseline`` more gravity than the upper
-    one. One chirp, resonant at their midpoint, drives both, so the clouds
-    run at the opposite sweep-rate offsets -/+ k_eff*cos(tilt)*G*L/(4*pi)
-    (Hz/s) from their own resonances. Both clouds are driven by the same
-    beams, so their Bragg resonances must be resolved (``check_resolved``).
+    The lower cloud sees G*L more gravity than the upper one, G the
+    ``gspec.gradient_per_s2`` and L the baseline. One chirp, resonant at
+    their midpoint, drives both, so the clouds run at the opposite sweep-rate
+    offsets -/+ k_eff*cos(tilt)*G*L/(4*pi) (Hz/s) from their own resonances.
+    Both clouds are driven by the same beams, so their Bragg resonances must
+    be resolved (``check_resolved``).
     """
     gspec.check_resolved(species, sequence.pulse_sigma)
     baseline = gspec.baseline(species)
     geometry = geometry or BeamGeometry.vertical(species)
-    offset = (geometry.k_eff * geometry.projection * gradient * baseline
-              / (4.0 * math.pi))
+    offset = (geometry.k_eff * geometry.projection * gspec.gradient_per_s2
+              * baseline / (4.0 * math.pi))
 
     grid = np.asarray(phase_grid, dtype=float)
     q, cache = ensemble.draw(), {}
@@ -498,8 +501,7 @@ def run_gravity_series(
     """
     geometry = geometry or BeamGeometry.vertical(species)
     g0 = tide.mean_gravity
-    quiet = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf,
-                       tilt_drift=noise.tilt_drift)
+    quiet = replace(noise, mirror_phase_rms_rad=0.0, detection_snr=None)
     grid = np.linspace(0.0, 4.0 * math.pi, 48, endpoint=False)
     cal_scan = scan_fringe(species, ensemble, sequence, quiet, grid,
                            master_seed, cfg)

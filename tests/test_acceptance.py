@@ -55,7 +55,7 @@ from braggsim.sequence import (
 
 RB = AtomSpecies.rubidium87()
 GEOM = BeamGeometry.vertical(RB)
-QUIET = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf)
+QUIET = NoiseModel(mirror_phase_rms_rad=0.0, detection_snr=None)
 TRUNC = erf(3.0 / math.sqrt(2.0))
 
 _t0 = {}
@@ -78,7 +78,7 @@ class StratifiedEnsemble(EnsembleSpec):
     quasimomentum nodes in +-1 hbar k instead of random draws."""
 
     def draw(self) -> np.ndarray:
-        n, sigma_q = self.sample_count, self.sigma_q
+        n, sigma_q = self.samples, self.sigma_q_hk
         u = (np.arange(n) + 0.5) / n
         lo, hi = norm.cdf(-1 / sigma_q), norm.cdf(1 / sigma_q)
         return np.clip(sigma_q * norm.ppf(lo + u * (hi - lo)), -1.0, 1.0)
@@ -122,7 +122,7 @@ def test_criterion_03_raman_nath_oracle():
         pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, detuning=0.0)
         # sites +-10: the order-1 reach plus 9 guard sites
         out = apply_pulse(plane_wave_state(RB), pulse,
-                          EvolutionConfig(ladder_guard_sites=9))
+                          EvolutionConfig(guard_sites=9))
         for m in range(-4, 5):
             worst = max(worst, abs(out.population(m) - jv(m, area) ** 2))
     _report(3, "raman-nath-oracle", worst < 1e-3,
@@ -161,9 +161,9 @@ def test_criterion_05_unitarity_truncation(qb_sequence):
             drift = max(drift, abs(out.norm - 1.0))
     pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
     base = apply_pulse(plane_wave_state(RB), pulse,
-                       EvolutionConfig(ladder_guard_sites=6))
+                       EvolutionConfig(guard_sites=6))
     wide = apply_pulse(plane_wave_state(RB), pulse,
-                       EvolutionConfig(ladder_guard_sites=10))
+                       EvolutionConfig(guard_sites=10))
     dp = max(abs(base.population(n) - wide.population(n)) for n in range(-5, 8))
     ok = drift < 1e-9 and dp < 1e-6
     _report(5, "unitarity-truncation", ok,
@@ -176,9 +176,9 @@ def test_criterion_06_fringe_periodicity(qb_sequence):
     bragg = prepare_sequence(RB, order=2, interrogation_time=2e-3,
                              pulse_sigma=80e-6)
     fit_b = fit_harmonics(scan_fringe(
-        RB, EnsembleSpec(sample_count=1, sigma_q=0.0), bragg, QUIET,
+        RB, EnsembleSpec(samples=1, sigma_q_hk=0.0), bragg, QUIET,
         grid, 1), 3)
-    ens = EnsembleSpec(sample_count=200, sigma_q=0.42, seed=7)
+    ens = EnsembleSpec(samples=200, sigma_q_hk=0.42, seed=7)
     fit_q = fit_harmonics(scan_fringe(RB, ens, qb_sequence, QUIET,
                                       grid, 2), 3)
     ok_b = fit_b.amplitudes[1] > 5 * fit_b.amplitudes[0]
@@ -191,7 +191,7 @@ def test_criterion_06_fringe_periodicity(qb_sequence):
 def test_criterion_07_harmonic_growth():
     _start(7)
     grid = np.linspace(0, 4 * math.pi, 24, endpoint=False)
-    ens = EnsembleSpec(sample_count=96, sigma_q=0.42, seed=7)
+    ens = EnsembleSpec(samples=96, sigma_q_hk=0.42, seed=7)
     ratios = []
     for sigma in (5e-6, 7e-6, 10e-6):
         seq = prepare_sequence(RB, order=2, interrogation_time=2e-3,
@@ -210,7 +210,7 @@ def test_criterion_08_contrast_revivals(qb_sequence):
     grid_step = 2e-6
     t_start = 0.8e-3
     times = t_start + np.arange(0.0, 3.3 * dT, grid_step)
-    ens = StratifiedEnsemble(sample_count=48, sigma_q=0.42, seed=7)
+    ens = StratifiedEnsemble(samples=48, sigma_q_hk=0.42, seed=7)
     curve = scan_contrast_vs_T(RB, ens, qb_sequence, times, QUIET,
                                master_seed=5)
     ts = np.array([t for t, _ in curve])
@@ -266,9 +266,9 @@ def test_criterion_09_sensitivity_integration():
     seq = prepare_sequence(RB, order=2, interrogation_time=T,
                            pulse_sigma=15e-6)
     sigma_combo = sens / math.sqrt(period) * 9.81 * GEOM.k_eff * T * T
-    noise = NoiseModel(mirror_phase_rms=sigma_combo / math.sqrt(6.0),
-                       detection_snr=math.inf)
-    ens = EnsembleSpec(sample_count=32, sigma_q=0.42, seed=3)
+    noise = NoiseModel(mirror_phase_rms_rad=sigma_combo / math.sqrt(6.0),
+                       detection_snr=None)
+    ens = EnsembleSpec(samples=32, sigma_q_hk=0.42, seed=3)
     tide = TideModel(mean_gravity=9.81)
     series = run_gravity_series(RB, ens, seq, tide, noise, n_shots=20000,
                                 shot_period=period, master_seed=17)
@@ -289,14 +289,14 @@ def test_criterion_10_gradiometer_common_mode(qb_sequence):
     _start(10)
     # 2 pi-periodic quasi-Bragg fringes (as in the measured gradiometer);
     # momenta chosen to keep the Bragg resonances resolvable at sigma = 5 us
-    gspec = GradiometerSpec(lower_momentum=12, upper_momentum=2)
-    ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
+    gspec = GradiometerSpec(lower_momentum_hk=12, upper_momentum_hk=2)
+    ens = EnsembleSpec(samples=8, sigma_q_hk=0.42, seed=11)
     grid = np.linspace(0, 4 * math.pi, 160, endpoint=False)
 
     def run(rms, seed):
-        noise = NoiseModel(mirror_phase_rms=rms, detection_snr=150.0)
-        res = run_gradiometer(RB, gspec, ens, qb_sequence, 3e-6, noise,
-                              grid, master_seed=seed)
+        noise = NoiseModel(mirror_phase_rms_rad=rms, detection_snr=150.0)
+        res = run_gradiometer(RB, gspec, ens, qb_sequence, noise, grid,
+                              master_seed=seed)
         fit_lo = fit_harmonics(res.lower, 3)
         fit_up = fit_harmonics(res.upper, 3)
         # extract near the fringe inflections, where inversion is linear
@@ -337,8 +337,8 @@ def test_criterion_11_tide_recovery():
     seq = prepare_sequence(RB, order=2, interrogation_time=T,
                            pulse_sigma=15e-6)
     tide = TideModel.demo_m2(mean_gravity=9.81, amplitude=1.0e-6)
-    noise = NoiseModel(mirror_phase_rms=0.015, detection_snr=50.0)
-    ens = EnsembleSpec(sample_count=32, sigma_q=0.42, seed=3)
+    noise = NoiseModel(mirror_phase_rms_rad=0.015, detection_snr=50.0)
+    ens = EnsembleSpec(samples=32, sigma_q_hk=0.42, seed=3)
     n_shots = 36 * 3600  # 36 hours at 1 s per shot
     series = run_gravity_series(RB, ens, seq, tide, noise, n_shots=n_shots,
                                 shot_period=1.0, master_seed=23)

@@ -32,7 +32,7 @@ class TestBlochAccelerate:
 
     def test_leakage_signalled(self):
         # a deep, fast lattice drives population out to the window edge
-        cfg = EvolutionConfig(ladder_guard_sites=4)
+        cfg = EvolutionConfig(guard_sites=4)
         ramp = LatticeRamp(depth=200.0, load_duration=5e-6,   # a 20 us sweep
                            acceleration=2 * RB.recoil_velocity / 20e-6,
                            target_momentum=2)

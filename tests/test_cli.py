@@ -383,7 +383,7 @@ class TestCliRuns:
         if path is None:
             # null is how a config switches detection noise off
             assert code == 0
-            assert load_config(cfg).noise.resolve().detection_snr == math.inf
+            assert load_config(cfg).noise.detection_snr is None
             summary = json.loads((out / "summary.json").read_text())
             assert summary["config"]["noise"]["detection_snr"] is None
             assert "detection_snr: null" in (out / "resolved_config.yaml").read_text()
@@ -401,11 +401,11 @@ class TestCliRuns:
         ("gravity_run", {"shots": 2000.0},
          "gravity_run.shots: expected int, got float 2000.0"),
         (None, {"seed": None}, "seed: expected int, got null"),
-        ("ensemble", {"samples": 0}, "ensemble: sample_count must be >= 1"),
+        ("ensemble", {"samples": 0}, "ensemble: samples must be >= 1"),
         ("noise", {"detection_snr": -1}, "noise: detection_snr must be > 0"),
         ("bvs", {"target_momentum_hk": 3}, "bvs: target_momentum must be"),
         ("evolution", {"guard_sites": 2},
-         "evolution: ladder_guard_sites must be >= 4"),
+         "evolution: guard_sites must be >= 4"),
         (None, {"seed": -1}, "seed: must be >= 0, got -1"),
         ("ensemble", {"seed": -1}, "ensemble: seed must be >= 0"),
         ("sequence", {"order": 0}, "sequence: order must be >= 1"),
@@ -440,7 +440,7 @@ class TestCliRuns:
         ("sequence", {"phase_offset_rad": 1.0},
          "sequence.phase_offset_rad: unknown key"),
         ("ensemble", {"sigma_q_hk": 1.0e9},
-         "ensemble: sigma_q must lie in [0, 10], got 1000000000.0"),
+         "ensemble: sigma_q_hk must lie in [0, 10], got 1000000000.0"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
             "seed-negative", "ensemble-seed-negative",
@@ -473,16 +473,28 @@ class TestCliRuns:
                      "--out-dir", str(out)]) == 0
         if table is not None:
             assert (out / f"{table}.csv").read_text().splitlines()[0] == header
+        # main removes the tables it lists before a run, so it must list all
+        assert {path.stem for path in out.glob("*.csv")} <= set(cli._TABLES)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["subcommand"] == command
         assert keys <= set(summary["results"]), summary["results"]
+
+    def test_a_run_removes_another_subcommands_tables(self, tmp_path):
+        # a table of an earlier run left beside this run's summary would
+        # read as part of this run
+        out = tmp_path / "out"
+        path = write_config(tmp_path, TINY)
+        assert main(["class-oracle", path, "--out-dir", str(out)]) == 0
+        assert main(["bvs", path, "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bvs_profile.csv", "resolved_config.yaml", "run_meta.json", "summary.json"]
 
     @pytest.mark.parametrize("overrides", [[], ["--seed", "3", "--out-dir", "o"]],
                              ids=["plain", "seed-and-out-dir"])
     def test_each_block_is_built_once_per_run(self, tmp_path, monkeypatch,
                                               overrides):
         built = {key: tp for key, tp in _BLOCKS.items() if hasattr(tp, "resolve")}
-        assert len(built) == 10
+        assert len(built) == 6
         counts = dict.fromkeys(built, 0)
         for key, tp in built.items():
             def counted(block, *args, _key=key, _resolve=tp.resolve):
@@ -557,9 +569,8 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         seq = prepare_sequence(species, order=2, interrogation_time=2.0e-3,
                                pulse_sigma=5.0e-6)
         for i, offset in enumerate(cfg.scan.grid()):
-            shot = run_shot(species, cfg.ensemble.resolve(), seq,
-                            cfg.noise.resolve(), cfg.seed, shot_index=i,
-                            sweep_rate_offset=offset)
+            shot = run_shot(species, cfg.ensemble, seq, cfg.noise, cfg.seed,
+                            shot_index=i, sweep_rate_offset=offset)
             expected = [offset, shot.measured_ports[0], shot.measured_ports[2],
                         shot.normalized_population]
             assert lines[1 + i] == ",".join(format_float(v) for v in expected)

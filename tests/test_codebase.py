@@ -1,6 +1,7 @@
 """Static checks on the package source, shipped configs and benchmark hooks."""
 
 import ast
+import math
 import os
 import pathlib
 import re
@@ -158,8 +159,8 @@ def test_only_drive_and_pulse_propagator_call_evolve():
 
 
 def test_only_config_resolves_blocks():
-    # config.resolve builds each block's domain object once per run; a
-    # resolve call anywhere else builds one of them a second time
+    # config.resolve builds the domain object of each block that resolves
+    # once per run; a resolve call anywhere else builds one a second time
     bad = [f"{name}:{node.lineno}" for name, tree in modules()
            if name != "config.py" for node in ast.walk(tree)
            if isinstance(node, ast.Call)
@@ -196,6 +197,38 @@ def test_settable_config_values_ledger():
         "species.mass_kg", "species.wavelength_m",
         "tide.components[]", "tide.mean_gravity_m_s2",
     ]
+
+
+def test_config_defaults_ledger():
+    # every default value of a config; the ensemble, noise, gradiometer and
+    # evolution blocks are their domain objects, so a default changed there
+    # changes every run that leaves it unset and must show in its own diff
+    assert asdict(ExperimentConfig()) == {
+        "seed": 0, "gravity_m_s2": 9.81, "out_dir": "runs/out",
+        "species": {"wavelength_m": 780.24e-9, "mass_kg": None},
+        "geometry": {"tilt_deg": 0.0},
+        "sequence": {"order": 2, "interrogation_time_s": 60e-3,
+                     "pulse_sigma_s": 15e-6},
+        "ensemble": {"samples": 200, "sigma_q_hk": 0.42, "seed": 0},
+        "noise": {"mirror_phase_rms_rad": 0.0, "detection_snr": 50.0,
+                  "tilt_drift_rad_per_hour": 0.0},
+        "tide": {"mean_gravity_m_s2": 9.81, "components": []},
+        "scan": {"target": "phase", "start": 0.0, "stop": 4.0 * math.pi,
+                 "points": 32},
+        "bvs": {"depth_er": 4.0, "load_duration_s": 100e-6,
+                "acceleration_m_s2": 30.0, "target_momentum_hk": 8,
+                "profile_min_hk": -2.0, "profile_max_hk": 2.0,
+                "profile_points": 21},
+        "gradiometer": {"lower_momentum_hk": 8, "upper_momentum_hk": 2,
+                        "bvs_separation_s": 50e-3, "gradient_per_s2": 3.0e-6},
+        "gravity_run": {"shots": 2000, "shot_period_s": 1.0, "bin_size": 38},
+        "pulse": {"order": 2, "sigma_s": 15e-6, "rabi_peak_rad_s": "calibrated",
+                  "transfer_target": 0.5, "quasimomentum_hk": 0.0},
+        "class_oracle": {"class_index": 2, "a_min": -8, "a_max": 8,
+                         "time_min_s": 0.0, "time_max_s": 120e-6,
+                         "time_points": 121},
+        "evolution": {"error_tolerance": 1e-10, "guard_sites": 6},
+    }
 
 
 def config_keys_named(text):

@@ -21,7 +21,7 @@ from braggsim.environment import (
 
 class TestMirrorPhases:
     def test_zero_rms_is_exact_zero(self):
-        model = NoiseModel(mirror_phase_rms=0.0)
+        model = NoiseModel(mirror_phase_rms_rad=0.0)
         rng = shot_rng(1, STREAM_MIRROR)
         state = rng.bit_generator.state
         out = sample_mirror_phases(model, rng, 4)
@@ -31,7 +31,7 @@ class TestMirrorPhases:
     def test_combination_variance(self):
         # var(phi1 - 2 phi2 + phi3) = 6 rms^2; 3 sigma statistical band
         rms = 0.1
-        model = NoiseModel(mirror_phase_rms=rms)
+        model = NoiseModel(mirror_phase_rms_rad=rms)
         n = 20000
         p = sample_mirror_phases(model, shot_rng(42, STREAM_MIRROR), n)
         combos = p[:, 0] - 2 * p[:, 1] + p[:, 2]
@@ -41,13 +41,13 @@ class TestMirrorPhases:
 
     def test_same_seed_same_triple(self):
         # shot 3 reads row 3 of its stream, whichever batch draws it
-        model = NoiseModel(mirror_phase_rms=0.2)
+        model = NoiseModel(mirror_phase_rms_rad=0.2)
         a = sample_mirror_phases(model, shot_rng(7, STREAM_MIRROR), 4)[3]
         b = sample_mirror_phases(model, shot_rng(7, STREAM_MIRROR), 10)[3]
         np.testing.assert_array_equal(a, b)
 
     def test_streams_independent(self):
-        model = NoiseModel(mirror_phase_rms=0.2)
+        model = NoiseModel(mirror_phase_rms_rad=0.2)
         rows = sample_mirror_phases(model, shot_rng(7, STREAM_MIRROR), 5)
         other = sample_mirror_phases(model, shot_rng(7, STREAM_DETECTION), 5)
         assert np.all(rows[3] != rows[4])
@@ -56,7 +56,7 @@ class TestMirrorPhases:
 
 class TestDetectionNoise:
     def test_infinite_snr_pass_through(self):
-        model = NoiseModel(detection_snr=math.inf)
+        model = NoiseModel(detection_snr=None)
         pops = np.array([0.4, 0.5])
         out = apply_detection_noise(pops, model, shot_rng(1, STREAM_DETECTION))
         assert out is pops
@@ -94,7 +94,7 @@ class TestStreams:
         # one draw of n shots per stream: Gaussian rows with the model's
         # variance, uncorrelated across shots, pulses, ports and streams
         rms, snr, n = 0.1, 50.0, 20000
-        mirror = sample_mirror_phases(NoiseModel(mirror_phase_rms=rms),
+        mirror = sample_mirror_phases(NoiseModel(mirror_phase_rms_rad=rms),
                                       shot_rng(11, STREAM_MIRROR), n)
         assert np.all(np.abs(mirror.mean(axis=0)) < 4 * rms / math.sqrt(n))
         assert np.all(np.abs(mirror.var(axis=0) - rms**2)
@@ -160,18 +160,18 @@ class TestTide:
 
 class TestTiltDrift:
     def test_no_drift_constant(self):
-        model = NoiseModel(tilt_drift=0.0)
+        model = NoiseModel(tilt_drift_rad_per_hour=0.0)
         assert tilt_projection_drift(model, 3600.0, base_tilt=0.2) == pytest.approx(
             math.cos(0.2), abs=1e-15)
 
     def test_tenth_degree_error(self):
         # 1 - cos(0.1 deg) = 1.5e-6 relative gravity error
-        model = NoiseModel(tilt_drift=math.radians(0.1))
+        model = NoiseModel(tilt_drift_rad_per_hour=math.radians(0.1))
         c = tilt_projection_drift(model, 3600.0)
         assert 1.0 - c == pytest.approx(1.5e-6, rel=0.02)
 
     def test_small_angle_quadratic(self):
-        model = NoiseModel(tilt_drift=1e-3)
+        model = NoiseModel(tilt_drift_rad_per_hour=1e-3)
         e1 = 1.0 - tilt_projection_drift(model, 3600.0)
         e2 = 1.0 - tilt_projection_drift(model, 7200.0)
         assert e2 / e1 == pytest.approx(4.0, rel=1e-4)
@@ -180,13 +180,16 @@ class TestTiltDrift:
 class TestValidation:
     def test_noise_model_invariants(self):
         with pytest.raises(ValueError):
-            NoiseModel(mirror_phase_rms=-0.1)
+            NoiseModel(mirror_phase_rms_rad=-0.1)
         with pytest.raises(ValueError):
             NoiseModel(detection_snr=0.0)
+        # None is the one way to switch detection noise off
+        with pytest.raises(ValueError, match="detection_snr must be > 0 and finite"):
+            NoiseModel(detection_snr=math.inf)
 
     @pytest.mark.parametrize("field, value", [
-        ("mirror_phase_rms", math.nan), ("mirror_phase_rms", math.inf),
-        ("tilt_drift", math.nan), ("tilt_drift", math.inf),
+        ("mirror_phase_rms_rad", math.nan), ("mirror_phase_rms_rad", math.inf),
+        ("tilt_drift_rad_per_hour", math.nan), ("tilt_drift_rad_per_hour", math.inf),
     ], ids=["mirror-nan", "mirror-inf", "tilt-nan", "tilt-inf"])
     def test_noise_model_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -113,7 +113,7 @@ class TestRamanNathOracle:
         pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, detuning=0.0)
         # sites +-10: the order-1 reach plus 9 guard sites
         out = apply_pulse(plane_wave_state(RB), pulse,
-                          EvolutionConfig(ladder_guard_sites=9))
+                          EvolutionConfig(guard_sites=9))
         for m in range(-4, 5):
             assert out.population(m) == pytest.approx(jv(m, area) ** 2, abs=1e-3)
 
@@ -125,7 +125,7 @@ class TestUnitarityAndTruncation:
         pulse = PulseSpec(rabi_peak=0.0, sigma=15e-6,
                           detuning=bragg_resonance(order, RB))
         out = apply_pulse(plane_wave_state(RB), pulse)
-        reach = order + EvolutionConfig().ladder_guard_sites
+        reach = order + EvolutionConfig().guard_sites
         assert (out.n_min, out.n_max) == (-reach, reach)
 
     def test_negative_order_pulse_mirrors_positive_order(self):
@@ -148,8 +148,8 @@ class TestUnitarityAndTruncation:
     def test_guard_site_convergence(self):
         pulse = PulseSpec(rabi_peak=1.2e5, sigma=15e-6, detuning=bragg_resonance(2, RB))
         psi = plane_wave_state(RB)
-        base = apply_pulse(psi, pulse, EvolutionConfig(ladder_guard_sites=6))
-        wide = apply_pulse(psi, pulse, EvolutionConfig(ladder_guard_sites=10))
+        base = apply_pulse(psi, pulse, EvolutionConfig(guard_sites=6))
+        wide = apply_pulse(psi, pulse, EvolutionConfig(guard_sites=10))
         for n in range(-4, 7):
             assert abs(base.population(n) - wide.population(n)) < 1e-6
 
@@ -158,7 +158,7 @@ class TestUnitarityAndTruncation:
         sigma = 10e-9
         omega0 = 8.0 / (sigma * math.sqrt(2.0 * math.pi))
         pulse = PulseSpec(rabi_peak=omega0, sigma=sigma, detuning=0.0)
-        cfg = EvolutionConfig(ladder_guard_sites=4)
+        cfg = EvolutionConfig(guard_sites=4)
         with pytest.raises(TruncationLeakError) as exc:
             apply_pulse(plane_wave_state(RB), pulse, cfg)
         assert exc.value.leakage > 1e-4
@@ -422,7 +422,7 @@ class TestCalibration:
                             lambda *a, **k: solves.append(1) or real(*a, **k))
         ladder._first_lobe.cache_clear()
         prepare_sequence(RB, order=order, interrogation_time=2e-3, pulse_sigma=sigma,
-                         cfg=EvolutionConfig(ladder_guard_sites=guard))
+                         cfg=EvolutionConfig(guard_sites=guard))
         assert len(solves) == 4
 
     # (order, sigma): pi/2 and pi amplitudes of the zoom-loop calibrator
@@ -534,7 +534,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EvolutionConfig(error_tolerance=1e-2)
         with pytest.raises(ValueError):
-            EvolutionConfig(ladder_guard_sites=3)
+            EvolutionConfig(guard_sites=3)
 
     def test_quasimomentum_bound(self):
         with pytest.raises(ValueError):

@@ -45,8 +45,8 @@ from braggsim.sequence import (
 )
 
 RB = AtomSpecies.rubidium87()
-QUIET = NoiseModel(mirror_phase_rms=0.0, detection_snr=math.inf)
-PLANE = EnsembleSpec(sample_count=1, sigma_q=0.0)
+QUIET = NoiseModel(mirror_phase_rms_rad=0.0, detection_snr=None)
+PLANE = EnsembleSpec(samples=1, sigma_q_hk=0.0)
 GRID = np.linspace(0, 4 * math.pi, 24, endpoint=False)
 
 
@@ -218,12 +218,11 @@ class TestEquationOnePhaseResponse:
         # the clouds run at -/+ k_eff cos(tilt) G L / (4 pi) from resonance,
         # so their fringes differ in phase by -k_eff cos(tilt) G L T^2
         geom = BeamGeometry.vertical(RB, tilt_angle=tilt)
-        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
-        gradient = 0.05
-        res = run_gradiometer(RB, gspec, PLANE, long_seq, gradient, QUIET, GRID,
-                              geometry=geom)
+        gspec = GradiometerSpec(lower_momentum_hk=8, upper_momentum_hk=2,
+                                gradient_per_s2=0.05)
+        res = run_gradiometer(RB, gspec, PLANE, long_seq, QUIET, GRID, geometry=geom)
         T, L = long_seq.interrogation_time, gspec.baseline(RB)
-        expected = -geom.k_eff * geom.projection * gradient * L * T * T
+        expected = -geom.k_eff * geom.projection * gspec.gradient_per_s2 * L * T * T
         assert abs(expected) > 0.5
         d = _phase_difference(fit_harmonics(res.lower, 3),
                               fit_harmonics(res.upper, 3))
@@ -243,15 +242,15 @@ class TestFringePeriodicityRegimes:
         assert fit.amplitudes[1] > 5 * fit.amplitudes[0]
 
     def test_quasi_bragg_oscillates_at_2pi(self, qb_seq):
-        ens = EnsembleSpec(sample_count=64, sigma_q=0.42, seed=7)
+        ens = EnsembleSpec(samples=64, sigma_q_hk=0.42, seed=7)
         fit = fit_harmonics(scan_fringe(RB, ens, qb_seq, QUIET, GRID), 3)
         assert fit.amplitudes[0] > fit.amplitudes[1]
 
 
 class TestDeterminism:
     def test_identical_seeds_identical_results(self, qb_seq):
-        noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
-        ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=3)
+        noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
+        ens = EnsembleSpec(samples=8, sigma_q_hk=0.42, seed=3)
         a = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=4)
         b = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=4)
         assert a.normalized_population == b.normalized_population
@@ -259,17 +258,17 @@ class TestDeterminism:
         assert a.port_populations == b.port_populations
 
     def test_different_shots_differ(self, qb_seq):
-        noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
+        noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
         a = run_shot(RB, PLANE, qb_seq, noise, master_seed=9, shot_index=0)
         b = run_shot(RB, PLANE, qb_seq, noise, master_seed=9, shot_index=1)
         assert a.mirror_phases != b.mirror_phases
 
     def test_ensemble_draw_deterministic(self):
-        ens = EnsembleSpec(sample_count=32, sigma_q=0.42, seed=5)
+        ens = EnsembleSpec(samples=32, sigma_q_hk=0.42, seed=5)
         np.testing.assert_array_equal(ens.draw(), ens.draw())
 
     def test_ensemble_draw_in_hk(self):
-        ens = EnsembleSpec(sample_count=8, sigma_q=0.42)
+        ens = EnsembleSpec(samples=8, sigma_q_hk=0.42)
         draws = ens.draw()
         assert len(draws) == 8 and np.all(np.abs(draws) <= 1.0)
         np.testing.assert_array_equal(draws, ens.draw())
@@ -278,8 +277,8 @@ class TestDeterminism:
 class TestStreamAddressing:
     def test_one_shot_alone_matches_its_scan_point(self, qb_seq, monkeypatch):
         # shot 5 reads row 5 of each stream, alone or in a batch of 16
-        noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
-        ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=3)
+        noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
+        ens = EnsembleSpec(samples=4, sigma_q_hk=0.42, seed=3)
         grid = np.linspace(0.0, 4 * math.pi, 16, endpoint=False)
         drawn = []
         sample = sequence.sample_mirror_phases
@@ -307,7 +306,7 @@ class TestStreamAddressing:
                 at_zero.port_populations[port][0], abs=1e-12)
 
     def test_negative_shot_index_rejected(self, qb_seq):
-        noise = NoiseModel(mirror_phase_rms=0.1, detection_snr=50.0)
+        noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
         with pytest.raises(ValueError, match="shot indices"):
             run_shot(RB, PLANE, qb_seq, noise, shot_index=-1)
 
@@ -321,7 +320,7 @@ class TestStreamAddressing:
             return build(*args)
 
         monkeypatch.setattr(sequence, "shot_rng", counted)
-        noise = NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0)
+        noise = NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=50.0)
         counts = []
         for n_shots in (200, 2000):
             builds.clear()
@@ -341,8 +340,8 @@ class TestStreamAddressing:
                             lambda *args: builds.append(args[1]) or build(*args))
         monkeypatch.setattr(EnsembleSpec, "draw",
                             lambda self: draws.append(self) or draw(self))
-        noise = NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0)
-        ens = EnsembleSpec(sample_count=2, sigma_q=0.42, seed=3)
+        noise = NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=50.0)
+        ens = EnsembleSpec(samples=2, sigma_q_hk=0.42, seed=3)
         t0, step = lowfringe_seq.interrogation_time, revival_period(RB) / 8
 
         def counted(run, *args):
@@ -359,7 +358,7 @@ class TestStreamAddressing:
             assert counted(sequence.scan_sweep_rate, RB, ens, lowfringe_seq,
                            noise, np.linspace(-1e3, 1e3, n)) == (once, 1)
         assert counted(run_gradiometer, RB, GradiometerSpec(), ens, lowfringe_seq,
-                       3e-6, noise, GRID[:4]) == (
+                       noise, GRID[:4]) == (
             {**once, STREAM_MIRROR: 2, STREAM_DETECTION_UPPER: 1}, 1)
 
 
@@ -387,7 +386,7 @@ class TestPinnedShotStreams:
     def test_gravity_series_stream(self):
         series = run_gravity_series(
             RB, PLANE, self.LOWFRINGE, TideModel.demo_m2(),
-            NoiseModel(mirror_phase_rms=0.3, detection_snr=50.0),
+            NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
             "0x1.035855bb2490bp-4", "0x1.52d4a59239651p-2",
@@ -396,10 +395,10 @@ class TestPinnedShotStreams:
             "0x1.e10dc5c458500p-1", "0x1.407fec5175f26p-2"]
 
     def test_fringe_scan_stream(self):
-        ens = EnsembleSpec(sample_count=4, sigma_q=0.42, seed=2)
+        ens = EnsembleSpec(samples=4, sigma_q_hk=0.42, seed=2)
         grid = np.linspace(0.0, 4 * math.pi, 16, endpoint=False)
         scan = scan_fringe(RB, ens, self.QB,
-                           NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0),
+                           NoiseModel(mirror_phase_rms_rad=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
             "0x1.ecc75baf42e97p-2", "0x1.12479452f0c35p-3",
@@ -445,7 +444,7 @@ class TestContrastVsT:
         dT = revival_period(RB)
         times = 0.8e-3 + np.arange(0, 1.05 * dT, dT / 10)
         plane_curve = scan_contrast_vs_T(RB, PLANE, seq, times, QUIET)
-        ens = EnsembleSpec(sample_count=24, sigma_q=0.42, seed=7)
+        ens = EnsembleSpec(samples=24, sigma_q_hk=0.42, seed=7)
         ens_curve = scan_contrast_vs_T(RB, ens, seq, times, QUIET)
         spread = lambda curve: max(c for _, c in curve) - min(c for _, c in curve)
         assert spread(plane_curve) < 0.5 * spread(ens_curve)
@@ -456,34 +455,34 @@ class TestGradiometer:
     def test_zero_gradient_no_noise_identical_fringes(self):
         seq = prepare_sequence(RB, order=3, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
-        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
-        ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
+        gspec = GradiometerSpec(lower_momentum_hk=8, upper_momentum_hk=2,
+                                gradient_per_s2=0.0)
+        ens = EnsembleSpec(samples=8, sigma_q_hk=0.42, seed=11)
         grid = np.linspace(0, 4 * math.pi, 16, endpoint=False)
-        res = run_gradiometer(RB, gspec, ens, seq, 0.0, QUIET, grid)
+        res = run_gradiometer(RB, gspec, ens, seq, QUIET, grid)
         np.testing.assert_allclose(res.lower.normalized, res.upper.normalized,
                                    atol=1e-9)
 
     def test_overlapping_resonances_rejected(self):
         seq = prepare_sequence(RB, order=1, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
-        gspec = GradiometerSpec(lower_momentum=4, upper_momentum=2)
+        gspec = GradiometerSpec(lower_momentum_hk=4, upper_momentum_hk=2)
         with pytest.raises(ValueError, match=r"separation\*sigma = 2.84 < 4"):
-            run_gradiometer(RB, gspec, PLANE, seq, 0.0, QUIET, GRID)
+            run_gradiometer(RB, gspec, PLANE, seq, QUIET, GRID)
 
     def test_paper_scale_baseline(self):
-        gspec = GradiometerSpec(lower_momentum=80, upper_momentum=74,
-                                bvs_separation=50e-3)
+        gspec = GradiometerSpec(lower_momentum_hk=80, upper_momentum_hk=74,
+                                bvs_separation_s=50e-3)
         assert gspec.baseline(RB) == pytest.approx(2.4e-2, rel=0.03)
 
     def test_common_mode_correlation(self):
         seq = prepare_sequence(RB, order=3, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
-        gspec = GradiometerSpec(lower_momentum=8, upper_momentum=2)
-        ens = EnsembleSpec(sample_count=8, sigma_q=0.42, seed=11)
-        noise = NoiseModel(mirror_phase_rms=0.05, detection_snr=50.0)
+        gspec = GradiometerSpec(lower_momentum_hk=8, upper_momentum_hk=2)
+        ens = EnsembleSpec(samples=8, sigma_q_hk=0.42, seed=11)
+        noise = NoiseModel(mirror_phase_rms_rad=0.05, detection_snr=50.0)
         grid = np.linspace(0, 4 * math.pi, 96, endpoint=False)
-        res = run_gradiometer(RB, gspec, ens, seq, 3e-6, noise, grid,
-                              master_seed=13)
+        res = run_gradiometer(RB, gspec, ens, seq, noise, grid, master_seed=13)
         fit_lo = fit_harmonics(res.lower, 3)
         fit_up = fit_harmonics(res.upper, 3)
         d_lo, m_lo = extract_shot_phases(res.lower, fit_lo)
@@ -520,7 +519,7 @@ class TestGravitySeries:
                                                       snr, expected):
         series = run_gravity_series(
             RB, PLANE, lowfringe_seq, TideModel.demo_m2(),
-            NoiseModel(mirror_phase_rms=0.3, detection_snr=snr),
+            NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=snr),
             n_shots=500, shot_period=1.0, master_seed=1)
         # the inversion maps every reading beyond an end of the monotonic
         # segment onto that end, so the readings outside the segment are
@@ -577,30 +576,30 @@ class TestSpecValidation:
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
-            EnsembleSpec(sample_count=0)
+            EnsembleSpec(samples=0)
         with pytest.raises(ValueError):
-            EnsembleSpec(sigma_q=-0.1)
-        with pytest.raises(ValueError, match=r"sigma_q must lie in \[0, 10\]"):
-            EnsembleSpec(sigma_q=10.5)
-        assert len(EnsembleSpec(sample_count=8, sigma_q=10.0).draw()) == 8
+            EnsembleSpec(sigma_q_hk=-0.1)
+        with pytest.raises(ValueError, match=r"sigma_q_hk must lie in \[0, 10\]"):
+            EnsembleSpec(sigma_q_hk=10.5)
+        assert len(EnsembleSpec(samples=8, sigma_q_hk=10.0).draw()) == 8
 
     @pytest.mark.parametrize("kwargs, field", [
-        ({"sample_count": math.nan}, "sample_count"),
-        ({"sigma_q": math.nan}, "sigma_q"),
-        ({"sigma_q": math.inf}, "sigma_q"),
-    ], ids=["sample_count-nan", "sigma_q-nan", "sigma_q-inf"])
+        ({"samples": math.nan}, "samples"),
+        ({"sigma_q_hk": math.nan}, "sigma_q_hk"),
+        ({"sigma_q_hk": math.inf}, "sigma_q_hk"),
+    ], ids=["samples-nan", "sigma_q-nan", "sigma_q-inf"])
     def test_ensemble_rejects_non_finite(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             EnsembleSpec(**kwargs)
 
     def test_gradiometer_spec_validation(self):
         with pytest.raises(ValueError):
-            GradiometerSpec(lower_momentum=8, upper_momentum=5)
+            GradiometerSpec(lower_momentum_hk=8, upper_momentum_hk=5)
         with pytest.raises(ValueError):
-            GradiometerSpec(lower_momentum=8, upper_momentum=8)
+            GradiometerSpec(lower_momentum_hk=8, upper_momentum_hk=8)
 
     @pytest.mark.parametrize("field, value", [
-        ("bvs_separation", math.nan), ("bvs_separation", math.inf),
+        ("bvs_separation_s", math.nan), ("bvs_separation_s", math.inf),
     ], ids=["bvs_separation-nan", "bvs_separation-inf"])
     def test_gradiometer_spec_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
