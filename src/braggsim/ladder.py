@@ -33,11 +33,18 @@ wave at q = 0: a 1.25x sweep finds it, Chebyshev nodes give a proxy of the
 transfer P(Omega_0), memoised per pulse width, and one more solve checks
 the pi/2 root.
 
+A pulse propagator is built from its first half. With the laser phase
+taken into theta, the frame b = G* c, G = diag(e^{-i n theta}), gives a
+real Hamiltonian K - n delta(t) + (Omega(t)/2)(R + R^dagger), and time
+reversal about the pulse centre maps chirp r to -r. So the pulse is the
+transpose of the half at -r times the half at r: one half solve if it is
+unchirped, two if chirped (``pulse_propagator``).
+
 A pulse sees a quasimomentum ensemble only through q, and once its own free
 flight is taken out the propagator is an entire function of q. So a stack
-over more than 49 quasimomenta is solved on 25 Chebyshev-Lobatto nodes of
+over more than 49 quasimomenta is built on 25 Chebyshev-Lobatto nodes of
 q in [-1, 1] and evaluated at the drawn q; a smaller stack, or one that 49
-nodes do not resolve, is solved column by column. Both Chebyshev series,
+nodes do not resolve, is built column by column. Both Chebyshev series,
 the lobe's and the propagator's, come from one DCT-I, one tail rule and one
 node-doubling rule, which solves only the n - 1 nodes between the n it has
 (``_chebyshev_series``).
@@ -219,7 +226,7 @@ def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
 
 # -- the evolution kernel ---------------------------------------------------
 
-def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0):
+def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0, max_step=None):
     """Schroedinger-picture evolution e^{-i kin duration} A(duration) through
     the stage ``(duration, coupling, theta)``.
 
@@ -230,8 +237,9 @@ def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0):
     ``coupling(t)``: Omega(t)/2 at amplitude 1; zero gives free flight.
     ``theta(t)``: integral of delta from 0 plus the laser phase; each up-step
     imprints e^{-i theta}. Both map a Python float to one. ``amplitude``: one
-    factor or one per batch row (...). A step asks for its 12 stage times at
-    once; c_n = -i amplitude coupling e^{i (dkin_n t - theta)} is one pass.
+    factor or one per batch row (...). ``max_step``: the step cap, a twelfth
+    of ``duration`` if None. A step asks for its 12 stage times at once;
+    c_n = -i amplitude coupling e^{i (dkin_n t - theta)} is one pass.
     """
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = (kin[..., 1:] - kin[..., :-1])[..., None]   # (..., W-1, 1)
@@ -257,10 +265,12 @@ def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0):
 
     tol = cfg.error_tolerance
     # one step rule for every stage: at most a twelfth of it, sigma/2 for a
-    # 6 sigma pulse, so steps grown on a weak envelope tail cannot stride
-    # over the peak
+    # 6 sigma pulse (and for its half), so steps grown on a weak envelope
+    # tail cannot stride over the peak
+    if max_step is None:
+        max_step = duration / 12.0
     sol = solve_ivp(coefficients, rhs, (0.0, duration), np.broadcast_to(columns, shape),
-                    rtol=0.1 * tol, atol=0.01 * tol, max_step=duration / 12.0)
+                    rtol=0.1 * tol, atol=0.01 * tol, max_step=max_step)
     return np.exp(-1j * kin * duration)[..., None] * sol.y
 
 
@@ -381,17 +391,29 @@ def pulse_propagator(
 ) -> np.ndarray:
     """Full-pulse propagator over the ladder window, laser phase included.
 
+    Each stack is built from solves of the first half [0, t_c], t_c = 3
+    sigma, at the whole pulse's step cap of sigma/2. In the lattice frame
+    b = G* c, G(t) = diag(e^{-i n theta(t)}) with theta the stage's (laser
+    phase included), the Hamiltonian K - n delta(t) + (Omega(t)/2)(R +
+    R^dagger) is real, and time reversal about t_c maps the pulse of chirp
+    r to that of chirp -r. So with the half's b-frame propagator
+    U_b1(r) = G(t_c)* U_c1(r) G(0), U_c1 one solve over [0, t_c], the pulse
+    is U = G(6 sigma) U_b1(-r)^T U_b1(r) G(0)*: one half solve for an
+    unchirped pulse, two (at r and -r) for a chirped one. The product is an
+    einsum, not a BLAS matmul, so its bytes do not depend on the BLAS
+    thread count.
+
     ``quasimomentum`` may be an array of q values (units of hbar*k), in
     which case a stack of propagators with shape (len(q), W, W) is returned;
     every q must lie within +-1 hbar*k (ValueError, NaN included, before any
-    solve). A stack of up to 49 is one adaptive solve of one column per q.
-    A larger stack is built on Chebyshev-Lobatto nodes of q in [-1, 1]: one
-    solve gives the centred propagator V(q) = e^{+i kin dur/2} U e^{+i kin
-    dur/2}, entire in q, on 25 nodes; ``_chebyshev_series`` accepts its
+    solve). A stack of up to 49 is built from one column per q.
+    A larger stack is built on Chebyshev-Lobatto nodes of q in [-1, 1]: the
+    half solves give the centred propagator V(q) = e^{+i kin dur/2} U e^{+i
+    kin dur/2}, entire in q, on 25 nodes; ``_chebyshev_series`` accepts its
     series when the last quarter of the coefficients is <=
     ``cfg.error_tolerance``, else solves the 24 nodes between and tries 49.
     The accepted series is evaluated at each q and each sample's exact free
-    flight is put back; if 49 nodes fail, the stack is solved directly. The
+    flight is put back; if 49 nodes fail, the stack is built directly. The
     pulse is one stage ``(duration, coupling, theta)`` whose theta carries
     the laser phase phi, so U(phi) = D U(0) D* with D = diag(e^{-i n phi});
     a caller that builds U(0) once may apply other phases by that
@@ -402,11 +424,24 @@ def pulse_propagator(
         raise ValueError("quasimomenta must lie within +-1 hbar*k, got max |q| = "
                          f"{np.max(np.abs(q))}")
     sites = np.arange(window[0], window[1] + 1)
-    stage = _pulse_stage(pulse)
+    dur, coupling, theta = _pulse_stage(pulse)
+    # the first half at chirp r, then, if r != 0, at -r for the second
+    thetas = [theta] if pulse.chirp == 0.0 else [
+        theta, _pulse_stage(replace(pulse, chirp=-pulse.chirp))[2]]
 
     def stack(qs):
+        # U = G(dur) G(0) [G(t_c)* U_c1(-r)]^T [G(t_c)* U_c1(r)]: the G(0) of
+        # U_b1 and the G(0)* of U cancel on the right
         kin = kinetic_frequencies(species, sites, qs)
-        return _evolve(kin, np.eye(len(sites), dtype=complex), *stage, cfg)
+        halves = []
+        for th in thetas:
+            half = _evolve(kin, np.eye(len(sites), dtype=complex), dur / 2.0, coupling,
+                           th, cfg, max_step=dur / 12.0)
+            half *= np.exp(1j * sites * th(dur / 2.0))[:, None]
+            halves.append(half)
+        U = np.einsum("...ki,...kj->...ij", halves[-1], halves[0])
+        U *= np.exp(-1j * sites * (theta(dur) + theta(0.0)))[:, None]
+        return U
 
     if q.size == 0:   # nothing to solve; a zero-length solve would fail
         return np.empty(q.shape + (len(sites),) * 2, dtype=complex)
@@ -414,7 +449,7 @@ def pulse_propagator(
         return stack(q)
 
     def half_flight(qs):   # e^{-i kin dur/2}, (..., W)
-        return np.exp(-0.5j * stage[0] * kinetic_frequencies(species, sites, qs))
+        return np.exp(-0.5j * dur * kinetic_frequencies(species, sites, qs))
 
     def centred(qs):   # V(q) = e^{+i kin dur/2} U(q) e^{+i kin dur/2}
         h = np.conj(half_flight(qs))

@@ -16,10 +16,10 @@ Mach-Zehnder emerges here.
 The schedule holds only what a run reads: order, T, one pulse width and the
 pi/2 and pi amplitudes. Each pulse's detuning and chirp come from the run's
 offset. Pulse propagators are computed once per (amplitude, detuning, chirp)
-at laser phase zero and batched over the quasimomentum ensemble, an
-ensemble of more than 49 from Chebyshev nodes in q (see
-``ladder.pulse_propagator``); beat phases, commanded phases and
-mirror-phase noise enter through the exact conjugation
+at laser phase zero and batched over the quasimomentum ensemble, each from
+one half-pulse solve (two if chirped) and an ensemble of more than 49 from
+Chebyshev nodes in q (see ``ladder.pulse_propagator``); beat phases,
+commanded phases and mirror-phase noise enter through the exact conjugation
 U(phi) psi = D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}).
 A run draws its ensemble once and builds one ``_ShotEngine`` per operating
 point (final-pulse phase grid, interrogation time or sweep-rate offset) on

@@ -77,7 +77,8 @@ def test_bragg_pulses(pairs, order, sigma):
                           sigma=sigma, detuning=bragg_resonance(order, RB),
                           laser_phase=0.7, chirp=chirp)
         ladder.pulse_propagator(RB, pulse, (-order - 6, order + 6))
-    assert_identical(pairs, 3)
+    # one half solve for the unchirped pulse, two (at +-chirp) for each chirped one
+    assert_identical(pairs, 5)
 
 
 def test_calibration_batch_with_per_row_coupling(pairs):
@@ -136,18 +137,19 @@ def test_decay_keeps_no_history(rtol):
     np.testing.assert_allclose(sol.y, [math.exp(-2.0), 2 * math.exp(-2.0)], rtol=1e-10)
 
 
-# a 25-sample order-2 pi stack on +-8 sites, written to stdout: its state is
-# long enough for a BLAS dot to split across threads
+# 25-sample order-2 pi stacks on +-8 sites, unchirped and chirped, written to
+# stdout: their states are long enough for a BLAS dot to split across threads
 STACK = """
 import math, sys
 import numpy as np
 from braggsim.ladder import PulseSpec, pulse_propagator
 from braggsim.physics import AtomSpecies, bragg_resonance
 rb, sigma = AtomSpecies.rubidium87(), 15e-6
-pulse = PulseSpec(2 * math.pi / (sigma * math.sqrt(2 * math.pi)), sigma,
-                  detuning=bragg_resonance(2, rb))
-stack = pulse_propagator(rb, pulse, (-8, 8), np.linspace(-0.5, 0.5, 25))
-sys.stdout.buffer.write(stack.tobytes())
+for chirp in (0.0, 2.5e5):
+    pulse = PulseSpec(2 * math.pi / (sigma * math.sqrt(2 * math.pi)), sigma,
+                      detuning=bragg_resonance(2, rb), chirp=chirp)
+    stack = pulse_propagator(rb, pulse, (-8, 8), np.linspace(-0.5, 0.5, 25))
+    sys.stdout.buffer.write(stack.tobytes())
 """
 
 
@@ -161,5 +163,5 @@ def test_stack_bits_do_not_depend_on_blas_threads():
         return done.stdout
 
     one = stack_bytes(1)
-    assert len(one) == 25 * 17 * 17 * 16
+    assert len(one) == 2 * 25 * 17 * 17 * 16
     assert stack_bytes(2) == one

@@ -241,18 +241,35 @@ class TestPropagatorConsistency:
 
     @staticmethod
     def direct_stack(pulse, reach, qs):
-        # one column per quasimomentum, the path a stack of <= 49 takes
+        # one column per quasimomentum, the path a stack of <= 49 takes: the
+        # first half at chirp r and at -r, G(t_c)* applied, then transposed
+        # and multiplied, and G(6 sigma) G(0) put back
+        sites = np.arange(-reach, reach + 1)
+        dur, coupling, theta = ladder._pulse_stage(pulse)
+        halves = []
+        for chirp in (pulse.chirp, -pulse.chirp):
+            th = ladder._pulse_stage(dataclasses.replace(pulse, chirp=chirp))[2]
+            half = ladder._evolve(kinetic_frequencies(RB, sites, qs),
+                                  np.eye(len(sites), dtype=complex), dur / 2.0,
+                                  coupling, th, EvolutionConfig(), max_step=dur / 12.0)
+            halves.append(half * np.exp(1j * sites * th(dur / 2.0))[:, None])
+        U = np.einsum("...ki,...kj->...ij", halves[1], halves[0])
+        return U * np.exp(-1j * sites * (theta(dur) + theta(0.0)))[:, None]
+
+    @staticmethod
+    def full_stack(pulse, reach, qs, cfg=EvolutionConfig()):
+        # the whole pulse in one solve
         sites = np.arange(-reach, reach + 1)
         return ladder._evolve(kinetic_frequencies(RB, sites, qs),
                               np.eye(len(sites), dtype=complex),
-                              *ladder._pulse_stage(pulse), EvolutionConfig())
+                              *ladder._pulse_stage(pulse), cfg)
 
     @staticmethod
     def counted_evolve(monkeypatch):
         # the number of propagator columns of each _evolve call
         real, columns = ladder._evolve, []
-        monkeypatch.setattr(ladder, "_evolve", lambda kin, *a: columns.append(
-            kin.shape[0] if kin.ndim > 1 else 1) or real(kin, *a))
+        monkeypatch.setattr(ladder, "_evolve", lambda kin, *a, **k: columns.append(
+            kin.shape[0] if kin.ndim > 1 else 1) or real(kin, *a, **k))
         return columns
 
     @staticmethod
@@ -263,14 +280,15 @@ class TestPropagatorConsistency:
 
     # (order, sigma, Omega_0 near the pi/2 or pi amplitude, chirp Hz/s,
     # detuning offset rad/s, samples, columns of each _evolve call): a
-    # 128-sample sigma = 5 us stack is one solve of 25 columns
+    # 128-sample sigma = 5 us stack is one half solve of 25 columns, two if
+    # the pulse is chirped
     NODE_CASES = [
         (1, 5e-6, 1.825e5, 0.0, 0.0, 64, [25]),
-        (2, 5e-6, 2.819e5, 2000.0, 0.0, 128, [25]),
+        (2, 5e-6, 2.819e5, 2000.0, 0.0, 128, [25, 25]),
         (2, 5e-6, 6.103e5, 0.0, 2 * math.pi * 2e3, 200, [25]),
-        (3, 5e-6, 5.112e5, -2000.0, 0.0, 128, [25]),
-        (2, 15e-6, 1.951e5, -2000.0, 2 * math.pi * 2e3, 64, [25, 24]),
-        (1, 30e-6, 4.221e4, 2000.0, 0.0, 64, [25, 24]),
+        (3, 5e-6, 5.112e5, -2000.0, 0.0, 128, [25, 25]),
+        (2, 15e-6, 1.951e5, -2000.0, 2 * math.pi * 2e3, 64, [25, 25, 24, 24]),
+        (1, 30e-6, 4.221e4, 2000.0, 0.0, 64, [25, 25, 24, 24]),
     ]
 
     @pytest.mark.parametrize("order, sigma, rabi, chirp, offset, samples, rounds",
@@ -301,6 +319,41 @@ class TestPropagatorConsistency:
         U = pulse_propagator(RB, pulse, (-reach, reach), qs)
         assert columns == rounds
         assert np.array_equal(U, self.direct_stack(pulse, reach, qs))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [5e-6, 15e-6, 30e-6])
+    def test_half_built_pulse_matches_full_pulse(self, monkeypatch, order, sigma):
+        # U = G(6 sigma) U_b1(-r)^T U_b1(r) G(0)*: one half solve per
+        # unchirped pulse, two per chirped one, against one whole-pulse solve
+        qs = np.array([-1.0, -0.3, 0.45])
+        columns = self.counted_evolve(monkeypatch)
+        for chirp in (0.0, 2e3, -2e3, 2.5e5, -2.5e5):
+            pulse = PulseSpec(order * math.pi / (sigma * math.sqrt(2 * math.pi)), sigma,
+                              detuning=bragg_resonance(order, RB), laser_phase=0.7,
+                              chirp=chirp)
+            columns.clear()
+            U = pulse_propagator(RB, pulse, (-order - 6, order + 6), qs)
+            assert columns == ([3] if chirp == 0.0 else [3, 3])
+            np.testing.assert_allclose(U, self.full_stack(pulse, order + 6, qs),
+                                       rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [5e-6, 15e-6, 30e-6])
+    def test_unchirped_pulse_is_symmetric_in_the_lattice_frame(self, order, sigma):
+        # the premise: H_b = K - n delta + g(t) (R + R^dagger) is real and even
+        # about the pulse centre, so U_b = G(6 sigma)* U G(0) equals its
+        # transpose; a chirp breaks the evenness
+        sites, qs = np.arange(-order - 6, order + 7), np.array([-0.3, 0.45])
+        for chirp, symmetric in ((0.0, True), (2.5e5, False)):
+            pulse = PulseSpec(order * math.pi / (sigma * math.sqrt(2 * math.pi)), sigma,
+                              detuning=bragg_resonance(order, RB), laser_phase=0.7,
+                              chirp=chirp)
+            dur, _, theta = ladder._pulse_stage(pulse)
+            U = self.full_stack(pulse, order + 6, qs)
+            Ub = (np.exp(1j * sites * theta(dur))[:, None] * U
+                  * np.exp(-1j * sites * theta(0.0)))
+            asymmetry = np.abs(Ub - np.swapaxes(Ub, -1, -2)).max()
+            assert (asymmetry <= 1e-10) == symmetric, asymmetry
 
     @pytest.mark.parametrize("q", [1.5, [0.1, 3.0], [0.1, math.nan]],
                              ids=["scalar", "outside", "nan"])

@@ -389,10 +389,10 @@ class TestPinnedShotStreams:
             NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
-            "0x1.035855bb2490bp-4", "0x1.52d4a59239651p-2",
-            "0x1.6d3dfffeb994dp-1", "0x1.8379e85a734a6p-2",
-            "0x1.6738c85bda695p-2", "0x1.e7511f312b013p-2",
-            "0x1.e10dc5c458500p-1", "0x1.407fec5175f26p-2"]
+            "0x1.035855bb248f3p-4", "0x1.52d4a5923964cp-2",
+            "0x1.6d3dfffeb994bp-1", "0x1.8379e85a734a1p-2",
+            "0x1.6738c85bda690p-2", "0x1.e7511f312b00dp-2",
+            "0x1.e10dc5c4584ffp-1", "0x1.407fec5175f1dp-2"]
 
     def test_fringe_scan_stream(self):
         ens = EnsembleSpec(samples=4, sigma_q_hk=0.42, seed=2)
@@ -401,32 +401,32 @@ class TestPinnedShotStreams:
                            NoiseModel(mirror_phase_rms_rad=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
-            "0x1.ecc75baf42e97p-2", "0x1.12479452f0c35p-3",
-            "0x1.a45792d006f86p-3", "0x1.d808344fa2b4dp-4",
-            "0x0.0p+0", "0x1.f0198b7a11766p-4",
-            "0x1.1fb1c612f70a0p-5", "0x1.dd2f1e9e37388p-3",
-            "0x1.fa92b89cafcaep-2", "0x1.41be481e40a18p-3",
-            "0x1.9e256554e4fe9p-3", "0x1.328202824095ap-3",
-            "0x0.0p+0", "0x1.dd15087fe1404p-4",
-            "0x1.1305dffda0093p-5", "0x1.e20e07a0383cbp-3"]
+            "0x1.ecc75baf42942p-2", "0x1.12479452f0ab4p-3",
+            "0x1.a45792d006be4p-3", "0x1.d808344fa2653p-4",
+            "0x0.0p+0", "0x1.f0198b7a11309p-4",
+            "0x1.1fb1c612f6fe7p-5", "0x1.dd2f1e9e36ccbp-3",
+            "0x1.fa92b89caf748p-2", "0x1.41be481e4084bp-3",
+            "0x1.9e256554e4c55p-3", "0x1.32820282406c4p-3",
+            "0x0.0p+0", "0x1.dd15087fe0fd8p-4",
+            "0x1.1305dffd9fdc4p-5", "0x1.e20e07a037da5p-3"]
         assert _hex(scan.port_populations[2]) == [
-            "0x1.5f7e147405a52p-3", "0x1.52428a90ebf90p-3",
-            "0x1.4796a7ffa8eefp-4", "0x1.59a280bc7c334p-2",
-            "0x1.1d03034959edap-2", "0x1.79f26de97d878p-5",
-            "0x1.093a9769ffac3p-3", "0x1.cd91a4a3d5964p-6",
-            "0x1.14a209d05c076p-4", "0x1.acda9e0f48f23p-3",
-            "0x1.fb001c90530dep-5", "0x1.3c92cf54c76cep-2",
-            "0x1.4b3f7263a6156p-2", "0x1.6cd3d9157dc2ap-4",
-            "0x1.70ecbab26465ap-3", "0x1.5066ab3e3949cp-4"]
+            "0x1.5f7e14740566fp-3", "0x1.52428a90ebc99p-3",
+            "0x1.4796a7ffa8a81p-4", "0x1.59a280bc7be2cp-2",
+            "0x1.1d03034959ba0p-2", "0x1.79f26de97d271p-5",
+            "0x1.093a9769ff79bp-3", "0x1.cd91a4a3d552cp-6",
+            "0x1.14a209d05b9ecp-4", "0x1.acda9e0f48a94p-3",
+            "0x1.fb001c90529acp-5", "0x1.3c92cf54c71dcp-2",
+            "0x1.4b3f7263a5dbap-2", "0x1.6cd3d9157d7bdp-4",
+            "0x1.70ecbab2642fep-3", "0x1.5066ab3e392c5p-4"]
         assert _hex(scan.normalized) == [
-            "0x1.7966ee159cc73p-1", "0x1.ca856898f0655p-2",
-            "0x1.706ede1f794f5p-1", "0x1.04a1d2ce6664fp-2",
-            "0x0.0p+0", "0x1.72c48c58822c4p-1",
-            "0x1.b4e49981df180p-3", "0x1.c8c59bdb87a10p-1",
-            "0x1.c27f50b5e4fbep-1", "0x1.b6eff21f43b51p-2",
-            "0x1.88056fbc58591p-1", "0x1.4e054483a2fd1p-2",
-            "0x0.0p+0", "0x1.222222373cd39p-1",
-            "0x1.41b904677fbdfp-3", "0x1.7b8fcfbf3b28bp-1"]
+            "0x1.7966ee159cc78p-1", "0x1.ca856898f072ap-2",
+            "0x1.706ede1f79576p-1", "0x1.04a1d2ce66716p-2",
+            "0x0.0p+0", "0x1.72c48c588237fp-1",
+            "0x1.b4e49981df4b9p-3", "0x1.c8c59bdb879d1p-1",
+            "0x1.c27f50b5e5071p-1", "0x1.b6eff21f43c94p-2",
+            "0x1.88056fbc58613p-1", "0x1.4e054483a316fp-2",
+            "0x0.0p+0", "0x1.222222373cda6p-1",
+            "0x1.41b904677fb92p-3", "0x1.7b8fcfbf3b1d3p-1"]
 
 
 class TestContrastVsT:
