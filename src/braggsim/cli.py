@@ -3,7 +3,8 @@ emit plot-ready CSV tables plus a deterministic JSON summary.
 
 Subcommands: pulse, bvs, fringe, revivals, gradiometer, gravity-run, allan,
 class-oracle, calibrate. A ``cmd_*`` returns its results and its tables,
-``{name: (header, rows)}``, and writes nothing; ``main`` writes every file.
+``{name: (header, columns)}`` with each column a 1-D integer or float array,
+all of one length, and writes nothing; ``main`` writes every file.
 Exit codes: 0 ok, 1 configuration error, 2 numerical error (a NaN or
 infinite result or table cell included). Once its out_dir exists, a run
 removes every file an earlier run of any subcommand wrote there (``_TABLES``
@@ -81,12 +82,12 @@ def cmd_pulse(run: Run) -> tuple[dict, dict]:
     psi = plane_wave_state(run.species, quasimomentum=blk.quasimomentum_hk)
     final = apply_pulse(psi, dataclasses.replace(run.pulse, rabi_peak=omega0),
                         run.config.evolution)
-    rows = [(int(n), float(p)) for n, p in sorted(final.populations().items())]
     return {
         "omega0_rad_s": omega0,
         "norm": final.norm,
         "transfer": final.population(blk.order),
-    }, {"pulse_populations": (["site", "population"], rows)}
+    }, {"pulse_populations": (["site", "population"],
+                              (final.sites, np.abs(final.amplitudes) ** 2))}
 
 
 def cmd_bvs(run: Run) -> tuple[dict, dict]:
@@ -94,14 +95,13 @@ def cmd_bvs(run: Run) -> tuple[dict, dict]:
     momenta_hk = np.linspace(blk.profile_min_hk, blk.profile_max_hk,
                              blk.profile_points)
     eff = bloch.selection_profile(run.species, run.ramp, momenta_hk, run.config.evolution)
-    rows = [(float(p), float(e)) for p, e in zip(momenta_hk, eff)]
     center = float(eff[np.argmin(np.abs(momenta_hk))])
     above = momenta_hk[eff >= eff.max() / 2.0]
     return {
         "center_transfer": center,
         "profile_fwhm_hk": float(above.max() - above.min()) if len(above) else 0.0,
         "sweep_duration_s": run.ramp.resolved_sweep_duration(run.species),
-    }, {"bvs_profile": (["momentum_hk", "transfer"], rows)}
+    }, {"bvs_profile": (["momentum_hk", "transfer"], (momenta_hk, eff))}
 
 
 def cmd_fringe(run: Run) -> tuple[dict, dict]:
@@ -117,14 +117,12 @@ def cmd_fringe(run: Run) -> tuple[dict, dict]:
         # offsets (Hz/s) from the resonant rate, one shot each at phase 0
         x_name = "sweep_rate_offset_hz_per_s"
         ports, normalized = sequence.scan_sweep_rate(*args)
-    rows = zip(grid.tolist(), ports[0].tolist(), ports[seq.order].tolist(),
-               normalized.tolist())
     header = [x_name, "port0", f"port{seq.order}", "normalized"]
     summary = {"beamsplitter_omega0": seq.beamsplitter_rabi,
                "mirror_omega0": seq.mirror_rabi}
     if cfg.scan.target == "phase":
         summary["fit"] = _fit_summary(analysis.fit_harmonics(scan, n_harmonics=3))
-    return summary, {"fringe": (header, rows)}
+    return summary, {"fringe": (header, (grid, ports[0], ports[seq.order], normalized))}
 
 
 def cmd_revivals(run: Run) -> tuple[dict, dict]:
@@ -139,15 +137,14 @@ def cmd_revivals(run: Run) -> tuple[dict, dict]:
     curve = sequence.scan_contrast_vs_T(run.species, cfg.ensemble, _calibrated(run),
                                         times, cfg.noise, cfg.seed, cfg.evolution)
     dT = revival_period(run.species)
-    period, t_peak = analysis.fit_revival_period(
-        [t for t, _ in curve], [c for _, c in curve], 0.7 * dT, 1.3 * dT)
+    columns = tuple(np.array(curve).T)   # interrogation times, contrasts
+    period, t_peak = analysis.fit_revival_period(*columns, 0.7 * dT, 1.3 * dT)
     return {
         "revival_period_s": dT,
         "fitted_period_s": period,
         "fitted_first_maximum_s": t_peak,
         "period_ratio": period / dT,
-    }, {"revivals": (["interrogation_time_s", "contrast"],
-                     [(float(t), float(c)) for t, c in curve])}
+    }, {"revivals": (["interrogation_time_s", "contrast"], columns)}
 
 
 def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
@@ -158,8 +155,6 @@ def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
     res = sequence.run_gradiometer(run.species, cfg.gradiometer, cfg.ensemble,
                                    _calibrated(run), cfg.noise, grid, cfg.seed,
                                    run.geometry, cfg.evolution)
-    rows = zip(grid.tolist(), res.lower.normalized.tolist(),
-               res.upper.normalized.tolist())
     fit_lo = analysis.fit_harmonics(res.lower, 3)
     fit_up = analysis.fit_harmonics(res.upper, 3)
     d_lo, m_lo = analysis.extract_shot_phases(res.lower, fit_lo)
@@ -179,7 +174,8 @@ def cmd_gradiometer(run: Run) -> tuple[dict, dict]:
         _, _, r = analysis.gradiometer_correlation(d_lo[keep], d_up[keep])
         summary["pearson_r"] = r
         summary["differential_phase_std"] = float(np.std(d_lo[keep] - d_up[keep]))
-    return summary, {"gradiometer": (["phase_rad", "p_lower", "p_upper"], rows)}
+    return summary, {"gradiometer": (["phase_rad", "p_lower", "p_upper"],
+                                     (grid, res.lower.normalized, res.upper.normalized))}
 
 
 def _gravity_series(run: Run):
@@ -201,12 +197,10 @@ def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
     tables = {
         "gravity_series": (
             ["time_s", "gravity_true", "normalized_population", "gravity_recovered"],
-            zip(series.times.tolist(), series.true_gravity.tolist(),
-                series.normalized_population.tolist(),
-                series.recovered_gravity.tolist())),
+            (series.times, series.true_gravity, series.normalized_population,
+             series.recovered_gravity)),
         "gravity_binned": (
-            ["time_s", "gravity_mean", "gravity_stderr"],
-            zip(t_bins.tolist(), (g0 + means).tolist(), errs.tolist())),
+            ["time_s", "gravity_mean", "gravity_stderr"], (t_bins, g0 + means, errs)),
     }
     summary = {
         "bias_phase_rad": series.bias_phase,
@@ -248,21 +242,20 @@ def cmd_allan(run: Run) -> tuple[dict, dict]:
         "last_tau_s": float(curve.taus[-1]),
         "last_value": float(curve.values[-1]),
         "saturated_shots": series.saturated_shots,
-    }, {"allan": (["tau_s", "allan_deviation"],
-                  zip(curve.taus.tolist(), curve.values.tolist()))}
+    }, {"allan": (["tau_s", "allan_deviation"], (curve.taus, curve.values))}
 
 
 def cmd_class_oracle(run: Run) -> tuple[dict, dict]:
     blk = run.config.class_oracle
     times = np.linspace(blk.time_min_s, blk.time_max_s, blk.time_points)
-    rows = [(float(t), analysis.class_contrast_proxy(
-                blk.class_index, range(blk.a_min, blk.a_max + 1), float(t), run.species))
-            for t in times]
+    proxy = np.array([analysis.class_contrast_proxy(
+        blk.class_index, range(blk.a_min, blk.a_max + 1), t, run.species)
+        for t in times.tolist()])
     return {
         "class_index": blk.class_index,
         "revival_period_s": revival_period(run.species),
         "trajectories": blk.a_max - blk.a_min + 1,
-    }, {"class_oracle": (["interrogation_time_s", "contrast_proxy"], rows)}
+    }, {"class_oracle": (["interrogation_time_s", "contrast_proxy"], (times, proxy))}
 
 
 # every CSV table of every subcommand, each written as <name>.csv
@@ -327,8 +320,8 @@ def main(argv=None) -> int:
             "versions": versions(),
         })]
         try:
-            for name, (header, rows) in tables.items():
-                written.append(write_table(out, name, header, rows))
+            for name, (header, columns) in tables.items():
+                written.append(write_table(out, name, header, columns))
         except BaseException:
             # complete tables of a failed run would read as a finished run
             for path in written:

@@ -176,10 +176,6 @@ class MomentumLadderState:
             return 0.0
         return float(np.abs(self.amplitudes[site - self.n_min]) ** 2)
 
-    def populations(self) -> dict[int, float]:
-        return {int(n): float(p)
-                for n, p in zip(self.sites, np.abs(self.amplitudes) ** 2)}
-
     def mean_momentum(self) -> float:
         """Ensemble mean momentum (units of hbar*k) in the current frame."""
         p = 2.0 * self.sites + self.quasimomentum
@@ -345,16 +341,6 @@ def apply_pulse(
     order = max(1, abs(round(pulse.detuning / (4.0 * state.species.recoil_frequency))))
     reach = order + cfg.guard_sites
     return drive([state], [_pulse_stage(pulse)], (reach, reach), cfg)[0]
-
-
-def free_propagate(state: MomentumLadderState, duration: float) -> MomentumLadderState:
-    """Diagonal kinetic evolution e^{-i E_n t / hbar} in the falling frame."""
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    if duration == 0.0:
-        return state
-    kin = kinetic_frequencies(state.species, state.sites, state.quasimomentum)
-    return replace(state, amplitudes=state.amplitudes * np.exp(-1j * kin * duration))
 
 
 _Q_NODES = 25   # Chebyshev-Lobatto quasimomentum nodes; 2 * 25 - 1 on a second round

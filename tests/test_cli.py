@@ -24,7 +24,7 @@ from braggsim.config import (
     parse_config,
     resolve,
 )
-from braggsim.report import dumps_stable, format_float, write_table
+from braggsim.report import CHUNK_ROWS, dumps_stable, format_float, write_table
 from braggsim.sequence import prepare_sequence, run_shot
 
 FAST_FRINGE = """
@@ -241,7 +241,7 @@ class TestFloatSerialization:
         rows = [(-3, 0.1, 9.8100000000000023, -0.0, 5e-324),
                 (0, 1 / 3, np.float64(2.2250738585072014e-308), 1e300, -1.5e-17),
                 (np.int64(7), 2.0, 0.0, math.pi, -2.2250738585072009e-308)]
-        path = write_table(tmp_path, "t", header, iter(rows))
+        path = write_table(tmp_path, "t", header, list(zip(*rows)))
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             csv.writer(fh, quoting=csv.QUOTE_MINIMAL).writerows(
                 [header] + [[format_float(v) if isinstance(v, float) else v
@@ -249,30 +249,67 @@ class TestFloatSerialization:
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert path.read_bytes().count(b"\r\n") == 4
 
+    def test_table_bytes_across_chunk_seams(self, tmp_path):
+        # rows 0 .. 2 * CHUNK_ROWS + 2: two seams and a short last chunk
+        n = 2 * CHUNK_ROWS + 3
+        special = [-0.0, 5e-324, -2.2250738585072009e-308, 1e300, 1 / 3]
+        site = np.arange(n, dtype=np.int64) - CHUNK_ROWS
+        a = np.resize(special, n)
+        b = np.linspace(-1.0, 1.0, n) ** 3 * 9.81e5
+        path = write_table(tmp_path, "t", ["site", "a", "b"], (site, a, b))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_MINIMAL).writerows(
+                [["site", "a", "b"]] + [[s, format_float(x), format_float(y)]
+                                        for s, x, y in zip(site.tolist(), a, b)])
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert path.read_bytes().count(b"\r\n") == n + 1
+
+        empty = tmp_path / "rejected"
+        empty.mkdir()
+        b[CHUNK_ROWS] = math.nan   # the first row of the second chunk
+        with pytest.raises(ValueError, match=rf"^non-finite value nan in table t, "
+                                             rf"row {CHUNK_ROWS}, column b$"):
+            write_table(empty, "t", ["site", "a", "b"], (site, a, b))
+        with pytest.raises(ValueError, match=rf"^table t is ragged: 3 header cells, "
+                                             rf"column lengths \[{n}, {n - 1}, {n}\]$"):
+            write_table(empty, "t", ["site", "a", "b"], (site, a[:-1], a))
+        assert list(empty.iterdir()) == []
+
     @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r",
                                       "", None], ids=["comma", "quote", "newline",
                                                       "carriage-return", "empty",
                                                       "none"])
     def test_table_rejects_a_cell_csv_would_quote(self, tmp_path, cell):
         with pytest.raises(ValueError, match="empty or would be quoted"):
-            write_table(tmp_path, "t", ["x", "y"], [(1.0, cell)])
+            write_table(tmp_path, "t", ["x", cell], [(1.0,), (2.0,)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cell", ["a", "1.5", None, True, 1j],
+                             ids=["text", "numeric-text", "none", "bool", "complex"])
+    def test_table_rejects_a_non_numeric_column(self, tmp_path, cell):
+        # only integer and float columns are written: no text path remains
+        with pytest.raises(ValueError, match="^column y of table t is not a 1-D "
+                                             "integer or float array"):
+            write_table(tmp_path, "t", ["x", "y"], [(1.0,), (cell,)])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      np.float32("nan")],
                              ids=["nan", "inf", "-inf", "float32-nan"])
     def test_table_rejects_non_finite(self, tmp_path, bad):
-        # text holding an n passes; the bad cell is named by table, row, column
-        rows = [("none", 1.0, 2.0), ("info", 3.0, bad)]
+        # the first bad cell in row order is named by table, row and column,
+        # though an earlier column holds one in a later row
+        rows = [(0, 1.0, 2.0), (1, 3.0, bad), (2, bad, 4.0)]
         with pytest.raises(ValueError, match=r"in table t, row 1, column y$"):
-            write_table(tmp_path, "t", ["name", "x", "y"], rows)
+            write_table(tmp_path, "t", ["site", "x", "y"], list(zip(*rows)))
 
     @pytest.mark.parametrize("header, bad", [
         (["x", "y"], math.nan), (["x", "y"], ""), (["x", "y"], "a,b"),
         (["x", ""], 1.0)], ids=["nan", "empty", "quoted", "header"])
     def test_rejected_table_leaves_no_file(self, tmp_path, header, bad):
-        # no partial CSV: the rows written before the bad cell go too
+        # every check runs before the file opens
         with pytest.raises(ValueError):
-            write_table(tmp_path, "t", header, [(1, 2), (bad, 2.0)])
+            write_table(tmp_path, "t", header, list(zip(*[(1, 2), (bad, 2.0)])))
         assert list(tmp_path.iterdir()) == []
 
 

@@ -16,13 +16,14 @@ from braggsim.ladder import (
     TruncationLeakError,
     apply_pulse,
     calibrate_pulse_amplitude,
-    free_propagate,
     kinetic_frequencies,
     plane_wave_state,
     pulse_propagator,
 )
 from braggsim.physics import AtomSpecies, bragg_resonance
 from braggsim.sequence import prepare_sequence
+
+from free_flight import free_propagate
 
 RB = AtomSpecies.rubidium87()
 

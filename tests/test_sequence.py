@@ -21,7 +21,6 @@ from braggsim.ladder import (
     EvolutionConfig,
     PulseSpec,
     apply_pulse,
-    free_propagate,
     plane_wave_state,
 )
 from braggsim.physics import (
@@ -43,6 +42,8 @@ from braggsim.sequence import (
     scan_contrast_vs_T,
     scan_fringe,
 )
+
+from free_flight import free_propagate
 
 RB = AtomSpecies.rubidium87()
 QUIET = NoiseModel(mirror_phase_rms_rad=0.0, detection_snr=None)
