@@ -20,7 +20,7 @@ hbar*k, as on the ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,7 +104,8 @@ def bloch_accelerate(
     target_site = ramp.target_momentum // 2
     guard = cfg.guard_sites
     out = drive(states, stages, (guard, target_site + guard), cfg)
-    return [final.reindexed(target_site) for final in out]
+    # the Galilean boost to the target frame: old site target_site is site 0
+    return [replace(final, n_min=final.n_min - target_site) for final in out]
 
 
 def selection_profile(

@@ -5,10 +5,10 @@ Subcommands: pulse, bvs, fringe, revivals, gradiometer, gravity-run, allan,
 class-oracle, calibrate. A ``cmd_*`` returns its results and its tables,
 ``{name: (header, columns)}`` with each column a 1-D integer or float array,
 all of one length, and writes nothing; ``main`` writes every file.
-Exit codes: 0 ok, 1 configuration error, 2 numerical error (a NaN or
-infinite result or table cell included). Once its out_dir exists, a run
-removes every file an earlier run of any subcommand wrote there (``_TABLES``
-names the CSVs), and a run that exits 1 or 2 writes none.
+Exit codes: 0 ok, 1 configuration error (an unreadable config or unusable
+out_dir too), 2 numerical error (a NaN or infinite result or cell too) or a
+failed write. A run first removes every file a run of any subcommand writes
+(``_FILES``); a failed run, whatever the cause, leaves none of them.
 """
 
 from __future__ import annotations
@@ -190,6 +190,10 @@ def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
     shots, bin_size = run.config.gravity_run.shots, run.config.gravity_run.bin_size
     with at_key("gravity_run.bin_size"):
         analysis.check_count(shots, bin_size, "samples for one bin")
+    freqs = [c.angular_frequency for c in run.tide.components]
+    if freqs:   # the tide fit: an offset, two terms a component and two bins to spare
+        with at_key("gravity_run.shots"):
+            analysis.check_count(shots // bin_size, 2 * len(freqs) + 3, "tide-fit bins")
     series = _gravity_series(run)
     g0 = series.mean_gravity
     means, errs = analysis.bin_timeseries(series.recovered_shift, bin_size)
@@ -209,8 +213,7 @@ def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
         "saturated_shots": series.saturated_shots,
         "components": [],
     }
-    freqs = [c.angular_frequency for c in run.tide.components]
-    if freqs and len(means) > 2 * len(freqs) + 2:
+    if freqs:
         sigmas = errs if np.all(errs > 0) else None
         _, comps = analysis.fit_harmonic_components(t_bins, means, freqs,
                                                     weights=sigmas)
@@ -262,6 +265,10 @@ def cmd_class_oracle(run: Run) -> tuple[dict, dict]:
 _TABLES = ("pulse_populations", "bvs_profile", "fringe", "revivals", "gradiometer",
            "gravity_series", "gravity_binned", "allan", "class_oracle")
 
+# every file a run of any subcommand writes
+_FILES = ("summary.json", "resolved_config.yaml", "run_meta.json",
+          *(f"{table}.csv" for table in _TABLES))
+
 _COMMANDS = {
     "pulse": cmd_pulse,
     "bvs": cmd_bvs,
@@ -288,21 +295,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out_dir is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
+        overrides = {"seed": args.seed, "out_dir": args.out_dir}
+        cfg = dataclasses.replace(load_config(args.config), **{
+            key: value for key, value in overrides.items() if value is not None})
         run = resolve(cfg)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
+        for name in _FILES:   # an earlier run's files would read as this run's
+            (out / name).unlink(missing_ok=True)
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    # an earlier run's files left here would read as this run's
-    for name in ("summary.json", "resolved_config.yaml", "run_meta.json",
-                 *(f"{table}.csv" for table in _TABLES)):
-        (out / name).unlink(missing_ok=True)
 
     started = time.perf_counter()
     try:
@@ -311,32 +314,27 @@ def main(argv=None) -> int:
         # run_meta so the summary stays byte-stable across runs
         summary_config = {k: v for k, v in dataclasses.asdict(cfg).items()
                           if k != "out_dir"}
-        # the summary first: a non-finite result fails it before any file
-        # is written
-        written = [write_summary(out, {
+        # the summary first: a non-finite result fails before any file is written
+        write_summary(out, {
             "subcommand": args.subcommand,
             "config": summary_config,
             "results": results,
             "versions": versions(),
-        })]
-        try:
-            for name, (header, columns) in tables.items():
-                written.append(write_table(out, name, header, columns))
-        except BaseException:
-            # complete tables of a failed run would read as a finished run
-            for path in written:
-                path.unlink()
-            raise
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    (out / "resolved_config.yaml").write_text(echo_config(cfg))
-    write_run_meta(out, time.perf_counter() - started,
-                   output_directory=str(out))
+        })
+        for name, (header, columns) in tables.items():
+            write_table(out, name, header, columns)
+        (out / "resolved_config.yaml").write_text(echo_config(cfg))
+        write_run_meta(out, time.perf_counter() - started, output_directory=str(out))
+    except BaseException as exc:
+        for name in _FILES:   # a failed run's files would read as a finished run
+            (out / name).unlink(missing_ok=True)
+        if isinstance(exc, ConfigError):
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 1
+        if isinstance(exc, Exception):
+            print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        raise
     return 0
 
 

@@ -7,8 +7,8 @@ annotation: a block takes a mapping (null or ``{}`` gives its defaults), a
 takes null and ``Literal[...]`` its strings. ``float`` takes a finite float
 or an int, ``int`` and ``str`` only their own type; a bool is no number.
 YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. Errors name the key
-path, or the block for a range error, and unknown keys are rejected. Every
-block carries explicit defaults so the echo reproduces the run
+path, or the block for a range error; unknown and repeated keys are rejected.
+Every block carries explicit defaults so the echo reproduces the run
 bit-identically. Units are spelled out in the key names.
 
 A block whose keys are a domain object's fields is that object, built and
@@ -315,10 +315,24 @@ def parse_config(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data, "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``SafeLoader`` rejecting a key repeated in one mapping (it keeps the last)."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value:   # a key that is no scalar stands for itself
+            text = (key.tag, key.value) if isinstance(key, yaml.ScalarNode) else key
+            if text in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key.value!r}", key.start_mark)
+            seen.add(text)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
+    raw = Path(path).read_bytes()   # yaml decodes it: a bad byte is a YAMLError
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(raw, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
     return parse_config(data)

@@ -191,15 +191,6 @@ class MomentumLadderState:
         amps[self.n_min - lo:self.n_min - lo + len(self.amplitudes)] = self.amplitudes
         return replace(self, amplitudes=amps, n_min=lo)
 
-    def reindexed(self, shift: int) -> "MomentumLadderState":
-        """Relabel sites so that old site ``shift`` becomes site 0.
-
-        This is a Galilean boost to the frame moving at 2*shift*hbar*k/m;
-        populations are preserved, overall phases are not meaningful across
-        the boost.
-        """
-        return replace(self, n_min=self.n_min - shift)
-
 
 def plane_wave_state(
     species: AtomSpecies,

@@ -116,19 +116,14 @@ def write_table(out_dir: str | Path, name: str, header: list[str],
     template = ",".join("%.17g" if a.dtype.kind == "f" else "%d" for a in arrays)
     n, width = (arrays[0].size if arrays else 0), len(arrays)
     path = Path(out_dir) / f"{name}.csv"
-    fh = open(path, "w", newline="")
-    try:
-        with fh:
-            fh.write(head)
-            for lo in range(0, n, CHUNK_ROWS):
-                hi = min(lo + CHUNK_ROWS, n)
-                cells = [None] * ((hi - lo) * width)   # row-major, as % reads them
-                for j, a in enumerate(arrays):
-                    cells[j::width] = a[lo:hi].tolist()
-                fh.write((template + "\r\n") * (hi - lo) % tuple(cells))
-    except BaseException:   # a failed write (a full disk) leaves no partial CSV
-        path.unlink()
-        raise
+    with open(path, "w", newline="") as fh:
+        fh.write(head)
+        for lo in range(0, n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, n)
+            cells = [None] * ((hi - lo) * width)   # row-major, as % reads them
+            for j, a in enumerate(arrays):
+                cells[j::width] = a[lo:hi].tolist()
+            fh.write((template + "\r\n") * (hi - lo) % tuple(cells))
     return path
 
 

@@ -202,6 +202,18 @@ class TestConfigParsing:
         path = write_config(tmp_path, "# a comment\nseed: 3  # inline\n")
         assert load_config(path).seed == 3
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("noise: {mirror_phase_rms_rad: 0.5}\nseed: 3\nnoise: {detection_snr: 10.0}\n",
+         "noise", 3),
+        ("ensemble:\n  samples: 2\n  samples: 3\n", "samples", 3),
+        ("tide:\n  components:\n    - {period_h: 12.0, period_h: 24.0}\n",
+         "period_h", 3),
+    ], ids=["block", "block-key", "list-element"])
+    def test_repeated_key_rejected(self, tmp_path, text, key, line):
+        # a plain YAML load keeps the last value and drops the first silently
+        with pytest.raises(ConfigError, match=rf"duplicate key '{key}'\n.*line {line},"):
+            load_config(write_config(tmp_path, text))
+
     def test_echo_round_trip(self):
         cfg = parse_config(yaml.safe_load(FAST_FRINGE))
         echoed = yaml.safe_load(echo_config(cfg))
@@ -397,6 +409,56 @@ class TestCliRuns:
         assert main(["gravity-run", write_config(tmp_path, DUPLICATE_PERIOD),
                      "--out-dir", str(out)]) == 2
         assert not any((out / name).exists() for name in records)
+
+    @pytest.mark.parametrize("point", ["write_summary", "write_table",
+                                       "resolved_config.yaml", "write_run_meta"])
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                           point):
+        # each write fails after its file is written, as a full disk may on
+        # close; the run must leave none of its files, nor an earlier run's
+        config = write_config(tmp_path, TINY)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("summary.json", "resolved_config.yaml", "run_meta.json",
+                     *(f"{table}.csv" for table in cli._TABLES)):
+            (out / name).write_text("an earlier run\n")
+
+        def failing(write):
+            def wrapped(*args, **kwargs):
+                write(*args, **kwargs)
+                raise OSError(28, "No space left on device")
+            return wrapped
+
+        if point == "resolved_config.yaml":
+            write_text = Path.write_text
+            monkeypatch.setattr(Path, "write_text", lambda path, *a, **k: (
+                failing(write_text) if path.name == point else write_text)(path, *a, **k))
+        else:
+            monkeypatch.setattr(cli, point, failing(getattr(cli, point)))
+        assert main(["class-oracle", config, "--out-dir", str(out)]) == 2
+        assert "OSError: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable",
+                                      "out-dir-is-a-file", "out-dir-under-a-file"])
+    def test_unreadable_config_or_out_dir_exits_1(self, tmp_path, monkeypatch,
+                                                  capsys, case):
+        solves = []
+        monkeypatch.setattr(ladder, "solve_ivp", lambda *a, **k: solves.append(1))
+        config = write_config(tmp_path, FAST_FRINGE)
+        (tmp_path / "undecodable.yaml").write_bytes(b"seed: \xff\n")
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        out = str(tmp_path / "out")
+        args = {"missing": [str(tmp_path / "missing.yaml"), "--out-dir", out],
+                "directory": [str(tmp_path), "--out-dir", out],
+                "undecodable": [str(tmp_path / "undecodable.yaml"), "--out-dir", out],
+                "out-dir-is-a-file": [config, "--out-dir", str(blocker)],
+                "out-dir-under-a-file": [config, "--out-dir", str(blocker / "out")],
+                }[case]
+        assert main(["fringe", *args]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert solves == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block, key, value, path", [
         ("noise", "mirror_phase_rms_rad", math.nan, "noise.mirror_phase_rms_rad"),
@@ -645,6 +707,11 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
          "gravity_run.bin_size: need at least 38 samples for one bin, got 10"),
         ("allan", {"gravity_run": {"shots": 3}},
          "gravity_run.shots: need at least 4 samples, got 3"),
+        # 4 bins cannot fit an offset and one component's two terms with
+        # two bins to spare
+        ("gravity-run", {"gravity_run": {"shots": 64, "bin_size": 16},
+                         "tide": {"components": [{"period_h": 12.42}]}},
+         "gravity_run.shots: need at least 5 tide-fit bins, got 4"),
         # the schedule takes no sweep rate; each of these sets its own
         ("gradiometer", RATE, "sequence.sweep_rate_hz_per_s: unknown key"),
         ("gravity-run", RATE, "sequence.sweep_rate_hz_per_s: unknown key"),
@@ -666,7 +733,7 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
          "width: separation*sigma = 2.84 < 4"),
     ], ids=["fringe-target", "revivals-target", "revivals-4-points",
             "gradiometer-target", "revivals-T-step",
-            "gravity-run-bin-beyond-shots", "allan-3-shots",
+            "gravity-run-bin-beyond-shots", "allan-3-shots", "gravity-run-4-bins",
             "gradiometer-sweep-rate", "gravity-run-sweep-rate",
             "allan-sweep-rate", "fringe-sweep-rate-scan",
             "revivals-T-within-pulses", "fringe-span-below-3pi",
