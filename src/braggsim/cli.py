@@ -6,9 +6,10 @@ class-oracle, calibrate. A ``cmd_*`` returns its results and its tables,
 ``{name: (header, columns)}`` with each column a 1-D integer or float array,
 all of one length, and writes nothing; ``main`` writes every file.
 Exit codes: 0 ok, 1 configuration error (an unreadable config or unusable
-out_dir too), 2 numerical error (a NaN or infinite result or cell too) or a
-failed write. A run first removes every file a run of any subcommand writes
-(``_FILES``); a failed run, whatever the cause, leaves none of them.
+out_dir too, named ``config <path>`` or ``out_dir <path>``), 2 numerical
+error (a NaN or infinite result or cell too) or write error (an OSError).
+A run first removes every file a run of any subcommand writes (``_FILES``);
+a failed run, whatever the cause, leaves none of them.
 """
 
 from __future__ import annotations
@@ -300,10 +301,13 @@ def main(argv=None) -> int:
             key: value for key, value in overrides.items() if value is not None})
         run = resolve(cfg)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in _FILES:   # an earlier run's files would read as this run's
-            (out / name).unlink(missing_ok=True)
-    except (ConfigError, OSError) as exc:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name in _FILES:   # an earlier run's files would read as this run's
+                (out / name).unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out_dir {out}", str(exc)) from exc
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
@@ -331,6 +335,9 @@ def main(argv=None) -> int:
         if isinstance(exc, ConfigError):
             print(f"configuration error: {exc}", file=sys.stderr)
             return 1
+        if isinstance(exc, OSError):
+            print(f"write error: {exc}", file=sys.stderr)
+            return 2
         if isinstance(exc, Exception):
             print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2

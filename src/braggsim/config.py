@@ -330,11 +330,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    raw = Path(path).read_bytes()   # yaml decodes it: a bad byte is a YAMLError
+    try:
+        raw = Path(path).read_bytes()   # yaml decodes it: a bad byte is a YAMLError
+    except OSError as exc:
+        raise ConfigError(f"config {path}", str(exc)) from exc
     try:
         data = yaml.load(raw, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
-        raise ConfigError(str(path), f"invalid YAML: {exc}") from exc
+        raise ConfigError(f"config {path}", f"invalid YAML: {exc}") from exc
     return parse_config(data)
 
 

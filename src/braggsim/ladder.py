@@ -42,8 +42,9 @@ unchirped, two if chirped (``pulse_propagator``).
 
 A pulse sees a quasimomentum ensemble only through q, and once its own free
 flight is taken out the propagator is an entire function of q. So a stack
-over more than 49 quasimomenta is built on 25 Chebyshev-Lobatto nodes of
-q in [-1, 1] and evaluated at the drawn q; a smaller stack, or one that 49
+over more than 49 quasimomenta is evaluated at the drawn q from a series
+on 25 Chebyshev-Lobatto nodes of q in [-1, 1], memoised per pulse, so a
+chunk of an ensemble costs one evaluation; a smaller stack, or one that 49
 nodes do not resolve, is built column by column. Both Chebyshev series,
 the lobe's and the propagator's, come from one DCT-I, one tail rule and one
 node-doubling rule, which solves only the n - 1 nodes between the n it has
@@ -384,60 +385,66 @@ def pulse_propagator(
     which case a stack of propagators with shape (len(q), W, W) is returned;
     every q must lie within +-1 hbar*k (ValueError, NaN included, before any
     solve). A stack of up to 49 is built from one column per q.
-    A larger stack is built on Chebyshev-Lobatto nodes of q in [-1, 1]: the
-    half solves give the centred propagator V(q) = e^{+i kin dur/2} U e^{+i
-    kin dur/2}, entire in q, on 25 nodes; ``_chebyshev_series`` accepts its
-    series when the last quarter of the coefficients is <=
-    ``cfg.error_tolerance``, else solves the 24 nodes between and tries 49.
-    The accepted series is evaluated at each q and each sample's exact free
-    flight is put back; if 49 nodes fail, the stack is built directly. The
-    pulse is one stage ``(duration, coupling, theta)`` whose theta carries
-    the laser phase phi, so U(phi) = D U(0) D* with D = diag(e^{-i n phi});
-    a caller that builds U(0) once may apply other phases by that
-    conjugation.
+    A larger stack is evaluated at each q from the Chebyshev series of
+    ``_node_series``, memoised per pulse, with each sample's exact free
+    flight put back, so a caller may evaluate an ensemble chunk by chunk at
+    the cost of one node solve; if 49 nodes fail, the stack is built
+    directly. The pulse is one stage ``(duration, coupling, theta)`` whose
+    theta carries the laser phase phi, so U(phi) = D U(0) D* with
+    D = diag(e^{-i n phi}); a caller that builds U(0) once may apply other
+    phases by that conjugation.
     """
     q = np.asarray(quasimomentum, dtype=float)
     if not np.all(np.abs(q) <= 1 + 1e-12):   # NaN fails too
         raise ValueError("quasimomenta must lie within +-1 hbar*k, got max |q| = "
                          f"{np.max(np.abs(q))}")
     sites = np.arange(window[0], window[1] + 1)
-    dur, coupling, theta = _pulse_stage(pulse)
-    # the first half at chirp r, then, if r != 0, at -r for the second
-    thetas = [theta] if pulse.chirp == 0.0 else [
-        theta, _pulse_stage(replace(pulse, chirp=-pulse.chirp))[2]]
-
-    def stack(qs):
-        # U = G(dur) G(0) [G(t_c)* U_c1(-r)]^T [G(t_c)* U_c1(r)]: the G(0) of
-        # U_b1 and the G(0)* of U cancel on the right
-        kin = kinetic_frequencies(species, sites, qs)
-        halves = []
-        for th in thetas:
-            half = _evolve(kin, np.eye(len(sites), dtype=complex), dur / 2.0, coupling,
-                           th, cfg, max_step=dur / 12.0)
-            half *= np.exp(1j * sites * th(dur / 2.0))[:, None]
-            halves.append(half)
-        U = np.einsum("...ki,...kj->...ij", halves[-1], halves[0])
-        U *= np.exp(-1j * sites * (theta(dur) + theta(0.0)))[:, None]
-        return U
-
     if q.size == 0:   # nothing to solve; a zero-length solve would fail
         return np.empty(q.shape + (len(sites),) * 2, dtype=complex)
-    if q.size <= 2 * _Q_NODES - 1:
-        return stack(q)
+    dur, coupling, theta = _pulse_stage(pulse)
+    coef = (_node_series(species, pulse, tuple(window), cfg)
+            if q.size > 2 * _Q_NODES - 1 else None)
+    if coef is not None:
+        h = np.exp(-0.5j * dur * kinetic_frequencies(species, sites, q))   # half flight
+        V = np.moveaxis(cheb.chebval(q, coef), (0, 1), (-2, -1))
+        return h[..., :, None] * V * h[..., None, :]
 
-    def half_flight(qs):   # e^{-i kin dur/2}, (..., W)
-        return np.exp(-0.5j * dur * kinetic_frequencies(species, sites, qs))
+    # U = G(dur) G(0) [G(t_c)* U_c1(-r)]^T [G(t_c)* U_c1(r)]: the G(0) of
+    # U_b1 and the G(0)* of U cancel on the right; the first half at chirp
+    # r, then, if r != 0, at -r for the second
+    thetas = [theta] if pulse.chirp == 0.0 else [
+        theta, _pulse_stage(replace(pulse, chirp=-pulse.chirp))[2]]
+    kin = kinetic_frequencies(species, sites, q)
+    halves = []
+    for th in thetas:
+        half = _evolve(kin, np.eye(len(sites), dtype=complex), dur / 2.0, coupling,
+                       th, cfg, max_step=dur / 12.0)
+        half *= np.exp(1j * sites * th(dur / 2.0))[:, None]
+        halves.append(half)
+    U = np.einsum("...ki,...kj->...ij", halves[-1], halves[0])
+    U *= np.exp(-1j * sites * (theta(dur) + theta(0.0)))[:, None]
+    return U
 
-    def centred(qs):   # V(q) = e^{+i kin dur/2} U(q) e^{+i kin dur/2}
-        h = np.conj(half_flight(qs))
-        return h[..., :, None] * stack(qs) * h[..., None, :]
+
+@functools.lru_cache
+def _node_series(species, pulse, window, cfg) -> np.ndarray | None:
+    """Chebyshev coefficients on q in [-1, 1] of the pulse's centred
+    propagator V(q) = e^{+i kin dur/2} U(q) e^{+i kin dur/2}, entire in q,
+    from direct stacks on 25 Chebyshev-Lobatto nodes, accepted when the last
+    quarter of the coefficients is <= ``cfg.error_tolerance``, else on those
+    and the 24 between; None if 49 nodes fail too. Memoised, so every chunk
+    of an ensemble shares one node solve."""
+    sites, dur = np.arange(window[0], window[1] + 1), pulse.total_duration
+
+    def centred(qs):
+        h = np.conj(np.exp(-0.5j * dur * kinetic_frequencies(species, sites, qs)))
+        U = pulse_propagator(species, pulse, window, qs, cfg)
+        return h[..., :, None] * U * h[..., None, :]
 
     coef = _chebyshev_series(centred, _Q_NODES, cfg.error_tolerance)
-    if coef is None:
-        return stack(q)
-    h = half_flight(q)
-    V = np.moveaxis(cheb.chebval(q, coef), (0, 1), (-2, -1))
-    return h[..., :, None] * V * h[..., None, :]
+    if coef is not None:
+        coef.setflags(write=False)   # shared by every caller of the memo
+    return coef
 
 
 # -- amplitude calibration --------------------------------------------------

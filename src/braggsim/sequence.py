@@ -15,22 +15,24 @@ Mach-Zehnder emerges here.
 
 The schedule holds only what a run reads: order, T, one pulse width and the
 pi/2 and pi amplitudes. Each pulse's detuning and chirp come from the run's
-offset. Pulse propagators are computed once per (amplitude, detuning, chirp)
-at laser phase zero and batched over the quasimomentum ensemble, each from
-one half-pulse solve (two if chirped) and an ensemble of more than 49 from
-Chebyshev nodes in q (see ``ladder.pulse_propagator``); beat phases,
-commanded phases and mirror-phase noise enter through the exact conjugation
+offset. Pulse propagators are computed at laser phase zero and batched over
+the quasimomentum ensemble, each from one half-pulse solve (two if chirped)
+and an ensemble of more than 49 from a Chebyshev series in q that
+``ladder.pulse_propagator`` memoises per pulse; beat phases, commanded
+phases and mirror-phase noise enter through the exact conjugation
 U(phi) psi = D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}).
 A run draws its ensemble once and builds one ``_ShotEngine`` per operating
-point (final-pulse phase grid, interrogation time or sweep-rate offset) on
-that draw; ``_ShotEngine.populations`` evolves a batch of shots as one
-(shots, samples, sites) array, so scans cost a few matrix solves total.
-``_shots`` is the one shot path: it numbers a run's shots and makes one
-draw per noise stream for all of them. Per-shot noise has one home shared
-with the gravity series: ``_mirror_draws`` and ``_detect`` build one
-generator per (seed, stream) and give shot i row i of it. Momenta and
-quasimomenta are in units of hbar*k, from the ensemble draw to the kinetic
-diagonal.
+point (final-pulse phase grid, interrogation time or sweep-rate offset).
+``_shots`` is the one shot path: it numbers a run's shots, makes one draw
+per noise stream for all of them, and walks the draw in chunks of at most
+``_SAMPLE_CHUNK`` samples, building each distinct pulse's propagators once
+per chunk; ``_ShotEngine.populations`` evolves ``_SHOT_CHUNK`` shots of a
+chunk at a time. So no array grows with the ensemble or the shot count
+beyond a chunk, and scans cost a few matrix solves total. Per-shot noise
+has one home shared with the gravity series: ``_mirror_draws`` and
+``_detect`` build one generator per (seed, stream) and give shot i row i of
+it. Momenta and quasimomenta are in units of hbar*k, from the ensemble
+draw to the kinetic diagonal.
 """
 
 from __future__ import annotations
@@ -224,14 +226,14 @@ def _detect(clean_pairs, noise: NoiseModel, seed: int, first: int,
                                out=np.full(len(denom), 0.5))
 
 
+_SAMPLE_CHUNK, _SHOT_CHUNK = 1024, 4   # quasimomenta and shots evolved at once
+
+
 class _ShotEngine:
     """One operating point of a run, which only evolves: the schedule
-    ``seq`` at ``sweep_rate_offset`` (Hz/s) from resonance on the run's one
-    draw of quasimomenta ``q``. ``cache`` is the run's propagator cache,
-    keyed on the effective pulse alone (species, q, cfg and window are fixed
-    within a run)."""
+    ``seq`` at ``sweep_rate_offset`` (Hz/s) from resonance."""
 
-    def __init__(self, species, q, seq, cfg, cache, sweep_rate_offset: float = 0.0):
+    def __init__(self, species, seq, cfg, sweep_rate_offset: float = 0.0):
         if not math.isfinite(sweep_rate_offset):
             raise ValueError(
                 f"sweep_rate_offset must be finite, got {sweep_rate_offset}")
@@ -241,48 +243,57 @@ class _ShotEngine:
         T = seq.interrogation_time
         tc = [d / 2.0, d / 2.0 + T, d / 2.0 + 2.0 * T]
         starts = [0.0, tc[1] - d / 2.0, tc[2] - d / 2.0]
-        gap = T - d
+        self.species, self.cfg, self.gap = species, cfg, T - d
 
         reach = seq.order + cfg.guard_sites
-        self.sites = np.arange(-reach, reach + 1)
+        self.window, self.sites = (-reach, reach), np.arange(-reach, reach + 1)
         self.ports = {0: reach, seq.order: reach + seq.order}   # site: column
-
-        def propagator(rabi: float, t_c: float) -> np.ndarray:
-            pulse = PulseSpec(rabi, seq.pulse_sigma, detuning=delta_res + ramp * t_c,
-                              chirp=ramp / (2.0 * math.pi))
-            if pulse not in cache:
-                cache[pulse] = pulse_propagator(species, pulse, (-reach, reach), q, cfg)
-            return cache[pulse]
-
         rabis = [seq.beamsplitter_rabi, seq.mirror_rabi, seq.beamsplitter_rabi]
-        self.propagators = [propagator(rabi, t_c) for rabi, t_c in zip(rabis, tc)]
+        self.pulses = [PulseSpec(rabi, seq.pulse_sigma, detuning=delta_res + ramp * t_c,
+                                 chirp=ramp / (2.0 * math.pi))
+                       for rabi, t_c in zip(rabis, tc)]
         # lattice beat phase theta(t) at each pulse start (phase continuity of
         # the chirped beat), absent from U(0)
         self.beat_phases = [delta_res * t + 0.5 * ramp * t * t for t in starts]
-        self.free_phase = np.exp(-1j * kinetic_frequencies(species, self.sites, q) * gap)
 
-    def populations(self, phases) -> np.ndarray:
-        """Ensemble-mean site populations (n, W) of n shots whose three
-        pulses carry the phases ``phases`` (n, 3). Pulse k is U(0)
-        conjugated by D(phi_k), phi_k that phase plus the beat phase."""
+    def populations(self, phases, q, stacks) -> np.ndarray:
+        """Site populations (n, W) summed over the quasimomenta ``q`` of n
+        shots whose three pulses carry the phases ``phases`` (n, 3), evolved
+        ``_SHOT_CHUNK`` shots at a time. Pulse k is U(0) conjugated by
+        D(phi_k), phi_k that phase plus the beat phase. ``stacks`` maps a
+        pulse to its U(0) at q and gains those it lacks."""
+        for pulse in self.pulses:
+            if pulse not in stacks:
+                stacks[pulse] = pulse_propagator(self.species, pulse, self.window, q,
+                                                 self.cfg)
+        first, *rest = (stacks[pulse] for pulse in self.pulses)
+        free_phase = np.exp(-1j * kinetic_frequencies(self.species, self.sites, q)
+                            * self.gap)
         phases = phases + self.beat_phases
-        # D(phi) per pulse and shot, (3, n, 1, W); the cloud starts in site
-        # 0, where D is 1, so the first pulse leaves its column times D
-        d = np.exp(-1j * self.sites * phases.T[:, :, None, None])
-        psi = d[0] * self.propagators[0][:, :, self.ports[0]]
-        for U, dk in zip(self.propagators[1:], d[1:]):
-            psi = dk * np.einsum("sij,nsj->nsi", U, np.conj(dk) * self.free_phase * psi)
-        return np.mean(np.abs(psi) ** 2, axis=1)
+        out = []
+        for shots in np.split(phases, range(_SHOT_CHUNK, len(phases), _SHOT_CHUNK)):
+            # D(phi) per pulse and shot, (3, n, 1, W); the cloud starts in
+            # site 0, where D is 1, so the first pulse leaves its column times D
+            d = np.exp(-1j * self.sites * shots.T[:, :, None, None])
+            psi = d[0] * first[:, :, self.ports[0]]
+            for U, dk in zip(rest, d[1:]):
+                psi = dk * np.einsum("sij,nsj->nsi", U, np.conj(dk) * free_phase * psi)
+            out.append(np.sum(np.abs(psi) ** 2, axis=1))
+        return np.concatenate(out)
 
 
-def _shots(engines, final_phases, noise: NoiseModel, master_seed: int,
+def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
            first: int = 0, stream: int = STREAM_DETECTION):
     """The one shot path of a run: each engine fires one shot per phase of
-    ``final_phases`` on its final pulse, the shots numbered engine by engine
-    from ``first``. One mirror draw and one detection draw (on ``stream``)
-    serve them all, so a run builds each noise stream once. Returns the site
-    populations (n, W), mirror draws (n, 3), the detected populations of
-    ports 0 and order, {port: (n,)}, and the normalised populations (n,)."""
+    ``final_phases`` on its final pulse over the run's draw ``q``, the shots
+    numbered engine by engine from ``first``. One mirror draw and one
+    detection draw (on ``stream``) serve them all, so a run builds each
+    noise stream once. The draw is walked in equal chunks of at most
+    ``_SAMPLE_CHUNK`` (more than 49 samples exactly when the draw has), each
+    distinct pulse's propagators built once per chunk and the ensemble mean
+    accumulated over them. Returns the site populations (n, W), mirror draws
+    (n, 3), the detected populations of ports 0 and order, {port: (n,)}, and
+    the normalised populations (n,)."""
     final_phases = np.asarray(final_phases, dtype=float)
     n = len(engines) * len(final_phases)
     if n == 0:
@@ -290,9 +301,13 @@ def _shots(engines, final_phases, noise: NoiseModel, master_seed: int,
     mirror = _mirror_draws(noise, master_seed, first, n)
     commanded = np.zeros((n, 3))
     commanded[:, 2] = np.tile(final_phases, len(engines))
-    pops = np.concatenate([
-        engine.populations(phases) for engine, phases
-        in zip(engines, np.split(commanded + mirror, len(engines)))])
+    phases = np.split(commanded + mirror, len(engines))
+    pops = np.zeros((n, len(engines[0].sites)))
+    for chunk in np.array_split(q, -(-len(q) // _SAMPLE_CHUNK)):
+        stacks = {}   # shared by the engines, which share species, cfg and window
+        pops += np.concatenate([engine.populations(p, chunk, stacks)
+                                for engine, p in zip(engines, phases)])
+    pops /= len(q)
 
     check_leakage(pops)
     if np.any(pops < -1e-12) or np.any(pops.sum(axis=1) > 1.0 + 1e-9):
@@ -317,9 +332,8 @@ def run_shot(
     """Shot ``shot_index`` of a Mach-Zehnder at final-pulse phase 0 and
     ``sweep_rate_offset`` (Hz/s) from the resonant sweep rate, averaged over
     the quasimomentum ensemble."""
-    engine = _ShotEngine(species, ensemble.draw(), sequence, cfg, {},
-                         sweep_rate_offset)
-    pops, mirror, ports, normalized = _shots([engine], [0.0], noise,
+    engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
+    pops, mirror, ports, normalized = _shots([engine], ensemble.draw(), [0.0], noise,
                                              master_seed, shot_index)
     return ShotResult(
         port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
@@ -344,10 +358,9 @@ def scan_fringe(
     from the resonant sweep rate; point i is shot ``shot_index_offset + i``,
     with independent noise per point."""
     grid = np.asarray(phase_grid, dtype=float)
-    engine = _ShotEngine(species, ensemble.draw(), sequence, cfg, {},
-                         sweep_rate_offset)
-    return FringeScan(grid, *_shots([engine], grid, noise, master_seed,
-                                    shot_index_offset)[2:])
+    engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
+    return FringeScan(grid, *_shots([engine], ensemble.draw(), grid, noise,
+                                    master_seed, shot_index_offset)[2:])
 
 
 def scan_sweep_rate(
@@ -363,10 +376,8 @@ def scan_sweep_rate(
     offset (Hz/s) from the resonant sweep rate in ``offsets``, point i shot
     i. Returns the detected port populations {0, order} and the normalised
     populations, one per offset."""
-    q, cache = ensemble.draw(), {}
-    engines = [_ShotEngine(species, q, sequence, cfg, cache, float(offset))
-               for offset in offsets]
-    return _shots(engines, [0.0], noise, master_seed)[2:]
+    engines = [_ShotEngine(species, sequence, cfg, float(offset)) for offset in offsets]
+    return _shots(engines, ensemble.draw(), [0.0], noise, master_seed)[2:]
 
 
 def interrogation_grid(species: AtomSpecies, interrogation_times) -> np.ndarray:
@@ -396,10 +407,9 @@ def scan_contrast_vs_T(
     """
     times = interrogation_grid(species, interrogation_times)
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
-    q, cache = ensemble.draw(), {}
-    engines = [_ShotEngine(species, q, replace(sequence, interrogation_time=float(T)),
-                           cfg, cache) for T in times]
-    _, _, ports, normalized = _shots(engines, grid, noise, master_seed)
+    engines = [_ShotEngine(species, replace(sequence, interrogation_time=float(T)), cfg)
+               for T in times]
+    _, _, ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed)
     n = len(grid)
     scans = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
                         normalized[k:k + n]) for k in range(0, len(normalized), n))
@@ -443,13 +453,13 @@ def run_gradiometer(
               * baseline / (4.0 * math.pi))
 
     grid = np.asarray(phase_grid, dtype=float)
-    q, cache = ensemble.draw(), {}
+    q = ensemble.draw()
 
     # same master seed: both clouds see identical mirror draws per shot
     # (common mode); detection draws use per-cloud streams
     def cloud(sweep_rate_offset, stream):
-        engine = _ShotEngine(species, q, sequence, cfg, cache, sweep_rate_offset)
-        return FringeScan(grid, *_shots([engine], grid, noise, master_seed, 0,
+        engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
+        return FringeScan(grid, *_shots([engine], q, grid, noise, master_seed, 0,
                                         stream)[2:])
 
     return GradiometerResult(lower=cloud(-offset, STREAM_DETECTION),

@@ -436,7 +436,7 @@ class TestCliRuns:
         else:
             monkeypatch.setattr(cli, point, failing(getattr(cli, point)))
         assert main(["class-oracle", config, "--out-dir", str(out)]) == 2
-        assert "OSError: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert capsys.readouterr().err == "write error: [Errno 28] No space left on device\n"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("case", ["missing", "directory", "undecodable",
@@ -457,7 +457,9 @@ class TestCliRuns:
                 "out-dir-under-a-file": [config, "--out-dir", str(blocker / "out")],
                 }[case]
         assert main(["fringe", *args]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: ")
+        # the message names the key the path came from
+        key = "out_dir " + args[-1] if case.startswith("out-dir") else "config " + args[0]
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
         assert solves == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block, key, value, path", [

@@ -1,6 +1,7 @@
 """Interferometer runs: closure, phase response, determinism, gradiometry."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -30,7 +31,7 @@ from braggsim.physics import (
     mzi_phase,
     revival_period,
 )
-from braggsim import sequence
+from braggsim import ladder, sequence
 from braggsim.sequence import (
     EnsembleSpec,
     GradiometerSpec,
@@ -92,8 +93,12 @@ def manual_pulse_chain(seq, phases=(0.0, 0.0, 0.0)):
 
 
 def _engine(seq, sweep_rate_offset=0.0):
-    return sequence._ShotEngine(RB, PLANE.draw(), seq, EvolutionConfig(), {},
-                                sweep_rate_offset)
+    return sequence._ShotEngine(RB, seq, EvolutionConfig(), sweep_rate_offset)
+
+
+def _plane_populations(engine, phases):
+    # one plane-wave sample: the engine's sum over samples is the mean
+    return engine.populations(phases, PLANE.draw(), {})
 
 
 class TestShotComposition:
@@ -108,8 +113,8 @@ class TestShotComposition:
         # each pulse's phase adds to its beat phase on the phase-zero
         # propagators that the unphased shot uses
         engine = _engine(qb_seq)
-        phased, unphased = engine.populations(np.array([[0.4, 1.1, 0.4],
-                                                        [0.0, 0.0, 0.0]]))
+        phased, unphased = _plane_populations(engine, np.array([[0.4, 1.1, 0.4],
+                                                                [0.0, 0.0, 0.0]]))
         for port, pop in manual_pulse_chain(qb_seq, (0.4, 1.1, 0.4)).items():
             assert phased[engine.ports[port]] == pytest.approx(pop, abs=5e-9)
         # phi1 - 2 phi2 + phi3 = -1.4 rad moves the fringe
@@ -162,8 +167,9 @@ class TestMachZehnderClosure:
 
     def test_global_pulse_phase_shift_invariance(self, deep_seq):
         # the same phase on all three pulses cancels in phi1 - 2 phi2 + phi3
-        base, shifted = _engine(deep_seq).populations(np.array([[0.0, 0.0, 0.0],
-                                                                [0.73, 0.73, 0.73]]))
+        base, shifted = _plane_populations(_engine(deep_seq),
+                                           np.array([[0.0, 0.0, 0.0],
+                                                     [0.73, 0.73, 0.73]]))
         np.testing.assert_allclose(shifted, base, atol=1e-11)
 
 
@@ -201,7 +207,7 @@ class TestEquationOnePhaseResponse:
             engine = _engine(long_seq, sweep_rate)
             phases = np.zeros((len(grid), 3)) + pulse_phases
             phases[:, 2] += grid
-            pops = engine.populations(phases)
+            pops = _plane_populations(engine, phases)
             lower, upper = pops[:, engine.ports[0]], pops[:, engine.ports[n]]
             return fit_harmonics(FringeScan(grid, {}, lower / (lower + upper)), 3)
 
@@ -428,6 +434,59 @@ class TestPinnedShotStreams:
             "0x1.88056fbc58613p-1", "0x1.4e054483a316fp-2",
             "0x0.0p+0", "0x1.222222373cda6p-1",
             "0x1.41b904677fb92p-3", "0x1.7b8fcfbf3b1d3p-1"]
+
+
+class TestBoundedChunks:
+    """A run evolves its ensemble in chunks of samples and shots, so no
+    array grows with either beyond a chunk; small chunk constants make
+    several chunks cheap here."""
+
+    QB = TestPinnedShotStreams.QB
+
+    def pops(self, samples):
+        q = EnsembleSpec(samples=samples, sigma_q_hk=0.42, seed=5).draw()
+        engine = sequence._ShotEngine(RB, self.QB, EvolutionConfig())
+        return sequence._shots([engine], q, GRID, QUIET, 0)[0]
+
+    def test_shot_populations_do_not_depend_on_the_shot_chunk(self, monkeypatch):
+        expected = self.pops(8)
+        for chunk in (1, 5, 24, 100):
+            monkeypatch.setattr(sequence, "_SHOT_CHUNK", chunk)
+            assert np.array_equal(self.pops(8), expected), chunk
+
+    def test_sample_chunks_agree_with_one_chunk(self, monkeypatch):
+        # three chunks of 100 on the node path, each above 49 samples
+        one = self.pops(300)
+        monkeypatch.setattr(sequence, "_SAMPLE_CHUNK", 100)
+        np.testing.assert_allclose(self.pops(300), one, rtol=1e-14, atol=0)
+
+    def test_one_node_solve_per_distinct_pulse(self, monkeypatch):
+        # the pi/2 pulses share one propagator at zero offset: two distinct
+        # pulses, each one 25-node half solve however many chunks there are,
+        # and one propagator call per distinct pulse and chunk
+        columns, calls = [], []
+        real_evolve, real_propagator = ladder._evolve, sequence.pulse_propagator
+        monkeypatch.setattr(ladder, "_evolve", lambda kin, *a, **k: columns.append(
+            kin.shape[0]) or real_evolve(kin, *a, **k))
+        monkeypatch.setattr(sequence, "pulse_propagator", lambda *a: calls.append(
+            len(a[3])) or real_propagator(*a))
+        for chunk, sizes in ((1024, [300] * 2), (100, [100] * 6)):
+            monkeypatch.setattr(sequence, "_SAMPLE_CHUNK", chunk)
+            ladder._node_series.cache_clear()
+            columns.clear(), calls.clear()
+            self.pops(300)
+            assert columns == [25, 25] and calls == sizes, chunk
+
+    def test_peak_memory_does_not_grow_with_the_ensemble(self, monkeypatch):
+        monkeypatch.setattr(sequence, "_SAMPLE_CHUNK", 250)
+        self.pops(250)   # the node solves, memoised for both runs below
+        peaks = []
+        for samples in (1000, 3000):
+            tracemalloc.start()
+            self.pops(samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 class TestContrastVsT:
