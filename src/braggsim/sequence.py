@@ -27,12 +27,14 @@ point (final-pulse phase grid, interrogation time or sweep-rate offset).
 per noise stream for all of them, and walks the draw in chunks of at most
 ``_SAMPLE_CHUNK`` samples, building each distinct pulse's propagators once
 per chunk; ``_ShotEngine.populations`` evolves ``_SHOT_CHUNK`` shots of a
-chunk at a time. So no array grows with the ensemble or the shot count
-beyond a chunk, and scans cost a few matrix solves total. Per-shot noise
-has one home shared with the gravity series: ``_mirror_draws`` and
-``_detect`` build one generator per (seed, stream) and give shot i row i of
-it. Momenta and quasimomenta are in units of hbar*k, from the ensemble
-draw to the kinetic diagonal.
+chunk at a time. So no array grows with the ensemble beyond a chunk, scans
+cost a few matrix solves total, and a scan's per-shot results (site
+populations, noise draws, detected ports) grow with its shot count. A
+gravity series walks its shots ``_SERIES_CHUNK`` at a time: only its four
+per-shot output columns grow with the shot count. Per-shot noise has one
+home: ``_stream`` builds one generator per (seed, stream) for a run, which
+``_mirror_draws`` and ``_detect`` read in order, chunk after chunk, so shot
+i takes row i of it. Momenta and quasimomenta are in units of hbar*k.
 """
 
 from __future__ import annotations
@@ -205,28 +207,41 @@ class ShotResult:
     mirror_phases: tuple[float, float, float]
 
 
-def _mirror_draws(noise: NoiseModel, seed: int, first: int, n: int) -> np.ndarray:
-    """Mirror phases (rad) of the three pulses of shots first, ..., first + n - 1,
-    shape (n, 3)."""
-    if first < 0:
-        raise ValueError(f"shot indices must be >= 0, got {first}")
-    return sample_mirror_phases(noise, shot_rng(seed, STREAM_MIRROR), first + n)[first:]
+def _mirror_draws(noise: NoiseModel, rng, n: int) -> np.ndarray:
+    """Mirror phases (rad) of the three pulses of the next n shots of the
+    mirror stream ``rng``, shape (n, 3)."""
+    return sample_mirror_phases(noise, rng, n)
 
 
-def _detect(clean_pairs, noise: NoiseModel, seed: int, first: int,
-            stream: int) -> tuple[np.ndarray, np.ndarray]:
-    """Detected (lower, upper) port pairs (n, 2) of shots first, ...,
-    first + n - 1 and the normalised population lower / (lower + upper) per
-    shot; a shot detecting no atoms reads 0.5."""
-    rows = np.zeros((first + len(clean_pairs), 2))
-    rows[first:] = clean_pairs
-    measured = apply_detection_noise(rows, noise, shot_rng(seed, stream))[first:]
+def _detect(clean_pairs, noise: NoiseModel, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Detected (lower, upper) port pairs (n, 2) of the next n shots of the
+    detection stream ``rng`` and the normalised population lower / (lower +
+    upper) per shot; a shot detecting no atoms reads 0.5."""
+    measured = apply_detection_noise(clean_pairs, noise, rng)
     denom = measured[:, 0] + measured[:, 1]
     return measured, np.divide(measured[:, 0], denom, where=denom > 0,
                                out=np.full(len(denom), 0.5))
 
 
+def _stream(noise: NoiseModel, seed: int, stream: int, first: int = 0):
+    """The generator of one noise stream of a run, built once and then read
+    in order by ``_mirror_draws`` or ``_detect``: the rows of shots 0, ...,
+    first - 1 are drawn and dropped at most ``_SERIES_CHUNK`` at a time, so
+    that the next row read is shot ``first``'s."""
+    if first < 0:
+        raise ValueError(f"shot indices must be >= 0, got {first}")
+    rng = shot_rng(seed, stream)
+    for start in range(0, first, _SERIES_CHUNK):
+        rows = min(_SERIES_CHUNK, first - start)
+        if stream == STREAM_MIRROR:
+            _mirror_draws(noise, rng, rows)
+        else:
+            _detect(np.zeros((rows, 2)), noise, rng)
+    return rng
+
+
 _SAMPLE_CHUNK, _SHOT_CHUNK = 1024, 4   # quasimomenta and shots evolved at once
+_SERIES_CHUNK = 4096   # shots of a gravity series, or noise rows skipped, at once
 
 
 class _ShotEngine:
@@ -283,26 +298,30 @@ class _ShotEngine:
 
 
 def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
-           first: int = 0, stream: int = STREAM_DETECTION):
+           first: int = 0, streams=(STREAM_DETECTION,)):
     """The one shot path of a run: each engine fires one shot per phase of
-    ``final_phases`` on its final pulse over the run's draw ``q``, the shots
-    numbered engine by engine from ``first``. One mirror draw and one
-    detection draw (on ``stream``) serve them all, so a run builds each
+    ``final_phases`` on its final pulse over the run's draw ``q``. The
+    engines fall into one equal group per detection stream of ``streams``,
+    in order, and each group's shots are numbered engine by engine from
+    ``first``: the groups share their mirror draws (a gradiometer's common
+    mode) and each reads its own detection stream, so a run builds each
     noise stream once. The draw is walked in equal chunks of at most
     ``_SAMPLE_CHUNK`` (more than 49 samples exactly when the draw has), each
-    distinct pulse's propagators built once per chunk and the ensemble mean
-    accumulated over them. Returns the site populations (n, W), mirror draws
-    (n, 3), the detected populations of ports 0 and order, {port: (n,)}, and
-    the normalised populations (n,)."""
+    distinct pulse's propagators built once per chunk for every engine and
+    the ensemble mean accumulated over them. Returns the site populations
+    (N, W) of all N shots, one group's mirror draws (N / groups, 3), the
+    detected populations of ports 0 and order, {port: (N,)}, and the
+    normalised populations (N,)."""
     final_phases = np.asarray(final_phases, dtype=float)
-    n = len(engines) * len(final_phases)
+    per_group = len(engines) // len(streams)
+    n = per_group * len(final_phases)
     if n == 0:
         raise ValueError("a run must fire at least one shot")
-    mirror = _mirror_draws(noise, master_seed, first, n)
+    mirror = _mirror_draws(noise, _stream(noise, master_seed, STREAM_MIRROR, first), n)
     commanded = np.zeros((n, 3))
-    commanded[:, 2] = np.tile(final_phases, len(engines))
-    phases = np.split(commanded + mirror, len(engines))
-    pops = np.zeros((n, len(engines[0].sites)))
+    commanded[:, 2] = np.tile(final_phases, per_group)
+    phases = np.split(np.tile(commanded + mirror, (len(streams), 1)), len(engines))
+    pops = np.zeros((len(streams) * n, len(engines[0].sites)))
     for chunk in np.array_split(q, -(-len(q) // _SAMPLE_CHUNK)):
         stacks = {}   # shared by the engines, which share species, cfg and window
         pops += np.concatenate([engine.populations(p, chunk, stacks)
@@ -314,8 +333,11 @@ def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
         raise ValueError("site populations must be >= 0 with sum <= 1 + 1e-9")
 
     ports = engines[0].ports
-    measured, normalized = _detect(pops[:, list(ports.values())], noise,
-                                   master_seed, first, stream)
+    detected = [_detect(clean, noise, _stream(noise, master_seed, stream, first))
+                for clean, stream in zip(np.split(pops[:, list(ports.values())],
+                                                  len(streams)), streams)]
+    measured = np.concatenate([pairs for pairs, _ in detected])
+    normalized = np.concatenate([values for _, values in detected])
     return pops, mirror, dict(zip(ports, measured.T)), normalized
 
 
@@ -452,19 +474,18 @@ def run_gradiometer(
     offset = (geometry.k_eff * geometry.projection * gspec.gradient_per_s2
               * baseline / (4.0 * math.pi))
 
+    # both clouds see the same mirror draws per shot (common mode) and read
+    # their own detection streams; at zero gradient their pulses coincide
+    # and share their propagators
     grid = np.asarray(phase_grid, dtype=float)
-    q = ensemble.draw()
-
-    # same master seed: both clouds see identical mirror draws per shot
-    # (common mode); detection draws use per-cloud streams
-    def cloud(sweep_rate_offset, stream):
-        engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
-        return FringeScan(grid, *_shots([engine], q, grid, noise, master_seed, 0,
-                                        stream)[2:])
-
-    return GradiometerResult(lower=cloud(-offset, STREAM_DETECTION),
-                             upper=cloud(offset, STREAM_DETECTION_UPPER),
-                             baseline=baseline)
+    engines = [_ShotEngine(species, sequence, cfg, sweep_rate_offset)
+               for sweep_rate_offset in (-offset, offset)]
+    _, _, ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed,
+                                     0, (STREAM_DETECTION, STREAM_DETECTION_UPPER))
+    n = len(grid)
+    lower, upper = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
+                               normalized[k:k + n]) for k in (0, n))
+    return GradiometerResult(lower=lower, upper=upper, baseline=baseline)
 
 
 @dataclass(frozen=True)
@@ -507,7 +528,9 @@ def run_gravity_series(
     of the closed Mach-Zehnder: a gravity change dg translates the fringe
     argument by -k_eff*dg*T^2*cos(tilt), mirror noise adds
     phi1 - 2*phi2 + phi3, and detection noise is applied per port. Recovery
-    inverts the calibrated curve around the bias point.
+    inverts the calibrated curve around the bias point. The shots are walked
+    ``_SERIES_CHUNK`` at a time, so a run's arrays are the four per-shot
+    columns of the result plus one chunk's.
     """
     geometry = geometry or BeamGeometry.vertical(species)
     g0 = tide.mean_gravity
@@ -524,10 +547,44 @@ def run_gravity_series(
                        normalized=vals), n_harmonics=3)
 
     cal_lo, cal_hi = port_fit(0), port_fit(sequence.order)
+    bias, seg_arg, seg_val = _inversion_segment(cal_lo, cal_hi)
 
-    # full normalized response from the calibrated port curves; operate at
-    # its steepest point and invert measured populations through the same
-    # curve so calibration truncation does not bias the recovery
+    keff, T = geometry.k_eff, sequence.interrogation_time
+    times = np.arange(n_shots) * shot_period
+    g_true, p_meas, recovered_shift = np.empty(n_shots), np.empty(n_shots), np.empty(n_shots)
+    mirror_rng = _stream(noise, master_seed, STREAM_MIRROR)
+    detection_rng = _stream(noise, master_seed, STREAM_DETECTION)
+    saturated = 0
+    for start in range(0, n_shots, _SERIES_CHUNK):
+        shots = slice(start, start + _SERIES_CHUNK)
+        g_true[shots] = g = synthesize_tide(tide, times[shots])
+        proj = tilt_projection_drift(noise, times[shots], base_tilt=geometry.tilt_angle)
+        # fringe-argument shift per shot: residual ramp r times T^2, where
+        # every shot is chirped resonant for g0 at the base tilt, so that
+        # r = k_eff (g0 cos(tilt) - g(t) cos(tilt(t))); zero at the calibration point
+        shift = keff * (g0 * geometry.projection - g * proj) * T * T
+        mirror = _mirror_draws(noise, mirror_rng, len(g))
+        arg = bias + shift + (mirror[:, 0] - 2.0 * mirror[:, 1] + mirror[:, 2])
+        clean = np.clip(np.column_stack([cal_lo.evaluate(arg), cal_hi.evaluate(arg)]),
+                        0.0, 1.0)
+        p_meas[shots] = p = _detect(clean, noise, detection_rng)[1]
+        # invert through the monotonic segment of the calibrated response,
+        # assuming the nominal vertical alignment; np.interp clamps readings
+        # outside it, and those are counted
+        saturated += int(np.count_nonzero((p < seg_val[0]) | (p > seg_val[-1])))
+        recovered_shift[shots] = -(np.interp(p, seg_val, seg_arg) - bias) / (keff * T * T)
+    return GravitySeries(times=times, true_gravity=g_true, normalized_population=p_meas,
+                         recovered_shift=recovered_shift, calibration=fit, bias_phase=bias,
+                         mean_gravity=g0, saturated_shots=saturated)
+
+
+def _inversion_segment(cal_lo: HarmonicFit, cal_hi: HarmonicFit):
+    """The bias phase of a gravity series, the steepest point in [0, 2 pi) of
+    the normalised response built on a dense grid from the calibrated port
+    curves, and copies of the arguments and values of the monotonic run of
+    that response around it, in increasing value. Readings are inverted
+    through the same curve, so calibration truncation does not bias the
+    recovery; the dense curve is freed before the first shot."""
     dense = np.linspace(-2.0 * math.pi, 4.0 * math.pi, 24576)
     lo_curve = np.clip(cal_lo.evaluate(dense), 0.0, 1.0)
     hi_curve = np.clip(cal_hi.evaluate(dense), 0.0, 1.0)
@@ -535,46 +592,11 @@ def run_gravity_series(
     dresp = np.gradient(response, dense)
     mid = (dense >= 0.0) & (dense < 2.0 * math.pi)
     bias_idx = int(np.argmax(np.abs(dresp) * mid))
-    bias = float(dense[bias_idx])
-    # monotonic run of the response around the bias point
     sign = math.copysign(1.0, dresp[bias_idx])
     breaks = np.flatnonzero(sign * dresp <= 0)
     lo_idx = breaks[breaks < bias_idx].max(initial=-1) + 1
     hi_idx = breaks[breaks > bias_idx].min(initial=len(dense)) - 1
-    seg_arg = dense[lo_idx:hi_idx + 1]
-    seg_val = response[lo_idx:hi_idx + 1]
+    seg_arg, seg_val = dense[lo_idx:hi_idx + 1], response[lo_idx:hi_idx + 1]
     if sign < 0:
         seg_arg, seg_val = seg_arg[::-1], seg_val[::-1]
-
-    keff = geometry.k_eff
-    T = sequence.interrogation_time
-    times = np.arange(n_shots) * shot_period
-    g_true = synthesize_tide(tide, times)
-    proj = tilt_projection_drift(noise, times, base_tilt=geometry.tilt_angle)
-    # fringe-argument shift per shot: residual ramp r times T^2, where every
-    # shot is chirped resonant for g0 at the base tilt, so that
-    # r = k_eff (g0 cos(tilt) - g(t) cos(tilt(t))); zero at the calibration point
-    shift = keff * (g0 * geometry.projection - g_true * proj) * T * T
-
-    mirror = _mirror_draws(noise, master_seed, 0, n_shots)
-    arg = bias + shift + (mirror[:, 0] - 2.0 * mirror[:, 1] + mirror[:, 2])
-    clean = np.clip(np.column_stack([cal_lo.evaluate(arg), cal_hi.evaluate(arg)]),
-                    0.0, 1.0)
-    _, p_meas = _detect(clean, noise, master_seed, 0, STREAM_DETECTION)
-
-    # invert through the monotonic segment of the calibrated response,
-    # assuming the nominal vertical alignment; np.interp clamps readings
-    # outside it, and those are counted
-    args = np.interp(p_meas, seg_val, seg_arg)
-    saturated = int(np.count_nonzero((p_meas < seg_val[0]) | (p_meas > seg_val[-1])))
-    recovered_shift = -(args - bias) / (keff * T * T)
-    return GravitySeries(
-        times=times,
-        true_gravity=np.asarray(g_true, dtype=float),
-        normalized_population=p_meas,
-        recovered_shift=recovered_shift,
-        calibration=fit,
-        bias_phase=bias,
-        mean_gravity=g0,
-        saturated_shots=saturated,
-    )
+    return float(dense[bias_idx]), seg_arg.copy(), seg_val.copy()

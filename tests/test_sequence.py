@@ -298,7 +298,8 @@ class TestStreamAddressing:
         scan = scan_fringe(RB, ens, qb_seq, noise, grid, master_seed=9)
         alone = scan_fringe(RB, ens, qb_seq, noise, grid[5:6], master_seed=9,
                             shot_index_offset=5)
-        np.testing.assert_array_equal(drawn[1][5], drawn[0][5])
+        # the last draw is the lone shot's row, after rows 0-4 were skipped
+        np.testing.assert_array_equal(drawn[-1][0], drawn[0][5])
         for port in (0, 2):
             assert alone.port_populations[port][0] == pytest.approx(
                 scan.port_populations[port][5], abs=1e-12)
@@ -340,7 +341,7 @@ class TestStreamAddressing:
             self, lowfringe_seq, monkeypatch):
         # a run draws its ensemble and each noise stream once, whether it
         # scans 8 or 16 interrogation times, 4 or 8 sweep-rate offsets, or
-        # runs two gradiometer clouds (one mirror stream build per cloud)
+        # runs two gradiometer clouds (one mirror stream for both)
         builds, draws = [], []
         build, draw = sequence.shot_rng, EnsembleSpec.draw
         monkeypatch.setattr(sequence, "shot_rng",
@@ -366,7 +367,33 @@ class TestStreamAddressing:
                            noise, np.linspace(-1e3, 1e3, n)) == (once, 1)
         assert counted(run_gradiometer, RB, GradiometerSpec(), ens, lowfringe_seq,
                        noise, GRID[:4]) == (
-            {**once, STREAM_MIRROR: 2, STREAM_DETECTION_UPPER: 1}, 1)
+            {**once, STREAM_DETECTION_UPPER: 1}, 1)
+
+    def test_skipped_rows_are_the_rows_of_the_earlier_shots(self, monkeypatch):
+        # a stream opened at shot i reads what a stream opened at shot 0
+        # reads at row i; the rows before it are drawn in chunks of at most
+        # _SERIES_CHUNK, here 3, so shots 4 and 7 sit past chunk seams
+        monkeypatch.setattr(sequence, "_SERIES_CHUNK", 3)
+        sizes = []
+        sample = sequence.sample_mirror_phases
+        monkeypatch.setattr(sequence, "sample_mirror_phases",
+                            lambda *args: sizes.append(args[2]) or sample(*args))
+        noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
+        clean = np.tile([0.3, 0.4], (10, 1))
+
+        def read(first, n):
+            mirror = sequence._mirror_draws(
+                noise, sequence._stream(noise, 4, STREAM_MIRROR, first), n)
+            detected = sequence._detect(
+                clean[:n], noise, sequence._stream(noise, 4, STREAM_DETECTION, first))
+            return mirror, *detected
+
+        rows = read(0, 10)
+        for i, skipped in ((0, []), (4, [3, 1]), (7, [3, 3, 1])):
+            sizes.clear()
+            for alone, row in zip(read(i, 1), rows):
+                np.testing.assert_array_equal(alone[0], row[i])
+            assert sizes == skipped + [1], i
 
 
 def _hex(values):
@@ -535,6 +562,35 @@ class TestGradiometer:
                                 bvs_separation_s=50e-3)
         assert gspec.baseline(RB) == pytest.approx(2.4e-2, rel=0.03)
 
+    @pytest.mark.parametrize("gradient, calls", [(0.0, 2), (3e-6, 6)])
+    def test_clouds_share_equal_pulses(self, gradient, calls, monkeypatch):
+        # at zero gradient both clouds fire the same two distinct pulses and
+        # share their propagators; otherwise each cloud has its own three.
+        # Either way each cloud reads what it reads run on its own
+        seq = prepare_sequence(RB, order=3, interrogation_time=2e-3,
+                               pulse_sigma=15e-6)
+        gspec = GradiometerSpec(lower_momentum_hk=8, upper_momentum_hk=2,
+                                gradient_per_s2=gradient)
+        ens = EnsembleSpec(samples=8, sigma_q_hk=0.42, seed=11)
+        noise = NoiseModel(mirror_phase_rms_rad=0.05, detection_snr=50.0)
+        grid = GRID[:8]
+        built = []
+        propagator = sequence.pulse_propagator
+        monkeypatch.setattr(sequence, "pulse_propagator",
+                            lambda *args: built.append(args[1]) or propagator(*args))
+        res = run_gradiometer(RB, gspec, ens, seq, noise, grid, master_seed=13)
+        assert len(built) == calls
+        monkeypatch.undo()
+        offset = (BeamGeometry.vertical(RB).k_eff * gradient * gspec.baseline(RB)
+                  / (4 * math.pi))
+        for scan, sign, stream in ((res.lower, -1, STREAM_DETECTION),
+                                   (res.upper, 1, STREAM_DETECTION_UPPER)):
+            _, _, ports, normalized = sequence._shots(
+                [_engine(seq, sign * offset)], ens.draw(), grid, noise, 13, 0, (stream,))
+            assert np.array_equal(scan.normalized, normalized)
+            for port, values in ports.items():
+                assert np.array_equal(scan.port_populations[port], values)
+
     def test_common_mode_correlation(self):
         seq = prepare_sequence(RB, order=3, interrogation_time=2e-3,
                                pulse_sigma=15e-6)
@@ -595,6 +651,56 @@ class TestGravitySeries:
                                     TideModel.demo_m2(), QUIET,
                                     n_shots=500, shot_period=1.0, master_seed=1)
         assert series.saturated_shots == 0
+
+
+class TestSeriesChunks:
+    """A gravity series walks its shots in chunks of _SERIES_CHUNK; only the
+    four per-shot output columns grow with the shot count."""
+
+    LOWFRINGE = TestPinnedShotStreams.LOWFRINGE
+    # SNR 5 with 0.3 rad of mirror noise: 77 of 500 readings saturate
+    NOISE = NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=5.0,
+                       tilt_drift_rad_per_hour=1e-3)
+
+    def series(self, n_shots):
+        return run_gravity_series(RB, PLANE, self.LOWFRINGE, TideModel.demo_m2(),
+                                  self.NOISE, n_shots=n_shots, shot_period=1.0,
+                                  master_seed=1)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 500, 501])
+    def test_series_does_not_depend_on_the_chunk(self, chunk, monkeypatch):
+        expected = self.series(500)
+        monkeypatch.setattr(sequence, "_SERIES_CHUNK", chunk)
+        series = self.series(500)
+        for name in ("times", "true_gravity", "normalized_population",
+                     "recovered_shift"):
+            assert np.array_equal(getattr(series, name), getattr(expected, name)), name
+        assert (series.bias_phase, series.saturated_shots) == (
+            expected.bias_phase, expected.saturated_shots)
+
+    def test_saturated_shots_counted_across_seams(self, monkeypatch):
+        # every reading beyond an end of the inversion segment is recovered
+        # as that end, so the saturated readings are those sharing the
+        # lowest or the highest recovered value, wherever a seam falls
+        monkeypatch.setattr(sequence, "_SERIES_CHUNK", 7)
+        series = self.series(500)
+        rec = series.recovered_shift
+        ends = [np.count_nonzero(rec == rec.min()), np.count_nonzero(rec == rec.max())]
+        assert min(ends) > 1
+        assert series.saturated_shots == sum(ends)
+
+    def test_peak_memory_grows_only_by_the_output_columns(self, monkeypatch):
+        # one chunk for the whole run would grow by about 10 MB here
+        monkeypatch.setattr(sequence, "_SERIES_CHUNK", 1024)
+        self.series(64)   # first calls and imports outside the traced runs
+        peaks = []
+        for n_shots in (25000, 100000):
+            tracemalloc.start()
+            self.series(n_shots)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        columns = 4 * 8 * (100000 - 25000)   # four float64 columns a shot
+        assert peaks[1] - peaks[0] <= 1.3 * columns, peaks
 
 
 class TestSpecValidation:
