@@ -191,7 +191,7 @@ def fringe_contrast(fit: HarmonicFit) -> float:
 def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
                      interrogation_time: float) -> float:
     """Convert a fringe phase change to gravity: dg = dphi/(m k_eff T^2)."""
-    # written so that NaN and infinity fail every check
+    # NaN and infinity fail every check
     if not math.isfinite(delta_phi):
         raise ValueError(f"delta_phi must be finite, got {delta_phi}")
     if not 1 <= harmonic < math.inf:

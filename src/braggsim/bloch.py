@@ -19,11 +19,12 @@ hbar*k, as on the ladder.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import Annotated
 
 import numpy as np
 
+from .bounds import Positive, bounded
 from .ladder import (
     DEFAULT_CONFIG,
     EvolutionConfig,
@@ -34,7 +35,7 @@ from .ladder import (
 from .physics import AtomSpecies
 
 
-@dataclass(frozen=True)
+@bounded
 class LatticeRamp:
     """Lattice depth (units of E_r = hbar*w_r), stage durations and target.
 
@@ -43,24 +44,14 @@ class LatticeRamp:
     ``acceleration``, which sets the sweep duration target*hbar*k/(m*a).
     """
 
-    depth: float = 4.0
-    load_duration: float = 100e-6
-    acceleration: float = 30.0
-    target_momentum: int = 8
+    depth: Annotated[float, Positive] = 4.0
+    load_duration: Annotated[float, Positive] = 100e-6
+    acceleration: Annotated[float, Positive] = 30.0
+    target_momentum: Annotated[int, Positive] = 8
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.depth < math.inf:
-            raise ValueError(f"depth must be finite and positive, got {self.depth}")
-        for name in ("load_duration", "acceleration"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.target_momentum <= 0 or self.target_momentum % 2 != 0:
-            raise ValueError(
-                f"target_momentum must be a positive even integer, "
-                f"got {self.target_momentum}"
-            )
+        if self.target_momentum % 2 != 0:
+            raise ValueError(f"target_momentum must be even, got {self.target_momentum}")
 
     def resolved_sweep_duration(self, species: AtomSpecies) -> float:
         """Sweep time (s): target momentum over m*acceleration."""

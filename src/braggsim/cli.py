@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bloch, sequence
-from .config import ConfigError, Run, at_key, echo_config, load_config, resolve
+from .config import ConfigError, Run, at_key, echo_config, load_config, parse_config, resolve
 from .ladder import calibrate_pulse_amplitude, plane_wave_state, apply_pulse
 from .physics import revival_period
 from .report import versions, write_run_meta, write_summary, write_table
@@ -203,7 +203,7 @@ def cmd_gravity_run(run: Run) -> tuple[dict, dict]:
         "gravity_series": (
             ["time_s", "gravity_true", "normalized_population", "gravity_recovered"],
             (series.times, series.true_gravity, series.normalized_population,
-             series.recovered_gravity)),
+             g0 + series.recovered_shift)),
         "gravity_binned": (
             ["time_s", "gravity_mean", "gravity_stderr"], (t_bins, g0 + means, errs)),
     }
@@ -297,8 +297,8 @@ def main(argv=None) -> int:
 
     try:
         overrides = {"seed": args.seed, "out_dir": args.out_dir}
-        cfg = dataclasses.replace(load_config(args.config), **{
-            key: value for key, value in overrides.items() if value is not None})
+        cfg = parse_config({**dataclasses.asdict(load_config(args.config)), **{
+            key: value for key, value in overrides.items() if value is not None}})
         run = resolve(cfg)
         out = Path(cfg.out_dir)
         try:

@@ -5,21 +5,23 @@ One recursive builder, ``_build``, checks each value against its field's
 annotation: a block takes a mapping (null or ``{}`` gives its defaults), a
 ``list[X]`` builds each element as ``X`` (null gives ``[]``), ``X | None``
 takes null and ``Literal[...]`` its strings. ``float`` takes a finite float
-or an int, ``int`` and ``str`` only their own type; a bool is no number.
-YAML 1.1 reads ``2e-3`` as a string: write ``2.0e-3``. Errors name the key
-path, or the block for a range error; unknown and repeated keys are rejected.
+or an int, ``int`` and ``str`` only their own type; a bool is no number. A
+number meets the bound its field declares (``bounds``). YAML 1.1 reads
+``2e-3`` as a string: write ``2.0e-3``. Errors name the key path, or the
+block for a rule between fields; unknown and repeated keys are rejected.
 Every block carries explicit defaults so the echo reproduces the run
 bit-identically. Units are spelled out in the key names.
 
-A block whose keys are a domain object's fields is that object, built and
-range-checked as it is parsed: ``ensemble`` (``EnsembleSpec``), ``noise``
-(``NoiseModel``), ``gradiometer`` (``GradiometerSpec``) and ``evolution``
+A block whose keys are a domain object's fields is that object, built as it
+is parsed: ``ensemble`` (``EnsembleSpec``), ``noise`` (``NoiseModel``),
+``gradiometer`` (``GradiometerSpec``) and ``evolution``
 (``EvolutionConfig``). ``scan``, ``gravity_run`` and ``class_oracle`` have
-no domain object. The rest ``resolve`` once per run, after the command-line
-overrides and before any solve, as their object is not their keys:
-``species`` defaults to Rb87, ``geometry`` and ``tide`` convert degrees and
-hours, ``sequence`` and ``pulse`` leave amplitudes to calibrate, and ``bvs``
-holds a profile grid beside its lattice ramp.
+no domain object. The rest, bounded on their own keys in config units,
+``resolve`` once per run, after the command-line overrides and before any
+solve, as their object is not their keys: ``species`` defaults to Rb87,
+``geometry`` and ``tide`` convert degrees and hours, ``sequence`` and
+``pulse`` leave amplitudes to calibrate, and ``bvs`` holds a profile grid
+beside its lattice ramp.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from __future__ import annotations
 import contextlib
 import math
 import re
-import sys
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Literal, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .bloch import LatticeRamp
+from .bounds import Finite, NonNegative, Positive, Range, bounded, field_bounds
 from .constants import STANDARD_GRAVITY
 from .environment import NoiseModel, TideComponent, TideModel
 from .ladder import EvolutionConfig, PulseSpec
@@ -62,10 +64,10 @@ def at_key(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@bounded
 class SpeciesBlock:
-    wavelength_m: float = 780.24e-9
-    mass_kg: float | None = None   # null means Rb87
+    wavelength_m: Annotated[float, Positive] = 780.24e-9
+    mass_kg: Annotated[float, Positive] | None = None   # null means Rb87
 
     def resolve(self) -> AtomSpecies:
         if self.mass_kg is None:
@@ -73,19 +75,19 @@ class SpeciesBlock:
         return AtomSpecies(mass=self.mass_kg, wavelength=self.wavelength_m)
 
 
-@dataclass(frozen=True)
+@bounded
 class GeometryBlock:
-    tilt_deg: float = 0.0
+    tilt_deg: Annotated[float, Range(0, 90, open_high=True)] = 0.0
 
     def resolve(self, species: AtomSpecies) -> BeamGeometry:
         return BeamGeometry.vertical(species, tilt_angle=math.radians(self.tilt_deg))
 
 
-@dataclass(frozen=True)
+@bounded
 class SequenceBlock:
-    order: int = 2
-    interrogation_time_s: float = 60e-3
-    pulse_sigma_s: float = 15e-6
+    order: Annotated[int, Range(1)] = 2
+    interrogation_time_s: Annotated[float, Positive] = 60e-3
+    pulse_sigma_s: Annotated[float, Positive] = 15e-6
 
     def resolve(self) -> MZISequence:
         """The schedule with zero-amplitude pulses; the run calibrates them."""
@@ -95,20 +97,16 @@ class SequenceBlock:
                            mirror_rabi=0.0)
 
 
-@dataclass(frozen=True)
+@bounded
 class TideComponentBlock:
-    amplitude_m_s2: float = 1.0e-6
-    period_h: float = 12.42
+    amplitude_m_s2: Annotated[float, NonNegative] = 1.0e-6
+    period_h: Annotated[float, Positive] = 12.42
     phase_rad: float = 0.0
 
-    def __post_init__(self):
-        if not self.period_h > 0:
-            raise ValueError(f"period_h must be > 0, got {self.period_h}")
 
-
-@dataclass(frozen=True)
+@bounded
 class TideBlock:
-    mean_gravity_m_s2: float = STANDARD_GRAVITY
+    mean_gravity_m_s2: Annotated[float, Positive] = STANDARD_GRAVITY
     components: list[TideComponentBlock] = field(default_factory=list)
 
     def resolve(self) -> TideModel:
@@ -119,16 +117,14 @@ class TideBlock:
         return TideModel(mean_gravity=self.mean_gravity_m_s2, components=comps)
 
 
-@dataclass(frozen=True)
+@bounded
 class ScanBlock:
     target: Literal["phase", "sweep_rate", "interrogation_time"] = "phase"
     start: float = 0.0
     stop: float = 4.0 * math.pi
-    points: int = 32
+    points: Annotated[int, Range(1)] = 32
 
     def __post_init__(self):
-        if self.points < 1:
-            raise ValueError(f"points must be >= 1, got {self.points}")
         if self.stop <= self.start and self.points > 1:
             raise ValueError("stop must exceed start")
 
@@ -137,85 +133,66 @@ class ScanBlock:
         return np.linspace(self.start, self.stop, self.points, endpoint=False)
 
 
-@dataclass(frozen=True)
+@bounded
 class BvsBlock:
-    depth_er: float = 4.0
-    load_duration_s: float = 100e-6
-    acceleration_m_s2: float = 30.0
-    target_momentum_hk: int = 8
-    profile_min_hk: float = -2.0
-    profile_max_hk: float = 2.0
-    profile_points: int = 21
+    depth_er: Annotated[float, Positive] = 4.0
+    load_duration_s: Annotated[float, Positive] = 100e-6
+    acceleration_m_s2: Annotated[float, Positive] = 30.0
+    target_momentum_hk: Annotated[int, Positive] = 8
+    profile_min_hk: Annotated[float, Range(-2, 2)] = -2.0
+    profile_max_hk: Annotated[float, Range(-2, 2)] = 2.0
+    profile_points: Annotated[int, Range(1)] = 21
 
     def resolve(self) -> LatticeRamp:
-        if max(abs(self.profile_min_hk), abs(self.profile_max_hk)) > 2:
-            raise ValueError("profile_min_hk and profile_max_hk must lie in [-2, 2]")
-        if self.profile_points < 1:
-            raise ValueError(f"profile_points must be >= 1, got {self.profile_points}")
         return LatticeRamp(depth=self.depth_er,
                            load_duration=self.load_duration_s,
                            acceleration=self.acceleration_m_s2,
                            target_momentum=self.target_momentum_hk)
 
 
-@dataclass(frozen=True)
+@bounded
 class GravityRunBlock:
-    shots: int = 2000
-    shot_period_s: float = 1.0
-    bin_size: int = 38
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if not self.shot_period_s > 0:
-            raise ValueError(f"shot_period_s must be > 0, got {self.shot_period_s}")
-        if self.bin_size < 2:   # a bin of one shot has no standard error
-            raise ValueError(f"bin_size must be >= 2, got {self.bin_size}")
+    shots: Annotated[int, Range(1)] = 2000
+    shot_period_s: Annotated[float, Positive] = 1.0
+    bin_size: Annotated[int, Range(2)] = 38   # a bin of one shot has no standard error
 
 
-@dataclass(frozen=True)
+@bounded
 class PulseBlock:
-    order: int = 2
-    sigma_s: float = 15e-6
-    rabi_peak_rad_s: float | Literal["calibrated"] = "calibrated"
-    transfer_target: float = 0.5
-    quasimomentum_hk: float = 0.0
+    order: Annotated[int, Range(1)] = 2
+    sigma_s: Annotated[float, Positive] = 15e-6
+    rabi_peak_rad_s: Annotated[float, NonNegative] | Literal["calibrated"] = "calibrated"
+    transfer_target: Annotated[float, Range(0, 1, open_low=True)] = 0.5
+    quasimomentum_hk: Annotated[float, Range(-1, 1)] = 0.0
 
     def resolve(self, species: AtomSpecies) -> PulseSpec:
         """The pulse, resonant for ``order`` and at zero amplitude until
         calibrated."""
-        if not 0 < self.transfer_target <= 1:
-            raise ValueError(
-                f"transfer_target must lie in (0, 1], got {self.transfer_target}")
-        if not abs(self.quasimomentum_hk) <= 1:
-            raise ValueError(f"|quasimomentum_hk| {self.quasimomentum_hk} exceeds 1")
         peak = self.rabi_peak_rad_s
         return PulseSpec(rabi_peak=0.0 if peak == "calibrated" else peak,
                          sigma=self.sigma_s,
                          detuning=bragg_resonance(self.order, species))
 
 
-@dataclass(frozen=True)
+@bounded
 class ClassOracleBlock:
     class_index: int = 2
     a_min: int = -8
     a_max: int = 8
-    time_min_s: float = 0.0
+    time_min_s: Annotated[float, NonNegative] = 0.0
     time_max_s: float = 120e-6
-    time_points: int = 121
+    time_points: Annotated[int, Range(1)] = 121
 
     def __post_init__(self):
         if self.a_max < self.a_min:
             raise ValueError(f"a_max {self.a_max} must be >= a_min {self.a_min}")
-        if not 0 <= self.time_min_s <= self.time_max_s:
-            raise ValueError("time_min_s must lie in [0, time_max_s]")
-        if self.time_points < 1:
-            raise ValueError(f"time_points must be >= 1, got {self.time_points}")
+        if not self.time_min_s <= self.time_max_s:
+            raise ValueError("time_min_s must not exceed time_max_s")
 
 
-@dataclass(frozen=True)
+@bounded
 class ExperimentConfig:
-    seed: int = 0
+    seed: Annotated[int, NonNegative] = 0   # numpy seeds from non-negative integers only
     gravity_m_s2: float = STANDARD_GRAVITY
     out_dir: str = "runs/out"
     species: SpeciesBlock = field(default_factory=SpeciesBlock)
@@ -231,11 +208,6 @@ class ExperimentConfig:
     pulse: PulseBlock = field(default_factory=PulseBlock)
     class_oracle: ClassOracleBlock = field(default_factory=ClassOracleBlock)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-
-    def __post_init__(self):
-        # numpy seeds its generators from non-negative integers only
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +226,7 @@ class Run:
 
 def resolve(config: ExperimentConfig) -> Run:
     """Build the domain object of each block that resolves, whichever
-    subcommand runs; a range error is a ConfigError naming its block."""
+    subcommand runs; a ConfigError names the block."""
     def build(key, *args):
         with at_key(key):
             return getattr(config, key).resolve(*args)
@@ -281,8 +253,9 @@ def _fits(tp, value) -> bool:
     return type(value) in ((int, float) if kind is float else (kind,))
 
 
-def _build(tp, value, path: str):
-    """Check ``value`` against annotation ``tp``; build a block from a mapping."""
+def _build(tp, value, path: str, bound=Finite):
+    """Check ``value`` against annotation ``tp``, a number also against its
+    field's ``bound``; build a block from a mapping."""
     if get_origin(tp) in (Union, UnionType):
         # float | None is a UnionType, float | Literal[...] a typing.Union
         tp = next((arm for arm in get_args(tp) if _fits(arm, value)), tp)
@@ -293,20 +266,21 @@ def _build(tp, value, path: str):
         if type(value) is str and re.fullmatch(r"[-+]?[\d.]+[eE][-+]?\d+", value):
             got += "; YAML 1.1 reads that as a string: write 2.0e-3, not 2e-3"
         raise ConfigError(path or "<root>", f"expected {_describe(tp)}, got {got}")
-    if tp is float and not abs(value) <= sys.float_info.max:   # NaN fails too
-        raise ConfigError(path, f"must be finite, got {value}")
+    if tp in (int, float) and not bound.admits(value):
+        raise ConfigError(path, bound.complaint(value))
     if get_origin(tp) is list:
         return [_build(get_args(tp)[0], v, f"{path}[{i}]")
                 for i, v in enumerate(value)]
     if not is_dataclass(tp):
         return value
     hints, kwargs = get_type_hints(tp), {}
+    bounds = {name: rng for name, rng, _ in field_bounds(tp)}
     for key, item in value.items():
         where = f"{path}.{key}" if path else str(key)
         if key not in hints:
             raise ConfigError(where, "unknown key")
-        kwargs[key] = _build(hints[key], item, where)
-    with at_key(path or "<root>"):   # a block's range check
+        kwargs[key] = _build(hints[key], item, where, bounds.get(key, Finite))
+    with at_key(path or "<root>"):   # a rule between the block's fields
         return tp(**kwargs)
 
 

@@ -17,10 +17,12 @@ of shots. There is no hidden global state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
+from typing import Annotated
 
 import numpy as np
 
+from .bounds import Finite, NonNegative, Positive, bounded
 from .constants import STANDARD_GRAVITY
 
 # stream ids: one independent RNG stream per physical noise source
@@ -35,26 +37,14 @@ def shot_rng(master_seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), 0, int(stream)))
 
 
-@dataclass(frozen=True)
+@bounded
 class NoiseModel:
     """Mirror-vibration phase jitter, detection SNR (None: no detection
     noise) and alignment drift; the config's ``noise`` block."""
 
-    mirror_phase_rms_rad: float = 0.0   # per pulse
-    detection_snr: float | None = 50.0
-    tilt_drift_rad_per_hour: float = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 <= self.mirror_phase_rms_rad < math.inf:
-            raise ValueError(f"mirror_phase_rms_rad must be finite and >= 0, "
-                             f"got {self.mirror_phase_rms_rad}")
-        if self.detection_snr is not None and not 0 < self.detection_snr < math.inf:
-            raise ValueError(f"detection_snr must be > 0 and finite, "
-                             f"got {self.detection_snr}")
-        if not math.isfinite(self.tilt_drift_rad_per_hour):
-            raise ValueError(f"tilt_drift_rad_per_hour must be finite, "
-                             f"got {self.tilt_drift_rad_per_hour}")
+    mirror_phase_rms_rad: Annotated[float, NonNegative] = 0.0   # per pulse
+    detection_snr: Annotated[float, Positive] | None = 50.0
+    tilt_drift_rad_per_hour: Annotated[float, Finite] = 0.0
 
 
 def sample_mirror_phases(model: NoiseModel, rng: np.random.Generator,
@@ -84,42 +74,22 @@ def apply_detection_noise(populations, model: NoiseModel, rng: np.random.Generat
     return np.clip(arr + rng.normal(0.0, sigma, size=arr.shape), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@bounded
 class TideComponent:
     """One gravity harmonic: amplitude (m/s^2), angular frequency (rad/s),
     phase (rad)."""
 
-    amplitude: float
-    angular_frequency: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.amplitude < math.inf:  # NaN fails every check
-            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
-        for name in ("angular_frequency", "phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+    amplitude: Annotated[float, NonNegative]
+    angular_frequency: Annotated[float, Finite]
+    phase: Annotated[float, Finite] = 0.0
 
 
-@dataclass(frozen=True)
+@bounded
 class TideModel:
     """Mean gravity plus a configurable sum of harmonic components."""
 
-    mean_gravity: float = STANDARD_GRAVITY
+    mean_gravity: Annotated[float, Positive] = STANDARD_GRAVITY
     components: tuple[TideComponent, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not 0 < self.mean_gravity < math.inf:  # NaN fails every check
-            raise ValueError(
-                f"mean_gravity must be finite and > 0, got {self.mean_gravity}")
-
-    @classmethod
-    def demo_m2(cls, mean_gravity: float = STANDARD_GRAVITY,
-                amplitude: float = 1.0e-6) -> "TideModel":
-        """Single M2-like component: 12.42 h period, ~1 umps^2 swing."""
-        omega = 2.0 * math.pi / (12.42 * 3600.0)
-        return cls(mean_gravity=mean_gravity,
-                   components=(TideComponent(amplitude, omega),))
 
 
 def synthesize_tide(model: TideModel, t):

@@ -55,11 +55,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import Annotated
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
+from .bounds import Finite, NonNegative, Positive, Range, bounded
 from .dop853 import solve_ivp
 from .physics import AtomSpecies, bragg_resonance
 
@@ -88,26 +90,18 @@ class CalibrationError(RuntimeError):
 LEAK_BOUND = 1e-4
 
 
-@dataclass(frozen=True)
+@bounded
 class EvolutionConfig:
     """Integrator knobs, the config's ``evolution`` block."""
 
-    error_tolerance: float = 1e-10
-    guard_sites: int = 6
-
-    def __post_init__(self):
-        if not 0.0 < self.error_tolerance <= 1e-3:
-            raise ValueError(
-                f"error_tolerance must lie in (0, 1e-3], got {self.error_tolerance}"
-            )
-        if self.guard_sites < 4:
-            raise ValueError(f"guard_sites must be >= 4, got {self.guard_sites}")
+    error_tolerance: Annotated[float, Range(0.0, 1e-3, open_low=True)] = 1e-10
+    guard_sites: Annotated[int, Range(4)] = 6
 
 
 DEFAULT_CONFIG = EvolutionConfig()
 
 
-@dataclass(frozen=True)
+@bounded
 class PulseSpec:
     """Gaussian two-frequency Bragg pulse.
 
@@ -119,28 +113,18 @@ class PulseSpec:
     (rad) is a constant phase of the lattice.
     """
 
-    rabi_peak: float
-    sigma: float
-    detuning: float
-    laser_phase: float = 0.0
-    chirp: float = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not 0 <= self.rabi_peak < math.inf:
-            raise ValueError(f"rabi_peak must be finite and >= 0, got {self.rabi_peak}")
-        for name in ("detuning", "laser_phase", "chirp"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+    rabi_peak: Annotated[float, NonNegative]
+    sigma: Annotated[float, Positive]
+    detuning: Annotated[float, Finite]
+    laser_phase: Annotated[float, Finite] = 0.0
+    chirp: Annotated[float, Finite] = 0.0
 
     @property
     def total_duration(self) -> float:
         return 6 * self.sigma
 
 
-@dataclass(frozen=True)
+@bounded
 class MomentumLadderState:
     """Amplitudes over ladder sites n_min..n_min+len-1.
 
@@ -151,14 +135,10 @@ class MomentumLadderState:
     species: AtomSpecies
     amplitudes: np.ndarray
     n_min: int
-    quasimomentum: float = 0.0
+    quasimomentum: Annotated[float, Range(-1 - 1e-12, 1 + 1e-12)] = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if not abs(self.quasimomentum) <= 1 + 1e-12:   # NaN fails too
-            raise ValueError(f"quasimomentum {self.quasimomentum} must lie "
-                             "within +-1 hbar*k")
+        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
 
     @property
     def n_max(self) -> int:
@@ -176,11 +156,6 @@ class MomentumLadderState:
         if site < self.n_min or site > self.n_max:
             return 0.0
         return float(np.abs(self.amplitudes[site - self.n_min]) ** 2)
-
-    def mean_momentum(self) -> float:
-        """Ensemble mean momentum (units of hbar*k) in the current frame."""
-        p = 2.0 * self.sites + self.quasimomentum
-        return float(np.sum(np.abs(self.amplitudes) ** 2 * p))
 
     def expanded(self, n_min: int, n_max: int) -> "MomentumLadderState":
         """Zero-pad the window to cover [n_min, n_max] (never shrinks)."""

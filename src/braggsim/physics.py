@@ -14,12 +14,13 @@ alpha in Hz/s (cyclic, so it appears as 2*pi*alpha in the phase model).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Annotated
 
+from .bounds import Positive, Range, bounded
 from .constants import BOLTZMANN, HBAR, RB87_D2_WAVELENGTH, RB87_MASS
 
 
-@dataclass(frozen=True)
+@bounded
 class AtomSpecies:
     """Atom driving the interferometer: mass (kg) and Bragg wavelength (m).
 
@@ -27,16 +28,8 @@ class AtomSpecies:
     so there is a single source of truth for k.
     """
 
-    mass: float
-    wavelength: float
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.mass < math.inf:
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
-        if not 0 < self.wavelength < math.inf:
-            raise ValueError(
-                f"wavelength must be finite and positive, got {self.wavelength}")
+    mass: Annotated[float, Positive]
+    wavelength: Annotated[float, Positive]
 
     @property
     def wavevector(self) -> float:
@@ -59,21 +52,12 @@ class AtomSpecies:
         return cls(mass=RB87_MASS, wavelength=wavelength)
 
 
-@dataclass(frozen=True)
+@bounded
 class BeamGeometry:
     """Two-photon beam geometry: k_eff = 4*pi/lambda and tilt from vertical."""
 
-    k_eff: float
-    tilt_angle: float = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.k_eff < math.inf:
-            raise ValueError(f"k_eff must be finite and positive, got {self.k_eff}")
-        if not 0.0 <= self.tilt_angle < math.pi / 2:
-            raise ValueError(
-                f"tilt_angle must lie in [0, pi/2), got {self.tilt_angle}"
-            )
+    k_eff: Annotated[float, Positive]
+    tilt_angle: Annotated[float, Range(0.0, math.pi / 2, open_high=True)] = 0.0
 
     @property
     def projection(self) -> float:
@@ -99,8 +83,7 @@ def mzi_phase(order: int, interrogation_time: float, geometry: BeamGeometry, *,
     its phase at once, an order-n pulse n times it, so phi_L is not scaled
     by T^2.
     """
-    # written so that NaN fails every check
-    if not order >= 1:
+    if not order >= 1:   # NaN fails too
         raise ValueError(f"order must be >= 1, got {order}")
     if not 0 < interrogation_time < math.inf:
         raise ValueError(f"interrogation_time must be finite and positive, "

@@ -33,19 +33,22 @@ populations, noise draws, detected ports) grow with its shot count. A
 gravity series walks its shots ``_SERIES_CHUNK`` at a time: only its four
 per-shot output columns grow with the shot count. Per-shot noise has one
 home: ``_stream`` builds one generator per (seed, stream) for a run, which
-``_mirror_draws`` and ``_detect`` read in order, chunk after chunk, so shot
-i takes row i of it. Momenta and quasimomenta are in units of hbar*k.
+``sample_mirror_phases`` and ``_detect`` read in order, chunk after chunk,
+so shot i takes row i of it. Momenta and quasimomenta are in units of
+hbar*k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Annotated
 
 import numpy as np
 
 from .analysis import (FringeScan, HarmonicFit, check_count, fit_harmonics,
                        fringe_contrast)
+from .bounds import Finite, NonNegative, Positive, Range, bounded
 from .environment import (
     STREAM_DETECTION,
     STREAM_DETECTION_UPPER,
@@ -71,7 +74,7 @@ from .ladder import (
 from .physics import AtomSpecies, BeamGeometry, bragg_resonance, revival_period
 
 
-@dataclass(frozen=True)
+@bounded
 class EnsembleSpec:
     """Quasimomentum ensemble, the config's ``ensemble`` block: ``samples``
     draws from a Gaussian of rms ``sigma_q_hk`` (hbar k) within the first
@@ -79,18 +82,9 @@ class EnsembleSpec:
     Gaussian is flat across the band to 0.5 %, and the redraw time grows in
     proportion, so a wider one is rejected."""
 
-    samples: int = 200
-    sigma_q_hk: float = 0.42
-    seed: int = 0
-
-    def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.samples >= 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= self.sigma_q_hk <= 10:
-            raise ValueError(f"sigma_q_hk must lie in [0, 10], got {self.sigma_q_hk}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    samples: Annotated[int, Range(1)] = 200
+    sigma_q_hk: Annotated[float, Range(0, 10)] = 0.42
+    seed: Annotated[int, NonNegative] = 0
 
     def draw(self) -> np.ndarray:
         """Quasimomenta (units of hbar k), truncated to the first band by redraw."""
@@ -104,7 +98,7 @@ class EnsembleSpec:
         return kept[:self.samples]
 
 
-@dataclass(frozen=True)
+@bounded
 class MZISequence:
     """Three-pulse schedule: Bragg order, interrogation time T, the Gaussian
     width sigma of all three pulses (each a 6 sigma window) and the peak Rabi
@@ -112,29 +106,17 @@ class MZISequence:
     sets each pulse's detuning, chirp and phase: the sweep rate and the
     final-pulse phase are settings of a run, not of the schedule."""
 
-    order: int
+    order: Annotated[int, Range(1)]
     interrogation_time: float
-    pulse_sigma: float
-    beamsplitter_rabi: float
-    mirror_rabi: float
+    pulse_sigma: Annotated[float, Positive]
+    beamsplitter_rabi: Annotated[float, NonNegative]
+    mirror_rabi: Annotated[float, NonNegative]
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.order >= 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if not 0 < self.pulse_sigma < math.inf:
-            raise ValueError(
-                f"pulse_sigma must be finite and positive, got {self.pulse_sigma}")
-        for name in ("beamsplitter_rabi", "mirror_rabi"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)}")
         half = 6 * self.pulse_sigma   # half of each of two 6 sigma windows
-        if not half < self.interrogation_time < math.inf:
-            raise ValueError(
-                f"interrogation_time {self.interrogation_time} must be finite "
-                f"and exceed the half pulse windows {half}"
-            )
+        if not half < self.interrogation_time < math.inf:   # NaN fails too
+            raise ValueError(f"interrogation_time {self.interrogation_time} must be "
+                             f"finite and exceed the half pulse windows {half}")
 
 
 def prepare_sequence(
@@ -158,7 +140,7 @@ def prepare_sequence(
                        mirror_rabi=om_pi)
 
 
-@dataclass(frozen=True)
+@bounded
 class GradiometerSpec:
     """Two simultaneous clouds, the config's ``gradiometer`` block: momenta
     (units hbar k), the BVS pulse separation setting the baseline, and the
@@ -166,17 +148,14 @@ class GradiometerSpec:
 
     lower_momentum_hk: int = 8     # the first-launched, faster, lower cloud
     upper_momentum_hk: int = 2
-    bvs_separation_s: float = 50e-3
-    gradient_per_s2: float = 3.0e-6
+    bvs_separation_s: Annotated[float, Positive] = 50e-3
+    gradient_per_s2: Annotated[float, Finite] = 3.0e-6
 
     def __post_init__(self):
         if (self.lower_momentum_hk - self.upper_momentum_hk) % 2 != 0:
             raise ValueError("cloud momentum difference must be a multiple of 2 hbar k")
         if self.lower_momentum_hk == self.upper_momentum_hk:
             raise ValueError("clouds must have distinct momenta")
-        if not 0 < self.bvs_separation_s < math.inf:
-            raise ValueError(f"bvs_separation_s must be finite and positive, "
-                             f"got {self.bvs_separation_s}")
 
     def baseline(self, species: AtomSpecies) -> float:
         """Vertical separation (m): faster-cloud speed times BVS delay."""
@@ -207,12 +186,6 @@ class ShotResult:
     mirror_phases: tuple[float, float, float]
 
 
-def _mirror_draws(noise: NoiseModel, rng, n: int) -> np.ndarray:
-    """Mirror phases (rad) of the three pulses of the next n shots of the
-    mirror stream ``rng``, shape (n, 3)."""
-    return sample_mirror_phases(noise, rng, n)
-
-
 def _detect(clean_pairs, noise: NoiseModel, rng) -> tuple[np.ndarray, np.ndarray]:
     """Detected (lower, upper) port pairs (n, 2) of the next n shots of the
     detection stream ``rng`` and the normalised population lower / (lower +
@@ -225,16 +198,16 @@ def _detect(clean_pairs, noise: NoiseModel, rng) -> tuple[np.ndarray, np.ndarray
 
 def _stream(noise: NoiseModel, seed: int, stream: int, first: int = 0):
     """The generator of one noise stream of a run, built once and then read
-    in order by ``_mirror_draws`` or ``_detect``: the rows of shots 0, ...,
-    first - 1 are drawn and dropped at most ``_SERIES_CHUNK`` at a time, so
-    that the next row read is shot ``first``'s."""
+    in order by ``sample_mirror_phases`` or ``_detect``: the rows of shots
+    0, ..., first - 1 are drawn and dropped at most ``_SERIES_CHUNK`` at a
+    time, so that the next row read is shot ``first``'s."""
     if first < 0:
         raise ValueError(f"shot indices must be >= 0, got {first}")
     rng = shot_rng(seed, stream)
     for start in range(0, first, _SERIES_CHUNK):
         rows = min(_SERIES_CHUNK, first - start)
         if stream == STREAM_MIRROR:
-            _mirror_draws(noise, rng, rows)
+            sample_mirror_phases(noise, rng, rows)
         else:
             _detect(np.zeros((rows, 2)), noise, rng)
     return rng
@@ -317,7 +290,8 @@ def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
     n = per_group * len(final_phases)
     if n == 0:
         raise ValueError("a run must fire at least one shot")
-    mirror = _mirror_draws(noise, _stream(noise, master_seed, STREAM_MIRROR, first), n)
+    mirror_rng = _stream(noise, master_seed, STREAM_MIRROR, first)
+    mirror = sample_mirror_phases(noise, mirror_rng, n)
     commanded = np.zeros((n, 3))
     commanded[:, 2] = np.tile(final_phases, per_group)
     phases = np.split(np.tile(commanded + mirror, (len(streams), 1)), len(engines))
@@ -503,10 +477,6 @@ class GravitySeries:
     mean_gravity: float
     saturated_shots: int
 
-    @property
-    def recovered_gravity(self) -> np.ndarray:
-        return self.mean_gravity + self.recovered_shift
-
 
 def run_gravity_series(
     species: AtomSpecies,
@@ -563,7 +533,7 @@ def run_gravity_series(
         # every shot is chirped resonant for g0 at the base tilt, so that
         # r = k_eff (g0 cos(tilt) - g(t) cos(tilt(t))); zero at the calibration point
         shift = keff * (g0 * geometry.projection - g * proj) * T * T
-        mirror = _mirror_draws(noise, mirror_rng, len(g))
+        mirror = sample_mirror_phases(noise, mirror_rng, len(g))
         arg = bias + shift + (mirror[:, 0] - 2.0 * mirror[:, 1] + mirror[:, 2])
         clean = np.clip(np.column_stack([cal_lo.evaluate(arg), cal_hi.evaluate(arg)]),
                         0.0, 1.0)

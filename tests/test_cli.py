@@ -502,37 +502,40 @@ class TestCliRuns:
         ("gravity_run", {"shots": 2000.0},
          "gravity_run.shots: expected int, got float 2000.0"),
         (None, {"seed": None}, "seed: expected int, got null"),
-        ("ensemble", {"samples": 0}, "ensemble: samples must be >= 1"),
-        ("noise", {"detection_snr": -1}, "noise: detection_snr must be > 0"),
+        ("ensemble", {"samples": 0}, "ensemble.samples: must be >= 1, got 0"),
+        ("noise", {"detection_snr": -1}, "noise.detection_snr: must be > 0, got -1"),
         ("bvs", {"target_momentum_hk": 3}, "bvs: target_momentum must be"),
         ("evolution", {"guard_sites": 2},
-         "evolution: guard_sites must be >= 4"),
+         "evolution.guard_sites: must be >= 4, got 2"),
         (None, {"seed": -1}, "seed: must be >= 0, got -1"),
-        ("ensemble", {"seed": -1}, "ensemble: seed must be >= 0"),
-        ("sequence", {"order": 0}, "sequence: order must be >= 1"),
+        ("ensemble", {"seed": -1}, "ensemble.seed: must be >= 0, got -1"),
+        ("sequence", {"order": 0}, "sequence.order: must be >= 1, got 0"),
         ("sequence", {"interrogation_time_s": -1.0},
-         "sequence: interrogation_time -1.0 must be finite and exceed"),
+         "sequence.interrogation_time_s: must be > 0, got -1.0"),
         ("sequence", {"pulse_sigma_s": -1.0},
-         "sequence: pulse_sigma must be finite and positive"),
-        ("geometry", {"tilt_deg": 95.0}, "geometry: tilt_angle must lie in"),
-        ("gravity_run", {"shots": 0}, "gravity_run: shots must be >= 1"),
-        ("gravity_run", {"bin_size": 0}, "gravity_run: bin_size must be >= 2"),
-        ("gravity_run", {"bin_size": 1}, "gravity_run: bin_size must be >= 2, got 1"),
+         "sequence.pulse_sigma_s: must be > 0, got -1.0"),
+        ("geometry", {"tilt_deg": 95.0},
+         "geometry.tilt_deg: must lie in [0, 90), got 95.0"),
+        ("gravity_run", {"shots": 0}, "gravity_run.shots: must be >= 1, got 0"),
+        ("gravity_run", {"bin_size": 0}, "gravity_run.bin_size: must be >= 2, got 0"),
+        ("gravity_run", {"bin_size": 1}, "gravity_run.bin_size: must be >= 2, got 1"),
         ("gravity_run", {"shot_period_s": 0.0},
-         "gravity_run: shot_period_s must be > 0"),
-        ("pulse", {"order": 0}, "pulse: order must be >= 1"),
+         "gravity_run.shot_period_s: must be > 0, got 0.0"),
+        ("pulse", {"order": 0}, "pulse.order: must be >= 1, got 0"),
         ("pulse", {"transfer_target": 1.5},
-         "pulse: transfer_target must lie in (0, 1]"),
-        ("bvs", {"depth_er": 0}, "bvs: depth must be finite and positive"),
+         "pulse.transfer_target: must lie in (0, 1], got 1.5"),
+        ("bvs", {"depth_er": 0}, "bvs.depth_er: must be > 0, got 0"),
         ("pulse", {"quasimomentum_hk": 1.5},
-         "pulse: |quasimomentum_hk| 1.5 exceeds 1"),
+         "pulse.quasimomentum_hk: must lie in [-1, 1], got 1.5"),
         ("bvs", {"profile_min_hk": -2.5},
-         "bvs: profile_min_hk and profile_max_hk must lie in [-2, 2]"),
-        ("bvs", {"profile_points": 0}, "bvs: profile_points must be >= 1, got 0"),
+         "bvs.profile_min_hk: must lie in [-2, 2], got -2.5"),
+        ("bvs", {"profile_points": 0}, "bvs.profile_points: must be >= 1, got 0"),
         ("class_oracle", {"time_points": 0},
-         "class_oracle: time_points must be >= 1"),
+         "class_oracle.time_points: must be >= 1, got 0"),
         ("class_oracle", {"time_min_s": -1.0e-6},
-         "class_oracle: time_min_s must lie in [0, time_max_s]"),
+         "class_oracle.time_min_s: must be >= 0, got -1e-06"),
+        ("class_oracle", {"time_min_s": 2.0e-4},
+         "class_oracle: time_min_s must not exceed time_max_s"),
         ("class_oracle", {"a_min": 2, "a_max": 1},
          "class_oracle: a_max 1 must be >= a_min 2"),
         ("gradiometer", {"order": 2}, "gradiometer.order: unknown key"),
@@ -541,7 +544,7 @@ class TestCliRuns:
         ("sequence", {"phase_offset_rad": 1.0},
          "sequence.phase_offset_rad: unknown key"),
         ("ensemble", {"sigma_q_hk": 1.0e9},
-         "ensemble: sigma_q_hk must lie in [0, 10], got 1000000000.0"),
+         "ensemble.sigma_q_hk: must lie in [0, 10], got 1000000000.0"),
     ], ids=["exponent-string", "bool-points", "float-shots", "null-seed",
             "samples-0", "snr-negative", "bvs-odd-momentum", "guard-sites-2",
             "seed-negative", "ensemble-seed-negative",
@@ -551,6 +554,7 @@ class TestCliRuns:
             "bvs-depth-0", "pulse-quasimomentum-1.5", "bvs-profile-beyond-2",
             "bvs-profile-points-0",
             "class-oracle-points-0", "class-oracle-time-negative",
+            "class-oracle-window-reversed",
             "class-oracle-a-reversed", "gradiometer-order", "sweep-rate-key",
             "phase-offset-key", "sigma-q-1e9"])
     def test_bad_input_exits_1_at_load(self, tmp_path, capsys,

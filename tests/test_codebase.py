@@ -1,16 +1,28 @@
 """Static checks on the package source, shipped configs and benchmark hooks."""
 
 import ast
+import functools
+import importlib
 import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import asdict
-from typing import get_type_hints
+from dataclasses import asdict, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
-from braggsim.config import ExperimentConfig, load_config, resolve
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from braggsim.bounds import Finite, NonNegative, Positive, Range, field_bounds
+from braggsim.config import (ConfigError, ExperimentConfig, load_config, parse_config,
+                             resolve)
+from braggsim.environment import TideComponent
+from braggsim.ladder import MomentumLadderState, PulseSpec
+from braggsim.physics import AtomSpecies, BeamGeometry
+from braggsim.sequence import MZISequence
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "braggsim"
@@ -229,6 +241,172 @@ def test_config_defaults_ledger():
                          "time_points": 121},
         "evolution": {"error_tolerance": 1e-10, "guard_sites": 6},
     }
+
+
+@functools.cache
+def bounded_classes():
+    """{name: class} of every dataclass of the package that declares a bound."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"braggsim.{path.stem}")
+        found.update({name: obj for name, obj in vars(module).items()
+                      if isinstance(obj, type) and obj.__module__ == module.__name__
+                      and is_dataclass(obj) and field_bounds(obj)})
+    return found
+
+
+# every single-field bound of the package: (class, field, range)
+BOUNDED_FIELDS = [
+    ("AtomSpecies", "mass", Positive), ("AtomSpecies", "wavelength", Positive),
+    ("BeamGeometry", "k_eff", Positive),
+    ("BeamGeometry", "tilt_angle", Range(0.0, math.pi / 2, open_high=True)),
+    ("BvsBlock", "acceleration_m_s2", Positive), ("BvsBlock", "depth_er", Positive),
+    ("BvsBlock", "load_duration_s", Positive),
+    ("BvsBlock", "profile_max_hk", Range(-2, 2)),
+    ("BvsBlock", "profile_min_hk", Range(-2, 2)),
+    ("BvsBlock", "profile_points", Range(1)),
+    ("BvsBlock", "target_momentum_hk", Positive),
+    ("ClassOracleBlock", "time_min_s", NonNegative),
+    ("ClassOracleBlock", "time_points", Range(1)),
+    ("EnsembleSpec", "samples", Range(1)), ("EnsembleSpec", "seed", NonNegative),
+    ("EnsembleSpec", "sigma_q_hk", Range(0, 10)),
+    ("EvolutionConfig", "error_tolerance", Range(0.0, 1e-3, open_low=True)),
+    ("EvolutionConfig", "guard_sites", Range(4)),
+    ("ExperimentConfig", "seed", NonNegative),
+    ("GeometryBlock", "tilt_deg", Range(0, 90, open_high=True)),
+    ("GradiometerSpec", "bvs_separation_s", Positive),
+    ("GradiometerSpec", "gradient_per_s2", Finite),
+    ("GravityRunBlock", "bin_size", Range(2)),
+    ("GravityRunBlock", "shot_period_s", Positive),
+    ("GravityRunBlock", "shots", Range(1)),
+    ("LatticeRamp", "acceleration", Positive), ("LatticeRamp", "depth", Positive),
+    ("LatticeRamp", "load_duration", Positive),
+    ("LatticeRamp", "target_momentum", Positive),
+    ("MZISequence", "beamsplitter_rabi", NonNegative),
+    ("MZISequence", "mirror_rabi", NonNegative), ("MZISequence", "order", Range(1)),
+    ("MZISequence", "pulse_sigma", Positive),
+    ("MomentumLadderState", "quasimomentum", Range(-1 - 1e-12, 1 + 1e-12)),
+    ("NoiseModel", "detection_snr", Positive),
+    ("NoiseModel", "mirror_phase_rms_rad", NonNegative),
+    ("NoiseModel", "tilt_drift_rad_per_hour", Finite),
+    ("PulseBlock", "order", Range(1)),
+    ("PulseBlock", "quasimomentum_hk", Range(-1, 1)),
+    ("PulseBlock", "rabi_peak_rad_s", NonNegative),
+    ("PulseBlock", "sigma_s", Positive),
+    ("PulseBlock", "transfer_target", Range(0, 1, open_low=True)),
+    ("PulseSpec", "chirp", Finite), ("PulseSpec", "detuning", Finite),
+    ("PulseSpec", "laser_phase", Finite), ("PulseSpec", "rabi_peak", NonNegative),
+    ("PulseSpec", "sigma", Positive),
+    ("ScanBlock", "points", Range(1)),
+    ("SequenceBlock", "interrogation_time_s", Positive),
+    ("SequenceBlock", "order", Range(1)), ("SequenceBlock", "pulse_sigma_s", Positive),
+    ("SpeciesBlock", "mass_kg", Positive), ("SpeciesBlock", "wavelength_m", Positive),
+    ("TideBlock", "mean_gravity_m_s2", Positive),
+    ("TideComponent", "amplitude", NonNegative),
+    ("TideComponent", "angular_frequency", Finite), ("TideComponent", "phase", Finite),
+    ("TideComponentBlock", "amplitude_m_s2", NonNegative),
+    ("TideComponentBlock", "period_h", Positive),
+    ("TideModel", "mean_gravity", Positive),
+]
+
+
+def test_bounded_fields_ledger():
+    # every declared bound, so that a change which adds, drops or moves one
+    # shows it in its own diff
+    declared = sorted((name, field, rng) for name, cls in bounded_classes().items()
+                      for field, rng, _ in field_bounds(cls))
+    assert declared == sorted(BOUNDED_FIELDS)
+
+
+@functools.cache
+def block_paths(cls=ExperimentConfig, prefix=""):
+    """{class: key path prefix} of the config and each of its blocks; a
+    list of blocks is reached through its first element."""
+    found = {cls: prefix}
+    for key, hint in get_type_hints(cls).items():
+        inner = get_args(hint)[0] if get_origin(hint) is list else hint
+        if is_dataclass(inner):
+            index = "[0]" if inner is not hint else ""
+            found.update(block_paths(inner, f"{prefix}{key}{index}."))
+    return found
+
+
+def config_setting(path, value):
+    """The raw config mapping that sets key path ``path`` alone to ``value``."""
+    for part in reversed(path.split(".")):
+        key, index, _ = part.partition("[")
+        value = {key: [value] if index else value}
+    return value
+
+
+def valid_instance(cls):
+    """An instance within every bound, to set one field out of range."""
+    species = AtomSpecies.rubidium87()
+    made = {AtomSpecies: lambda: species,
+            BeamGeometry: lambda: BeamGeometry.vertical(species),
+            TideComponent: lambda: TideComponent(1e-6, 1e-4),
+            PulseSpec: lambda: PulseSpec(0.0, 15e-6, 0.0),
+            MomentumLadderState: lambda: MomentumLadderState(species, np.ones(1), 0),
+            MZISequence: lambda: MZISequence(2, 60e-3, 15e-6, 0.0, 0.0)}
+    return made.get(cls, cls)()
+
+
+def check_rejected(name, field, rng, value):
+    """``value`` in ``field`` fails its class's constructor, naming the
+    field, and a config that sets it, at its key path."""
+    cls = bounded_classes()[name]
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        replace(valid_instance(cls), **{field: value})
+    prefix = block_paths().get(cls)
+    if prefix is not None:
+        path = prefix + field
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_setting(path, value))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {rng.complaint(value)}"
+
+
+def is_int_field(name, field):
+    return get_type_hints(bounded_classes()[name])[field] is int
+
+
+def first_values_past(name, field, rng):
+    """The first value past each finite end of ``rng``, and for a float
+    field NaN and both infinities."""
+    if is_int_field(name, field):
+        return [rng.low if rng.open_low else rng.low - 1] + (
+            [rng.high if rng.open_high else rng.high + 1] if rng.high < math.inf else [])
+    ends = [rng.low if rng.open_low else float(np.nextafter(rng.low, -math.inf)),
+            rng.high if rng.open_high else float(np.nextafter(rng.high, math.inf))]
+    return [v for v in ends if math.isfinite(v)] + [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("name, field, rng", BOUNDED_FIELDS,
+                         ids=[f"{name}.{field}" for name, field, _ in BOUNDED_FIELDS])
+def test_first_value_past_each_end_rejected(name, field, rng):
+    for value in first_values_past(name, field, rng):
+        check_rejected(name, field, rng, value)
+
+
+@st.composite
+def outside(draw):
+    """A ledger entry and a value outside its range."""
+    name, field, rng = draw(st.sampled_from(BOUNDED_FIELDS))
+    if is_int_field(name, field):
+        below = st.integers(max_value=rng.low - (not rng.open_low))
+        return name, field, rng, draw(below)
+    sides = [st.sampled_from([math.nan, math.inf, -math.inf])]
+    if rng.low > -math.inf:
+        sides.append(st.floats(max_value=rng.low, exclude_max=not rng.open_low))
+    if rng.high < math.inf:
+        sides.append(st.floats(min_value=rng.high, exclude_min=not rng.open_high))
+    return name, field, rng, draw(st.one_of(sides))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outside())
+def test_every_bound_rejects_what_lies_outside(case):
+    check_rejected(*case)
 
 
 def config_keys_named(text):

@@ -17,6 +17,7 @@ from braggsim.environment import (
     synthesize_tide,
     tilt_projection_drift,
 )
+from reference_models import demo_m2
 
 
 class TestMirrorPhases:
@@ -122,7 +123,7 @@ class TestTide:
         assert synthesize_tide(model, 0.0) == pytest.approx(9.81 + 2e-6, abs=1e-15)
 
     def test_demo_m2_period(self):
-        model = TideModel.demo_m2()
+        model = demo_m2()
         g0 = synthesize_tide(model, 0.0)
         half = synthesize_tide(model, 12.42 * 3600 / 2)
         full = synthesize_tide(model, 12.42 * 3600)
@@ -131,7 +132,7 @@ class TestTide:
         assert full == pytest.approx(g0, abs=1e-12)
 
     def test_vectorized(self):
-        model = TideModel.demo_m2()
+        model = demo_m2()
         t = np.linspace(0, 36 * 3600, 100)
         g = synthesize_tide(model, t)
         assert g.shape == (100,)
@@ -139,7 +140,7 @@ class TestTide:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -9.81])
     def test_mean_gravity_must_be_finite_and_positive(self, value):
-        with pytest.raises(ValueError, match="mean_gravity must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"mean_gravity must be (finite|> 0), got"):
             TideModel(mean_gravity=value)
 
     def test_negative_amplitude_rejected(self):
@@ -184,7 +185,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(detection_snr=0.0)
         # None is the one way to switch detection noise off
-        with pytest.raises(ValueError, match="detection_snr must be > 0 and finite"):
+        with pytest.raises(ValueError, match="detection_snr must be finite, got inf"):
             NoiseModel(detection_snr=math.inf)
 
     @pytest.mark.parametrize("field, value", [

@@ -45,6 +45,7 @@ from braggsim.sequence import (
 )
 
 from free_flight import free_propagate
+from reference_models import demo_m2
 
 RB = AtomSpecies.rubidium87()
 QUIET = NoiseModel(mirror_phase_rms_rad=0.0, detection_snr=None)
@@ -332,7 +333,7 @@ class TestStreamAddressing:
         counts = []
         for n_shots in (200, 2000):
             builds.clear()
-            run_gravity_series(RB, PLANE, lowfringe_seq, TideModel.demo_m2(),
+            run_gravity_series(RB, PLANE, lowfringe_seq, demo_m2(),
                                noise, n_shots=n_shots, shot_period=1.0)
             counts.append(len(builds))
         assert counts[0] == counts[1] <= 5
@@ -382,7 +383,7 @@ class TestStreamAddressing:
         clean = np.tile([0.3, 0.4], (10, 1))
 
         def read(first, n):
-            mirror = sequence._mirror_draws(
+            mirror = sequence.sample_mirror_phases(
                 noise, sequence._stream(noise, 4, STREAM_MIRROR, first), n)
             detected = sequence._detect(
                 clean[:n], noise, sequence._stream(noise, 4, STREAM_DETECTION, first))
@@ -419,7 +420,7 @@ class TestPinnedShotStreams:
 
     def test_gravity_series_stream(self):
         series = run_gravity_series(
-            RB, PLANE, self.LOWFRINGE, TideModel.demo_m2(),
+            RB, PLANE, self.LOWFRINGE, demo_m2(),
             NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
@@ -616,7 +617,8 @@ class TestGravitySeries:
         tide = TideModel(mean_gravity=9.81)
         series = run_gravity_series(RB, PLANE, seq, tide, QUIET,
                                     n_shots=16, shot_period=1.0)
-        np.testing.assert_allclose(series.recovered_gravity, 9.81, atol=1e-10)
+        np.testing.assert_allclose(series.mean_gravity + series.recovered_shift, 9.81,
+                                   atol=1e-10)
 
     def test_small_offset_tracked_with_sign(self):
         seq = prepare_sequence(RB, order=2, interrogation_time=20e-3,
@@ -627,20 +629,20 @@ class TestGravitySeries:
         series = run_gravity_series(RB, PLANE, seq, tide, QUIET,
                                     n_shots=8, shot_period=1.0)
         # omega ~ 0: constant +dg offset must be recovered with its sign
-        np.testing.assert_allclose(series.recovered_gravity - 9.81, dg,
+        np.testing.assert_allclose(series.mean_gravity + series.recovered_shift - 9.81, dg,
                                    rtol=1e-3)
 
     @pytest.mark.parametrize("snr, expected", [(50.0, 13), (5.0, 77)])
     def test_saturated_shots_are_the_clamped_readings(self, lowfringe_seq,
                                                       snr, expected):
         series = run_gravity_series(
-            RB, PLANE, lowfringe_seq, TideModel.demo_m2(),
+            RB, PLANE, lowfringe_seq, demo_m2(),
             NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=snr),
             n_shots=500, shot_period=1.0, master_seed=1)
         # the inversion maps every reading beyond an end of the monotonic
         # segment onto that end, so the readings outside the segment are
         # the ones sharing the lowest or the highest recovered value
-        rec = series.recovered_gravity
+        rec = series.mean_gravity + series.recovered_shift
         ends = [np.count_nonzero(rec == rec.min()),
                 np.count_nonzero(rec == rec.max())]
         assert min(ends) > 1  # both ends saturate, so the count is exact
@@ -648,7 +650,7 @@ class TestGravitySeries:
 
     def test_quiet_run_has_no_saturated_shots(self, lowfringe_seq):
         series = run_gravity_series(RB, PLANE, lowfringe_seq,
-                                    TideModel.demo_m2(), QUIET,
+                                    demo_m2(), QUIET,
                                     n_shots=500, shot_period=1.0, master_seed=1)
         assert series.saturated_shots == 0
 
@@ -663,7 +665,7 @@ class TestSeriesChunks:
                        tilt_drift_rad_per_hour=1e-3)
 
     def series(self, n_shots):
-        return run_gravity_series(RB, PLANE, self.LOWFRINGE, TideModel.demo_m2(),
+        return run_gravity_series(RB, PLANE, self.LOWFRINGE, demo_m2(),
                                   self.NOISE, n_shots=n_shots, shot_period=1.0,
                                   master_seed=1)
 
