@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import NonNegative, Positive, Range, check
 from .physics import AtomSpecies, path_phase
 
 logger = logging.getLogger(__name__)
@@ -45,8 +46,7 @@ class FringeScan:
             raise ValueError("phase_grid must be strictly increasing")
         if len(norm) != len(grid):
             raise ValueError("normalized and phase_grid lengths differ")
-        if np.any(norm < -1e-9) or np.any(norm > 1 + 1e-9):
-            raise ValueError("normalized populations must lie in [0, 1]")
+        check("normalized", norm, Range(-1e-9, 1 + 1e-9))
         for port, pops in self.port_populations.items():
             if len(pops) != len(grid):
                 raise ValueError(f"port {port} population length differs from grid")
@@ -108,8 +108,7 @@ class AllanCurve:
             raise ValueError("taus and values lengths differ")
         if len(taus) > 1 and not np.all(np.diff(taus) > 0):
             raise ValueError("taus must be increasing")
-        if np.any(vals < 0):
-            raise ValueError("Allan deviations must be >= 0")
+        check("values", vals, NonNegative)
 
 
 def _harmonic_design(x, frequencies) -> np.ndarray:
@@ -144,8 +143,7 @@ def check_fringe_grid(phase_grid, n_harmonics: int = 3) -> None:
     ``phase_grid``: at least 2n + 1 points spanning 1.5 fundamental (2 pi)
     periods, with a design of full rank. The rule reads the grid alone, so
     the CLI checks a configured scan before any solve."""
-    if not 1 <= n_harmonics <= 5:
-        raise ValueError(f"n_harmonics must lie in [1, 5], got {n_harmonics}")
+    check("n_harmonics", n_harmonics, Range(1, 5))
     phi = np.asarray(phase_grid, dtype=float)
     params = 2 * n_harmonics + 1
     if len(phi) < params:
@@ -191,16 +189,10 @@ def fringe_contrast(fit: HarmonicFit) -> float:
 def phase_to_gravity(delta_phi: float, harmonic: int, k_eff: float,
                      interrogation_time: float) -> float:
     """Convert a fringe phase change to gravity: dg = dphi/(m k_eff T^2)."""
-    # NaN and infinity fail every check
-    if not math.isfinite(delta_phi):
-        raise ValueError(f"delta_phi must be finite, got {delta_phi}")
-    if not 1 <= harmonic < math.inf:
-        raise ValueError(f"harmonic must be >= 1 and finite, got {harmonic}")
-    if not 0 < k_eff < math.inf:
-        raise ValueError(f"k_eff must be positive and finite, got {k_eff}")
-    if not 0 < interrogation_time < math.inf:
-        raise ValueError(f"interrogation_time must be positive and finite, "
-                         f"got {interrogation_time}")
+    check("delta_phi", delta_phi)
+    check("harmonic", harmonic, Range(1))
+    check("k_eff", k_eff, Positive)
+    check("interrogation_time", interrogation_time, Positive)
     return delta_phi / (harmonic * k_eff * interrogation_time**2)
 
 
@@ -220,14 +212,14 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     """Overlapping Allan deviation of a per-shot series.
 
     ``taus`` defaults to an octave grid from one shot period up to a third
-    of the record. Averaging times without at least two independent blocks
-    are omitted with a notice.
+    of the record. Given taus must be positive; each is rounded to a whole
+    number of shots, and to at least one. Averaging times without at least
+    two independent blocks are omitted with a notice.
     """
     y = np.asarray(series, dtype=float)
     n = len(y)
     check_count(n, ALLAN_MIN_SAMPLES, "samples")
-    if not 0 < shot_period < math.inf:   # NaN fails too
-        raise ValueError(f"shot_period must be positive and finite, got {shot_period}")
+    check("shot_period", shot_period, Positive)
     if taus is None:
         max_m = n // 3
         ms = []
@@ -236,7 +228,9 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
             ms.append(m)
             m *= 2
     else:
-        ms = sorted({max(1, int(round(t / shot_period))) for t in np.atleast_1d(taus)})
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        check("taus", taus, Positive)
+        ms = sorted({max(1, int(round(t / shot_period))) for t in taus})
 
     csum = np.concatenate([[0.0], np.cumsum(y)])
     out_t, out_v, notices = [], [], []
@@ -296,8 +290,9 @@ def class_contrast_proxy(
         w = np.asarray(weights, dtype=float)
         if len(w) != len(a_vals):
             raise ValueError("weights length must match a_range")
-        if np.any(w < 0) or w.sum() == 0:
-            raise ValueError("weights must be non-negative and not all zero")
+        check("weights", w, NonNegative)
+        if w.sum() == 0:
+            raise ValueError("weights must not all be zero")
     phases = [path_phase(class_index, a, interrogation_time, species) for a in a_vals]
     return float(np.abs(np.sum(w * np.exp(1j * np.array(phases)))) / np.sum(w))
 
@@ -308,8 +303,7 @@ def bin_timeseries(series, bin_size: int):
     The incomplete tail is dropped. A bin holds at least two samples, so
     that it has a standard error.
     """
-    if bin_size < 2:
-        raise ValueError(f"bin_size must be >= 2, got {bin_size}")
+    check("bin_size", bin_size, Range(2))
     y = np.asarray(series, dtype=float)
     check_count(len(y), bin_size, "samples for one bin")
     nbins = len(y) // bin_size
@@ -356,8 +350,8 @@ def fit_harmonic_components(times, values, angular_frequencies,
     y = np.asarray(values, dtype=float)
     ws = np.asarray(angular_frequencies, dtype=float)
     sig = None if weights is None else np.asarray(weights, dtype=float)
-    if sig is not None and np.any(sig <= 0):
-        raise ValueError("weights (standard deviations) must be positive")
+    if sig is not None:
+        check("weights", sig, Positive)
     design, coeffs, rank, resid = _harmonic_lstsq(t, y, ws, sig)
     if rank < design.shape[1]:
         raise FitRejectedError("harmonic recovery design is rank deficient")

@@ -24,7 +24,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .bounds import Positive, bounded
+from .bounds import Positive, Range, bounded, check
 from .ladder import (
     DEFAULT_CONFIG,
     EvolutionConfig,
@@ -111,8 +111,7 @@ def selection_profile(
     values beyond the first band start on ladder site +-1.
     """
     momenta = np.asarray(momenta, dtype=float)
-    if not np.all(np.abs(momenta) <= 2 * (1 + 1e-12)):   # NaN fails too
-        raise ValueError("input momenta must lie within +-2 hbar*k")
+    check("momenta", momenta, Range(-2 - 2e-12, 2 + 2e-12))
     states = [plane_wave_state(species, site=round(p / 2),
                                quasimomentum=p - 2 * round(p / 2)) for p in momenta]
     finals = bloch_accelerate(states, ramp, cfg)

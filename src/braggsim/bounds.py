@@ -1,9 +1,12 @@
-"""Bounds declared on single fields, and the one check that enforces them.
+"""Bounds on single fields and function arguments, and the one check,
+``check``, that enforces them all.
 
 A field declares its bound in its annotation, ``samples: Annotated[int,
 Range(1)]``, or on one arm of a union, ``Annotated[float, Positive] | None``,
-whose other values (null, a ``Literal`` string) pass. ``config`` names a bad
-value at its key path from the same bounds. Imports nothing from the package.
+whose other values (null, a ``Literal`` string) pass. A function checks an
+argument, a number or an array, by ``check("order", order, Range(1))``.
+``config`` names a bad value at its key path from the same bounds. Imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 class Range(NamedTuple):
     """Finite numbers from ``low`` to ``high``, each end closed unless open;
-    an int beyond the largest float counts as infinite."""
+    NaN lies in none, and an int beyond the largest float counts as infinite."""
 
     low: float = -math.inf
     high: float = math.inf
@@ -26,7 +29,7 @@ class Range(NamedTuple):
     open_high: bool = False
 
     def admits(self, x) -> bool:
-        return (abs(x) <= sys.float_info.max   # NaN fails too
+        return (abs(x) <= sys.float_info.max
                 and (self.low < x if self.open_low else self.low <= x)
                 and (x < self.high if self.open_high else x <= self.high))
 
@@ -41,6 +44,18 @@ class Range(NamedTuple):
 
 
 Finite, Positive, NonNegative = Range(), Range(0, open_low=True), Range(0)
+
+
+def check(name: str, value, rng: Range = Finite) -> None:
+    """ValueError naming ``name`` unless ``value`` lies in ``rng``. An array
+    is judged by its min and its max, into both of which a NaN carries; an
+    empty array passes."""
+    if getattr(value, "ndim", 0):
+        if value.size:
+            check(name, value.min(), rng)
+            check(name, value.max(), rng)
+    elif not rng.admits(value):
+        raise ValueError(f"{name} {rng.complaint(value)}")
 
 
 def _bound_of(hint) -> Range | None:
@@ -68,8 +83,8 @@ def bounded(cls):
     def __post_init__(self):
         for name, rng, passes in checks:
             value = getattr(self, name)
-            if not (isinstance(value, passes) or rng.admits(value)):
-                raise ValueError(f"{name} {rng.complaint(value)}")
+            if not isinstance(value, passes):
+                check(name, value, rng)
         own(self)
 
     cls.__post_init__ = __post_init__

@@ -40,7 +40,7 @@ from .bloch import LatticeRamp
 from .bounds import Finite, NonNegative, Positive, Range, bounded, field_bounds
 from .constants import STANDARD_GRAVITY
 from .environment import NoiseModel, TideComponent, TideModel
-from .ladder import EvolutionConfig, PulseSpec
+from .ladder import TRANSFER_TARGETS, EvolutionConfig, PulseSpec
 from .physics import AtomSpecies, BeamGeometry, bragg_resonance
 from .sequence import EnsembleSpec, GradiometerSpec, MZISequence
 
@@ -162,7 +162,7 @@ class PulseBlock:
     order: Annotated[int, Range(1)] = 2
     sigma_s: Annotated[float, Positive] = 15e-6
     rabi_peak_rad_s: Annotated[float, NonNegative] | Literal["calibrated"] = "calibrated"
-    transfer_target: Annotated[float, Range(0, 1, open_low=True)] = 0.5
+    transfer_target: Annotated[float, TRANSFER_TARGETS] = 0.5
     quasimomentum_hk: Annotated[float, Range(-1, 1)] = 0.0
 
     def resolve(self, species: AtomSpecies) -> PulseSpec:

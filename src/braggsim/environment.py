@@ -16,13 +16,12 @@ of shots. There is no hidden global state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import field
 from typing import Annotated
 
 import numpy as np
 
-from .bounds import Finite, NonNegative, Positive, bounded
+from .bounds import Finite, NonNegative, Positive, bounded, check
 from .constants import STANDARD_GRAVITY
 
 # stream ids: one independent RNG stream per physical noise source
@@ -95,8 +94,7 @@ class TideModel:
 def synthesize_tide(model: TideModel, t):
     """g(t) = g_mean + sum_i A_i cos(w_i t + phi_i); broadcasts over t."""
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):   # NaN fails too
-        raise ValueError("time must be >= 0 and finite")
+    check("t", t, NonNegative)
     g = np.full(t.shape, model.mean_gravity)
     for comp in model.components:
         g = g + comp.amplitude * np.cos(comp.angular_frequency * t + comp.phase)
@@ -106,7 +104,6 @@ def synthesize_tide(model: TideModel, t):
 def tilt_projection_drift(model: NoiseModel, t, base_tilt: float = 0.0):
     """Effective cos(tilt) under a deterministic linear tilt drift."""
     t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):   # NaN fails too
-        raise ValueError("time must be >= 0 and finite")
+    check("t", t, NonNegative)
     c = np.cos(base_tilt + model.tilt_drift_rad_per_hour * t / 3600.0)
     return float(c) if c.ndim == 0 else c

@@ -61,7 +61,7 @@ from typing import Annotated
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .bounds import Finite, NonNegative, Positive, Range, bounded
+from .bounds import Finite, NonNegative, Positive, Range, bounded, check
 from .dop853 import solve_ivp
 from .physics import AtomSpecies, bragg_resonance
 
@@ -88,6 +88,8 @@ class CalibrationError(RuntimeError):
 
 
 LEAK_BOUND = 1e-4
+QUASIMOMENTUM_BAND = Range(-1 - 1e-12, 1 + 1e-12)   # q, in units of hbar*k
+TRANSFER_TARGETS = Range(0, 1, open_low=True)   # what a pulse is calibrated to transfer
 
 
 @bounded
@@ -135,7 +137,7 @@ class MomentumLadderState:
     species: AtomSpecies
     amplitudes: np.ndarray
     n_min: int
-    quasimomentum: Annotated[float, Range(-1 - 1e-12, 1 + 1e-12)] = 0.0
+    quasimomentum: Annotated[float, QUASIMOMENTUM_BAND] = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
@@ -275,8 +277,7 @@ def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
     occupied ones, padded at the top to the widest."""
     grown = []
     for psi in states:
-        if not abs(psi.norm - 1.0) <= 1e-6:   # NaN fails too
-            raise ValueError(f"state norm {psi.norm} is not 1 within 1e-6")
+        check("state norm", psi.norm, Range(1 - 1e-6, 1 + 1e-6))
         occupied = psi.sites[np.abs(psi.amplitudes) ** 2 > 1e-12]
         grown.append(psi.expanded(int(occupied.min()) - reach[0],
                                   int(occupied.max()) + reach[1]))
@@ -370,9 +371,7 @@ def pulse_propagator(
     phases by that conjugation.
     """
     q = np.asarray(quasimomentum, dtype=float)
-    if not np.all(np.abs(q) <= 1 + 1e-12):   # NaN fails too
-        raise ValueError("quasimomenta must lie within +-1 hbar*k, got max |q| = "
-                         f"{np.max(np.abs(q))}")
+    check("quasimomentum", q, QUASIMOMENTUM_BAND)
     sites = np.arange(window[0], window[1] + 1)
     if q.size == 0:   # nothing to solve; a zero-length solve would fail
         return np.empty(q.shape + (len(sites),) * 2, dtype=complex)
@@ -494,8 +493,7 @@ def calibrate_pulse_amplitude(
     by one more solve, is the amplitude. A sweep with no transfer above 0.05
     raises CalibrationError for any target.
     """
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target transfer must lie in (0, 1], got {target}")
+    check("target", target, TRANSFER_TARGETS)
     sweep, top, coef = _first_lobe(species, order, sigma, cfg)
 
     def roots(c, lo, hi):  # real roots of the series c in [lo, hi]

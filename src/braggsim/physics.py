@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Annotated
 
-from .bounds import Positive, Range, bounded
+from .bounds import NonNegative, Positive, Range, bounded, check
 from .constants import BOLTZMANN, HBAR, RB87_D2_WAVELENGTH, RB87_MASS
 
 
@@ -83,11 +83,8 @@ def mzi_phase(order: int, interrogation_time: float, geometry: BeamGeometry, *,
     its phase at once, an order-n pulse n times it, so phi_L is not scaled
     by T^2.
     """
-    if not order >= 1:   # NaN fails too
-        raise ValueError(f"order must be >= 1, got {order}")
-    if not 0 < interrogation_time < math.inf:
-        raise ValueError(f"interrogation_time must be finite and positive, "
-                         f"got {interrogation_time}")
+    check("order", order, Range(1))
+    check("interrogation_time", interrogation_time, Positive)
     p1, p2, p3 = pulse_phases
     ramp = geometry.k_eff * gravity * geometry.projection - 2.0 * math.pi * sweep_rate
     return order * (ramp * interrogation_time**2 - (p1 - 2.0 * p2 + p3))
@@ -95,15 +92,13 @@ def mzi_phase(order: int, interrogation_time: float, geometry: BeamGeometry, *,
 
 def resonant_sweep_rate(gravity: float, geometry: BeamGeometry) -> float:
     """Sweep rate alpha_0 = k_eff g cos(tilt) / 2 pi (Hz/s) cancelling gravity."""
-    if not gravity >= 0:   # NaN fails too
-        raise ValueError(f"gravity must be >= 0, got {gravity}")
+    check("gravity", gravity, NonNegative)
     return geometry.k_eff * gravity * geometry.projection / (2.0 * math.pi)
 
 
 def gravity_from_sweep(sweep_rate: float, geometry: BeamGeometry) -> float:
     """Invert the resonance condition: g = 2 pi alpha_0 / (k_eff cos(tilt))."""
-    if not sweep_rate >= 0:   # NaN fails too
-        raise ValueError(f"sweep_rate must be >= 0, got {sweep_rate}")
+    check("sweep_rate", sweep_rate, NonNegative)
     return 2.0 * math.pi * sweep_rate / (geometry.k_eff * geometry.projection)
 
 
@@ -113,15 +108,13 @@ def bragg_resonance(order: int, species: AtomSpecies) -> float:
     Follows from kinetic-energy conservation for an n-th order (2n-photon)
     transition starting at rest.
     """
-    if not order >= 1:   # NaN fails too
-        raise ValueError(f"order must be >= 1, got {order}")
+    check("order", order, Range(1))
     return 4.0 * order * species.recoil_frequency
 
 
 def coherence_length(species: AtomSpecies, temperature: float) -> float:
     """Thermal coherence length hbar sqrt(2 pi) / sqrt(m k_B T) (m)."""
-    if not temperature > 0:   # NaN fails too
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check("temperature", temperature, Positive)
     return HBAR * math.sqrt(2.0 * math.pi) / math.sqrt(
         species.mass * BOLTZMANN * temperature
     )
@@ -133,8 +126,7 @@ def path_length_increment(species: AtomSpecies, interrogation_time: float) -> fl
     Momentum kicks come in units of 2 hbar k, so path-length differences
     between interferometer arms are multiples of this.
     """
-    if not interrogation_time >= 0:   # NaN fails too
-        raise ValueError(f"interrogation_time must be >= 0, got {interrogation_time}")
+    check("interrogation_time", interrogation_time, NonNegative)
     return 2.0 * HBAR * species.wavevector * interrogation_time / species.mass
 
 
@@ -157,8 +149,7 @@ def path_phase(
     ``first_half_steps`` is the integer a with arm momenta 2a*hbar*k then
     2(j-a)*hbar*k over the two halves. Symmetric under a <-> j - a.
     """
-    if not interrogation_time >= 0:   # NaN fails too
-        raise ValueError(f"interrogation_time must be >= 0, got {interrogation_time}")
+    check("interrogation_time", interrogation_time, NonNegative)
     j, a = class_index, first_half_steps
     k = species.wavevector
     scale = 4.0 * HBAR * k * k * interrogation_time / species.mass

@@ -48,7 +48,7 @@ import numpy as np
 
 from .analysis import (FringeScan, HarmonicFit, check_count, fit_harmonics,
                        fringe_contrast)
-from .bounds import Finite, NonNegative, Positive, Range, bounded
+from .bounds import Finite, NonNegative, Positive, Range, bounded, check
 from .environment import (
     STREAM_DETECTION,
     STREAM_DETECTION_UPPER,
@@ -201,8 +201,7 @@ def _stream(noise: NoiseModel, seed: int, stream: int, first: int = 0):
     in order by ``sample_mirror_phases`` or ``_detect``: the rows of shots
     0, ..., first - 1 are drawn and dropped at most ``_SERIES_CHUNK`` at a
     time, so that the next row read is shot ``first``'s."""
-    if first < 0:
-        raise ValueError(f"shot indices must be >= 0, got {first}")
+    check("shot_index", first, NonNegative)
     rng = shot_rng(seed, stream)
     for start in range(0, first, _SERIES_CHUNK):
         rows = min(_SERIES_CHUNK, first - start)
@@ -222,9 +221,7 @@ class _ShotEngine:
     ``seq`` at ``sweep_rate_offset`` (Hz/s) from resonance."""
 
     def __init__(self, species, seq, cfg, sweep_rate_offset: float = 0.0):
-        if not math.isfinite(sweep_rate_offset):
-            raise ValueError(
-                f"sweep_rate_offset must be finite, got {sweep_rate_offset}")
+        check("sweep_rate_offset", sweep_rate_offset)
         delta_res = bragg_resonance(seq.order, species)
         ramp = 2.0 * math.pi * sweep_rate_offset
         d = 6 * seq.pulse_sigma   # every pulse's window

@@ -183,12 +183,21 @@ class TestAllanDeviation:
         assert any("64" in n for n in curve.notices)
 
     def test_nan_shot_period_rejected(self):
-        with pytest.raises(ValueError, match="shot_period must be positive"):
+        with pytest.raises(ValueError, match="^shot_period must be finite, got nan"):
             allan_deviation(np.arange(64.0), math.nan)
 
     def test_infinite_shot_period_rejected(self):
-        with pytest.raises(ValueError, match="shot_period must be positive and finite"):
+        with pytest.raises(ValueError, match="^shot_period must be finite, got inf"):
             allan_deviation(np.arange(64.0), math.inf)
+
+    def test_negative_tau_rejected(self):
+        # once silently a one-shot point; CHECKED_ARGUMENTS drives zero, NaN and inf
+        with pytest.raises(ValueError, match="^taus must be > 0, got -5.0$"):
+            allan_deviation(np.arange(64.0), 1.0, taus=[-5.0])
+
+    def test_short_tau_rounds_to_one_shot(self):
+        curve = allan_deviation(np.arange(64.0), 2.0, taus=[0.4, 4.0])
+        assert list(curve.taus) == [2.0, 4.0]
 
     def test_all_insufficient_raises(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braggsim import sequence
+from braggsim.analysis import (AllanCurve, FringeScan, allan_deviation, bin_timeseries,
+                               check_fringe_grid, class_contrast_proxy,
+                               fit_harmonic_components, phase_to_gravity)
+from braggsim.bloch import LatticeRamp, selection_profile
 from braggsim.bounds import Finite, NonNegative, Positive, Range, field_bounds
 from braggsim.config import (ConfigError, ExperimentConfig, load_config, parse_config,
                              resolve)
-from braggsim.environment import TideComponent
-from braggsim.ladder import MomentumLadderState, PulseSpec
-from braggsim.physics import AtomSpecies, BeamGeometry
+from braggsim.environment import (STREAM_MIRROR, NoiseModel, TideComponent, TideModel,
+                                  synthesize_tide, tilt_projection_drift)
+from braggsim.ladder import (DEFAULT_CONFIG, MomentumLadderState, PulseSpec,
+                             calibrate_pulse_amplitude, pulse_propagator)
+from braggsim.physics import (AtomSpecies, BeamGeometry, bragg_resonance, coherence_length,
+                              gravity_from_sweep, mzi_phase, path_length_increment,
+                              path_phase, resonant_sweep_rate)
 from braggsim.sequence import MZISequence
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -370,15 +379,26 @@ def is_int_field(name, field):
     return get_type_hints(bounded_classes()[name])[field] is int
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def ends_past(rng, is_int):
+    """The first value past each finite end of ``rng``: an open end itself,
+    else the next int or float beyond it."""
+    def past(end, is_open, away):
+        if is_open:
+            return end
+        return end + away if is_int else float(np.nextafter(end, away * math.inf))
+
+    ends = [past(rng.low, rng.open_low, -1), past(rng.high, rng.open_high, 1)]
+    return [v for v in ends if math.isfinite(v)]
+
+
 def first_values_past(name, field, rng):
     """The first value past each finite end of ``rng``, and for a float
     field NaN and both infinities."""
-    if is_int_field(name, field):
-        return [rng.low if rng.open_low else rng.low - 1] + (
-            [rng.high if rng.open_high else rng.high + 1] if rng.high < math.inf else [])
-    ends = [rng.low if rng.open_low else float(np.nextafter(rng.low, -math.inf)),
-            rng.high if rng.open_high else float(np.nextafter(rng.high, math.inf))]
-    return [v for v in ends if math.isfinite(v)] + [math.nan, math.inf, -math.inf]
+    is_int = is_int_field(name, field)
+    return ends_past(rng, is_int) + ([] if is_int else NON_FINITE)
 
 
 @pytest.mark.parametrize("name, field, rng", BOUNDED_FIELDS,
@@ -409,6 +429,74 @@ def test_every_bound_rejects_what_lies_outside(case):
     check_rejected(*case)
 
 
+RB = AtomSpecies.rubidium87()
+VERTICAL = BeamGeometry.vertical(RB)
+RESONANT = PulseSpec(1.1e5, 15e-6, detuning=bragg_resonance(2, RB))
+
+# every argument whose bound a function checks: (function, argument, range,
+# a valid call whose one default is the argument's valid value, a 3-element
+# list for an array)
+CHECKED_ARGUMENTS = [
+    (mzi_phase, "order", Range(1), lambda order=2: mzi_phase(order, 0.1, VERTICAL)),
+    (mzi_phase, "interrogation_time", Positive, lambda t=0.1: mzi_phase(2, t, VERTICAL)),
+    (resonant_sweep_rate, "gravity", NonNegative,
+     lambda g=9.81: resonant_sweep_rate(g, VERTICAL)),
+    (gravity_from_sweep, "sweep_rate", NonNegative,
+     lambda rate=2.5e7: gravity_from_sweep(rate, VERTICAL)),
+    (bragg_resonance, "order", Range(1), lambda order=2: bragg_resonance(order, RB)),
+    (coherence_length, "temperature", Positive, lambda kelvin=1e-6: coherence_length(RB, kelvin)),
+    (path_length_increment, "interrogation_time", NonNegative,
+     lambda t=1e-3: path_length_increment(RB, t)),
+    (path_phase, "interrogation_time", NonNegative, lambda t=1e-3: path_phase(2, 1, t, RB)),
+    (FringeScan, "normalized", Range(-1e-9, 1 + 1e-9),
+     lambda p=[0.1, 0.5, 0.9]: FringeScan([0.0, 1.0, 2.0], {}, p)),
+    (AllanCurve, "values", NonNegative, lambda v=[3.0, 2.0, 1.0]: AllanCurve([1.0, 2.0, 4.0], v)),
+    (check_fringe_grid, "n_harmonics", Range(1, 5),
+     lambda n=3: check_fringe_grid(np.linspace(0.0, 4 * math.pi, 32), n)),
+    (phase_to_gravity, "delta_phi", Finite, lambda phi=0.1: phase_to_gravity(phi, 2, 1.6e7, 0.1)),
+    (phase_to_gravity, "harmonic", Range(1), lambda m=2: phase_to_gravity(0.1, m, 1.6e7, 0.1)),
+    (phase_to_gravity, "k_eff", Positive, lambda k=1.6e7: phase_to_gravity(0.1, 2, k, 0.1)),
+    (phase_to_gravity, "interrogation_time", Positive,
+     lambda t=0.1: phase_to_gravity(0.1, 2, 1.6e7, t)),
+    (allan_deviation, "shot_period", Positive,
+     lambda period=1.0: allan_deviation(np.arange(64.0), period)),
+    (allan_deviation, "taus", Positive,
+     lambda taus=[1.0, 2.0, 4.0]: allan_deviation(np.arange(64.0), 1.0, taus)),
+    (class_contrast_proxy, "weights", NonNegative,
+     lambda w=[1.0, 2.0, 1.0]: class_contrast_proxy(4, range(3), 1e-3, RB, w)),
+    (bin_timeseries, "bin_size", Range(2), lambda n=4: bin_timeseries(np.arange(16.0), n)),
+    (fit_harmonic_components, "weights", Positive,
+     lambda w=[1.0, 1.0, 1.0]: fit_harmonic_components([0.0, 1.0, 2.0], [1.0, 2.0, 0.0],
+                                                       [1.0], w)),
+    (synthesize_tide, "t", NonNegative, lambda t=[0.0, 1.0, 2.0]: synthesize_tide(TideModel(), t)),
+    (tilt_projection_drift, "t", NonNegative,
+     lambda t=[0.0, 1.0, 2.0]: tilt_projection_drift(NoiseModel(), t)),
+    (selection_profile, "momenta", Range(-2 - 2e-12, 2 + 2e-12),
+     lambda p=[-0.5, 0.0, 0.5]: selection_profile(RB, LatticeRamp(), p)),
+    (pulse_propagator, "quasimomentum", Range(-1 - 1e-12, 1 + 1e-12),
+     lambda q=[-0.1, 0.0, 0.1]: pulse_propagator(RB, RESONANT, (-8, 8), q)),
+    (calibrate_pulse_amplitude, "target", Range(0, 1, open_low=True),
+     lambda target=0.5: calibrate_pulse_amplitude(RB, target, 1, 30e-6)),
+    (sequence._stream, "shot_index", NonNegative,
+     lambda first=0: sequence._stream(NoiseModel(), 4, STREAM_MIRROR, first)),
+    (sequence._ShotEngine, "sweep_rate_offset", Finite,
+     lambda rate=0.0: sequence._ShotEngine(RB, MZISequence(2, 60e-3, 15e-6, 0.0, 0.0),
+                                           DEFAULT_CONFIG, rate)),
+]
+
+
+@pytest.mark.parametrize("function, argument, rng, call", CHECKED_ARGUMENTS,
+                         ids=[f"{f.__name__}-{a}" for f, a, _, _ in CHECKED_ARGUMENTS])
+def test_checked_argument_rejects_what_lies_outside(function, argument, rng, call):
+    # NaN, both infinities and the first value past each finite end, alone
+    # or as the middle element of an array, fail naming the argument
+    valid, = call.__defaults__
+    call()
+    for bad in ends_past(rng, isinstance(valid, int)) + NON_FINITE:
+        with pytest.raises(ValueError, match=f"^{argument} must "):
+            call([valid[0], bad, valid[2]] if isinstance(valid, list) else bad)
+
+
 def config_keys_named(text):
     """(checked, unsettable): every backticked `block.key` (or `block.key:
     value`) in ``text`` whose block is a config field, and those of them
@@ -432,3 +520,22 @@ def test_readme_guard_catches_a_deleted_key():
     assert config_keys_named(text) == (
         ["gradiometer.gradient_per_s3", "bvs.depth_er"],
         ["gradiometer.gradient_per_s3"])
+
+
+def private_names(text):
+    """Every backticked name or dotted path in ``text`` with a part that
+    starts with one underscore: `sequence._SERIES_CHUNK`, not `__version__`
+    or `*_hk`."""
+    return [span for span in re.findall(r"`([^`\n]+)`", text)
+            if re.search(r"(?:^|\.)_(?!_)\w", span)]
+
+
+def test_readme_names_no_private_identifier():
+    # the README speaks to users; a private name belongs in a docstring
+    assert private_names((ROOT / "README.md").read_text()) == []
+
+
+def test_private_name_guard_catches_one():
+    text = ("chunks of `sequence._SERIES_CHUNK` and `_SHOT_CHUNK`, "
+            "not `__version__`, `__init__.py` or `*_hk`")
+    assert private_names(text) == ["sequence._SERIES_CHUNK", "_SHOT_CHUNK"]

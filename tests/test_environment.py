@@ -207,7 +207,7 @@ class TestValidation:
         lambda t: tilt_projection_drift(NoiseModel(), t),
     ], ids=["synthesize_tide-t", "tilt_projection_drift-t"])
     def test_nan_time_rejected(self, call):
-        with pytest.raises(ValueError, match="time must be >= 0"):
+        with pytest.raises(ValueError, match="^t must be finite, got nan"):
             call([0.0, math.nan])
 
     @pytest.mark.parametrize("call", [
@@ -215,5 +215,5 @@ class TestValidation:
         lambda t: tilt_projection_drift(NoiseModel(), t),
     ], ids=["synthesize_tide-t", "tilt_projection_drift-t"])
     def test_infinite_time_rejected(self, call):
-        with pytest.raises(ValueError, match="time must be >= 0 and finite"):
+        with pytest.raises(ValueError, match="^t must be finite, got inf"):
             call([0.0, math.inf])

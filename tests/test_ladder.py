@@ -364,7 +364,7 @@ class TestPropagatorConsistency:
     def test_out_of_band_quasimomentum_rejected_before_a_solve(self, monkeypatch, q):
         pulse = PulseSpec(1.1e5, 15e-6, detuning=bragg_resonance(2, RB))
         columns = self.counted_evolve(monkeypatch)
-        with pytest.raises(ValueError, match="quasimomenta must lie within"):
+        with pytest.raises(ValueError, match=r"^quasimomentum must (lie in|be finite)"):
             pulse_propagator(RB, pulse, (-8, 8), q)
         assert columns == []
 
@@ -614,7 +614,7 @@ class TestSpecValidation:
                              ids=["one-site", "two-site"])
     def test_nan_state_fails_the_norm_check(self, amps):
         bad = MomentumLadderState(species=RB, amplitudes=np.array(amps), n_min=0)
-        with pytest.raises(ValueError, match="state norm nan is not 1"):
+        with pytest.raises(ValueError, match="^state norm must be finite, got nan"):
             apply_pulse(bad, PulseSpec(rabi_peak=1e5, sigma=1e-5,
                                        detuning=bragg_resonance(1, RB)))
 

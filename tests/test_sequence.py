@@ -316,7 +316,7 @@ class TestStreamAddressing:
 
     def test_negative_shot_index_rejected(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
-        with pytest.raises(ValueError, match="shot indices"):
+        with pytest.raises(ValueError, match="^shot_index must be >= 0, got -1"):
             run_shot(RB, PLANE, qb_seq, noise, shot_index=-1)
 
     def test_generator_builds_do_not_grow_with_shots(self, lowfringe_seq,
