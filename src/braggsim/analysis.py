@@ -230,7 +230,10 @@ def allan_deviation(series, shot_period: float, taus=None) -> AllanCurve:
     else:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         check("taus", taus, Positive)
-        ms = sorted({max(1, int(round(t / shot_period))) for t in taus})
+        with np.errstate(over="ignore"):   # a count past the largest float
+            shots = taus / shot_period
+        check("taus in shot periods", shots)
+        ms = sorted({max(1, int(round(m))) for m in shots})
 
     csum = np.concatenate([[0.0], np.cumsum(y)])
     out_t, out_v, notices = [], [], []

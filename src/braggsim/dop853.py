@@ -82,13 +82,16 @@ class Solution(NamedTuple):
     nfev: int       # right-hand side evaluations
 
 
-def solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step) -> Solution:
+def solve_ivp(coefficients, bind, t_span, y0, rtol, atol, max_step) -> Solution:
     """Integrate dy/dt = f(t, y), y a real or complex array of any shape stepped
     on its real view, forward over ``t_span`` to a local error within atol +
     rtol |y|. ``coefficients(ts)`` gives f's time dependence, one entry per time
-    of the array ts (a step asks for its 12 stage times at once); ``rhs(c, y,
-    out)`` writes f at entry c into ``out``. Raises RuntimeError when the step
-    falls below ten float spacings of t, or is NaN."""
+    of the array ts (a step asks for its 12 stage times at once), read before
+    its next call. ``bind(y, out)`` returns the right-hand side ``rhs(c)`` that
+    writes f at entry c and state ``y`` into ``out``; a solve binds it once per
+    pair of stage buffers, views of y0's shape and type that it refills in
+    place, so a right-hand side takes its own views of them once. Raises
+    RuntimeError when the step falls below ten float spacings of t, or is NaN."""
     t, t_end = map(float, t_span)
     dtype, shape = np.result_type(y0, float), np.shape(y0)
     y = np.array(y0, dtype=dtype, order="C").reshape(-1).view(float)
@@ -103,14 +106,17 @@ def solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step) -> Solution:
     f = K[0]   # C-contiguous rows, so every shaped view is a view
     # stage s: y + (K[:s].T @ a_s) h, summed as scipy sums it, into its argument
     # (y_new at s = 12), then f there into row s of K
-    stages = [(K[:s].T, _A[s, :s], b, shaped(b), shaped(K[s]))
+    stages = [(K[:s].T, _A[s, :s], b, bind(shaped(b), shaped(K[s])))
               for s, b in zip(range(1, 13), [arg] * 11 + [y_new])]
-    # the initial step: two RMS norms and one trial evaluation (Sec. II.4)
-    rhs(coefficients(np.array([t]))[0], shaped(y), shaped(f))
+    # the initial step: two RMS norms and one trial evaluation at y + h0 f,
+    # made in the first stage's buffers (Sec. II.4)
+    bind(shaped(y), shaped(f))(coefficients(np.array([t]))[0])
     scale, root_n = atol + np.abs(y) * rtol, y.size ** 0.5
     d0, d1 = (_norm(v / scale) / root_n for v in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    rhs(coefficients(np.array([t + h0]))[0], shaped(y + h0 * f), shaped(K[1]))
+    np.multiply(h0, f, out=arg)
+    arg += y
+    stages[0][-1](coefficients(np.array([t + h0]))[0])
     d2 = _norm((K[1] - f) / scale) / root_n / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1 / 8))
@@ -126,11 +132,11 @@ def solve_ivp(coefficients, rhs, t_span, y0, rtol, atol, max_step) -> Solution:
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             coefs = coefficients(t + _C_STEP * h)
-            for (Ks, a, b, b_shaped, out), c in zip(stages, coefs):
+            for (Ks, a, b, rhs), c in zip(stages, coefs):
                 np.dot(Ks, a, out=b)
                 b *= h
                 b += y
-                rhs(c, b_shaped, out)
+                rhs(c)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = _norm(np.dot(K.T, _E5) / scale) ** 2

@@ -19,9 +19,10 @@ Everything is integrated in the interaction picture A_n = e^{+i kin_n t} c_n,
 which removes the fast kinetic phases exactly and leaves a slow coupling that
 the adaptive Runge-Kutta of ``dop853`` (DOP853, stepping as scipy's does)
 resolves in a few hundred steps; a step builds the bond coefficients of all
-its stage times in one pass. One kernel evolves columns of amplitudes: a
-state is a one-column propagator, and a propagator (or a stack over
-quasimomenta) is the evolved identity. A stage is
+its stage times in one pass, into buffers bound once per solve, as are the
+right-hand side's views of each stage's buffers. One kernel evolves columns
+of amplitudes: a state is a one-column propagator, and a propagator (or a
+stack over quasimomenta) is the evolved identity. A stage is
 (duration, coupling(t), theta(t)), both scalar; phi couples only through
 e^{-i (theta + phi)}, so a laser phase is a constant inside theta and one
 step rule serves every stage. ``drive`` evolves a batch of states, each on
@@ -29,9 +30,11 @@ its own window and coupling amplitude, one solve per stage, and
 ``check_leakage`` checks their edges. A Bragg pulse is one stage, the Bloch
 lattice three. ``drive`` alone sizes windows: a plane wave is its one
 occupied site. Amplitudes are calibrated on the first Rabi lobe of a plane
-wave at q = 0: a 1.25x sweep finds it, Chebyshev nodes give a proxy of the
-transfer P(Omega_0), memoised per pulse width, and one more solve checks
-the pi/2 root.
+wave at q = 0: a 1.25x sweep finds it in one batch of 9 from near half the
+deep-Bragg pi amplitude (a leaking batch is retried lower half first; a
+batch that finds no lobe, or starts on one, adds the probes below it),
+Chebyshev nodes give a proxy of the transfer P(Omega_0), memoised per pulse
+width, and one more solve checks the pi/2 root.
 
 A pulse propagator is built from its first half. With the laser phase
 taken into theta, the frame b = G* c, G = diag(e^{-i n theta}), gives a
@@ -54,6 +57,7 @@ node-doubling rule, which solves only the n - 1 nodes between the n it has
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import replace
 from typing import Annotated
@@ -209,24 +213,51 @@ def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0, max_ste
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = (kin[..., 1:] - kin[..., :-1])[..., None]   # (..., W-1, 1)
     amp = np.asarray(amplitude, dtype=float)[..., None, None]
+    lead = (-1,) + (1,) * dkin.ndim
+
+    @functools.cache
+    def bound_pass(n):   # a pass size's buffers and its (c_n, -conj(c_n)) rows
+        g, th = np.empty(n), np.empty(n)
+        ga = np.empty(np.broadcast_shapes((n,) + (1,) * dkin.ndim, amp.shape))
+        phase = np.empty((n,) + dkin.shape)
+        c = np.empty(np.broadcast_shapes(ga.shape, phase.shape), dtype=complex)
+        # the phase factor goes into c itself unless amp broadcasts it wider
+        z = c if c.shape == phase.shape else np.empty(phase.shape, dtype=complex)
+        minus_conj = np.empty_like(c)
+        return g, th, ga, phase, z, c, minus_conj, list(zip(c, minus_conj))
 
     def coefficients(ts):
-        # (c_n, -conj(c_n)) per time: coupling, theta as scalars, then one pass
-        times, lead = ts.tolist(), (-1,) + (1,) * dkin.ndim
-        g = np.array([coupling(t) for t in times]).reshape(lead) * amp
-        th = np.array([theta(t) for t in times]).reshape(lead)
-        c = -1j * g * np.exp(1j * (dkin * ts.reshape(lead) - th))
-        return list(zip(c, -np.conj(c)))
+        # coupling, theta as scalars, then one pass, written into the buffers
+        # bound to its size at its first use: c = -i g e^{i (dkin t - theta)}
+        g, th, ga, phase, z, c, minus_conj, rows = bound_pass(len(ts))
+        times = ts.tolist()
+        g[:] = [coupling(t) for t in times]
+        th[:] = [theta(t) for t in times]
+        np.multiply(g.reshape(lead), amp, out=ga)
+        np.multiply(dkin, ts.reshape(lead), out=phase)
+        np.subtract(phase, th.reshape(lead), out=phase)
+        np.multiply(1j, phase, out=z)
+        np.exp(z, out=z)
+        np.multiply(np.multiply(-1j, ga), z, out=c)
+        np.conjugate(c, out=minus_conj)
+        np.negative(minus_conj, out=minus_conj)
+        return rows
 
     work = np.empty(shape[:-2] + (shape[-2] - 1, shape[-1]), dtype=complex)
 
-    def rhs(cs, A, out):
-        # site n gains c_n A_{n-1}; site n-1 gains -conj(c_n) A_n
-        c, minus_conj = cs
-        out[..., -1, :] = 0.0
-        np.multiply(minus_conj, A[..., 1:, :], out=out[..., :-1, :])
-        np.multiply(c, A[..., :-1, :], out=work)
-        out[..., 1:, :] += work
+    def bind(A, out):
+        # site n gains c_n A_{n-1}; site n-1 gains -conj(c_n) A_n; the views of
+        # one pair of stage buffers are taken once per solve
+        above, below = A[..., 1:, :], A[..., :-1, :]
+        low, high, last = out[..., :-1, :], out[..., 1:, :], out[..., -1, :]
+
+        def rhs(cs):
+            c, minus_conj = cs
+            last.fill(0.0)
+            np.multiply(minus_conj, above, out=low)
+            np.multiply(c, below, out=work)
+            np.add(high, work, out=high)
+        return rhs
 
     tol = cfg.error_tolerance
     # one step rule for every stage: at most a twelfth of it, sigma/2 for a
@@ -234,7 +265,7 @@ def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0, max_ste
     # tail cannot stride over the peak
     if max_step is None:
         max_step = duration / 12.0
-    sol = solve_ivp(coefficients, rhs, (0.0, duration), np.broadcast_to(columns, shape),
+    sol = solve_ivp(coefficients, bind, (0.0, duration), np.broadcast_to(columns, shape),
                     rtol=0.1 * tol, atol=0.01 * tol, max_step=max_step)
     return np.exp(-1j * kin * duration)[..., None] * sol.y
 
@@ -440,28 +471,58 @@ def _transfer(species, order, sigma, cfg, omegas) -> list:
 @functools.lru_cache
 def _first_lobe(species, order, sigma, cfg) -> tuple:
     """``(sweep, top, coef)`` of the first Rabi lobe of |0> -> |order> at
-    q = 0: the 1.25x sweep of (Omega_0, transfer) and the Chebyshev series of
-    the transfer on [0, top]; memoised, so pi/2 and pi at one width share it."""
-    def sweep_probe(batch):
+    q = 0: the 1.25x sweep of (Omega_0, transfer), seeded at the deep-Bragg
+    pi amplitude, and the Chebyshev series of the transfer on [0, top];
+    memoised, so pi/2 and pi at one width share it."""
+    def probes(batch):
+        # (Omega_0, transfer) per probe in one solve; a probe past the lobe may
+        # leak, and then the lower half goes first and the upper half only if
+        # the sweep gets there
         try:
-            return _transfer(species, order, sigma, cfg, batch)
-        except TruncationLeakError:  # a probe past the lobe may leak: go one by one
-            return (_transfer(species, order, sigma, cfg, (om,))[0] for om in batch)
+            yield from zip(batch, _transfer(species, order, sigma, cfg, batch))
+        except TruncationLeakError:
+            if len(batch) == 1:
+                raise
+            yield from probes(batch[:(len(batch) + 1) // 2])
+            yield from probes(batch[(len(batch) + 1) // 2:])
+
+    def batches(grid):
+        for lo in range(0, len(grid), _SWEEP_BATCH):
+            yield from probes(grid[lo:lo + _SWEEP_BATCH])
+
+    def lobe(points):
+        # the sweep up to the first probe past a lobe peak, its best probe, and
+        # whether it got past one
+        sweep, best = [], (0.0, -1.0)
+        for om, p in points:
+            sweep.append((om, p))
+            best = max(best, (om, p), key=lambda s: s[1])
+            if best[1] > 0.05 and p < 0.8 * best[1]:
+                return sweep, best, True
+        return sweep, best, False
 
     omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))  # two-level first-order pi
     grid = omega_pi / 8.0 * 1.25 ** np.arange(
         1 + math.floor(math.log(8.0 * _CEILING, 1.25)))
-    batches = np.split(grid, range(_SWEEP_BATCH, len(grid), _SWEEP_BATCH))
-    sweep, best_p = [], -1.0
-    for om, p in ((o, p) for b in batches for o, p in zip(b, sweep_probe(b))):
-        sweep.append((om, p))
-        best_om, best_p = max(sweep, key=lambda s: s[1])
-        if best_p > 0.05 and p < 0.8 * best_p:
-            break  # past the first lobe peak
-    else:
-        if best_p < 0.05:
-            raise CalibrationError("no Rabi lobe reaching transfer 0.05 below the "
-                                   "search ceiling", sweep)
+    # adiabatic elimination (Mueller, Chiow & Chu, PRA 77, 023609 (2008))
+    # gives the Rabi frequency Omega_0^n / ((8 w_r)^(n-1) ((n-1)!)^2); over
+    # the Gaussian it makes a pi pulse at Omega_0^n = sqrt(n) omega_pi
+    # (8 w_r)^(n-1) ((n-1)!)^2, up to 2.4 times below the lobe's pi
+    # amplitude, so the sweep starts at the grid point at or below half of it
+    log_est = (math.log(math.sqrt(order) * omega_pi) + 2.0 * math.lgamma(order)
+               + (order - 1) * math.log(8.0 * species.recoil_frequency)) / order
+    start = math.floor((math.log(4.0) + log_est - math.log(omega_pi)) / math.log(1.25))
+    start = min(max(start, 0), len(grid))
+    sweep, (best_om, best_p), past_peak = lobe(batches(grid[start:]))
+    if not past_peak or sweep[0][1] > 0.5 * best_p:
+        # no lobe above the start, or its first probe already on one (a lobe
+        # lower than the estimate): sweep from the grid's first point, the
+        # probes from the start on taken as found
+        sweep, (best_om, best_p), past_peak = lobe(
+            itertools.chain(batches(grid[:start]), sweep))
+    if not past_peak and best_p < 0.05:
+        raise CalibrationError("no Rabi lobe reaching transfer 0.05 below the "
+                               "search ceiling", sweep)
 
     # P(Omega_0) on [0, 1.25 best] as a Chebyshev series in x = 2 Omega_0 / top - 1
     top = 1.25 * best_om
@@ -486,9 +547,10 @@ def calibrate_pulse_amplitude(
 
     Returns the smallest Omega_0 on the first Rabi lobe whose simulated
     transfer equals the target within 1e-4, or the lobe peak for a target at
-    or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep finds the
-    lobe; a solve on 33 Chebyshev nodes over [0, 1.25 x its best probe] (and
-    one on the 32 between if needed) gives a proxy of the analytic transfer
+    or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep, seeded
+    at the deep-Bragg pi amplitude, finds the lobe; a solve on 33 Chebyshev
+    nodes over [0, 1.25 x its best probe] (and one on the 32 between if
+    needed) gives a proxy of the analytic transfer
     whose maximum is the peak and whose first crossing of the target, checked
     by one more solve, is the amplitude. A sweep with no transfer above 0.05
     raises CalibrationError for any target.

@@ -115,9 +115,9 @@ def bragg_resonance(order: int, species: AtomSpecies) -> float:
 def coherence_length(species: AtomSpecies, temperature: float) -> float:
     """Thermal coherence length hbar sqrt(2 pi) / sqrt(m k_B T) (m)."""
     check("temperature", temperature, Positive)
-    return HBAR * math.sqrt(2.0 * math.pi) / math.sqrt(
-        species.mass * BOLTZMANN * temperature
-    )
+    thermal = species.mass * BOLTZMANN * temperature   # underflows below ~1e-276 K
+    check("temperature times m k_B", thermal, Positive)
+    return HBAR * math.sqrt(2.0 * math.pi) / math.sqrt(thermal)
 
 
 def path_length_increment(species: AtomSpecies, interrogation_time: float) -> float:

@@ -195,6 +195,12 @@ class TestAllanDeviation:
         with pytest.raises(ValueError, match="^taus must be > 0, got -5.0$"):
             allan_deviation(np.arange(64.0), 1.0, taus=[-5.0])
 
+    def test_tau_of_more_shots_than_the_largest_float_rejected(self):
+        # tau / shot_period overflows to inf, which once reached int(round(inf))
+        with pytest.raises(ValueError,
+                           match="^taus in shot periods must be finite, got inf$"):
+            allan_deviation(np.arange(64.0), 1e-300, taus=[1e10])
+
     def test_short_tau_rounds_to_one_shot(self):
         curve = allan_deviation(np.arange(64.0), 2.0, taus=[0.4, 4.0])
         assert list(curve.taus) == [2.0, 4.0]

@@ -465,22 +465,49 @@ class TestCalibration:
             np.testing.assert_allclose(out.amplitudes, alone.amplitudes,
                                        rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("order, sigma, guard", [(2, 5e-6, 6), (1, 3e-6, 4)],
-                             ids=["order2-5us", "leak-past-lobe"])
-    def test_sequence_solve_budget(self, monkeypatch, order, sigma, guard):
-        # two sweep batches and the proxy are one solve each, memoised as the
-        # first lobe, which the pi search reuses: 4 with the pi/2 check; a
-        # zoom loop took 15 and 9, the serial search 45 and 31. On the narrow
-        # window the second sweep batch leaks past the lobe and its first
-        # probe is solved alone, and there the lobe peak lies below 1/2, so
-        # pi/2 is the peak and needs no check
+    @pytest.mark.parametrize("order, sigma, guard, budget", [(2, 5e-6, 6, 3),
+                                                             (3, 5e-6, 6, 3),
+                                                             (1, 3e-6, 4, 4)],
+                             ids=["order2-5us", "order3-5us", "leak-past-lobe"])
+    def test_sequence_solve_budget(self, monkeypatch, order, sigma, guard, budget):
+        # one seeded sweep batch and the proxy are one solve each, memoised as
+        # the first lobe, which the pi search reuses: 3 with the pi/2 check; two
+        # unseeded batches took 4, a zoom loop 15 and 9, the serial search 45
+        # and 31. On the narrow window the seeded batch leaks past the lobe,
+        # its lower half does not, and its first probe is already on the lobe,
+        # so the probes below its start take one more batch; there the lobe peak
+        # lies below 1/2, so pi/2 is the peak and needs no check
         real, solves = ladder.solve_ivp, []
         monkeypatch.setattr(ladder, "solve_ivp",
                             lambda *a, **k: solves.append(1) or real(*a, **k))
         ladder._first_lobe.cache_clear()
         prepare_sequence(RB, order=order, interrogation_time=2e-3, pulse_sigma=sigma,
                          cfg=EvolutionConfig(guard_sites=guard))
-        assert len(solves) == 4
+        assert len(solves) == budget
+
+    # (order, sigma, guard_sites): pi/2 and pi amplitudes, bit for bit, of the
+    # sweep that started at the grid's first point
+    AMPLITUDES = {
+        (1, 200e-6, 6): ("0x1.88bc9001488d3p+11", "0x1.88c8916b27726p+12"),
+        (1, 5e-6, 6): ("0x1.6467947c0608bp+17", "0x1.6467947c0608bp+17"),
+        (1, 30e-6, 6): ("0x1.47e15904042b6p+14", "0x1.49bc89e67511cp+15"),
+        (2, 5e-6, 6): ("0x1.134f3ecf2f135p+18", "0x1.2a04535e0fa1fp+19"),
+        (2, 15e-6, 6): ("0x1.c833c50aa2cabp+16", "0x1.7d1ca2de42581p+17"),
+        (2, 30e-6, 6): ("0x1.3734de286058dp+16", "0x1.d88df62298f9fp+16"),
+        (2, 80e-6, 6): ("0x1.7148a9d0835bbp+15", "0x1.0d8fe5cdb3851p+16"),
+        (3, 5e-6, 6): ("0x1.856710fa899bfp+18", "0x1.f335c3c457866p+18"),
+        (3, 15e-6, 6): ("0x1.dd614c7c5921ap+17", "0x1.551f29ed22095p+18"),
+        (1, 3e-6, 4): ("0x1.0107060dd8b32p+18", "0x1.0107060dd8b32p+18"),
+    }
+
+    @pytest.mark.parametrize("order, sigma, guard", list(AMPLITUDES),
+                             ids=lambda v: f"{v:g}")
+    def test_amplitude_ledger(self, order, sigma, guard, cold_lobes):
+        # a change to the sweep, the proxy or the kernel that moves an
+        # amplitude by one bit shows here
+        cfg = EvolutionConfig(guard_sites=guard)
+        assert [calibrate_pulse_amplitude(RB, target, order, sigma, cfg).hex()
+                for target in (0.5, 1.0)] == list(self.AMPLITUDES[order, sigma, guard])
 
     # (order, sigma): pi/2 and pi amplitudes of the zoom-loop calibrator
     ZOOM_AMPLITUDES = {
@@ -526,13 +553,14 @@ class TestCalibration:
         assert max(ps) > 0.9 and ps[-1] < 0.8 * max(ps)
 
     def test_order4_lobe_proxy_solves_only_the_new_nodes(self, monkeypatch, cold_lobes):
-        # at order 4 and sigma = 30 us, 33 nodes miss the 1e-10 tail rule:
-        # the second round solves the 32 between them, not all 65 afresh
+        # at order 4 and sigma = 30 us, one seeded sweep batch finds the lobe
+        # and 33 nodes miss the 1e-10 tail rule: the second round solves the
+        # 32 between them, not all 65 afresh
         real, probed = ladder._transfer, []
         monkeypatch.setattr(ladder, "_transfer",
                             lambda *a: probed.append(len(a[-1])) or real(*a))
         calibrate_pulse_amplitude(RB, 0.5, 4, 30e-6)
-        assert probed == [9, 9, 9, 33, 32, 1]
+        assert probed == [9, 33, 32, 1]
 
     def test_second_proxy_round_reuses_the_first_nodes(self, monkeypatch, cold_lobes):
         # P = 2u^3 / (1 + u^6), u = Omega_0 / 5e5, peaks at 1 at u = 1; its

@@ -264,6 +264,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             bragg_resonance(0, RB)
 
+    def test_temperature_whose_thermal_energy_underflows_rejected(self):
+        # 5e-324 K is positive, but m k_B T underflows to 0, which once
+        # divided by zero
+        with pytest.raises(ValueError,
+                           match="^temperature times m k_B must be > 0, got 0.0$"):
+            coherence_length(RB, 5e-324)
+
     @pytest.mark.parametrize("call, argument", [
         (lambda: resonant_sweep_rate(math.nan, GEOM), "gravity"),
         (lambda: gravity_from_sweep(math.nan, GEOM), "sweep_rate"),
