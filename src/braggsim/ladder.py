@@ -34,7 +34,11 @@ wave at q = 0: a 1.25x sweep finds it in one batch of 9 from near half the
 deep-Bragg pi amplitude (a leaking batch is retried lower half first; a
 batch that finds no lobe, or starts on one, adds the probes below it),
 Chebyshev nodes give a proxy of the transfer P(Omega_0), memoised per pulse
-width, and one more solve checks the pi/2 root.
+width, and one more solve checks the pi/2 root. The sweep and the check only
+decide (a grid point, a leak against LEAK_BOUND, a root within 1e-4), so
+they solve at LEAK_BOUND / 100, or at the config's tolerance if looser; the
+proxy, whose values are the amplitudes, and every other solve at the
+config's tolerance.
 
 A pulse propagator is built from its first half. With the laser phase
 taken into theta, the frame b = G* c, G = diag(e^{-i n theta}), gives a
@@ -458,6 +462,12 @@ _SWEEP_BATCH, _PROXY_NODES = 9, 33  # probes per sweep solve, proxy nodes (then 
 _CEILING = 400.0  # sweep ceiling, in two-level first-order pi amplitudes
 
 
+def _search_config(cfg: EvolutionConfig) -> EvolutionConfig:
+    # for solves whose values only decide: a hundredth of LEAK_BOUND, the
+    # bound they are compared against, never tighter than the caller asked
+    return replace(cfg, error_tolerance=max(cfg.error_tolerance, LEAK_BOUND / 100))
+
+
 def _transfer(species, order, sigma, cfg, omegas) -> list:
     # |0> -> |order> of a plane wave at q = 0, per Omega_0 in one solve
     reach = order + cfg.guard_sites
@@ -474,12 +484,14 @@ def _first_lobe(species, order, sigma, cfg) -> tuple:
     q = 0: the 1.25x sweep of (Omega_0, transfer), seeded at the deep-Bragg
     pi amplitude, and the Chebyshev series of the transfer on [0, top];
     memoised, so pi/2 and pi at one width share it."""
+    search = _search_config(cfg)
+
     def probes(batch):
         # (Omega_0, transfer) per probe in one solve; a probe past the lobe may
         # leak, and then the lower half goes first and the upper half only if
         # the sweep gets there
         try:
-            yield from zip(batch, _transfer(species, order, sigma, cfg, batch))
+            yield from zip(batch, _transfer(species, order, sigma, search, batch))
         except TruncationLeakError:
             if len(batch) == 1:
                 raise
@@ -553,7 +565,11 @@ def calibrate_pulse_amplitude(
     needed) gives a proxy of the analytic transfer
     whose maximum is the peak and whose first crossing of the target, checked
     by one more solve, is the amplitude. A sweep with no transfer above 0.05
-    raises CalibrationError for any target.
+    raises CalibrationError for any target. The proxy solves at
+    ``cfg.error_tolerance``; the sweep and the check, which only decide, at
+    LEAK_BOUND / 100 = 1e-6 unless ``cfg`` is looser, in about a third of the
+    steps. The proxy spans 1.25x a grid point, so their roundoff moves no
+    amplitude.
     """
     check("target", target, TRANSFER_TARGETS)
     sweep, top, coef = _first_lobe(species, order, sigma, cfg)
@@ -570,7 +586,7 @@ def calibrate_pulse_amplitude(
     # pi/2: the first crossing below the peak (else the peak, which the check rejects)
     root = float(top / 2 * (1.0 + min(roots(cheb.chebsub(coef, target), -1.0, peak_x),
                                       default=peak_x)))
-    achieved = _transfer(species, order, sigma, cfg, (root,))[0]
+    achieved = _transfer(species, order, sigma, _search_config(cfg), (root,))[0]
     if abs(achieved - target) > 1e-4:
         raise CalibrationError(f"calibration converged to transfer "
                                f"{achieved:.6f}, not {target}", list(sweep))

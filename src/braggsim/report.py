@@ -57,11 +57,22 @@ def write_summary(out_dir: str | Path, summary: dict) -> Path:
     return path
 
 
+def _platform_text() -> str:
+    """``platform.platform()``'s text on Linux, system-release-machine-with-
+    libc, less the processor field, which it leaves out when that reads
+    "unknown" or the machine's name. Looking the processor up runs ``uname
+    -p`` in a child process (so does iterating ``platform.uname()``), about
+    6 ms of every run."""
+    text = f"{platform.system()}-{platform.release()}-{platform.machine()}"
+    libc, version = platform.libc_ver()
+    return f"{text}-with-{libc}{version}" if libc else text
+
+
 def write_run_meta(out_dir: str | Path, wall_time_s: float, **extra) -> Path:
     meta = {
         "wall_time_s": wall_time_s,
         "timestamp_unix": time.time(),
-        "platform": platform.platform(),
+        "platform": _platform_text(),
         **extra,
     }
     path = Path(out_dir) / "run_meta.json"

@@ -3,9 +3,11 @@
 import ast
 import functools
 import importlib
+import json
 import math
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -54,17 +56,21 @@ def modules():
             for path in sorted(SRC.glob("*.py"))]
 
 
+def run_fresh(code: str, *paths: str) -> None:
+    """Run ``code`` in a fresh interpreter importing from the repo ``paths``;
+    fail with its stderr unless it exits 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(ROOT / p) for p in paths)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+
+
 def test_tracer_finds_every_name_it_patches():
     # the benchmark child process drops the tracer's stderr on exit 0, so a
     # renamed function would otherwise go unmeasured silently; instrument()
     # patches the package for the rest of the process, hence the subprocess
-    code = ("from tracer import Tracer, instrument; t = Tracer(); "
-            "instrument(t); assert not t.missing, t.missing")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
-    assert done.returncode == 0, done.stderr
+    run_fresh("from tracer import Tracer, instrument; t = Tracer(); "
+              "instrument(t); assert not t.missing, t.missing", "src", "perfbench")
 
 
 def test_package_binds_only_its_version():
@@ -130,11 +136,22 @@ def test_cli_import_and_pulse_run_leave_scipy_unloaded(tmp_path):
             "assert code == 0, code; "
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules "
             "if m.startswith('scipy'))[:5]")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=ROOT)
-    assert done.returncode == 0, done.stderr
+    run_fresh(code, "src")
     assert (tmp_path / "out" / "pulse_populations.csv").exists()
+
+
+def test_a_run_starts_no_process(tmp_path):
+    # platform.platform() runs `uname -p` in a child process, about 6 ms of
+    # every run; run_meta.json keeps its platform text without it
+    config = tmp_path / "pulse.yaml"
+    config.write_text("pulse: {order: 1, sigma_s: 5.0e-6}\n")
+    out = tmp_path / "out"
+    run_fresh("import sys; import braggsim.cli as cli; "
+              f"assert cli.main(['pulse', {str(config)!r}, '--out-dir', {str(out)!r}]) == 0; "
+              "assert 'subprocess' not in sys.modules, 'subprocess imported'", "src")
+    if sys.platform == "linux":
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["platform"] == platform.platform()
 
 
 def test_only_constants_and_physics_import_hbar():

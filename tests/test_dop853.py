@@ -94,7 +94,7 @@ def test_calibration_batch_with_per_row_coupling(pairs):
     calibrate_pulse_amplitude(RB, 0.5, 2, 30e-6)
     assert [ours.y.shape for _, ours in pairs] == [(b, 17, 1) for b in (9, 33, 1)]
     assert_identical(pairs, 3)
-    assert work(pairs) == (3, 654, 7926)
+    assert work(pairs) == (3, 345, 4242)
 
 
 def test_propagator_stack_on_quasimomentum_nodes(pairs):

@@ -485,6 +485,21 @@ class TestCalibration:
                          cfg=EvolutionConfig(guard_sites=guard))
         assert len(solves) == budget
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-5])
+    def test_decisions_solve_at_search_accuracy(self, monkeypatch, cold_lobes, tol):
+        # the sweep batch and the pi/2 check only pick a grid point, flag a
+        # leak against LEAK_BOUND = 1e-4 or test the root against 1e-4, so
+        # they solve at 1e-6 unless the config asks for looser; the proxy,
+        # whose values reach the amplitudes, solves at the config's tolerance
+        real, solves = ladder.solve_ivp, []
+        monkeypatch.setattr(ladder, "solve_ivp", lambda *a, **k: solves.append(
+            (len(a[3]), k["rtol"], k["atol"])) or real(*a, **k))
+        cfg = EvolutionConfig(error_tolerance=tol)
+        calibrate_pulse_amplitude(RB, 0.5, 2, 30e-6, cfg)
+        search = max(tol, 1e-6)
+        assert solves == [(9, 0.1 * search, 0.01 * search), (33, 0.1 * tol, 0.01 * tol),
+                          (1, 0.1 * search, 0.01 * search)]
+
     # (order, sigma, guard_sites): pi/2 and pi amplitudes, bit for bit, of the
     # sweep that started at the grid's first point
     AMPLITUDES = {
