@@ -2,10 +2,17 @@
 Wanner, Solving Ordinary Differential Equations I, Sec. II.10).
 
 ``solve_ivp`` takes the steps of ``scipy.integrate.solve_ivp(method="DOP853")``
-operation for operation, its error norms summed by numpy, not by a BLAS dot,
-so that no bit depends on the BLAS thread count; with scipy's norm taking the
-same sum, its states, times and evaluation counts are scipy's to the bit. It
-keeps only the latest state. The tableau is copied
+operation for operation, on the real view of a real or complex array of any
+shape, and keeps scipy out of the runtime. Its error norms are summed by
+numpy's einsum, not by a BLAS dot, whose summation order changes with the
+BLAS thread count, so no bit depends on that count; with scipy's norm taking
+the same sum, its states, times and evaluation counts are scipy's to the bit
+(``tests/test_dop853.py`` checks this on real stages, at one BLAS thread and
+at the default count). A step knows its 12 stage times before its first
+stage, so it asks for the time dependence of all 12 at once; each stage then
+writes its derivative in place into a preallocated row, through a
+right-hand side bound once per solve to its pair of stage buffers. It keeps
+only the latest state. The tableau is copied
 digit for digit from scipy's ``integrate/_ivp/dop853_coefficients.py``
 (Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers; BSD
 3-Clause License).
@@ -83,15 +90,13 @@ class Solution(NamedTuple):
 
 
 def solve_ivp(coefficients, bind, t_span, y0, rtol, atol, max_step) -> Solution:
-    """Integrate dy/dt = f(t, y), y a real or complex array of any shape stepped
-    on its real view, forward over ``t_span`` to a local error within atol +
-    rtol |y|. ``coefficients(ts)`` gives f's time dependence, one entry per time
-    of the array ts (a step asks for its 12 stage times at once), read before
-    its next call. ``bind(y, out)`` returns the right-hand side ``rhs(c)`` that
-    writes f at entry c and state ``y`` into ``out``; a solve binds it once per
-    pair of stage buffers, views of y0's shape and type that it refills in
-    place, so a right-hand side takes its own views of them once. Raises
-    RuntimeError when the step falls below ten float spacings of t, or is NaN."""
+    """Integrate dy/dt = f(t, y) forward over ``t_span`` to a local error
+    within atol + rtol |y|. ``coefficients(ts)`` gives f's time dependence,
+    one entry per time of the array ts, read before its next call.
+    ``bind(y, out)`` returns the right-hand side ``rhs(c)`` that writes f at
+    entry c and state ``y`` into ``out``; y and out are views of y0's shape
+    and type, refilled in place. Raises RuntimeError when the step falls
+    below ten float spacings of t, or is NaN."""
     t, t_end = map(float, t_span)
     dtype, shape = np.result_type(y0, float), np.shape(y0)
     y = np.array(y0, dtype=dtype, order="C").reshape(-1).view(float)

@@ -15,46 +15,92 @@ coupling Omega/2; each up-step along the ladder imprints e^{-i phi}. The
 physical (lattice-phase-free) amplitudes c_n follow from b_n by the diagonal
 gauge c_n = b_n e^{-i n theta(t)} with theta = integral of delta.
 
-Everything is integrated in the interaction picture A_n = e^{+i kin_n t} c_n,
-which removes the fast kinetic phases exactly and leaves a slow coupling that
-the adaptive Runge-Kutta of ``dop853`` (DOP853, stepping as scipy's does)
-resolves in a few hundred steps; a step builds the bond coefficients of all
-its stage times in one pass, into buffers bound once per solve, as are the
-right-hand side's views of each stage's buffers. One kernel evolves columns
-of amplitudes: a state is a one-column propagator, and a propagator (or a
-stack over quasimomenta) is the evolved identity. A stage is
-(duration, coupling(t), theta(t)), both scalar; phi couples only through
-e^{-i (theta + phi)}, so a laser phase is a constant inside theta and one
-step rule serves every stage. ``drive`` evolves a batch of states, each on
-its own window and coupling amplitude, one solve per stage, and
-``check_leakage`` checks their edges. A Bragg pulse is one stage, the Bloch
-lattice three. ``drive`` alone sizes windows: a plane wave is its one
-occupied site. Amplitudes are calibrated on the first Rabi lobe of a plane
-wave at q = 0: a 1.25x sweep finds it in one batch of 9 from near half the
-deep-Bragg pi amplitude (a leaking batch is retried lower half first; a
-batch that finds no lobe, or starts on one, adds the probes below it),
-Chebyshev nodes give a proxy of the transfer P(Omega_0), memoised per pulse
-width, and one more solve checks the pi/2 root. The sweep and the check only
-decide (a grid point, a leak against LEAK_BOUND, a root within 1e-4), so
-they solve at LEAK_BOUND / 100, or at the config's tolerance if looser; the
-proxy, whose values are the amplitudes, and every other solve at the
-config's tolerance.
+The kernel. Everything is integrated in the interaction picture
+A_n = e^{+i kin_n t} c_n, which removes the fast kinetic phases exactly and
+leaves a right-hand side linear in the amplitudes, with one slowly varying
+coefficient per ladder bond,
+c_n(t) = -i (Omega(t)/2) e^{i (dkin_n t - theta(t))}, that
+``dop853.solve_ivp`` resolves in a few hundred steps. A step evaluates Omega
+and theta at its 12 stage times as Python scalars and builds all 12
+coefficient arrays in one vectorised pass, the per-state amplitude
+multiplied in once per step; each stage is then two multiplies and one add,
+in place. One kernel, ``_evolve``, evolves columns of amplitudes: a state is
+a one-column propagator, and a propagator (or a stack over quasimomenta) is
+the evolved identity. Its whole input is a stage, the triple
+(duration, coupling Omega(t)/2, theta(t)) of scalar functions of t, and a
+per-state amplitude that scales the coupling; a zero coupling integrates to
+free flight. phi couples only through e^{-i (theta + phi)}, so a laser phase
+is a constant inside theta, and U(phi) = D U(0) D* with
+D = diag(e^{-i n phi}). One step rule serves every stage: no step is longer
+than a twelfth of the stage, sigma/2 for a 6 sigma pulse, and a half pulse
+keeps its pulse's sigma/2, so that steps grown on a weak envelope tail
+cannot stride over the peak. Each solve takes a tenth of the config's
+``error_tolerance`` as its relative and a hundredth as its absolute
+tolerance.
 
-A pulse propagator is built from its first half. With the laser phase
-taken into theta, the frame b = G* c, G = diag(e^{-i n theta}), gives a
-real Hamiltonian K - n delta(t) + (Omega(t)/2)(R + R^dagger), and time
-reversal about the pulse centre maps chirp r to -r. So the pulse is the
-transpose of the half at -r times the half at r: one half solve if it is
-unchirped, two if chirped (``pulse_propagator``).
+The driver. ``drive`` evolves a batch of states, one solve per stage: it
+checks their norms, grows each window to the stage's reach plus
+``guard_sites`` beyond its occupied sites (never shrinking it), pads the
+windows to the widest and checks every state's edge leakage against
+LEAK_BOUND (``check_leakage``). It alone sizes windows, so a plane wave is
+its one occupied site. A Bragg pulse is one stage, the Bloch lattice three;
+a pulse's frequency is always a detuning, ``bragg_resonance(n, species)``
+for order n, and its window reaches the order nearest that detuning.
 
-A pulse sees a quasimomentum ensemble only through q, and once its own free
-flight is taken out the propagator is an entire function of q. So a stack
-over more than 49 quasimomenta is evaluated at the drawn q from a series
-on 25 Chebyshev-Lobatto nodes of q in [-1, 1], memoised per pulse, so a
-chunk of an ensemble costs one evaluation; a smaller stack, or one that 49
-nodes do not resolve, is built column by column. Both Chebyshev series,
-the lobe's and the propagator's, come from one DCT-I, one tail rule and one
-node-doubling rule, which solves only the n - 1 nodes between the n it has
+Pulse propagators. A propagator is built at laser phase zero from its first
+half. In the lattice frame b = G* c, G(t) = diag(e^{-i n theta(t)}), the
+Hamiltonian K - n delta(t) + (Omega(t)/2)(R + R^dagger) is real, and time
+reversal about the pulse centre t_c = 3 sigma maps chirp r to -r. So with
+U_b1(r) = G(t_c)* U_c1(r) G(0), U_c1 one solve over [0, t_c], the pulse is
+U = G(6 sigma) U_b1(-r)^T U_b1(r) G(0)*: one half solve for an unchirped
+pulse and two, at r and -r, for a chirped one, which costs what one
+whole-pulse solve did. The product is an einsum, not a BLAS matmul, so its
+bytes do not depend on the BLAS thread count.
+
+Quasimomentum stacks. A pulse sees the ensemble only through q, and once
+its own free flight e^{-i kin(q) dur/2} is taken off each side the
+propagator is an entire function of q. So a stack over more than 49
+quasimomenta costs one half solve (two if chirped) on 25 Chebyshev-Lobatto
+nodes of q in [-1, 1]; if the series fails the tail rule below, only the
+24 nodes between are solved and the 49-node series is tried, and if that
+fails too the stack is built one column per q, as a smaller stack is. The
+accepted series is memoised per pulse (``_node_series``, 128 pulses), so
+every chunk of an ensemble shares one node solve, and is evaluated at each
+drawn q with the exact free flight put back.
+
+Calibration. Amplitudes are calibrated on the first Rabi lobe of a plane
+wave at q = 0, in batches of probed peak Rabi frequencies Omega_0: a batch
+is one ``drive`` of copies of the plane wave through the unit-amplitude
+pulse, copy b at the b-th amplitude. A 1.25x sweep finds the lobe. It
+starts near half the deep-Bragg pi amplitude of adiabatic elimination
+(Mueller, Chiow & Chu, PRA 77, 023609 (2008)), Omega_0^n = sqrt(n) w_pi
+(8 w_r)^(n-1) ((n-1)!)^2 with w_pi = pi / (sigma sqrt(2 pi)), up to 2.4
+times below the lobe's, so one batch of 9 spans about 0.5-3x of it. A
+batch that leaks past the lobe is solved again lower half first; if the
+sweep finds no lobe, or its first probe already lies on one, the probes
+below it are solved too, so that it still covers the grid from its start.
+A sweep with no transfer above 0.05 below its ceiling (400 times the
+two-level pi amplitude) is a CalibrationError for any target. The transfer
+P(Omega_0) is analytic, so one solve on 33 Chebyshev-Lobatto nodes over
+[0, 1.25x the best probe] gives its series to roundoff, or the 32 nodes
+between are solved and the 65-node series is tried. The series' maximum
+near the best probe (``chebder``, ``chebroots``) is the pi pulse; its first
+root of P - target below the maximum is the pi/2 pulse, which one more
+solve checks to 1e-4. The sweep and the check only decide: a grid point,
+a leak against LEAK_BOUND, a root within 1e-4. So they solve at a
+hundredth of those bounds, LEAK_BOUND / 100 = 1e-6, or at the config's
+tolerance if looser; DOP853 takes about tol^(-1/8) steps, so they take
+about a third of the steps they would at 1e-10. The series, whose values
+are the amplitudes, solves at the config's tolerance, and its interval is
+1.25x a grid point, so the sweep's roundoff moves no amplitude while the
+same probe stays best. The sweep and the series are memoised per pulse
+width, so the pi search makes no solve of its own and a pi/2 - pi
+sequence usually makes 3 solves.
+
+Both Chebyshev series, the propagator's and the lobe's, come from one
+DCT-I, one tail rule (accepted when the last quarter of the coefficients is
+at most the tolerance) and one node-doubling rule, which solves only the
+n - 1 nodes between the n it has and keeps every value it has
 (``_chebyshev_series``).
 """
 
@@ -200,19 +246,14 @@ def kinetic_frequencies(species: AtomSpecies, sites: np.ndarray,
 # -- the evolution kernel ---------------------------------------------------
 
 def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0, max_step=None):
-    """Schroedinger-picture evolution e^{-i kin duration} A(duration) through
-    the stage ``(duration, coupling, theta)``.
-
-    Integrates i dA/dt = coupling terms in the kinetic interaction picture
-    for amplitude columns ``columns`` of shape (..., W, C); rows are ladder
-    sites, so a state is a one-column propagator and the identity evolves
-    into the propagator. ``kin``: kinetic frequencies (..., W).
-    ``coupling(t)``: Omega(t)/2 at amplitude 1; zero gives free flight.
-    ``theta(t)``: integral of delta from 0 plus the laser phase; each up-step
-    imprints e^{-i theta}. Both map a Python float to one. ``amplitude``: one
-    factor or one per batch row (...). ``max_step``: the step cap, a twelfth
-    of ``duration`` if None. A step asks for its 12 stage times at once;
-    c_n = -i amplitude coupling e^{i (dkin_n t - theta)} is one pass.
+    """Schroedinger-picture evolution e^{-i kin duration} A(duration) of the
+    amplitude columns ``columns`` (..., W, C), rows ladder sites, through the
+    stage ``(duration, coupling, theta)``. ``kin``: kinetic frequencies
+    (..., W). ``coupling(t)``: Omega(t)/2 at amplitude 1. ``theta(t)``:
+    integral of delta from 0 plus the laser phase; each up-step imprints
+    e^{-i theta}. Both map a Python float to one. ``amplitude``: one factor
+    or one per batch row (...). ``max_step``: the step cap, a twelfth of
+    ``duration`` if None.
     """
     shape = np.broadcast_shapes(kin.shape[:-1], columns.shape[:-2]) + columns.shape[-2:]
     dkin = (kin[..., 1:] - kin[..., :-1])[..., None]   # (..., W-1, 1)
@@ -264,10 +305,7 @@ def _evolve(kin, columns, duration, coupling, theta, cfg, amplitude=1.0, max_ste
         return rhs
 
     tol = cfg.error_tolerance
-    # one step rule for every stage: at most a twelfth of it, sigma/2 for a
-    # 6 sigma pulse (and for its half), so steps grown on a weak envelope
-    # tail cannot stride over the peak
-    if max_step is None:
+    if max_step is None:   # the one step rule
         max_step = duration / 12.0
     sol = solve_ivp(coefficients, bind, (0.0, duration), np.broadcast_to(columns, shape),
                     rtol=0.1 * tol, atol=0.01 * tol, max_step=max_step)
@@ -306,10 +344,10 @@ def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
           cfg: EvolutionConfig = DEFAULT_CONFIG,
           amplitude=1.0) -> list[MomentumLadderState]:
     """Evolve normalised states through ``stages`` of ``(duration, coupling,
-    theta)``, any laser phase inside theta, one solve per stage (see
-    ``_evolve``) with couplings scaled by ``amplitude``, one or one per state,
-    each on its own window of ``reach = (below, above)`` sites beyond its
-    occupied ones, padded at the top to the widest."""
+    theta)``, couplings scaled by ``amplitude``, one or one per state, each on
+    its own window of ``reach = (below, above)`` sites beyond its occupied
+    ones, padded at the top to the widest; TruncationLeakError past
+    LEAK_BOUND."""
     grown = []
     for psi in states:
         check("state norm", psi.norm, Range(1 - 1e-6, 1 + 1e-6))
@@ -335,12 +373,9 @@ def apply_pulse(
     pulse: PulseSpec,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> MomentumLadderState:
-    """Evolve the state through one full pulse; unitary up to tolerance.
-
-    The window is grown to cover the order nearest the detuning, of either
-    sign (at least 1), plus guard sites; norm reaching the outermost sites
-    above 1e-4 raises TruncationLeakError.
-    """
+    """Evolve the state through one full pulse on a window grown to the
+    order nearest the detuning, of either sign (at least 1), plus guard
+    sites; TruncationLeakError past LEAK_BOUND."""
     order = max(1, abs(round(pulse.detuning / (4.0 * state.species.recoil_frequency))))
     reach = order + cfg.guard_sites
     return drive([state], [_pulse_stage(pulse)], (reach, reach), cfg)[0]
@@ -378,33 +413,12 @@ def pulse_propagator(
     quasimomentum: float | np.ndarray = 0.0,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """Full-pulse propagator over the ladder window, laser phase included.
-
-    Each stack is built from solves of the first half [0, t_c], t_c = 3
-    sigma, at the whole pulse's step cap of sigma/2. In the lattice frame
-    b = G* c, G(t) = diag(e^{-i n theta(t)}) with theta the stage's (laser
-    phase included), the Hamiltonian K - n delta(t) + (Omega(t)/2)(R +
-    R^dagger) is real, and time reversal about t_c maps the pulse of chirp
-    r to that of chirp -r. So with the half's b-frame propagator
-    U_b1(r) = G(t_c)* U_c1(r) G(0), U_c1 one solve over [0, t_c], the pulse
-    is U = G(6 sigma) U_b1(-r)^T U_b1(r) G(0)*: one half solve for an
-    unchirped pulse, two (at r and -r) for a chirped one. The product is an
-    einsum, not a BLAS matmul, so its bytes do not depend on the BLAS
-    thread count.
-
-    ``quasimomentum`` may be an array of q values (units of hbar*k), in
-    which case a stack of propagators with shape (len(q), W, W) is returned;
-    every q must lie within +-1 hbar*k (ValueError, NaN included, before any
-    solve). A stack of up to 49 is built from one column per q.
-    A larger stack is evaluated at each q from the Chebyshev series of
-    ``_node_series``, memoised per pulse, with each sample's exact free
-    flight put back, so a caller may evaluate an ensemble chunk by chunk at
-    the cost of one node solve; if 49 nodes fail, the stack is built
-    directly. The pulse is one stage ``(duration, coupling, theta)`` whose
-    theta carries the laser phase phi, so U(phi) = D U(0) D* with
-    D = diag(e^{-i n phi}); a caller that builds U(0) once may apply other
-    phases by that conjugation.
-    """
+    """Full-pulse propagator over the ladder window, laser phase included;
+    for an array of q values (units of hbar*k), a stack (len(q), W, W).
+    Every q must lie within +-1 hbar*k (ValueError, NaN included, before any
+    solve). A stack of more than 49 comes from the memoised node series, so
+    a caller may evaluate an ensemble chunk by chunk at the cost of one node
+    solve."""
     q = np.asarray(quasimomentum, dtype=float)
     check("quasimomentum", q, QUASIMOMENTUM_BAND)
     sites = np.arange(window[0], window[1] + 1)
@@ -438,11 +452,8 @@ def pulse_propagator(
 @functools.lru_cache
 def _node_series(species, pulse, window, cfg) -> np.ndarray | None:
     """Chebyshev coefficients on q in [-1, 1] of the pulse's centred
-    propagator V(q) = e^{+i kin dur/2} U(q) e^{+i kin dur/2}, entire in q,
-    from direct stacks on 25 Chebyshev-Lobatto nodes, accepted when the last
-    quarter of the coefficients is <= ``cfg.error_tolerance``, else on those
-    and the 24 between; None if 49 nodes fail too. Memoised, so every chunk
-    of an ensemble shares one node solve."""
+    propagator V(q) = e^{+i kin dur/2} U(q) e^{+i kin dur/2} from direct
+    stacks on 25 nodes, or 49; None if 49 fail. Memoised, read-only."""
     sites, dur = np.arange(window[0], window[1] + 1), pulse.total_duration
 
     def centred(qs):
@@ -481,9 +492,8 @@ def _transfer(species, order, sigma, cfg, omegas) -> list:
 @functools.lru_cache
 def _first_lobe(species, order, sigma, cfg) -> tuple:
     """``(sweep, top, coef)`` of the first Rabi lobe of |0> -> |order> at
-    q = 0: the 1.25x sweep of (Omega_0, transfer), seeded at the deep-Bragg
-    pi amplitude, and the Chebyshev series of the transfer on [0, top];
-    memoised, so pi/2 and pi at one width share it."""
+    q = 0: the sweep of (Omega_0, transfer) and the Chebyshev series of the
+    transfer on [0, top]; memoised."""
     search = _search_config(cfg)
 
     def probes(batch):
@@ -516,11 +526,8 @@ def _first_lobe(species, order, sigma, cfg) -> tuple:
     omega_pi = math.pi / (sigma * math.sqrt(2.0 * math.pi))  # two-level first-order pi
     grid = omega_pi / 8.0 * 1.25 ** np.arange(
         1 + math.floor(math.log(8.0 * _CEILING, 1.25)))
-    # adiabatic elimination (Mueller, Chiow & Chu, PRA 77, 023609 (2008))
-    # gives the Rabi frequency Omega_0^n / ((8 w_r)^(n-1) ((n-1)!)^2); over
-    # the Gaussian it makes a pi pulse at Omega_0^n = sqrt(n) omega_pi
-    # (8 w_r)^(n-1) ((n-1)!)^2, up to 2.4 times below the lobe's pi
-    # amplitude, so the sweep starts at the grid point at or below half of it
+    # the deep-Bragg pi amplitude; the sweep starts at the grid point at or
+    # below half of it
     log_est = (math.log(math.sqrt(order) * omega_pi) + 2.0 * math.lgamma(order)
                + (order - 1) * math.log(8.0 * species.recoil_frequency)) / order
     start = math.floor((math.log(4.0) + log_est - math.log(omega_pi)) / math.log(1.25))
@@ -555,22 +562,10 @@ def calibrate_pulse_amplitude(
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> float:
     """Peak Rabi frequency transferring ``target`` of |0> into |2n hbar k>,
-    always calibrated on a plane wave at q = 0.
-
-    Returns the smallest Omega_0 on the first Rabi lobe whose simulated
-    transfer equals the target within 1e-4, or the lobe peak for a target at
-    or above it (notably 1 in the quasi-Bragg regime). A 1.25x sweep, seeded
-    at the deep-Bragg pi amplitude, finds the lobe; a solve on 33 Chebyshev
-    nodes over [0, 1.25 x its best probe] (and one on the 32 between if
-    needed) gives a proxy of the analytic transfer
-    whose maximum is the peak and whose first crossing of the target, checked
-    by one more solve, is the amplitude. A sweep with no transfer above 0.05
-    raises CalibrationError for any target. The proxy solves at
-    ``cfg.error_tolerance``; the sweep and the check, which only decide, at
-    LEAK_BOUND / 100 = 1e-6 unless ``cfg`` is looser, in about a third of the
-    steps. The proxy spans 1.25x a grid point, so their roundoff moves no
-    amplitude.
-    """
+    calibrated on a plane wave at q = 0: the smallest Omega_0 on the first
+    Rabi lobe whose simulated transfer equals the target within 1e-4, or the
+    lobe peak for a target at or above it (notably 1 in the quasi-Bragg
+    regime). CalibrationError if no lobe is found or the check fails."""
     check("target", target, TRANSFER_TARGETS)
     sweep, top, coef = _first_lobe(species, order, sigma, cfg)
 

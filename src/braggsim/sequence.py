@@ -15,27 +15,30 @@ Mach-Zehnder emerges here.
 
 The schedule holds only what a run reads: order, T, one pulse width and the
 pi/2 and pi amplitudes. Each pulse's detuning and chirp come from the run's
-offset. Pulse propagators are computed at laser phase zero and batched over
-the quasimomentum ensemble, each from one half-pulse solve (two if chirped)
-and an ensemble of more than 49 from a Chebyshev series in q that
-``ladder.pulse_propagator`` memoises per pulse; beat phases, commanded
-phases and mirror-phase noise enter through the exact conjugation
-U(phi) psi = D(phi) U (D(phi)* psi), D = diag(e^{-i n phi}).
+offset. Pulse propagators are built at laser phase zero by
+``ladder.pulse_propagator``, batched over the quasimomentum ensemble; beat
+phases, commanded phases and mirror-phase noise enter through ladder's exact
+phase conjugation, applied to the state as D(phi) U (D(phi)* psi), so a
+whole scan costs a few matrix solves.
+
 A run draws its ensemble once and builds one ``_ShotEngine`` per operating
 point (final-pulse phase grid, interrogation time or sweep-rate offset).
-``_shots`` is the one shot path: it numbers a run's shots, makes one draw
-per noise stream for all of them, and walks the draw in chunks of at most
-``_SAMPLE_CHUNK`` samples, building each distinct pulse's propagators once
-per chunk; ``_ShotEngine.populations`` evolves ``_SHOT_CHUNK`` shots of a
-chunk at a time. So no array grows with the ensemble beyond a chunk, scans
-cost a few matrix solves total, and a scan's per-shot results (site
-populations, noise draws, detected ports) grow with its shot count. A
-gravity series walks its shots ``_SERIES_CHUNK`` at a time: only its four
-per-shot output columns grow with the shot count. Per-shot noise has one
-home: ``_stream`` builds one generator per (seed, stream) for a run, which
-``sample_mirror_phases`` and ``_detect`` read in order, chunk after chunk,
-so shot i takes row i of it. Momenta and quasimomenta are in units of
-hbar*k.
+``_shots`` is the one shot path, and a shot is a one-point scan:
+``run_shot`` is ``scan_fringe`` at final-pulse phase 0. ``_shots`` numbers a
+run's shots and makes one draw per noise stream for all of them. It walks
+the ensemble draw in equal chunks of at most ``_SAMPLE_CHUNK`` samples, so
+that a chunk takes the node path of ``pulse_propagator`` exactly when the
+whole draw would, builds each distinct pulse's propagators once per chunk
+for every engine and accumulates the ensemble mean over the chunks;
+``_ShotEngine.populations`` evolves ``_SHOT_CHUNK`` shots of a chunk at a
+time. So no array grows with the ensemble beyond a chunk, and a scan's
+per-shot results (site populations, noise draws, detected ports) grow with
+its shot count. A gravity series walks its shots ``_SERIES_CHUNK`` at a
+time: only its four per-shot output columns grow with the shot count.
+Per-shot noise has one home: ``_stream`` builds one generator per (seed,
+stream) for a run, which ``sample_mirror_phases`` and ``_detect`` read in
+order, chunk after chunk, so shot i takes row i of it. Momenta and
+quasimomenta are in units of hbar*k.
 """
 
 from __future__ import annotations
@@ -175,17 +178,6 @@ class GradiometerSpec:
             )
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    """One interferometer shot: ensemble-mean populations per ladder site,
-    the detected (noisy) port pair and the applied mirror phases."""
-
-    port_populations: dict[int, float]
-    measured_ports: dict[int, float]
-    normalized_population: float
-    mirror_phases: tuple[float, float, float]
-
-
 def _detect(clean_pairs, noise: NoiseModel, rng) -> tuple[np.ndarray, np.ndarray]:
     """Detected (lower, upper) port pairs (n, 2) of the next n shots of the
     detection stream ``rng`` and the normalised population lower / (lower +
@@ -269,19 +261,13 @@ class _ShotEngine:
 
 def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
            first: int = 0, streams=(STREAM_DETECTION,)):
-    """The one shot path of a run: each engine fires one shot per phase of
-    ``final_phases`` on its final pulse over the run's draw ``q``. The
-    engines fall into one equal group per detection stream of ``streams``,
-    in order, and each group's shots are numbered engine by engine from
-    ``first``: the groups share their mirror draws (a gradiometer's common
-    mode) and each reads its own detection stream, so a run builds each
-    noise stream once. The draw is walked in equal chunks of at most
-    ``_SAMPLE_CHUNK`` (more than 49 samples exactly when the draw has), each
-    distinct pulse's propagators built once per chunk for every engine and
-    the ensemble mean accumulated over them. Returns the site populations
-    (N, W) of all N shots, one group's mirror draws (N / groups, 3), the
-    detected populations of ports 0 and order, {port: (N,)}, and the
-    normalised populations (N,)."""
+    """Each engine fires one shot per phase of ``final_phases`` on its final
+    pulse over the run's draw ``q``. The engines fall into one equal group
+    per detection stream of ``streams``, in order, and each group's shots are
+    numbered engine by engine from ``first``: the groups share their mirror
+    draws (a gradiometer's common mode) and each reads its own detection
+    stream. Returns the detected populations of ports 0 and order of all N
+    shots, {port: (N,)}, and the normalised populations (N,)."""
     final_phases = np.asarray(final_phases, dtype=float)
     per_group = len(engines) // len(streams)
     n = per_group * len(final_phases)
@@ -309,7 +295,7 @@ def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
                                                   len(streams)), streams)]
     measured = np.concatenate([pairs for pairs, _ in detected])
     normalized = np.concatenate([values for _, values in detected])
-    return pops, mirror, dict(zip(ports, measured.T)), normalized
+    return dict(zip(ports, measured.T)), normalized
 
 
 def run_shot(
@@ -321,19 +307,11 @@ def run_shot(
     shot_index: int = 0,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
     sweep_rate_offset: float = 0.0,
-) -> ShotResult:
-    """Shot ``shot_index`` of a Mach-Zehnder at final-pulse phase 0 and
-    ``sweep_rate_offset`` (Hz/s) from the resonant sweep rate, averaged over
-    the quasimomentum ensemble."""
-    engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
-    pops, mirror, ports, normalized = _shots([engine], ensemble.draw(), [0.0], noise,
-                                             master_seed, shot_index)
-    return ShotResult(
-        port_populations={int(n): float(p) for n, p in zip(engine.sites, pops[0])},
-        measured_ports={port: float(v[0]) for port, v in ports.items()},
-        normalized_population=float(normalized[0]),
-        mirror_phases=tuple(float(m) for m in mirror[0]),
-    )
+) -> FringeScan:
+    """Shot ``shot_index`` at final-pulse phase 0: the one-point scan of
+    ``scan_fringe`` at that shot index."""
+    return scan_fringe(species, ensemble, sequence, noise, [0.0], master_seed, cfg,
+                       shot_index, sweep_rate_offset)
 
 
 def scan_fringe(
@@ -353,7 +331,7 @@ def scan_fringe(
     grid = np.asarray(phase_grid, dtype=float)
     engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
     return FringeScan(grid, *_shots([engine], ensemble.draw(), grid, noise,
-                                    master_seed, shot_index_offset)[2:])
+                                    master_seed, shot_index_offset))
 
 
 def scan_sweep_rate(
@@ -370,7 +348,7 @@ def scan_sweep_rate(
     i. Returns the detected port populations {0, order} and the normalised
     populations, one per offset."""
     engines = [_ShotEngine(species, sequence, cfg, float(offset)) for offset in offsets]
-    return _shots(engines, ensemble.draw(), [0.0], noise, master_seed)[2:]
+    return _shots(engines, ensemble.draw(), [0.0], noise, master_seed)
 
 
 def interrogation_grid(species: AtomSpecies, interrogation_times) -> np.ndarray:
@@ -402,7 +380,7 @@ def scan_contrast_vs_T(
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
     engines = [_ShotEngine(species, replace(sequence, interrogation_time=float(T)), cfg)
                for T in times]
-    _, _, ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed)
+    ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed)
     n = len(grid)
     scans = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
                         normalized[k:k + n]) for k in range(0, len(normalized), n))
@@ -451,8 +429,8 @@ def run_gradiometer(
     grid = np.asarray(phase_grid, dtype=float)
     engines = [_ShotEngine(species, sequence, cfg, sweep_rate_offset)
                for sweep_rate_offset in (-offset, offset)]
-    _, _, ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed,
-                                     0, (STREAM_DETECTION, STREAM_DETECTION_UPPER))
+    ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed,
+                               0, (STREAM_DETECTION, STREAM_DETECTION_UPPER))
     n = len(grid)
     lower, upper = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
                                normalized[k:k + n]) for k in (0, n))
@@ -495,9 +473,7 @@ def run_gravity_series(
     of the closed Mach-Zehnder: a gravity change dg translates the fringe
     argument by -k_eff*dg*T^2*cos(tilt), mirror noise adds
     phi1 - 2*phi2 + phi3, and detection noise is applied per port. Recovery
-    inverts the calibrated curve around the bias point. The shots are walked
-    ``_SERIES_CHUNK`` at a time, so a run's arrays are the four per-shot
-    columns of the result plus one chunk's.
+    inverts the calibrated curve around the bias point.
     """
     geometry = geometry or BeamGeometry.vertical(species)
     g0 = tide.mean_gravity

@@ -1,5 +1,11 @@
 """Acceptance criteria: one test per criterion, each printing PASS/FAIL.
 
+The criteria: sweep-rate value, analytic constants, Raman-Nath and
+two-level oracles, unitarity/truncation, fringe-periodicity regimes,
+harmonic growth, contrast revivals, sensitivity integration, gradiometer
+common-mode rejection, tide recovery, mid-fringe conversion and Bloch
+velocity selection.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. Expensive artifacts (calibrated sequences, propagators)
 are shared through module-scoped fixtures.

@@ -25,7 +25,7 @@ from braggsim.config import (
     resolve,
 )
 from braggsim.report import CHUNK_ROWS, dumps_stable, format_float, write_table
-from braggsim.sequence import prepare_sequence, run_shot
+from braggsim.sequence import prepare_sequence, scan_fringe
 
 FAST_FRINGE = """
 seed: 11
@@ -674,10 +674,11 @@ scan: {target: sweep_rate, start: -500.0, stop: 500.0, points: 3}
         seq = prepare_sequence(species, order=2, interrogation_time=2.0e-3,
                                pulse_sigma=5.0e-6)
         for i, offset in enumerate(cfg.scan.grid()):
-            shot = run_shot(species, cfg.ensemble, seq, cfg.noise, cfg.seed,
-                            shot_index=i, sweep_rate_offset=offset)
-            expected = [offset, shot.measured_ports[0], shot.measured_ports[2],
-                        shot.normalized_population]
+            # shot i: the one-point scan at final-pulse phase 0
+            shot = scan_fringe(species, cfg.ensemble, seq, cfg.noise, [0.0], cfg.seed,
+                               shot_index_offset=i, sweep_rate_offset=offset)
+            expected = [offset, shot.port_populations[0][0], shot.port_populations[2][0],
+                        shot.normalized[0]]
             assert lines[1 + i] == ",".join(format_float(v) for v in expected)
 
     def test_config_error_exit_code(self, tmp_path):

@@ -1,4 +1,19 @@
-"""Static checks on the package source, shipped configs and benchmark hooks."""
+"""Static checks on the package source, shipped configs and benchmark hooks.
+
+No relative import of another module's private names; no scipy import, and
+none at run time (``import braggsim.cli`` and a ``pulse`` run leave it out
+of ``sys.modules``); ``HBAR`` only in ``constants`` and ``physics``; no
+generator built per shot; only ``drive`` and ``pulse_propagator`` calling
+the kernel; no block ``resolve`` call outside ``config.py``; every shipped
+and benchmark config loading and resolving; the benchmark tracer finding
+every name it patches; a run starting no child process; the package
+``__init__.py`` binding no name but ``__version__``. Ledgers of every
+settable config key path and of every default value, so that a change which
+adds or removes a setting, or changes a default, shows it in its own diff.
+The README names only settable keys and no private name, names every
+subcommand and every top-level config field, and its example is the shipped
+``configs/fringe_quasibragg.yaml``.
+"""
 
 import ast
 import functools
@@ -16,9 +31,10 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from braggsim import sequence
+from braggsim import cli, sequence
 from braggsim.analysis import (AllanCurve, FringeScan, allan_deviation, bin_timeseries,
                                check_fringe_grid, class_contrast_proxy,
                                fit_harmonic_components, phase_to_gravity)
@@ -556,3 +572,50 @@ def test_private_name_guard_catches_one():
     text = ("chunks of `sequence._SERIES_CHUNK` and `_SHOT_CHUNK`, "
             "not `__version__`, `__init__.py` or `*_hk`")
     assert private_names(text) == ["sequence._SERIES_CHUNK", "_SHOT_CHUNK"]
+
+
+def unnamed(text):
+    """The subcommands and the top-level config fields that no backticked
+    span of ``text`` starts with, as `class-oracle` or `class_oracle.a_min`."""
+    heads = {re.split(r"[^\w-]", span, maxsplit=1)[0]
+             for span in re.findall(r"`([^`\n]+)`", text)}
+    return sorted((set(cli._COMMANDS) | set(get_type_hints(ExperimentConfig))) - heads)
+
+
+def test_readme_names_every_subcommand_and_config_field():
+    assert unnamed((ROOT / "README.md").read_text()) == []
+
+
+def test_naming_guard_catches_a_missing_subcommand_and_block():
+    names = set(cli._COMMANDS) | set(get_type_hints(ExperimentConfig))
+    text = ", ".join(f"`{name}`" for name in sorted(names) if "class" not in name)
+    assert unnamed(text) == ["class-oracle", "class_oracle"]
+    assert unnamed(text + " `class-oracle`, `class_oracle.a_min: 2`") == []
+
+
+def example_drift(text):
+    """The key paths, ``out_dir`` aside, at which the ``yaml`` block of
+    ``text`` parses to other values than ``configs/fringe_quasibragg.yaml``."""
+    def flat(value, prefix=""):
+        if isinstance(value, dict):
+            return {path: v for key, sub in value.items()
+                    for path, v in flat(sub, f"{prefix}{key}.").items()}
+        return {prefix[:-1]: value}
+
+    block, = re.findall(r"^```yaml\n(.*?)^```", text, re.S | re.M)
+    example = flat(asdict(parse_config(yaml.safe_load(block))))
+    shipped = flat(asdict(load_config(ROOT / "configs" / "fringe_quasibragg.yaml")))
+    return [path for path, value in shipped.items()
+            if path != "out_dir" and example[path] != value]
+
+
+def test_readme_example_is_the_shipped_config():
+    # so the example cannot drift, and CI's shipped-config run covers it
+    assert example_drift((ROOT / "README.md").read_text()) == []
+
+
+def test_example_guard_catches_a_changed_value():
+    text = (ROOT / "README.md").read_text()
+    assert "  samples: 200\n" in text
+    assert example_drift(text.replace("  samples: 200\n", "  samples: 201\n")) == [
+        "ensemble.samples"]

@@ -106,9 +106,9 @@ class TestShotComposition:
     def test_run_shot_matches_manual_pulse_chain(self, qb_seq):
         """The engine's cached-propagator path must equal composing the
         public ladder operations with the same timing and beat phases."""
-        shot = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=3)
+        shot = scan_fringe(RB, PLANE, qb_seq, QUIET, [0.0], master_seed=3)
         for port, pop in manual_pulse_chain(qb_seq).items():
-            assert shot.port_populations[port] == pytest.approx(pop, abs=5e-9)
+            assert shot.port_populations[port][0] == pytest.approx(pop, abs=5e-9)
 
     def test_run_shot_honours_laser_phases(self, qb_seq):
         # each pulse's phase adds to its beat phase on the phase-zero
@@ -148,15 +148,21 @@ class TestShotComposition:
             assert pulse.laser_phase == 0.0
 
     def test_single_point_scan_equals_run_shot(self, qb_seq):
-        shot = run_shot(RB, PLANE, qb_seq, QUIET, master_seed=4)
-        scan = scan_fringe(RB, PLANE, qb_seq, QUIET, [0.0], master_seed=4)
-        assert scan.normalized[0] == shot.normalized_population
+        # run_shot is the one-point scan at final-pulse phase 0
+        noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
+        shot = run_shot(RB, PLANE, qb_seq, noise, master_seed=4, shot_index=3,
+                        sweep_rate_offset=250.0)
+        scan = scan_fringe(RB, PLANE, qb_seq, noise, [0.0], master_seed=4,
+                           shot_index_offset=3, sweep_rate_offset=250.0)
+        assert np.array_equal(shot.phase_grid, scan.phase_grid)
+        assert np.array_equal(shot.normalized, scan.normalized)
+        for port, values in scan.port_populations.items():
+            assert np.array_equal(shot.port_populations[port], values)
 
 
 class TestMachZehnderClosure:
     def test_resonant_shot_at_extremum(self, deep_seq):
-        shot = run_shot(RB, PLANE, deep_seq, QUIET)
-        p = shot.normalized_population
+        p = scan_fringe(RB, PLANE, deep_seq, QUIET, [0.0]).normalized[0]
         assert p > 0.999 or p < 0.001
 
     def test_full_contrast_cosine_fringe(self, deep_seq):
@@ -259,17 +265,17 @@ class TestDeterminism:
     def test_identical_seeds_identical_results(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
         ens = EnsembleSpec(samples=8, sigma_q_hk=0.42, seed=3)
-        a = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=4)
-        b = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=4)
-        assert a.normalized_population == b.normalized_population
-        assert a.mirror_phases == b.mirror_phases
-        assert a.port_populations == b.port_populations
+        a, b = (scan_fringe(RB, ens, qb_seq, noise, [0.0], master_seed=9,
+                            shot_index_offset=4) for _ in range(2))
+        assert np.array_equal(a.normalized, b.normalized)
+        for port, values in a.port_populations.items():
+            assert np.array_equal(b.port_populations[port], values)
 
     def test_different_shots_differ(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
-        a = run_shot(RB, PLANE, qb_seq, noise, master_seed=9, shot_index=0)
-        b = run_shot(RB, PLANE, qb_seq, noise, master_seed=9, shot_index=1)
-        assert a.mirror_phases != b.mirror_phases
+        a, b = (scan_fringe(RB, PLANE, qb_seq, noise, [0.0], master_seed=9,
+                            shot_index_offset=i) for i in (0, 1))
+        assert a.normalized[0] != b.normalized[0]
 
     def test_ensemble_draw_deterministic(self):
         ens = EnsembleSpec(samples=32, sigma_q_hk=0.42, seed=5)
@@ -304,20 +310,11 @@ class TestStreamAddressing:
         for port in (0, 2):
             assert alone.port_populations[port][0] == pytest.approx(
                 scan.port_populations[port][5], abs=1e-12)
-        # run_shot fires at final-pulse phase 0: it reports mirror row 5 and
-        # the ports of a one-point scan of [0.0] at the same shot index
-        shot = run_shot(RB, ens, qb_seq, noise, master_seed=9, shot_index=5)
-        at_zero = scan_fringe(RB, ens, qb_seq, noise, [0.0], master_seed=9,
-                              shot_index_offset=5)
-        assert shot.mirror_phases == tuple(drawn[0][5])
-        for port in (0, 2):
-            assert shot.measured_ports[port] == pytest.approx(
-                at_zero.port_populations[port][0], abs=1e-12)
 
     def test_negative_shot_index_rejected(self, qb_seq):
         noise = NoiseModel(mirror_phase_rms_rad=0.1, detection_snr=50.0)
         with pytest.raises(ValueError, match="^shot_index must be >= 0, got -1"):
-            run_shot(RB, PLANE, qb_seq, noise, shot_index=-1)
+            scan_fringe(RB, PLANE, qb_seq, noise, [0.0], shot_index_offset=-1)
 
     def test_generator_builds_do_not_grow_with_shots(self, lowfringe_seq,
                                                      monkeypatch):
@@ -474,7 +471,8 @@ class TestBoundedChunks:
     def pops(self, samples):
         q = EnsembleSpec(samples=samples, sigma_q_hk=0.42, seed=5).draw()
         engine = sequence._ShotEngine(RB, self.QB, EvolutionConfig())
-        return sequence._shots([engine], q, GRID, QUIET, 0)[0]
+        ports, normalized = sequence._shots([engine], q, GRID, QUIET, 0)
+        return np.column_stack([*ports.values(), normalized])
 
     def test_shot_populations_do_not_depend_on_the_shot_chunk(self, monkeypatch):
         expected = self.pops(8)
@@ -586,7 +584,7 @@ class TestGradiometer:
                   / (4 * math.pi))
         for scan, sign, stream in ((res.lower, -1, STREAM_DETECTION),
                                    (res.upper, 1, STREAM_DETECTION_UPPER)):
-            _, _, ports, normalized = sequence._shots(
+            ports, normalized = sequence._shots(
                 [_engine(seq, sign * offset)], ens.draw(), grid, noise, 13, 0, (stream,))
             assert np.array_equal(scan.normalized, normalized)
             for port, values in ports.items():
