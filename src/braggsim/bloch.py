@@ -66,9 +66,9 @@ def bloch_accelerate(
     """Load, accelerate and release the lattice on states of one species;
     re-index each to the target.
 
-    The returned states have ladder site 0 relabelled to the target momentum
-    (a Galilean boost; populations preserved). Leakage into the window edge
-    is signalled exactly as for pulses.
+    The stages reach target / 2 sites above the occupied ones. The returned
+    states have site 0 relabelled to the target momentum (a Galilean boost;
+    populations preserved); window-edge leakage is signalled as for pulses.
     """
     if not states:
         return []
@@ -93,8 +93,7 @@ def bloch_accelerate(
          lambda t: delta_end * t + phi_carry),
     ]
     target_site = ramp.target_momentum // 2
-    guard = cfg.guard_sites
-    out = drive(states, stages, (guard, target_site + guard), cfg)
+    out = drive(states, stages, (0, target_site), cfg)
     # the Galilean boost to the target frame: old site target_site is site 0
     return [replace(final, n_min=final.n_min - target_site) for final in out]
 

@@ -39,13 +39,13 @@ cannot stride over the peak. Each solve takes a tenth of the config's
 tolerance.
 
 The driver. ``drive`` evolves a batch of states, one solve per stage: it
-checks their norms, grows each window to the stage's reach plus
-``guard_sites`` beyond its occupied sites (never shrinking it), pads the
+checks their norms, grows each window (never shrinking it), pads the
 windows to the widest and checks every state's edge leakage against
-LEAK_BOUND (``check_leakage``). It alone sizes windows, so a plane wave is
-its one occupied site. A Bragg pulse is one stage, the Bloch lattice three;
-a pulse's frequency is always a detuning, ``bragg_resonance(n, species)``
-for order n, and its window reaches the order nearest that detuning.
+LEAK_BOUND (``check_leakage``). One rule, applied only here, sizes every
+window (``stage_window``): the occupied sites, the sites a stage moves
+population to beyond them (its reach), and ``guard_sites`` on each side. A
+lone pulse, at any amplitude, reaches the order nearest its detuning both
+ways; a shot's pulses reach no site past the 0 and n its clouds occupy.
 
 Pulse propagators. A propagator is built at laser phase zero from its first
 half. In the lattice frame b = G* c, G(t) = diag(e^{-i n theta(t)}), the
@@ -340,20 +340,25 @@ def check_leakage(populations) -> None:
         raise TruncationLeakError(float(leak), LEAK_BOUND)
 
 
+def stage_window(occupied, reach: tuple[int, int], cfg: EvolutionConfig) -> range:
+    """The sites of a stage on the ``occupied`` sites that reaches ``(below,
+    above)`` sites beyond them, with ``cfg.guard_sites`` beyond those."""
+    g = cfg.guard_sites
+    return range(min(occupied) - reach[0] - g, max(occupied) + reach[1] + g + 1)
+
+
 def drive(states: list[MomentumLadderState], stages, reach: tuple[int, int],
           cfg: EvolutionConfig = DEFAULT_CONFIG,
           amplitude=1.0) -> list[MomentumLadderState]:
     """Evolve normalised states through ``stages`` of ``(duration, coupling,
     theta)``, couplings scaled by ``amplitude``, one or one per state, each on
-    its own window of ``reach = (below, above)`` sites beyond its occupied
-    ones, padded at the top to the widest; TruncationLeakError past
-    LEAK_BOUND."""
+    the ``stage_window`` of its occupied sites and ``reach``, padded at the
+    top to the widest; TruncationLeakError past LEAK_BOUND."""
     grown = []
     for psi in states:
         check("state norm", psi.norm, Range(1 - 1e-6, 1 + 1e-6))
-        occupied = psi.sites[np.abs(psi.amplitudes) ** 2 > 1e-12]
-        grown.append(psi.expanded(int(occupied.min()) - reach[0],
-                                  int(occupied.max()) + reach[1]))
+        sites = stage_window(psi.sites[np.abs(psi.amplitudes) ** 2 > 1e-12], reach, cfg)
+        grown.append(psi.expanded(sites[0], sites[-1]))
     width = max(len(psi.amplitudes) for psi in grown)
     states = [psi.expanded(psi.n_min, psi.n_min + width - 1) for psi in grown]
     kin = np.stack([kinetic_frequencies(psi.species, psi.sites, psi.quasimomentum)
@@ -373,12 +378,10 @@ def apply_pulse(
     pulse: PulseSpec,
     cfg: EvolutionConfig = DEFAULT_CONFIG,
 ) -> MomentumLadderState:
-    """Evolve the state through one full pulse on a window grown to the
-    order nearest the detuning, of either sign (at least 1), plus guard
-    sites; TruncationLeakError past LEAK_BOUND."""
+    """Evolve the state through one full pulse that reaches the order nearest
+    its detuning (at least 1) on both sides; TruncationLeakError past LEAK_BOUND."""
     order = max(1, abs(round(pulse.detuning / (4.0 * state.species.recoil_frequency))))
-    reach = order + cfg.guard_sites
-    return drive([state], [_pulse_stage(pulse)], (reach, reach), cfg)[0]
+    return drive([state], [_pulse_stage(pulse)], (order, order), cfg)[0]
 
 
 _Q_NODES = 25   # Chebyshev-Lobatto quasimomentum nodes; 2 * 25 - 1 on a second round
@@ -481,12 +484,10 @@ def _search_config(cfg: EvolutionConfig) -> EvolutionConfig:
 
 def _transfer(species, order, sigma, cfg, omegas) -> list:
     # |0> -> |order> of a plane wave at q = 0, per Omega_0 in one solve
-    reach = order + cfg.guard_sites
     unit = _pulse_stage(PulseSpec(
         rabi_peak=1.0, sigma=sigma, detuning=bragg_resonance(order, species)))
-    out = drive([plane_wave_state(species)] * len(omegas), [unit], (reach, reach),
-                cfg, omegas)
-    return [final.population(order) for final in out]
+    return [final.population(order) for final in drive(
+        [plane_wave_state(species)] * len(omegas), [unit], (order, order), cfg, omegas)]
 
 
 @functools.lru_cache

@@ -73,6 +73,7 @@ from .ladder import (
     check_leakage,
     kinetic_frequencies,
     pulse_propagator,
+    stage_window,
 )
 from .physics import AtomSpecies, BeamGeometry, bragg_resonance, revival_period
 
@@ -209,8 +210,8 @@ _SERIES_CHUNK = 4096   # shots of a gravity series, or noise rows skipped, at on
 
 
 class _ShotEngine:
-    """One operating point of a run, which only evolves: the schedule
-    ``seq`` at ``sweep_rate_offset`` (Hz/s) from resonance."""
+    """One operating point of a run, which only evolves: the schedule ``seq``
+    at ``sweep_rate_offset`` (Hz/s) from resonance, on its ``stage_window``."""
 
     def __init__(self, species, seq, cfg, sweep_rate_offset: float = 0.0):
         check("sweep_rate_offset", sweep_rate_offset)
@@ -222,9 +223,9 @@ class _ShotEngine:
         starts = [0.0, tc[1] - d / 2.0, tc[2] - d / 2.0]
         self.species, self.cfg, self.gap = species, cfg, T - d
 
-        reach = seq.order + cfg.guard_sites
-        self.window, self.sites = (-reach, reach), np.arange(-reach, reach + 1)
-        self.ports = {0: reach, seq.order: reach + seq.order}   # site: column
+        span = stage_window((0, seq.order), (0, 0), cfg)   # its clouds' sites, no reach
+        self.window, self.sites = (span[0], span[-1]), np.array(span)
+        self.ports = {site: span.index(site) for site in (0, seq.order)}
         rabis = [seq.beamsplitter_rabi, seq.mirror_rabi, seq.beamsplitter_rabi]
         self.pulses = [PulseSpec(rabi, seq.pulse_sigma, detuning=delta_res + ramp * t_c,
                                  chirp=ramp / (2.0 * math.pi))
@@ -293,9 +294,15 @@ def _shots(engines, q, final_phases, noise: NoiseModel, master_seed: int,
     detected = [_detect(clean, noise, _stream(noise, master_seed, stream, first))
                 for clean, stream in zip(np.split(pops[:, list(ports.values())],
                                                   len(streams)), streams)]
-    measured = np.concatenate([pairs for pairs, _ in detected])
-    normalized = np.concatenate([values for _, values in detected])
+    measured, normalized = map(np.concatenate, zip(*detected))
     return dict(zip(ports, measured.T)), normalized
+
+
+def _scans(grid, ports, normalized) -> list[FringeScan]:
+    """``_shots``' output as one FringeScan over ``grid`` per engine."""
+    n = len(grid)
+    return [FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
+                       normalized[k:k + n]) for k in range(0, len(normalized), n)]
 
 
 def run_shot(
@@ -328,10 +335,9 @@ def scan_fringe(
     """Fringe scan over the final-pulse phase at ``sweep_rate_offset`` (Hz/s)
     from the resonant sweep rate; point i is shot ``shot_index_offset + i``,
     with independent noise per point."""
-    grid = np.asarray(phase_grid, dtype=float)
     engine = _ShotEngine(species, sequence, cfg, sweep_rate_offset)
-    return FringeScan(grid, *_shots([engine], ensemble.draw(), grid, noise,
-                                    master_seed, shot_index_offset))
+    return FringeScan(phase_grid, *_shots([engine], ensemble.draw(), phase_grid, noise,
+                                          master_seed, shot_index_offset))
 
 
 def scan_sweep_rate(
@@ -380,10 +386,7 @@ def scan_contrast_vs_T(
     grid = np.linspace(0.0, 4.0 * math.pi, 24, endpoint=False)
     engines = [_ShotEngine(species, replace(sequence, interrogation_time=float(T)), cfg)
                for T in times]
-    ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed)
-    n = len(grid)
-    scans = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
-                        normalized[k:k + n]) for k in range(0, len(normalized), n))
+    scans = _scans(grid, *_shots(engines, ensemble.draw(), grid, noise, master_seed))
     return [(float(T), fringe_contrast(fit_harmonics(scan, n_harmonics=3)))
             for T, scan in zip(times, scans)]
 
@@ -426,14 +429,11 @@ def run_gradiometer(
     # both clouds see the same mirror draws per shot (common mode) and read
     # their own detection streams; at zero gradient their pulses coincide
     # and share their propagators
-    grid = np.asarray(phase_grid, dtype=float)
     engines = [_ShotEngine(species, sequence, cfg, sweep_rate_offset)
                for sweep_rate_offset in (-offset, offset)]
-    ports, normalized = _shots(engines, ensemble.draw(), grid, noise, master_seed,
-                               0, (STREAM_DETECTION, STREAM_DETECTION_UPPER))
-    n = len(grid)
-    lower, upper = (FringeScan(grid, {port: v[k:k + n] for port, v in ports.items()},
-                               normalized[k:k + n]) for k in (0, n))
+    lower, upper = _scans(phase_grid, *_shots(
+        engines, ensemble.draw(), phase_grid, noise, master_seed, 0,
+        (STREAM_DETECTION, STREAM_DETECTION_UPPER)))
     return GradiometerResult(lower=lower, upper=upper, baseline=baseline)
 
 

@@ -2,11 +2,12 @@
 
 No relative import of another module's private names; no scipy import, and
 none at run time (``import braggsim.cli`` and a ``pulse`` run leave it out
-of ``sys.modules``); ``HBAR`` only in ``constants`` and ``physics``; no
-generator built per shot; only ``drive`` and ``pulse_propagator`` calling
-the kernel; no block ``resolve`` call outside ``config.py``; every shipped
-and benchmark config loading and resolving; the benchmark tracer finding
-every name it patches; a run starting no child process; the package
+of ``sys.modules``); ``HBAR`` only in ``constants`` and ``physics``;
+``guard_sites`` read only in ``ladder``; no generator built per shot; only
+``drive`` and ``pulse_propagator`` calling the kernel; no block ``resolve``
+call outside ``config.py``; every shipped and benchmark config loading and
+resolving; the benchmark tracer finding every name it patches; a run
+starting no child process; the package
 ``__init__.py`` binding no name but ``__version__``. Ledgers of every
 settable config key path and of every default value, so that a change which
 adds or removes a setting, or changes a default, shows it in its own diff.
@@ -179,6 +180,28 @@ def test_only_constants_and_physics_import_hbar():
            if isinstance(node, ast.ImportFrom)
            and any(alias.name == "HBAR" for alias in node.names)]
     assert not bad, bad
+
+
+def guard_site_readers(trees):
+    """``file:line`` of every use of an attribute ``guard_sites`` in the
+    (file name, parsed tree) pairs ``trees`` outside ``ladder.py``."""
+    return [f"{name}:{node.lineno}" for name, tree in trees if name != "ladder.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "guard_sites"]
+
+
+def test_only_ladder_reads_guard_sites():
+    # ladder.stage_window turns a stage's reach into its window; a module
+    # that adds the guard sites itself sizes windows by a rule of its own
+    assert guard_site_readers(modules()) == []
+
+
+def test_guard_site_guard_catches_a_reader():
+    scratch = {"ladder.py": "g = cfg.guard_sites\n",
+               "sequence.py": "n = 2\nreach = n + self.cfg.guard_sites\n",
+               "bloch.py": "guard_sites = 6\n"}
+    assert guard_site_readers([(name, ast.parse(source))
+                               for name, source in scratch.items()]) == ["sequence.py:2"]
 
 
 def test_no_generator_is_built_per_shot():
@@ -555,12 +578,18 @@ def test_readme_guard_catches_a_deleted_key():
         ["gradiometer.gradient_per_s3"])
 
 
+def code_spans(text):
+    """Every backticked span of ``text``; a span may cross one line break,
+    which reads as one space, as Markdown renders it."""
+    return [re.sub(r"\s*\n\s*", " ", span)
+            for span in re.findall(r"`([^`\n]+(?:\n[^`\n]+)?)`", text)]
+
+
 def private_names(text):
-    """Every backticked name or dotted path in ``text`` with a part that
-    starts with one underscore: `sequence._SERIES_CHUNK`, not `__version__`
-    or `*_hk`."""
-    return [span for span in re.findall(r"`([^`\n]+)`", text)
-            if re.search(r"(?:^|\.)_(?!_)\w", span)]
+    """Every backticked span in ``text`` with a name or a part of a dotted
+    path that starts with one underscore: `sequence._SERIES_CHUNK`, not
+    `__version__` or `*_hk`."""
+    return [span for span in code_spans(text) if re.search(r"(?:^|[.\s])_(?!_)\w", span)]
 
 
 def test_readme_names_no_private_identifier():
@@ -574,11 +603,16 @@ def test_private_name_guard_catches_one():
     assert private_names(text) == ["sequence._SERIES_CHUNK", "_SHOT_CHUNK"]
 
 
+def test_private_name_guard_catches_one_split_across_lines():
+    # a rewrap may break a span after its dot
+    text = "shots are walked in chunks of `sequence.\n  _SERIES_CHUNK` at a time"
+    assert private_names(text) == ["sequence. _SERIES_CHUNK"]
+
+
 def unnamed(text):
     """The subcommands and the top-level config fields that no backticked
     span of ``text`` starts with, as `class-oracle` or `class_oracle.a_min`."""
-    heads = {re.split(r"[^\w-]", span, maxsplit=1)[0]
-             for span in re.findall(r"`([^`\n]+)`", text)}
+    heads = {re.split(r"[^\w-]", span, maxsplit=1)[0] for span in code_spans(text)}
     return sorted((set(cli._COMMANDS) | set(get_type_hints(ExperimentConfig))) - heads)
 
 
@@ -591,6 +625,8 @@ def test_naming_guard_catches_a_missing_subcommand_and_block():
     text = ", ".join(f"`{name}`" for name in sorted(names) if "class" not in name)
     assert unnamed(text) == ["class-oracle", "class_oracle"]
     assert unnamed(text + " `class-oracle`, `class_oracle.a_min: 2`") == []
+    # a span may cross one line break
+    assert unnamed(text + " `class-oracle\n--seed 7`, `class_oracle.a_min: 2`") == []
 
 
 def example_drift(text):

@@ -421,10 +421,10 @@ class TestPinnedShotStreams:
             NoiseModel(mirror_phase_rms_rad=0.3, detection_snr=50.0),
             n_shots=8, shot_period=1.0, master_seed=1)
         assert _hex(series.normalized_population) == [
-            "0x1.035855bb248f3p-4", "0x1.52d4a5923964cp-2",
-            "0x1.6d3dfffeb994bp-1", "0x1.8379e85a734a1p-2",
-            "0x1.6738c85bda690p-2", "0x1.e7511f312b00dp-2",
-            "0x1.e10dc5c4584ffp-1", "0x1.407fec5175f1dp-2"]
+            "0x1.035855bb248f8p-4", "0x1.52d4a59239650p-2",
+            "0x1.6d3dfffeb994bp-1", "0x1.8379e85a734a6p-2",
+            "0x1.6738c85bda694p-2", "0x1.e7511f312b010p-2",
+            "0x1.e10dc5c458500p-1", "0x1.407fec5175f23p-2"]
 
     def test_fringe_scan_stream(self):
         ens = EnsembleSpec(samples=4, sigma_q_hk=0.42, seed=2)
@@ -433,32 +433,32 @@ class TestPinnedShotStreams:
                            NoiseModel(mirror_phase_rms_rad=0.05, detection_snr=50.0),
                            grid, master_seed=3, shot_index_offset=100)
         assert _hex(scan.port_populations[0]) == [
-            "0x1.ecc75baf42942p-2", "0x1.12479452f0ab4p-3",
-            "0x1.a45792d006be4p-3", "0x1.d808344fa2653p-4",
-            "0x0.0p+0", "0x1.f0198b7a11309p-4",
-            "0x1.1fb1c612f6fe7p-5", "0x1.dd2f1e9e36ccbp-3",
-            "0x1.fa92b89caf748p-2", "0x1.41be481e4084bp-3",
-            "0x1.9e256554e4c55p-3", "0x1.32820282406c4p-3",
-            "0x0.0p+0", "0x1.dd15087fe0fd8p-4",
-            "0x1.1305dffd9fdc4p-5", "0x1.e20e07a037da5p-3"]
+            "0x1.ecc75be22d491p-2", "0x1.124794023ae21p-3",
+            "0x1.a45792ecc23f1p-3", "0x1.d80834ea98c09p-4",
+            "0x0.0p+0", "0x1.f0198c09da244p-4",
+            "0x1.1fb1c608f86f5p-5", "0x1.dd2f1ed848b57p-3",
+            "0x1.fa92b8cbb1f00p-2", "0x1.41be47e17db1dp-3",
+            "0x1.9e25657e80428p-3", "0x1.328202cbc9d24p-3",
+            "0x0.0p+0", "0x1.dd1509194afa2p-4",
+            "0x1.1305df9d84f4bp-5", "0x1.e20e07a72afdep-3"]
         assert _hex(scan.port_populations[2]) == [
-            "0x1.5f7e14740566fp-3", "0x1.52428a90ebc99p-3",
-            "0x1.4796a7ffa8a81p-4", "0x1.59a280bc7be2cp-2",
-            "0x1.1d03034959ba0p-2", "0x1.79f26de97d271p-5",
-            "0x1.093a9769ff79bp-3", "0x1.cd91a4a3d552cp-6",
-            "0x1.14a209d05b9ecp-4", "0x1.acda9e0f48a94p-3",
-            "0x1.fb001c90529acp-5", "0x1.3c92cf54c71dcp-2",
-            "0x1.4b3f7263a5dbap-2", "0x1.6cd3d9157d7bdp-4",
-            "0x1.70ecbab2642fep-3", "0x1.5066ab3e392c5p-4"]
+            "0x1.5f7e145598f21p-3", "0x1.52428ad4b20fbp-3",
+            "0x1.4796a82d4264fp-4", "0x1.59a2811088390p-2",
+            "0x1.1d03036d405a0p-2", "0x1.79f26ec633ebfp-5",
+            "0x1.093a975a8a546p-3", "0x1.cd91a500095a6p-6",
+            "0x1.14a2099c7b4d8p-4", "0x1.acda9e646a4f7p-3",
+            "0x1.fb001d3e05be5p-5", "0x1.3c92cfa9f5456p-2",
+            "0x1.4b3f7285d6d9bp-2", "0x1.6cd3d9b26823ap-4",
+            "0x1.70ecbaaacae3ap-3", "0x1.5066ab5712626p-4"]
         assert _hex(scan.normalized) == [
-            "0x1.7966ee159cc78p-1", "0x1.ca856898f072ap-2",
-            "0x1.706ede1f79576p-1", "0x1.04a1d2ce66716p-2",
-            "0x0.0p+0", "0x1.72c48c588237fp-1",
-            "0x1.b4e49981df4b9p-3", "0x1.c8c59bdb879d1p-1",
-            "0x1.c27f50b5e5071p-1", "0x1.b6eff21f43c94p-2",
-            "0x1.88056fbc58613p-1", "0x1.4e054483a316fp-2",
-            "0x0.0p+0", "0x1.222222373cda6p-1",
-            "0x1.41b904677fb92p-3", "0x1.7b8fcfbf3b1d3p-1"]
+            "0x1.7966ee287389ap-1", "0x1.ca85681bb266dp-2",
+            "0x1.706ede1827a79p-1", "0x1.04a1d2def0226p-2",
+            "0x0.0p+0", "0x1.72c48c3a6cb7dp-1",
+            "0x1.b4e49989f6870p-3", "0x1.c8c59bd7aeec4p-1",
+            "0x1.c27f50c510815p-1", "0x1.b6eff1be1eccfp-2",
+            "0x1.88056fa61a026p-1", "0x1.4e05447d13760p-2",
+            "0x0.0p+0", "0x1.22222229974c5p-1",
+            "0x1.41b9040e52413p-3", "0x1.7b8fcfb964ea8p-1"]
 
 
 class TestBoundedChunks:
@@ -701,6 +701,23 @@ class TestSeriesChunks:
             tracemalloc.stop()
         columns = 4 * 8 * (100000 - 25000)   # four float64 columns a shot
         assert peaks[1] - peaks[0] <= 1.3 * columns, peaks
+
+
+class TestShotChecks:
+    def test_populations_summing_past_one_are_rejected(self, monkeypatch):
+        # propagators scaled by 1 + 1e-6 lift a shot's population sum by
+        # about 6e-6, which a looser bound than 1 + 1e-9 would let through
+        real = sequence.pulse_propagator
+        monkeypatch.setattr(sequence, "pulse_propagator",
+                            lambda *args: real(*args) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match=r"sum <= 1 \+ 1e-9"):
+            scan_fringe(RB, PLANE, TestPinnedShotStreams.QB, QUIET, [0.0])
+
+    def test_a_shot_detecting_no_atoms_reads_one_half(self):
+        rng = sequence._stream(QUIET, 0, STREAM_DETECTION)
+        measured, normalized = sequence._detect(np.zeros((2, 2)), QUIET, rng)
+        assert measured.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert normalized.tolist() == [0.5, 0.5]
 
 
 class TestSpecValidation:
